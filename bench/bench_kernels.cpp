@@ -1,7 +1,7 @@
 // Kernel microbenchmarks (google-benchmark): the matrix-free tensor-product
 // operators that dominate the solver, swept across polynomial orders AND
-// device backends / thread counts, plus the gather-scatter and the kernel
-// autotuner's variant selection.
+// device backends / thread counts, plus the gather-scatter. Each operator
+// runs with the per-order kernel table (field::TensorKernels::for_order).
 //
 // Besides the normal console table, the binary writes BENCH_kernels.json —
 // one record per run with {kernel, degree, backend, threads, ns_per_iter,
@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "device/autotune.hpp"
 #include "operators/ops.hpp"
 #include "operators/setup.hpp"
 #include "precon/fdm.hpp"
@@ -100,8 +99,8 @@ BENCHMARK(BM_AxHelmholtz)->Apply([](benchmark::internal::Benchmark* b) {
 });
 
 /// The same operator with the tensor kernels pinned to the scalar reference:
-/// the BM_AxHelmholtz / BM_AxHelmholtzRef ratio is the measured autotuning
-/// margin the perf gate's --require-speedup check consumes.
+/// the BM_AxHelmholtz / BM_AxHelmholtzRef ratio is the measured margin of the
+/// per-order kernel table the perf gate's --require-speedup check consumes.
 void BM_AxHelmholtzRef(benchmark::State& state) {
   KernelFixture f(static_cast<int>(state.range(0)),
                   static_cast<int>(state.range(1)));
@@ -203,37 +202,6 @@ void BM_Grad(benchmark::State& state) {
 BENCHMARK(BM_Grad)->Apply([](benchmark::internal::Benchmark* b) {
   sweep(b, {5, 7});
 });
-
-/// Autotuner demonstration: choose between tensor-contraction variants for
-/// the ax kernel's transpose stage (loop orders have measurably different
-/// cache behaviour at higher N).
-void BM_AutotuneReport(benchmark::State& state) {
-  KernelFixture f(7, 0);
-  const operators::Context ctx = f.setup.ctx();
-  const field::Space& sp = *ctx.space;
-  const int n = sp.n;
-  RealVec in(static_cast<usize>(sp.nodes_per_element())), out_a(in.size()),
-      out_b(in.size());
-  for (usize i = 0; i < in.size(); ++i) in[i] = std::cos(0.1 * static_cast<real_t>(i));
-  const auto variant_axis0 = [&] {
-    for (int e = 0; e < 64; ++e)
-      field::apply_axis0(sp.d, in.data(), out_a.data(), n, n);
-  };
-  const auto variant_axis2 = [&] {
-    for (int e = 0; e < 64; ++e)
-      field::apply_axis2(sp.d, in.data(), out_b.data(), n, n);
-  };
-  usize best = 0;
-  for (auto _ : state) {
-    const device::TuneResult r = device::autotune(
-        {{"axis0-contraction", variant_axis0}, {"axis2-contraction", variant_axis2}},
-        2);
-    best = r.best_index;
-    benchmark::DoNotOptimize(best);
-  }
-  state.counters["winner"] = static_cast<double>(best);
-}
-BENCHMARK(BM_AutotuneReport)->Iterations(3);
 
 // ---- machine-readable sweep output ------------------------------------------
 

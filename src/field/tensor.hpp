@@ -5,8 +5,8 @@
 /// These three contractions are the computational heart of the matrix-free
 /// spectral-element method (§5.1): every element operator (stiffness, mass,
 /// gradient, interpolation) is a chain of them. They are written as tight
-/// loops over contiguous data; `fast3d` specializations are chosen by the
-/// kernel autotuner in device/.
+/// loops over contiguous data; the vectorized and fixed-order variants in
+/// tensor_simd.hpp are chosen per order by `TensorKernels::for_order`.
 #pragma once
 
 #include "common/error.hpp"

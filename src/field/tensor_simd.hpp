@@ -1,6 +1,6 @@
 /// \file tensor_simd.hpp
-/// \brief Vectorized tensor-product kernel variants + the dispatch table the
-/// autotuner fills in.
+/// \brief Vectorized tensor-product kernel variants and the fixed per-order
+/// kernel table (`TensorKernels::for_order`) the solver dispatches through.
 ///
 /// Every variant here is *bitwise identical* to its reference kernel in
 /// tensor.hpp by construction: for each output value the sequence of
@@ -9,18 +9,15 @@
 /// only to independent outputs — the contraction (reduction) dimension is
 /// never split across lanes, because `omp simd reduction` licenses
 /// reassociation and would break the repo-wide bitwise-equivalence contract
-/// (serial vs OpenMP at any thread count, tuned vs untuned, restart
-/// exactness). This is why the autotuner may pick different winners per
-/// (backend, threads) key without perturbing a single bit of the solution.
+/// (serial vs OpenMP at any thread count, table vs reference, restart
+/// exactness). This is why the table may pick a different variant per order
+/// without perturbing a single bit of the solution.
 ///
 /// Variant families per kernel:
 ///  * `ref`      — the scalar loops from tensor.hpp;
 ///  * `simd`     — `#pragma omp simd` over contiguous output lanes, with the
 ///                 small operator pre-transposed onto the stack where the
 ///                 reference access pattern is strided (axis0);
-///  * `blockK`   — cache-blocked loop order (axis2): the output plane is
-///                 processed in chunks so each input chunk is reused across
-///                 all output rows while it is L1-resident;
 ///  * `fixedN`   — fully specialized for the common production orders
 ///                 (n = 4, 6, 8, 10, 12; paper production degree 7 → n = 8):
 ///                 compile-time trip counts let the compiler unroll and keep
@@ -29,14 +26,12 @@
 ///                 match (rectangular interpolation operators reuse the same
 ///                 entry points).
 ///
-/// The registries (`axis0_variants(n)` …) enumerate the candidates for one
-/// polynomial order; device::autotune times them and `TensorKernels` carries
-/// the winners through operators::Context into every hot-path caller
+/// `TensorKernels::for_order(n)` picks one variant per kernel from the order
+/// alone (DESIGN.md §13 holds the measurements behind the table), and
+/// operators::Context carries the table into every hot-path caller
 /// (felis-lint's `raw-tensor-call` rule keeps direct apply_axis* calls out of
 /// the rest of src/).
 #pragma once
-
-#include <vector>
 
 #include "field/tensor.hpp"
 
@@ -204,34 +199,6 @@ inline void apply_axis2_simd(const Op1D& op, const real_t* u, real_t* out,
   }
 }
 
-/// Cache-blocked apply_axis2: the plane is processed in L1-sized chunks and
-/// the whole k/a double loop runs per chunk, so every input chunk u(·,·,a) is
-/// reused r times while resident. Per output value the accumulation order is
-/// unchanged (blocking only partitions outputs), so it is bitwise identical.
-inline void apply_axis2_blocked(const Op1D& op, const real_t* u, real_t* out,
-                                int d0, int d1) {
-  detail::check_op(op, d0, d1);
-  const int r = op.rows, c = op.cols;
-  const usize plane = static_cast<usize>(d0) * static_cast<usize>(d1);
-  constexpr usize kBlock = 512;  // 4 KiB of doubles per input chunk
-  for (usize b0 = 0; b0 < plane; b0 += kBlock) {
-    const usize b1 = b0 + kBlock < plane ? b0 + kBlock : plane;
-    for (int k = 0; k < r; ++k) {
-      real_t* ok = out + plane * static_cast<usize>(k);
-      FELIS_TENSOR_SIMD
-      for (usize i = b0; i < b1; ++i) ok[i] = 0;
-      const real_t* row =
-          op.a.data() + static_cast<usize>(k) * static_cast<usize>(c);
-      for (int a = 0; a < c; ++a) {
-        const real_t w = row[a];
-        const real_t* ua = u + plane * static_cast<usize>(a);
-        FELIS_TENSOR_SIMD
-        for (usize i = b0; i < b1; ++i) ok[i] += w * ua[i];
-      }
-    }
-  }
-}
-
 /// apply_axis2 specialized to an N×N operator over an N×N plane. Delegates
 /// to simd otherwise.
 template <int N>
@@ -259,16 +226,6 @@ inline void apply_axis2_fixed(const Op1D& op, const real_t* u, real_t* out,
 
 // ---- composite kernels ------------------------------------------------------
 
-inline void grad_ref_simd(const Op1D& d, const real_t* u, real_t* ur,
-                          real_t* us, real_t* ut, int n) {
-  FELIS_ASSERT_MSG(d.rows == n && d.cols == n,
-                   "grad_ref: operator is " << d.rows << "x" << d.cols
-                                            << ", element order is " << n);
-  apply_axis0_simd(d, u, ur, n, n);
-  apply_axis1_simd(d, u, us, n, n);
-  apply_axis2_simd(d, u, ut, n, n);
-}
-
 template <int N>
 inline void grad_ref_fixed(const Op1D& d, const real_t* u, real_t* ur,
                            real_t* us, real_t* ut, int n) {
@@ -280,19 +237,6 @@ inline void grad_ref_fixed(const Op1D& d, const real_t* u, real_t* ur,
   apply_axis2_fixed<N>(d, u, ut, n, n);
 }
 
-inline void interp3_simd(const Op1D& op, const real_t* u, real_t* out,
-                         real_t* work, int n, int m) {
-  FELIS_ASSERT_MSG(op.rows == m && op.cols == n,
-                   "interp3: operator is " << op.rows << "x" << op.cols
-                                           << ", expected " << m << "x" << n);
-  real_t* t1 = work;  // m*n*n
-  real_t* t2 = work + static_cast<usize>(m) * static_cast<usize>(n) *
-                          static_cast<usize>(n);
-  apply_axis0_simd(op, u, t1, n, n);
-  apply_axis1_simd(op, t1, t2, m, n);
-  apply_axis2_simd(op, t2, out, m, m);
-}
-
 // ---- dispatch table ---------------------------------------------------------
 
 using AxisFn = void (*)(const Op1D&, const real_t*, real_t*, int, int);
@@ -302,20 +246,14 @@ using InterpFn = void (*)(const Op1D&, const real_t*, real_t*, real_t*, int,
                           int);
 
 /// The tensor-kernel dispatch table operators::Context carries: one function
-/// pointer per kernel plus the chosen variant's name (telemetry / logging).
-/// Default-constructed it points at the reference kernels, so untuned
-/// Contexts keep the exact seed behaviour.
+/// pointer per kernel. Default-constructed it points at the reference
+/// kernels.
 struct TensorKernels {
   AxisFn axis0 = &apply_axis0;
   AxisFn axis1 = &apply_axis1;
   AxisFn axis2 = &apply_axis2;
   GradFn grad = &grad_ref;
   InterpFn interp = &interp3;
-  const char* axis0_name = "ref";
-  const char* axis1_name = "ref";
-  const char* axis2_name = "ref";
-  const char* grad_name = "ref";
-  const char* interp_name = "ref";
 
   /// Shared immutable reference table (the fallback for null Context
   /// pointers).
@@ -323,82 +261,45 @@ struct TensorKernels {
     static const TensorKernels table;
     return table;
   }
-};
 
-/// One candidate implementation of an axis kernel.
-struct AxisVariant {
-  const char* name;
-  AxisFn fn;
-};
-struct GradVariant {
-  const char* name;
-  GradFn fn;
-};
-struct InterpVariant {
-  const char* name;
-  InterpFn fn;
+  /// The table for n nodes per direction (degree + 1), a pure function of n:
+  ///
+  ///   n                | axis0  | axis1  | axis2  | grad   | interp
+  ///   4                | fixed4 | fixed4 | fixed4 | fixed4 | ref
+  ///   6, 8, 10, 12     | fixedN | fixedN | ref    | fixedN | ref
+  ///   any other n      | ref    | ref    | ref    | ref    | ref
+  ///
+  /// fixedN where it won every timing; the reference elsewhere, where the
+  /// other variants won only by noise or only at orders no workload runs
+  /// (DESIGN.md §13 holds the measurements).
+  static TensorKernels for_order(int n);
 };
 
 namespace detail {
-/// Append the fixed-N specializations matching `n` (the common production
-/// orders; degree 7 of the paper is n = 8).
-template <template <int> class Pick, typename Variant>
-inline void add_fixed(std::vector<Variant>& v, int n) {
-  if (n == 4) v.push_back({"fixed4", Pick<4>::fn});
-  if (n == 6) v.push_back({"fixed6", Pick<6>::fn});
-  if (n == 8) v.push_back({"fixed8", Pick<8>::fn});
-  if (n == 10) v.push_back({"fixed10", Pick<10>::fn});
-  if (n == 12) v.push_back({"fixed12", Pick<12>::fn});
+/// The n = N row of the table at n = 6, 8, 10, 12: fixed axis0/axis1/grad.
+template <int N>
+TensorKernels fixed_kernels() {
+  TensorKernels k;
+  k.axis0 = &apply_axis0_fixed<N>;
+  k.axis1 = &apply_axis1_fixed<N>;
+  k.grad = &grad_ref_fixed<N>;
+  return k;
 }
-template <int N>
-struct PickAxis0 {
-  static constexpr AxisFn fn = &apply_axis0_fixed<N>;
-};
-template <int N>
-struct PickAxis1 {
-  static constexpr AxisFn fn = &apply_axis1_fixed<N>;
-};
-template <int N>
-struct PickAxis2 {
-  static constexpr AxisFn fn = &apply_axis2_fixed<N>;
-};
-template <int N>
-struct PickGrad {
-  static constexpr GradFn fn = &grad_ref_fixed<N>;
-};
 }  // namespace detail
 
-/// Candidate tables for one polynomial order (n = nodes per direction). The
-/// reference kernel is always candidate 0, so a degenerate tuning run keeps
-/// the seed behaviour.
-inline std::vector<AxisVariant> axis0_variants(int n) {
-  std::vector<AxisVariant> v{{"ref", &apply_axis0}, {"simd", &apply_axis0_simd}};
-  detail::add_fixed<detail::PickAxis0>(v, n);
-  return v;
-}
-
-inline std::vector<AxisVariant> axis1_variants(int n) {
-  std::vector<AxisVariant> v{{"ref", &apply_axis1}, {"simd", &apply_axis1_simd}};
-  detail::add_fixed<detail::PickAxis1>(v, n);
-  return v;
-}
-
-inline std::vector<AxisVariant> axis2_variants(int n) {
-  std::vector<AxisVariant> v{{"ref", &apply_axis2},
-                             {"simd", &apply_axis2_simd},
-                             {"block512", &apply_axis2_blocked}};
-  detail::add_fixed<detail::PickAxis2>(v, n);
-  return v;
-}
-
-inline std::vector<GradVariant> grad_variants(int n) {
-  std::vector<GradVariant> v{{"ref", &grad_ref}, {"simd", &grad_ref_simd}};
-  detail::add_fixed<detail::PickGrad>(v, n);
-  return v;
-}
-
-inline std::vector<InterpVariant> interp_variants(int /*n*/) {
-  return {{"ref", &interp3}, {"simd", &interp3_simd}};
+inline TensorKernels TensorKernels::for_order(int n) {
+  switch (n) {
+    case 4: {
+      TensorKernels k = detail::fixed_kernels<4>();
+      k.axis2 = &apply_axis2_fixed<4>;
+      return k;
+    }
+    case 6: return detail::fixed_kernels<6>();
+    case 8: return detail::fixed_kernels<8>();
+    case 10: return detail::fixed_kernels<10>();
+    case 12: return detail::fixed_kernels<12>();
+    default: return TensorKernels{};
+  }
 }
 
 }  // namespace felis::field

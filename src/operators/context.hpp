@@ -34,7 +34,7 @@ struct Context {
   /// plain operator tests; layers without a Context fall back to
   /// telemetry::Telemetry::current().
   telemetry::Telemetry* telemetry = nullptr;
-  /// Autotuned tensor-product kernel table (owned by RankSetup). Null falls
+  /// Per-order tensor-product kernel table (owned by RankSetup). Null falls
   /// back to the reference kernels, so a zero-initialized Context computes
   /// identical results — every variant is bitwise-equal to the reference.
   const field::TensorKernels* kernels = nullptr;

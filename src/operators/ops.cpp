@@ -1,6 +1,7 @@
 #include "operators/ops.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "device/workspace.hpp"
 
@@ -328,6 +329,11 @@ real_t cfl(const Context& ctx, const RealVec& ux, const RealVec& uy,
                     ua += u[b] * coef.drdx[static_cast<usize>(3 * a + b)][o];
                   sum += std::abs(ua) / dr[static_cast<usize>(ref[a])];
                 }
+                // NaN loses every comparison and would vanish from the max
+                // (here, in reduce_max and in the allreduce): a non-finite
+                // node counts as +inf so the caller's CFL guard fires.
+                if (!std::isfinite(sum))
+                  sum = std::numeric_limits<real_t>::infinity();
                 if (sum > local) local = sum;
               }
         }

@@ -9,7 +9,6 @@
 #include <memory>
 
 #include "operators/context.hpp"
-#include "operators/tensor_dispatch.hpp"
 
 namespace felis::operators {
 
@@ -22,8 +21,8 @@ struct RankSetup {
   comm::Communicator* comm = nullptr;
   device::Backend* backend = nullptr;  ///< null = process default
   telemetry::Telemetry* telemetry = nullptr;  ///< null = telemetry off
-  /// Autotuned tensor kernels for this space/backend (reference table until
-  /// tune_tensor_kernels fills it in make_rank_setup).
+  /// Tensor kernels for this space's order (make_rank_setup fills it from
+  /// TensorKernels::for_order; default-constructed it is the reference).
   field::TensorKernels kernels;
 
   Context ctx() const {
@@ -61,8 +60,7 @@ inline RankSetup make_rank_setup(const mesh::HexMesh& global_mesh, int degree,
   s.prof = std::make_unique<Profiler>();
   s.comm = &comm;
   s.backend = backend;
-  s.kernels = tune_tensor_kernels(
-      s.space, backend != nullptr ? *backend : device::default_backend());
+  s.kernels = field::TensorKernels::for_order(s.space.n);
   return s;
 }
 

@@ -29,7 +29,7 @@ double CampaignReport::utilisation() const {
 
 double CampaignReport::cases_per_hour() const {
   return wall_seconds > 0
-             ? static_cast<double>(completed + skipped) * 3600.0 / wall_seconds
+             ? static_cast<double>(completed) * 3600.0 / wall_seconds
              : 0.0;
 }
 

@@ -114,7 +114,8 @@ struct CampaignReport {
   bool all_done() const { return failed == 0 && drained == 0; }
   /// Worker-pool utilisation: busy thread-seconds over budget × wall.
   double utilisation() const;
-  /// Completed-case throughput (done + skipped count as campaign progress).
+  /// Throughput of this session: cases completed per hour of wall time.
+  /// Skipped cases ran in an earlier session and do not count.
   double cases_per_hour() const;
 };
 

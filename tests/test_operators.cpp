@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <random>
+#include <string>
 
+#include "fluid/flow_solver.hpp"
 #include "operators/ops.hpp"
 #include "operators/setup.hpp"
+#include "precon/coarse.hpp"
 
 namespace felis::operators {
 namespace {
@@ -221,6 +225,40 @@ TEST(Cfl, ScalesLinearlyWithVelocityAndDt) {
   EXPECT_NEAR(c2, 2 * c1, 1e-12);
   for (real_t& v : ux) v = 3.0;
   EXPECT_NEAR(cfl(ctx, ux, uy, uz, 0.01), 3 * c1, 1e-12);
+}
+
+// NaN loses every comparison, so a max-reduction silently drops it: one NaN
+// velocity node must still make cfl() +inf on every backend, and the
+// solver's CFL guard must then stop the step.
+TEST(Cfl, NonFiniteVelocityIsInfiniteAndStopsTheSolver) {
+  const real_t nan = std::numeric_limits<real_t>::quiet_NaN();
+  mesh::BoxMeshConfig cfg;
+  cfg.nx = cfg.ny = cfg.nz = 2;
+  const mesh::HexMesh mesh = make_box_mesh(cfg);
+  comm::SelfComm comm;
+  device::SerialBackend serial;
+  device::OpenMpBackend openmp(2);
+  for (device::Backend* backend : {static_cast<device::Backend*>(&serial),
+                                   static_cast<device::Backend*>(&openmp)}) {
+    const auto setup = make_rank_setup(mesh, 5, comm, false, true, backend);
+    const Context ctx = setup.ctx();
+    RealVec ux(ctx.num_dofs(), 1.0), uy(ctx.num_dofs(), 0.0), uz(ctx.num_dofs(), 0.0);
+    ux[ctx.num_dofs() / 2] = nan;
+    EXPECT_EQ(cfl(ctx, ux, uy, uz, 0.01), std::numeric_limits<real_t>::infinity())
+        << backend->name();
+  }
+
+  auto fine = make_rank_setup(mesh, 3, comm, true);
+  auto coarse = precon::make_coarse_setup(mesh, comm);
+  fluid::FlowSolver solver(fine.ctx(), coarse.ctx(), fluid::FlowConfig{});
+  solver.u()[0] = nan;
+  try {
+    solver.step();
+    ADD_FAILURE() << "step() ran with a NaN velocity";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("exceeds limit"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(AdvectorTest, WeakMomentsExactForPolynomials) {

@@ -380,12 +380,29 @@ TEST_F(ManifestTest, ResumeSkipsCompletedCases) {
   EXPECT_EQ(r2.skipped, 2);
   EXPECT_EQ(r2.completed, 2);
   EXPECT_TRUE(r2.all_done());
+  // Throughput counts the two cases this session ran, not the skipped ones.
+  ASSERT_GT(r2.wall_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(r2.cases_per_hour(), 2 * 3600.0 / r2.wall_seconds);
   // Skipped cases keep their recorded metrics for campaign aggregates.
   for (const CaseOutcome& out : r2.outcomes) {
     if (out.skipped) {
       EXPECT_EQ(out.result.metrics.at("Ra"), 1.0);
     }
   }
+
+  // A resume with nothing left to run retires no cases.
+  std::atomic<int> third_runs{0};
+  Scheduler third(tiny_spec(dir_, 4, 2, 2),
+                  [&](const CaseSpec&, RunContext&) {
+                    third_runs.fetch_add(1);
+                    return RunResult{true, "", {}};
+                  });
+  const CampaignReport r3 = third.run();
+  EXPECT_EQ(third_runs.load(), 0) << "done cases were re-run";
+  EXPECT_EQ(r3.skipped, 4);
+  EXPECT_EQ(r3.completed, 0);
+  ASSERT_GT(r3.wall_seconds, 0.0);
+  EXPECT_EQ(r3.cases_per_hour(), 0.0);
 }
 
 // ---- the real runner: campaign-level crash recovery ----------------------

@@ -1,26 +1,24 @@
-// Vectorized tensor-kernel equivalence and autotuner-cache tests.
+// Tensor-kernel table and variant-equivalence tests.
 //
-// The contract under test: every variant in the field/tensor_simd.hpp
-// registries produces THE SAME BITS as the scalar reference kernel for every
-// shape it can be called with (square and rectangular operators, all three
-// axes, the fused gradient, the interpolation chain). That contract is what
-// makes the autotuner safe — its timing nondeterminism can change which
-// variant wins, but never what the solver computes. The final test holds the
-// full solver to it: a multi-step RBC solve with tuning on must match one
-// with the kernels pinned to the reference, bitwise.
+// The contract under test: every kernel `TensorKernels::for_order(n)` can
+// dispatch to — directly, or as the delegate a fixed-order variant hands
+// non-square shapes to — produces THE SAME BITS as the scalar reference
+// kernel for every shape it can be called with (square and rectangular
+// operators, all three axes, the fused gradient, the interpolation chain).
+// That contract is what lets the table choose a variant per order without
+// changing what the solver computes. The final test holds the full solver to
+// it: a multi-step RBC solve with the per-order table must match one with the
+// kernels pinned to the reference, bitwise.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
+#include <map>
 #include <random>
 #include <string>
+#include <vector>
 
 #include "case/rbc.hpp"
-#include "common/error.hpp"
-#include "device/autotune.hpp"
 #include "field/tensor_simd.hpp"
 #include "operators/setup.hpp"
-#include "operators/tensor_dispatch.hpp"
 #include "precon/coarse.hpp"
 
 namespace felis {
@@ -49,38 +47,84 @@ void expect_bitwise(const RealVec& a, const RealVec& b, const std::string& what)
     ASSERT_EQ(a[i], b[i]) << what << " differs at index " << i;
 }
 
+// ---- the table -------------------------------------------------------------
+
+// The table is a pure function of n: pin every slot at every order the
+// equivalence tests below cover, and check that rank setups on different
+// backends receive that same table.
+TEST(TensorKernelTable, ForOrderIsThePinnedTable) {
+  using namespace field;  // the variant names read like the table itself
+  const std::map<int, TensorKernels> fixed = {
+      {4, {&apply_axis0_fixed<4>, &apply_axis1_fixed<4>, &apply_axis2_fixed<4>,
+           &grad_ref_fixed<4>, &interp3}},
+      {6, {&apply_axis0_fixed<6>, &apply_axis1_fixed<6>, &apply_axis2,
+           &grad_ref_fixed<6>, &interp3}},
+      {8, {&apply_axis0_fixed<8>, &apply_axis1_fixed<8>, &apply_axis2,
+           &grad_ref_fixed<8>, &interp3}},
+      {10, {&apply_axis0_fixed<10>, &apply_axis1_fixed<10>, &apply_axis2,
+            &grad_ref_fixed<10>, &interp3}},
+      {12, {&apply_axis0_fixed<12>, &apply_axis1_fixed<12>, &apply_axis2,
+            &grad_ref_fixed<12>, &interp3}}};
+  const auto expect_table = [](const TensorKernels& got,
+                               const TensorKernels& want,
+                               const std::string& what) {
+    EXPECT_EQ(got.axis0, want.axis0) << what;
+    EXPECT_EQ(got.axis1, want.axis1) << what;
+    EXPECT_EQ(got.axis2, want.axis2) << what;
+    EXPECT_EQ(got.grad, want.grad) << what;
+    EXPECT_EQ(got.interp, want.interp) << what;
+  };
+  for (int n = 2; n <= 13; ++n) {
+    const auto row = fixed.find(n);
+    expect_table(TensorKernels::for_order(n),
+                 row != fixed.end() ? row->second : TensorKernels{},
+                 "n=" + std::to_string(n));
+  }
+
+  mesh::BoxMeshConfig cfg;
+  cfg.nx = cfg.ny = cfg.nz = 2;
+  const mesh::HexMesh mesh = make_box_mesh(cfg);
+  comm::SelfComm comm;
+  device::SerialBackend serial;
+  device::OpenMpBackend openmp(2);
+  for (device::Backend* backend : {static_cast<device::Backend*>(&serial),
+                                   static_cast<device::Backend*>(&openmp)}) {
+    const operators::RankSetup setup =
+        operators::make_rank_setup(mesh, 3, comm, false, true, backend);
+    expect_table(setup.kernels, fixed.at(4), "rank setup on " + backend->name());
+  }
+}
+
 // ---- variant equivalence ----------------------------------------------------
 
-// Square n×n operators on n³ data for every registry variant, n = 2..12:
-// the shape every solver hot loop (ax, fdm, modal transform) uses.
+/// One axis slot of a table next to the reference kernel it must reproduce.
+struct AxisSlot {
+  const char* name;
+  field::AxisFn ref;
+  field::AxisFn got;
+};
+
+std::vector<AxisSlot> axis_slots(const field::TensorKernels& kern) {
+  return {{"axis0", &field::apply_axis0, kern.axis0},
+          {"axis1", &field::apply_axis1, kern.axis1},
+          {"axis2", &field::apply_axis2, kern.axis2}};
+}
+
+// Square n×n operators on n³ data through every axis slot of the table,
+// n = 2..13: the shape every solver hot loop (ax, fdm, modal transform) uses.
 TEST(TensorVariants, SquareOpsBitwiseAtAllOrders) {
   std::mt19937 rng(12345);
-  for (int n = 2; n <= 12; ++n) {
+  for (int n = 2; n <= 13; ++n) {
     const usize n3 = static_cast<usize>(n) * static_cast<usize>(n) *
                      static_cast<usize>(n);
     const field::Op1D op = random_op(rng, n, n);
     const RealVec u = random_vec(rng, n3);
     RealVec ref(n3), got(n3);
-
-    field::apply_axis0(op, u.data(), ref.data(), n, n);
-    for (const field::AxisVariant& v : field::axis0_variants(n)) {
+    for (const AxisSlot& slot : axis_slots(field::TensorKernels::for_order(n))) {
+      slot.ref(op, u.data(), ref.data(), n, n);
       got.assign(n3, -7.0);
-      v.fn(op, u.data(), got.data(), n, n);
-      expect_bitwise(ref, got, "axis0/" + std::string(v.name) + "/n=" +
-                                   std::to_string(n));
-    }
-    field::apply_axis1(op, u.data(), ref.data(), n, n);
-    for (const field::AxisVariant& v : field::axis1_variants(n)) {
-      got.assign(n3, -7.0);
-      v.fn(op, u.data(), got.data(), n, n);
-      expect_bitwise(ref, got, "axis1/" + std::string(v.name) + "/n=" +
-                                   std::to_string(n));
-    }
-    field::apply_axis2(op, u.data(), ref.data(), n, n);
-    for (const field::AxisVariant& v : field::axis2_variants(n)) {
-      got.assign(n3, -7.0);
-      v.fn(op, u.data(), got.data(), n, n);
-      expect_bitwise(ref, got, "axis2/" + std::string(v.name) + "/n=" +
+      slot.got(op, u.data(), got.data(), n, n);
+      expect_bitwise(ref, got, std::string(slot.name) + "/n=" +
                                    std::to_string(n));
     }
   }
@@ -88,71 +132,51 @@ TEST(TensorVariants, SquareOpsBitwiseAtAllOrders) {
 
 TEST(TensorVariants, GradBitwiseAtAllOrders) {
   std::mt19937 rng(777);
-  for (int n = 2; n <= 12; ++n) {
+  for (int n = 2; n <= 13; ++n) {
     const usize n3 = static_cast<usize>(n) * static_cast<usize>(n) *
                      static_cast<usize>(n);
     const field::Op1D d = random_op(rng, n, n);
     const RealVec u = random_vec(rng, n3);
-    RealVec ur(n3), us(n3), ut(n3), vr(n3), vs(n3), vt(n3);
+    RealVec ur(n3), us(n3), ut(n3);
+    RealVec vr(n3, -7.0), vs(n3, -7.0), vt(n3, -7.0);
     field::grad_ref(d, u.data(), ur.data(), us.data(), ut.data(), n);
-    for (const field::GradVariant& v : field::grad_variants(n)) {
-      vr.assign(n3, -7.0);
-      vs.assign(n3, -7.0);
-      vt.assign(n3, -7.0);
-      v.fn(d, u.data(), vr.data(), vs.data(), vt.data(), n);
-      const std::string what =
-          "grad/" + std::string(v.name) + "/n=" + std::to_string(n);
-      expect_bitwise(ur, vr, what + "/r");
-      expect_bitwise(us, vs, what + "/s");
-      expect_bitwise(ut, vt, what + "/t");
-    }
+    field::TensorKernels::for_order(n).grad(d, u.data(), vr.data(), vs.data(),
+                                            vt.data(), n);
+    const std::string what = "grad/n=" + std::to_string(n);
+    expect_bitwise(ur, vr, what + "/r");
+    expect_bitwise(us, vs, what + "/s");
+    expect_bitwise(ut, vt, what + "/t");
   }
 }
 
 // Rectangular operators: the dealiased advector applies nd×n interpolation
-// and n×nd projection ops through the SAME tuned pointers, so every variant
+// and n×nd projection ops through the SAME table pointers, so every slot
 // (including the fixed-N specializations, which must detect the shape
-// mismatch and delegate) has to reproduce the reference bitwise there too.
+// mismatch and delegate to the simd variants) has to reproduce the reference
+// bitwise there too.
 TEST(TensorVariants, RectangularOpsBitwise) {
   std::mt19937 rng(4242);
-  for (int n = 2; n <= 12; ++n) {
+  for (int n = 2; n <= 13; ++n) {
+    const std::vector<AxisSlot> slots =
+        axis_slots(field::TensorKernels::for_order(n));
     for (const int m : {2, (3 * n + 1) / 2, n + 3}) {
       const usize un = static_cast<usize>(n), um = static_cast<usize>(m);
       const field::Op1D op = random_op(rng, m, n);  // m×n: n-points → m-points
       const std::string shape =
           "/m=" + std::to_string(m) + "/n=" + std::to_string(n);
-
-      // axis0 on an n×d1×d2 block (d1 = d2 = n).
-      const RealVec u0 = random_vec(rng, un * un * un);
-      RealVec ref(um * un * un), got(um * un * un);
-      field::apply_axis0(op, u0.data(), ref.data(), n, n);
-      for (const field::AxisVariant& v : field::axis0_variants(n)) {
-        got.assign(got.size(), -7.0);
-        v.fn(op, u0.data(), got.data(), n, n);
-        expect_bitwise(ref, got, "axis0/" + std::string(v.name) + shape);
-      }
-
-      // axis1 on a d0×n×d2 block (d0 = m, d2 = n — the advector's mid-chain
-      // shape after the axis-0 sweep).
-      const RealVec u1 = random_vec(rng, um * un * un);
-      ref.resize(um * um * un);
-      got.resize(um * um * un);
-      field::apply_axis1(op, u1.data(), ref.data(), m, n);
-      for (const field::AxisVariant& v : field::axis1_variants(n)) {
-        got.assign(got.size(), -7.0);
-        v.fn(op, u1.data(), got.data(), m, n);
-        expect_bitwise(ref, got, "axis1/" + std::string(v.name) + shape);
-      }
-
-      // axis2 on a d0×d1×n block (d0 = d1 = m — the final sweep).
-      const RealVec u2 = random_vec(rng, um * um * un);
-      ref.resize(um * um * um);
-      got.resize(um * um * um);
-      field::apply_axis2(op, u2.data(), ref.data(), m, m);
-      for (const field::AxisVariant& v : field::axis2_variants(n)) {
-        got.assign(got.size(), -7.0);
-        v.fn(op, u2.data(), got.data(), m, m);
-        expect_bitwise(ref, got, "axis2/" + std::string(v.name) + shape);
+      // axis0 on an n×n×n block; axis1 on an m×n×n block (the advector's
+      // mid-chain shape after the axis-0 sweep); axis2 on an m×m×n block
+      // (the final sweep). Trailing extents per slot:
+      const int da[3] = {n, m, m}, db[3] = {n, n, m};
+      const usize in_size[3] = {un * un * un, um * un * un, um * um * un};
+      const usize out_size[3] = {um * un * un, um * um * un, um * um * um};
+      for (int s = 0; s < 3; ++s) {
+        const AxisSlot& slot = slots[static_cast<usize>(s)];
+        const RealVec u = random_vec(rng, in_size[s]);
+        RealVec ref(out_size[s]), got(out_size[s], -7.0);
+        slot.ref(op, u.data(), ref.data(), da[s], db[s]);
+        slot.got(op, u.data(), got.data(), da[s], db[s]);
+        expect_bitwise(ref, got, std::string(slot.name) + shape);
       }
     }
   }
@@ -160,142 +184,28 @@ TEST(TensorVariants, RectangularOpsBitwise) {
 
 TEST(TensorVariants, Interp3Bitwise) {
   std::mt19937 rng(99);
-  for (int n = 2; n <= 12; ++n) {
+  for (int n = 2; n <= 13; ++n) {
     const int m = (3 * n + 1) / 2;  // the 3/2-rule dealias grid
     const usize un = static_cast<usize>(n), um = static_cast<usize>(m);
     const field::Op1D op = random_op(rng, m, n);
     const RealVec u = random_vec(rng, un * un * un);
     RealVec work(um * un * (um + un));
-    RealVec ref(um * um * um), got(um * um * um);
+    RealVec ref(um * um * um), got(um * um * um, -7.0);
     field::interp3(op, u.data(), ref.data(), work.data(), n, m);
-    for (const field::InterpVariant& v : field::interp_variants(n)) {
-      got.assign(got.size(), -7.0);
-      work.assign(work.size(), -3.0);  // variants may not rely on stale work
-      v.fn(op, u.data(), got.data(), work.data(), n, m);
-      expect_bitwise(ref, got, "interp3/" + std::string(v.name) + "/n=" +
-                                   std::to_string(n));
-    }
+    work.assign(work.size(), -3.0);  // the slot may not rely on stale work
+    field::TensorKernels::for_order(n).interp(op, u.data(), got.data(),
+                                              work.data(), n, m);
+    expect_bitwise(ref, got, "interp3/n=" + std::to_string(n));
   }
 }
 
-// ---- autotuner --------------------------------------------------------------
+// ---- tabled dispatch --------------------------------------------------------
 
-TEST(Autotune, RejectsNonPositiveReps) {
-  // reps <= 0 used to leave every candidate at the +inf sentinel and silently
-  // crown candidate 0 with no timing at all.
-  const std::vector<device::TuneCandidate> cands{{"a", [] {}}, {"b", [] {}}};
-  EXPECT_THROW(device::autotune(cands, 0), Error);
-  EXPECT_THROW(device::autotune(cands, -3), Error);
-  EXPECT_NO_THROW(device::autotune(cands, 1));
-}
-
-TEST(TuneCache, SameKeyTunesExactlyOnce) {
-  device::TuneCache& cache = device::TuneCache::instance();
-  cache.clear();
-  int runs = 0;
-  const std::vector<device::TuneCandidate> cands{
-      {"counting", [&runs] { ++runs; }}};
-  const device::TuneKey key{"unit-test-kernel", 8, "serial", 1};
-
-  const device::TuneResult first = cache.tune(key, cands, 2);
-  EXPECT_FALSE(first.from_cache);
-  const int runs_after_first = runs;
-  EXPECT_GE(runs_after_first, 3);  // warmup + reps
-
-  const device::TuneResult second = cache.tune(key, cands, 2);
-  EXPECT_TRUE(second.from_cache);
-  EXPECT_EQ(second.best_index, 0u);
-  EXPECT_EQ(runs, runs_after_first);  // nothing re-timed
-  EXPECT_EQ(cache.lookup(key), "counting");
-  cache.clear();
-}
-
-TEST(TuneCache, PersistsWinnersThroughEnvFile) {
-  device::TuneCache& cache = device::TuneCache::instance();
-  const std::string path =
-      ::testing::TempDir() + "felis_tune_cache_roundtrip.txt";
-  std::remove(path.c_str());
-  ASSERT_EQ(setenv("FELIS_TUNE_CACHE", path.c_str(), 1), 0);
-  cache.clear();  // also forgets any previously loaded file
-
-  int runs = 0;
-  const std::vector<device::TuneCandidate> cands{
-      {"slow", [] {
-         volatile double s = 0;
-         for (int i = 0; i < 50000; ++i) s = s + 1.0;
-       }},
-      {"fast", [&runs] { ++runs; }}};
-  const device::TuneKey key{"roundtrip-kernel", 6, "serial", 1};
-
-  const device::TuneResult fresh = cache.tune(key, cands, 2);
-  EXPECT_FALSE(fresh.from_cache);
-  EXPECT_EQ(fresh.best_index, 1u) << "trivial candidate must beat the spin";
-
-  // A "new process": drop the in-memory table, reload from the file.
-  cache.clear();
-  const device::TuneResult reloaded = cache.tune(key, cands, 2);
-  EXPECT_TRUE(reloaded.from_cache);
-  EXPECT_EQ(reloaded.best_index, 1u);
-  EXPECT_EQ(cache.lookup(key), "fast");
-
-  // A stale winner (variant renamed away) falls through to a fresh tune.
-  cache.clear();
-  const std::vector<device::TuneCandidate> renamed{
-      {"fast-v2", [] {}}, {"other", [] {}}};
-  const device::TuneResult retuned = cache.tune(key, renamed, 1);
-  EXPECT_FALSE(retuned.from_cache);
-
-  ASSERT_EQ(unsetenv("FELIS_TUNE_CACHE"), 0);
-  cache.clear();
-  std::remove(path.c_str());
-}
-
-// ---- tuned dispatch ---------------------------------------------------------
-
-TEST(TensorDispatch, TuneFillsTableWithRegisteredVariants) {
-  const field::Space space = field::Space::make(7, true);
-  device::SerialBackend backend;
-  device::TuneCache::instance().clear();
-  const field::TensorKernels kern =
-      operators::tune_tensor_kernels(space, backend);
-  // Winners must come from the registries (any of them — timing decides),
-  // and the table must be callable with the production shapes.
-  const auto has = [](const char* name, const auto& variants) {
-    for (const auto& v : variants)
-      if (std::string(v.name) == name) return true;
-    return false;
-  };
-  EXPECT_TRUE(has(kern.axis0_name, field::axis0_variants(space.n)));
-  EXPECT_TRUE(has(kern.axis1_name, field::axis1_variants(space.n)));
-  EXPECT_TRUE(has(kern.axis2_name, field::axis2_variants(space.n)));
-  EXPECT_TRUE(has(kern.grad_name, field::grad_variants(space.n)));
-  EXPECT_TRUE(has(kern.interp_name, field::interp_variants(space.n)));
-  // Tuning the same space again is a pure cache hit: identical table.
-  const field::TensorKernels again =
-      operators::tune_tensor_kernels(space, backend);
-  EXPECT_EQ(std::string(kern.axis0_name), again.axis0_name);
-  EXPECT_EQ(std::string(kern.interp_name), again.interp_name);
-  device::TuneCache::instance().clear();
-}
-
-TEST(TensorDispatch, FelisTuneOffReturnsReferenceTable) {
-  ASSERT_EQ(setenv("FELIS_TUNE", "off", 1), 0);
-  const field::Space space = field::Space::make(5, true);
-  device::SerialBackend backend;
-  const field::TensorKernels kern =
-      operators::tune_tensor_kernels(space, backend);
-  EXPECT_EQ(kern.axis0, &field::apply_axis0);
-  EXPECT_EQ(kern.axis1, &field::apply_axis1);
-  EXPECT_EQ(kern.axis2, &field::apply_axis2);
-  EXPECT_EQ(kern.grad, &field::grad_ref);
-  EXPECT_EQ(kern.interp, &field::interp3);
-  ASSERT_EQ(unsetenv("FELIS_TUNE"), 0);
-}
-
-// Full 3-step RBC solve, tuned kernels vs reference kernels, bitwise: the
-// end-to-end form of the variant-identity contract. Whatever the autotuner
-// picked, the physics must not change by a single bit.
-TEST(TensorDispatch, FullRbcSolveBitwiseTunedVsReference) {
+// Full 3-step RBC solve, per-order table vs reference kernels, bitwise: the
+// end-to-end form of the variant-identity contract, at degree 3 (n = 4, the
+// only order with a fixed axis2) and degree 5 (n = 6). Whatever the table
+// picks, the physics must not change by a single bit.
+TEST(TensorDispatch, FullRbcSolveBitwiseVsReference) {
   mesh::BoxMeshConfig cfg;
   cfg.nx = cfg.ny = cfg.nz = 3;
   cfg.lx = cfg.ly = 2.0;
@@ -305,37 +215,40 @@ TEST(TensorDispatch, FullRbcSolveBitwiseTunedVsReference) {
   comm::SelfComm comm;
   device::SerialBackend backend;
 
-  operators::RankSetup tuned =
-      operators::make_rank_setup(mesh, 5, comm, true, true, &backend);
-  operators::RankSetup tuned_coarse =
-      precon::make_coarse_setup(mesh, comm, &backend);
-  operators::RankSetup plain =
-      operators::make_rank_setup(mesh, 5, comm, true, true, &backend);
-  operators::RankSetup plain_coarse =
-      precon::make_coarse_setup(mesh, comm, &backend);
-  plain.kernels = field::TensorKernels::reference();
-  plain_coarse.kernels = field::TensorKernels::reference();
+  for (const int degree : {3, 5}) {
+    SCOPED_TRACE("degree " + std::to_string(degree));
+    operators::RankSetup tabled =
+        operators::make_rank_setup(mesh, degree, comm, true, true, &backend);
+    operators::RankSetup tabled_coarse =
+        precon::make_coarse_setup(mesh, comm, &backend);
+    operators::RankSetup plain =
+        operators::make_rank_setup(mesh, degree, comm, true, true, &backend);
+    operators::RankSetup plain_coarse =
+        precon::make_coarse_setup(mesh, comm, &backend);
+    plain.kernels = field::TensorKernels::reference();
+    plain_coarse.kernels = field::TensorKernels::reference();
 
-  rbc::RbcConfig config;
-  config.rayleigh = 1e4;
-  config.dt = 2e-2;
-  config.perturbation_lx = config.perturbation_ly = 2.0;
-  config.flow.velocity_walls = {mesh::FaceTag::kBottom, mesh::FaceTag::kTop};
-  rbc::RbcSimulation sim_t(tuned.ctx(), tuned_coarse.ctx(), config);
-  rbc::RbcSimulation sim_r(plain.ctx(), plain_coarse.ctx(), config);
-  sim_t.set_initial_conditions();
-  sim_r.set_initial_conditions();
-  for (int s = 0; s < 3; ++s) {
-    const fluid::StepInfo it = sim_t.step();
-    const fluid::StepInfo ir = sim_r.step();
-    EXPECT_EQ(it.cfl, ir.cfl) << "step " << s;
-    EXPECT_EQ(it.divergence, ir.divergence) << "step " << s;
+    rbc::RbcConfig config;
+    config.rayleigh = 1e4;
+    config.dt = 2e-2;
+    config.perturbation_lx = config.perturbation_ly = 2.0;
+    config.flow.velocity_walls = {mesh::FaceTag::kBottom, mesh::FaceTag::kTop};
+    rbc::RbcSimulation sim_t(tabled.ctx(), tabled_coarse.ctx(), config);
+    rbc::RbcSimulation sim_r(plain.ctx(), plain_coarse.ctx(), config);
+    sim_t.set_initial_conditions();
+    sim_r.set_initial_conditions();
+    for (int s = 0; s < 3; ++s) {
+      const fluid::StepInfo it = sim_t.step();
+      const fluid::StepInfo ir = sim_r.step();
+      EXPECT_EQ(it.cfl, ir.cfl) << "step " << s;
+      EXPECT_EQ(it.divergence, ir.divergence) << "step " << s;
+    }
+    expect_bitwise(sim_t.solver().temperature(), sim_r.solver().temperature(),
+                   "temperature");
+    expect_bitwise(sim_t.solver().u(), sim_r.solver().u(), "u");
+    expect_bitwise(sim_t.solver().v(), sim_r.solver().v(), "v");
+    expect_bitwise(sim_t.solver().w(), sim_r.solver().w(), "w");
   }
-  expect_bitwise(sim_t.solver().temperature(), sim_r.solver().temperature(),
-                 "temperature");
-  expect_bitwise(sim_t.solver().u(), sim_r.solver().u(), "u");
-  expect_bitwise(sim_t.solver().v(), sim_r.solver().v(), "v");
-  expect_bitwise(sim_t.solver().w(), sim_r.solver().w(), "w");
 }
 
 }  // namespace

@@ -45,8 +45,8 @@ Rules
                       off the shared telemetry epoch and never reaches the
                       merged trace; time regions with Profiler and ad-hoc
                       durations with telemetry::Stopwatch. Exempt: the clock
-                      owners themselves (common/profiler, device/stream,
-                      device/autotune and src/telemetry/).
+                      owners themselves (common/profiler, device/stream
+                      and src/telemetry/).
   case-registry       Scenario plugins are private to src/case/: outside it
                       (src/ and examples/), no file may include a plugin
                       header (case/rbc.hpp, case/ihc.hpp, ...) or name a
@@ -82,7 +82,7 @@ Rules
   raw-tensor-call     Library code outside src/field/ must not call the
                       tensor-product kernels (apply_axis0/1/2, grad_ref,
                       interp3) directly: direct calls pin the scalar reference
-                      and silently bypass the autotuned variant selection.
+                      and silently bypass the per-order kernel table.
                       Dispatch through the operators::Context kernel table
                       (ctx.kern().axis0(...) etc.) or a field::TensorKernels
                       member. tests/ and bench/ are exempt by design: they
@@ -131,15 +131,13 @@ RENAME_FSYNC_EXEMPT = {
     os.path.join("src", "io", "durable_append.cpp"),
 }
 # Sanctioned clock owners: the profiler (region timing), the stream trace
-# recorder and autotuner (device-side timing), and the telemetry layer that
-# provides the shared epoch everyone else must inherit.
+# recorder (device-side timing), and the telemetry layer that provides the
+# shared epoch everyone else must inherit.
 CLOCK_EXEMPT = {
     os.path.join("src", "common", "profiler.hpp"),
     os.path.join("src", "common", "profiler.cpp"),
     os.path.join("src", "device", "stream.hpp"),
     os.path.join("src", "device", "stream.cpp"),
-    os.path.join("src", "device", "autotune.hpp"),
-    os.path.join("src", "device", "autotune.cpp"),
 }
 CLOCK_EXEMPT_DIRS = (os.path.join("src", "telemetry"),)
 # Sanctioned thread owners: the device backends (worker pools), the
@@ -629,7 +627,7 @@ def check_raw_tensor_call(root):
                 out.append(Violation(
                     relpath, lineno, "raw-tensor-call",
                     f"direct {m.group(1)}() call outside src/field/ bypasses "
-                    "the autotuned kernel selection; dispatch through "
+                    "the per-order kernel table; dispatch through "
                     "ctx.kern() (operators::Context) or a "
                     "field::TensorKernels table"))
     return out

@@ -24,10 +24,10 @@ multi-thread scaling is gated separately by the bench-smoke job.
 
 --require-speedup TUNED:REF:DEGREE:MINRATIO asserts, WITHIN the fresh sweep,
 that kernel TUNED is at least MINRATIO× faster than kernel REF at DEGREE on
-the serial backend (e.g. BM_AxHelmholtz:BM_AxHelmholtzRef:7:1.0 — the tuned
-ax kernel must not lose to the pinned scalar reference at the paper's
-production order). This is a same-machine, same-run comparison, so it is
-exact in either mode.
+the serial backend (e.g. BM_AxHelmholtz:BM_AxHelmholtzRef:7:1.0 — ax with
+the per-order kernel table must not lose to the pinned scalar reference at
+the paper's production order). This is a same-machine, same-run comparison,
+so it is exact in either mode.
 
 Exit codes: 0 pass, 1 regression (or failed speedup), 2 structural problem
 (missing/unreadable file, no overlapping records, missing anchor records).

@@ -10,19 +10,18 @@
 
 // Locking discipline
 // ------------------
-// `SimWorld` holds four independent lock domains; none is ever held while
+// `SimWorld` holds three independent lock domains; none is ever held while
 // acquiring another, so there is no lock ordering to violate:
 //
 //  * `barrier_mutex_`  — barrier count + generation counter. The generation
 //    counter disambiguates consecutive barriers (a rank that wakes late must
 //    not count toward the *next* barrier's quorum); it is only ever read or
 //    written under this mutex.
-//  * `reduce_mutex_`   — `reduce_count_` and the shared `reduce_buffer_`.
-//    Phase 1 (combine) mutates the buffer under the mutex; the barrier that
-//    follows publishes it, after which phase 2 reads are lock-free and
-//    race-free because nobody writes until the *second* barrier retires the
-//    buffer for reuse. The same publish/retire pattern covers
-//    `gather_slots_`.
+//  * `reduce_slots_`   — no mutex: in allreduce phase 1 each rank writes
+//    only its own slot; the barrier that follows publishes every slot, after
+//    which phase 2 reads are lock-free and race-free because nobody writes
+//    until the *second* barrier retires the slots for reuse. The same
+//    publish/retire pattern covers `gather_slots_`.
 //  * `gather_mutex_`   — `gather_slots_` writes in allgatherv phase 1.
 //  * per-mailbox mutex — each rank's mailbox has its own mutex + condvar;
 //    senders lock only the destination mailbox, receivers only their own.
@@ -75,7 +74,10 @@ namespace {
 /// Shared state for one simulated world of R ranks.
 class SimWorld {
  public:
-  explicit SimWorld(int nranks) : nranks_(nranks), mailboxes_(static_cast<usize>(nranks)) {}
+  explicit SimWorld(int nranks)
+      : nranks_(nranks),
+        mailboxes_(static_cast<usize>(nranks)),
+        reduce_slots_(static_cast<usize>(nranks)) {}
 
   int nranks() const { return nranks_; }
 
@@ -92,28 +94,27 @@ class SimWorld {
   }
 
   template <typename T, typename Combine>
-  void allreduce(int /*rank*/, T* data, usize count, Combine combine) {
-    // Phase 1: contribute into the shared buffer under the lock.
-    {
-      std::unique_lock<std::mutex> lock(reduce_mutex_);
-      if (reduce_count_ == 0) {
-        reduce_buffer_.assign(reinterpret_cast<std::byte*>(data),
-                              reinterpret_cast<std::byte*>(data) + count * sizeof(T));
-      } else {
-        FELIS_CHECK_MSG(reduce_buffer_.size() == count * sizeof(T),
-                        "mismatched allreduce sizes across ranks");
-        T* acc = reinterpret_cast<T*>(reduce_buffer_.data());
-        for (usize i = 0; i < count; ++i) acc[i] = combine(acc[i], data[i]);
-      }
-      ++reduce_count_;
-    }
+  void allreduce(int rank, T* data, usize count, Combine combine) {
+    // Phase 1: publish this rank's contribution in its own slot. A slot
+    // keeps its capacity, so steady-state reductions do not allocate.
+    const usize bytes = count * sizeof(T);
+    std::vector<std::byte>& mine = reduce_slots_[static_cast<usize>(rank)];
+    mine.resize(bytes);
+    if (count) std::memcpy(mine.data(), data, bytes);
     barrier();
-    // Phase 2: everyone copies the result out; a second barrier before any
-    // rank may start the next reduction guards buffer reuse.
-    if (count) std::memcpy(data, reduce_buffer_.data(), count * sizeof(T));
-    {
-      std::unique_lock<std::mutex> lock(reduce_mutex_);
-      reduce_count_ = 0;
+    // Phase 2: every rank combines slots 0..R-1 in rank order, so the result
+    // is bitwise the same whichever rank arrived first (floating-point sums
+    // are not associative). A second barrier before any rank may start the
+    // next reduction guards slot reuse.
+    for (usize r = 0; r < reduce_slots_.size(); ++r) {
+      FELIS_CHECK_MSG(reduce_slots_[r].size() == bytes,
+                      "mismatched allreduce sizes across ranks");
+      const std::byte* contrib = reduce_slots_[r].data();
+      for (usize i = 0; i < count; ++i) {
+        T v{};
+        std::memcpy(&v, contrib + i * sizeof(T), sizeof(T));
+        data[i] = r == 0 ? v : combine(data[i], v);
+      }
     }
     barrier();
   }
@@ -179,9 +180,7 @@ class SimWorld {
   int barrier_count_ = 0;
   std::int64_t barrier_generation_ = 0;
 
-  std::mutex reduce_mutex_;
-  int reduce_count_ = 0;
-  std::vector<std::byte> reduce_buffer_;
+  std::vector<std::vector<std::byte>> reduce_slots_;  ///< one per rank
 
   std::mutex gather_mutex_;
   std::vector<std::vector<std::byte>> gather_slots_;

@@ -14,8 +14,9 @@ namespace felis::fluid {
 namespace fs = std::filesystem;
 
 CheckpointManager::CheckpointManager(CheckpointConfig config,
-                                     io::FaultInjector* fault)
-    : config_(std::move(config)), fault_(fault) {
+                                     io::FaultInjector* fault,
+                                     telemetry::Telemetry* telemetry)
+    : config_(std::move(config)), fault_(fault), telemetry_(telemetry) {
   FELIS_CHECK_MSG(config_.keep >= 1, "checkpoint rotation needs keep >= 1");
   FELIS_CHECK_MSG(config_.max_retries >= 0,
                   "checkpoint retry count must be >= 0");
@@ -46,10 +47,10 @@ bool CheckpointManager::due(std::int64_t step) const {
 }
 
 std::string CheckpointManager::write(const Checkpoint& ck) {
+  const telemetry::Stopwatch watch;
   fs::create_directories(config_.directory);
   const std::string path = path_for_step(ck.step);
   const std::vector<std::byte> blob = ck.serialize(config_.compress);
-  const telemetry::Stopwatch watch;
   int retries = 0;
   for (int attempt = 0;; ++attempt) {
     try {
@@ -64,7 +65,9 @@ std::string CheckpointManager::write(const Checkpoint& ck) {
           static_cast<std::int64_t>(config_.retry_backoff_ms) << attempt));
     }
   }
-  if (telemetry::Telemetry* tel = telemetry::Telemetry::current()) {
+  telemetry::Telemetry* tel =
+      telemetry_ != nullptr ? telemetry_ : telemetry::Telemetry::current();
+  if (tel != nullptr && tel->enabled()) {
     telemetry::MetricsRegistry& m = tel->metrics();
     m.add("checkpoint.writes", 1);
     m.add("checkpoint.bytes", static_cast<double>(blob.size()));

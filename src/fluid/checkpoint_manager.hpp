@@ -18,6 +18,10 @@
 #include "fluid/checkpoint.hpp"
 #include "io/fault_injector.hpp"
 
+namespace felis::telemetry {
+class Telemetry;
+}
+
 namespace felis::fluid {
 
 struct CheckpointConfig {
@@ -32,8 +36,12 @@ struct CheckpointConfig {
 
 class CheckpointManager {
  public:
+  /// `telemetry` receives the checkpoint.* metrics; null falls back to
+  /// telemetry::Telemetry::current(). A run that owns its telemetry passes
+  /// it here, so concurrent runs in one process each count their own writes.
   explicit CheckpointManager(CheckpointConfig config,
-                             io::FaultInjector* fault = nullptr);
+                             io::FaultInjector* fault = nullptr,
+                             telemetry::Telemetry* telemetry = nullptr);
 
   /// Read checkpoint.* keys (dir, basename, keep, every, compress, retries,
   /// backoff_ms) with defaults from CheckpointConfig.
@@ -43,6 +51,8 @@ class CheckpointManager {
   /// transient failures with exponential backoff, then prune the rotation
   /// to `keep` files. Returns the final path. io::InjectedCrash (a simulated
   /// process death) is never retried — it propagates like a real kill.
+  /// `checkpoint.write_seconds` times serialization, the durable write and
+  /// every retry.
   std::string write(const Checkpoint& ck);
 
   /// Scan the rotation newest-to-oldest and return the first checkpoint
@@ -67,6 +77,7 @@ class CheckpointManager {
  private:
   CheckpointConfig config_;
   io::FaultInjector* fault_;
+  telemetry::Telemetry* telemetry_;
 };
 
 }  // namespace felis::fluid

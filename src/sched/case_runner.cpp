@@ -13,6 +13,7 @@
 #include "case/registry.hpp"
 #include "comm/comm.hpp"
 #include "common/error.hpp"
+#include "device/backend.hpp"
 #include "fluid/checkpoint_manager.hpp"
 #include "io/atomic_file.hpp"
 #include "io/fault_injector.hpp"
@@ -75,7 +76,6 @@ void run_rank(const CaseSpec& cs, RunContext& ctx, comm::Communicator& comm,
   ck.directory =
       (std::filesystem::path(ctx.run_dir()) / "checkpoints").string();
   if (comm.size() > 1) ck.basename += ".r" + std::to_string(comm.rank());
-  fluid::CheckpointManager manager(ck, comm.rank() == 0 ? fault : nullptr);
 
   std::optional<telemetry::Telemetry> telemetry;
   if (with_telemetry && params.get_bool("telemetry.enabled", false)) {
@@ -92,7 +92,7 @@ void run_rank(const CaseSpec& cs, RunContext& ctx, comm::Communicator& comm,
             {"program", "felis_campaign"},
             {"case", cs.id},
             {"type", info.type},
-            {"backend", "serial"},
+            {"backend", device::default_backend().name()},
             {"threads", std::to_string(cs.threads)},
             {"degree", std::to_string(geo.degree)},
             {"rank", std::to_string(comm.rank())},
@@ -104,6 +104,11 @@ void run_rank(const CaseSpec& cs, RunContext& ctx, comm::Communicator& comm,
     fine.telemetry = &*telemetry;
     coarse.telemetry = &*telemetry;
   }
+  // Checkpoint metrics go to this case's telemetry: with several workers in
+  // one process, the process-wide current() belongs to whichever case
+  // installed it first.
+  fluid::CheckpointManager manager(ck, comm.rank() == 0 ? fault : nullptr,
+                                   telemetry ? &*telemetry : nullptr);
 
   const std::unique_ptr<cases::Case> sim =
       info.make_case(fine.ctx(), coarse.ctx(), geo, params);

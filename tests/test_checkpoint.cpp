@@ -182,6 +182,18 @@ TEST(Checkpoint, LosslessEncodingShrinksBlob) {
   EXPECT_LT(coded.size(), raw.size());
 }
 
+TEST(Checkpoint, KnownAnswerPinsTheOnDiskFormat) {
+  // Byte counts and CRC-32s of both container flavours: any change to the
+  // section layout, the Huffman coder or the checksum shows up here.
+  const Checkpoint ck = tiny_checkpoint();
+  const auto coded = ck.serialize(true);
+  EXPECT_EQ(coded.size(), 1309u);
+  EXPECT_EQ(crc32(coded), 0x8BB36A2Au);
+  const auto raw = ck.serialize(false);
+  EXPECT_EQ(raw.size(), 1864u);
+  EXPECT_EQ(crc32(raw), 0x2556D222u);
+}
+
 TEST(Checkpoint, FileRoundTrip) {
   comm::SelfComm comm;
   Case c = make_case(comm, false);

@@ -1,9 +1,13 @@
 // Tests for the communicator substrate: serial SelfComm, threads-as-ranks
-// SimComm collectives and point-to-point messaging.
+// SimComm collectives (including rank-order, arrival-independent
+// floating-point reductions) and point-to-point messaging.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 
 #include "comm/comm.hpp"
 
@@ -129,6 +133,50 @@ TEST_P(SimCommRanks, BarrierOrdersPhases) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, SimCommRanks, ::testing::Values(1, 2, 4, 7));
+
+/// Sum one value per rank across a simulated world while forcing the order
+/// in which ranks reach the allreduce: the rank at position k of `arrival`
+/// sleeps k * 40 ms first. Returns every rank's result.
+std::vector<real_t> staggered_sum(const std::vector<real_t>& values,
+                                  const std::vector<int>& arrival) {
+  const int nranks = static_cast<int>(values.size());
+  std::vector<real_t> results(values.size());
+  run_parallel(nranks, [&](Communicator& comm) {
+    const auto position =
+        std::find(arrival.begin(), arrival.end(), comm.rank()) - arrival.begin();
+    std::this_thread::sleep_for(std::chrono::milliseconds(40 * position));
+    real_t v = values[static_cast<usize>(comm.rank())];
+    comm.allreduce(&v, 1, ReduceOp::kSum);
+    results[static_cast<usize>(comm.rank())] = v;
+  });
+  return results;
+}
+
+TEST(SimCommRankOrder, AllreduceSumIsIndependentOfArrivalOrder) {
+  // Rank order: (1e16 + 1) - 1e16 = 0, because 1e16 + 1 rounds to 1e16.
+  // Combining in arrival order gives 1 for arrivals (0,2,1) and (2,0,1).
+  const std::vector<real_t> values = {1e16, 1.0, -1e16};
+  const real_t rank_order = (values[0] + values[1]) + values[2];
+  ASSERT_EQ(rank_order, 0.0);
+  std::vector<int> arrival = {0, 1, 2};
+  do {
+    for (const real_t r : staggered_sum(values, arrival))
+      EXPECT_EQ(r, rank_order) << "arrival order " << arrival[0] << ","
+                               << arrival[1] << "," << arrival[2];
+  } while (std::next_permutation(arrival.begin(), arrival.end()));
+
+  // Four ranks: rank order gives ((1e16 + 1) - 1e16) + 1 = 1; arrival order
+  // (1,3,0,2) would give 2 and (3,2,1,0) would give 0.
+  const std::vector<real_t> four = {1e16, 1.0, -1e16, 1.0};
+  const real_t four_rank_order = ((four[0] + four[1]) + four[2]) + four[3];
+  ASSERT_EQ(four_rank_order, 1.0);
+  for (const std::vector<int>& order :
+       {std::vector<int>{1, 3, 0, 2}, std::vector<int>{3, 2, 1, 0}})
+    for (const real_t r : staggered_sum(four, order))
+      EXPECT_EQ(r, four_rank_order)
+          << "arrival order " << order[0] << "," << order[1] << ","
+          << order[2] << "," << order[3];
+}
 
 TEST(RunParallel, PropagatesExceptions) {
   EXPECT_THROW(

@@ -1,11 +1,17 @@
 // Tests for the in-situ compression pipeline: bitstream and Huffman
-// primitives, modal round trips, error-bound enforcement, compression-ratio
-// behaviour on smooth vs rough fields, and curved-mesh weighting.
+// primitives, known-answer pins of the coded format and CRC-32, hostile
+// Huffman streams fed straight to the decoder, modal round trips,
+// error-bound enforcement, compression-ratio behaviour on smooth vs rough
+// fields, and curved-mesh weighting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <random>
+#include <string>
 
+#include "common/crc32.hpp"
 #include "compression/bitstream.hpp"
 #include "compression/compressor.hpp"
 #include "field/coef.hpp"
@@ -19,11 +25,29 @@ TEST(BitStream, BitsRoundTrip) {
   w.put_bits(0b1011001, 7);
   w.put_bit(true);
   w.put_bits(0xdeadbeefcafe, 48);
+  // Word-width edges: a full 64-bit write, an empty write, and the widths
+  // either side of the writer's 32-bit split, each with stray high bits that
+  // must not leak into the stream.
+  w.put_bits(0xfedcba9876543210ull, 64);
+  w.put_bits(0xffffu, 0);
+  w.put_bits(~0ull, 31);
+  w.put_bits(0xf89abcdefull, 32);
+  w.put_bits(0xf1abcdef01ull, 33);
+  w.put_bits(0x5, 3);
+  EXPECT_EQ(w.bit_count(), 7u + 1 + 48 + 64 + 0 + 31 + 32 + 33 + 3);
   const auto bytes = w.bytes();
+  EXPECT_EQ(bytes.size(), (w.bit_count() + 7) / 8);
   BitReader r(bytes);
   EXPECT_EQ(r.get_bits(7), 0b1011001u);
   EXPECT_TRUE(r.get_bit());
   EXPECT_EQ(r.get_bits(48), 0xdeadbeefcafeull);
+  EXPECT_EQ(r.get_bits(64), 0xfedcba9876543210ull);
+  EXPECT_EQ(r.get_bits(0), 0u);
+  EXPECT_EQ(r.get_bits(31), 0x7fffffffu);
+  EXPECT_EQ(r.get_bits(32), 0x89abcdefu);
+  EXPECT_EQ(r.get_bits(33), 0x1abcdef01ull);
+  EXPECT_EQ(r.get_bits(3), 0x5u);
+  EXPECT_EQ(r.bit_position(), w.bit_count());
 }
 
 TEST(BitStream, GammaRoundTrip) {
@@ -79,6 +103,160 @@ TEST(Huffman, AllByteValues) {
   for (usize i = 0; i < input.size(); ++i)
     input[i] = static_cast<std::byte>(i % 256);
   EXPECT_EQ(huffman_decode(huffman_encode(input)), input);
+}
+
+// ---- known answers: the coded format and the checksum are pinned ---------
+
+std::vector<std::byte> bytes_of(const std::string& s) {
+  std::vector<std::byte> out(s.size());
+  std::transform(s.begin(), s.end(), out.begin(),
+                 [](char c) { return static_cast<std::byte>(c); });
+  return out;
+}
+
+/// CRC-32 straight from its definition: reflected polynomial 0xEDB88320,
+/// one bit at a time, no tables.
+std::uint32_t crc32_bitwise(const std::byte* data, usize n) {
+  std::uint32_t c = 0xffffffffu;
+  for (usize i = 0; i < n; ++i) {
+    c ^= static_cast<std::uint32_t>(data[i]);
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xedb88320u & (0u - (c & 1u)));
+  }
+  return c ^ 0xffffffffu;
+}
+
+TEST(Crc32, StandardCheckValue) {
+  EXPECT_EQ(crc32(bytes_of("123456789")), 0xCBF43926u);
+  EXPECT_EQ(crc32(bytes_of("")), 0u);
+}
+
+TEST(Crc32, MatchesBitwiseDefinitionAtEveryLengthAndOffset) {
+  // Lengths 0..64 at start offsets 0..7 reach every split between the
+  // eight-byte blocks and the byte-at-a-time tail.
+  std::mt19937 gen(11);
+  std::vector<std::byte> buf(8 + 64);
+  for (auto& b : buf) b = static_cast<std::byte>(gen() & 0xffu);
+  for (usize offset = 0; offset < 8; ++offset) {
+    for (usize len = 0; len <= 64; ++len) {
+      const std::byte* p = buf.data() + offset;
+      EXPECT_EQ(crc32(p, len), crc32_bitwise(p, len))
+          << "offset " << offset << " length " << len;
+      // Chaining over a split buffer equals one pass over the whole.
+      const usize half = len / 3;
+      EXPECT_EQ(crc32(p + half, len - half, crc32(p, half)), crc32(p, len));
+    }
+  }
+}
+
+TEST(Huffman, KnownAnswerPinsTheCodedFormat) {
+  const std::vector<std::byte> input = bytes_of("abracadabra");
+  const auto blob = huffman_encode(input);
+  EXPECT_EQ(blob.size(), 196u);
+  EXPECT_EQ(crc32(blob), 0x989E2E19u);
+  EXPECT_EQ(huffman_decode(blob), input);
+}
+
+// ---- hostile streams fed straight to the decoder -------------------------
+
+/// Symbol s in [0, symbols) appears Fib(s + 1) times, shuffled. Huffman
+/// coding of Fibonacci weights is maximally unbalanced: the two rarest
+/// symbols get codes of `symbols - 1` bits.
+std::vector<std::byte> fibonacci_input(int symbols) {
+  std::vector<std::byte> input;
+  std::uint64_t a = 1, b = 1;
+  for (int s = 0; s < symbols; ++s) {
+    input.insert(input.end(), a, static_cast<std::byte>(s));
+    const std::uint64_t next = a + b;
+    a = b;
+    b = next;
+  }
+  std::shuffle(input.begin(), input.end(), std::mt19937(3));
+  return input;
+}
+
+/// Longest code length declared in a coded blob's header.
+int longest_code(const std::vector<std::byte>& blob) {
+  BitReader r(blob);
+  r.get_gamma();
+  int longest = 0;
+  for (int s = 0; s < 256; ++s)
+    longest = std::max(longest, static_cast<int>(r.get_bits(6)));
+  return longest;
+}
+
+/// Decoding a damaged stream may succeed (the damage hit padding, or changed
+/// one symbol into another) or throw felis::Error; anything else — another
+/// exception type, or a read out of bounds under ASan — is a decoder bug.
+void expect_decodes_or_throws(const std::vector<std::byte>& blob,
+                              const std::string& what) {
+  try {
+    (void)huffman_decode(blob);
+  } catch (const Error&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": non-felis exception " << e.what();
+  }
+}
+
+TEST(Huffman, CodesLongerThanTheDecodeTableRoundTrip) {
+  const std::vector<std::byte> input = fibonacci_input(16);
+  const auto blob = huffman_encode(input);
+  EXPECT_GT(longest_code(blob), 11) << "the fallback walk is not exercised";
+  EXPECT_LE(longest_code(blob), 32);
+  EXPECT_EQ(huffman_decode(blob), input);
+}
+
+TEST(Huffman, EveryTruncationAndBitFlipDecodesOrThrows) {
+  std::mt19937 gen(4);
+  std::geometric_distribution<int> dist(0.4);
+  std::vector<std::byte> skewed(300);
+  for (auto& b : skewed) b = static_cast<std::byte>(dist(gen) & 0xff);
+  for (const auto& input : {fibonacci_input(14), skewed}) {
+    const auto blob = huffman_encode(input);
+    ASSERT_EQ(huffman_decode(blob), input);
+    for (usize len = 0; len < blob.size(); ++len)
+      expect_decodes_or_throws(
+          std::vector<std::byte>(blob.begin(),
+                                 blob.begin() + static_cast<std::ptrdiff_t>(len)),
+          "truncation at " + std::to_string(len));
+    for (usize bit = 0; bit < blob.size() * 8; ++bit) {
+      auto flipped = blob;
+      flipped[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+      expect_decodes_or_throws(flipped, "flip of bit " + std::to_string(bit));
+    }
+  }
+}
+
+/// A bare Huffman header: the symbol count, then the 256 six-bit code
+/// lengths (unlisted symbols get length 0). No payload follows.
+std::vector<std::byte> craft_header(std::uint64_t count,
+                                    const std::map<int, int>& lengths) {
+  BitWriter w;
+  w.put_gamma(count);
+  for (int s = 0; s < 256; ++s) {
+    const auto it = lengths.find(s);
+    w.put_bits(it == lengths.end() ? 0u : static_cast<unsigned>(it->second), 6);
+  }
+  return w.take();
+}
+
+void expect_error_naming(const std::vector<std::byte>& blob,
+                         const std::string& needle) {
+  try {
+    (void)huffman_decode(blob);
+    ADD_FAILURE() << "accepted a stream that should fail with: " << needle;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Huffman, CraftedHeadersThrowNamedErrors) {
+  expect_error_naming(craft_header(1, {{65, 33}}), "code length overflow");
+  expect_error_naming(craft_header(1, {{1, 1}, {2, 1}, {3, 1}}),
+                      "over-subscribed");
+  // The header alone is ~200 bytes, so 2^20 symbols cannot fit in it.
+  expect_error_naming(craft_header(1u << 20, {{0, 1}, {1, 1}}),
+                      "impossible symbol count");
 }
 
 struct CompressorSetup {

@@ -12,8 +12,13 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "device/backend.hpp"
 #include "fluid/checkpoint.hpp"
 #include "io/atomic_file.hpp"
 #include "obs/campaign_monitor.hpp"
@@ -556,6 +561,54 @@ TEST_F(ManifestTest, KilledCampaignAutoRecoversBitwise) {
   }
   EXPECT_TRUE(snap.complete());
   EXPECT_EQ(snap.resumes, 1);
+}
+
+TEST_F(ManifestTest, CaseTelemetryCountsItsOwnCheckpointWrites) {
+  // Two workers run cases concurrently in one process, where only one
+  // telemetry context can be the process-wide current(). Each case's stream
+  // must still count exactly the checkpoints that case wrote.
+  ParamMap params = acceptance_params(dir_);
+  params.set("telemetry.enabled", true);
+  const CampaignSpec spec = CampaignSpec::from_params(params);
+  ASSERT_EQ(spec.config.workers, 2);
+  Scheduler scheduler(spec, make_case_runner());
+  const CampaignReport report = scheduler.run();
+  ASSERT_TRUE(report.all_done());
+  for (const CaseSpec& cs : spec.cases) {
+    const fs::path tel = fs::path(dir_) / cs.id / "telemetry";
+    // 10 steps with checkpoint.every = 4: the writes at steps 4 and 8 land
+    // before the step-10 record; the sealing write at step 10 comes after
+    // it and shows up in the summary written at finalize.
+    std::string header, last;
+    {
+      std::ifstream in(tel / "run.ndjson");
+      std::getline(in, header);
+      for (std::string line; std::getline(in, line);)
+        if (!line.empty()) last = line;
+    }
+    // The header names the backend the case actually ran on.
+    EXPECT_EQ(extract_json_string(header, "backend"),
+              device::default_backend().name())
+        << cs.id << ": " << header;
+    ASSERT_NE(last.find(R"("type":"step","step":10)"), std::string::npos)
+        << cs.id << ": " << last;
+    EXPECT_EQ(extract_json_number(last, "checkpoint.writes"), 2.0) << cs.id;
+    // Summary rows: name,kind,value,count,sum,min,max.
+    std::map<std::string, std::vector<std::string>> summary;
+    {
+      std::ifstream in(tel / "run.summary.csv");
+      for (std::string line; std::getline(in, line);) {
+        std::vector<std::string> fields;
+        std::stringstream row(line);
+        for (std::string f; std::getline(row, f, ',');) fields.push_back(f);
+        if (fields.size() == 7) summary[fields[0]] = fields;
+      }
+    }
+    ASSERT_EQ(summary.count("checkpoint.writes"), 1u) << cs.id;
+    ASSERT_EQ(summary.count("checkpoint.write_seconds"), 1u) << cs.id;
+    EXPECT_EQ(summary["checkpoint.writes"][2], "3") << cs.id;
+    EXPECT_EQ(summary["checkpoint.write_seconds"][3], "3") << cs.id;
+  }
 }
 
 TEST_F(ManifestTest, EnvFaultInjectionCrashRetriesAndRecovers) {

@@ -452,8 +452,14 @@ def cmd_summary(path):
           f"p_it={val('solver.pressure_iterations'):.0f} "
           f"p_res={val('solver.pressure_residual'):.3e} "
           f"Nu={val('case.nu_volume'):.4f}")
+    writes = m.get("checkpoint.write_seconds")
+    if not isinstance(writes, dict):
+        writes = {}
+    count = writes.get("count", 0)
+    mean = writes.get("sum", 0) / count if count else 0.0
     print(f"checkpoints: writes={val('checkpoint.writes'):.0f} "
-          f"retries={val('checkpoint.retries'):.0f}")
+          f"retries={val('checkpoint.retries'):.0f} "
+          f"write_s_mean={mean:.4f} write_s_max={writes.get('max', 0):.4f}")
     if torn_tail:
         print("note: torn final line (crash-interrupted append) skipped")
     return 0

@@ -6,7 +6,6 @@
 //     --dry-run            expand + order the queue, print it, run nothing
 //     --steps N            override every case's step count (smoke runs)
 //     --dir PATH           override campaign.dir
-//     --bench-json PATH    also write a BENCH_campaign.json throughput record
 //     --list-cases         print the registered case types and exit
 //
 // Observer modes (work on a running, finished, or crashed campaign dir —
@@ -20,18 +19,6 @@
 //     write DIR/campaign.trace.json, a merged Chrome trace with every case
 //     on its own track (validate: tools/felis_trace.py --check)
 //
-// Service mode (src/svc/): a resident multi-tenant daemon plus a file-drop
-// client — no sockets, SIGKILL-safe at any instant (DESIGN.md §15):
-//   ./felis_campaign --serve campaign.txt
-//     run the campaign and stay resident, admitting spool submissions with
-//     per-tenant fair-share quotas, priorities and checkpoint-boundary
-//     preemption; restart the same command after a crash to recover
-//   ./felis_campaign --submit sweep.txt --to DIR
-//     atomically drop sweep.txt (ordinary param syntax + submit.tenant /
-//     submit.priority) into DIR/spool for the daemon serving DIR
-//   ./felis_campaign --drain --to DIR | --shutdown --to DIR
-//     ask the daemon to stop now (drain) or after queued work (shutdown)
-//
 // The campaign file is an ordinary key = value ParamMap with sweep.* axes;
 // `case.type` (sweepable: `sweep.type = rbc,rbc2d,ihc`) selects each case's
 // scenario from the case registry:
@@ -42,7 +29,9 @@
 //
 // Re-running the same command resumes from <campaign.dir>/manifest.ndjson:
 // completed cases are skipped, interrupted ones restart from their newest
-// valid checkpoint. Exit code: 0 all done, 1 failures, 2 drained (SIGINT).
+// valid checkpoint. Exit code: 0 all done, 1 failures, 2 drained (SIGINT),
+// 64 usage, 65 bad campaign spec or a manifest the replay rules reject, 66
+// missing input.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -52,13 +41,12 @@
 
 #include "case/registry.hpp"
 #include "common/error.hpp"
+#include "device/backend.hpp"
 #include "io/atomic_file.hpp"
 #include "obs/campaign_monitor.hpp"
 #include "obs/exporters.hpp"
 #include "sched/case_runner.hpp"
 #include "sched/scheduler.hpp"
-#include "svc/service.hpp"
-#include "svc/spool.hpp"
 
 using namespace felis;
 
@@ -66,10 +54,7 @@ namespace {
 
 constexpr const char* kUsage =
     "usage: felis_campaign <campaign.txt> [--dry-run] [--steps N] "
-    "[--dir PATH] [--bench-json PATH]\n"
-    "       felis_campaign --serve <campaign.txt> [--dir PATH] [--steps N]\n"
-    "       felis_campaign --submit <sweep.txt> --to DIR\n"
-    "       felis_campaign --drain --to DIR | --shutdown --to DIR\n"
+    "[--dir PATH]\n"
     "       felis_campaign --list-cases\n"
     "       felis_campaign --status DIR [--watch] [--interval S] [--json]\n"
     "       felis_campaign --export-trace DIR\n";
@@ -102,6 +87,14 @@ void print_fleet_table(const obs::CampaignSnapshot& snap) {
   std::printf(" | anomalies %.0f\n", snap.anomalies);
 }
 
+/// A manifest the replay rules reject (duplicate terminal records, or one
+/// written by the retired service mode): named, exit 65 (data error).
+int corrupt_manifest(const std::string& dir, const sched::ManifestReplayError& e) {
+  std::fprintf(stderr, "corrupt campaign manifest in '%s': %s\n", dir.c_str(),
+               e.what());
+  return 65;
+}
+
 /// --status / --export-trace: fold the campaign dir's journals and export.
 int run_observer(const std::string& dir, bool watch, double interval,
                  bool json_out, bool export_trace) {
@@ -110,9 +103,7 @@ int run_observer(const std::string& dir, bool watch, double interval,
     try {
       monitor.poll();
     } catch (const sched::ManifestReplayError& e) {
-      std::fprintf(stderr, "corrupt campaign manifest in '%s': %s\n",
-                   dir.c_str(), e.what());
-      return 65;
+      return corrupt_manifest(dir, e);
     }
     const obs::CampaignSnapshot snap = monitor.snapshot();
     if (!snap.manifest_found) {
@@ -154,16 +145,10 @@ int run_observer(const std::string& dir, bool watch, double interval,
 
 int main(int argc, char** argv) {
   std::string campaign_file;
-  std::string bench_json;
   std::string dir_override;
   std::string status_dir;
   std::string trace_dir;
-  std::string submit_file;
-  std::string submit_to;
-  bool drain = false;
-  bool shutdown = false;
   bool dry_run = false;
-  bool serve = false;
   bool watch = false;
   bool json_out = false;
   double interval = 2.0;
@@ -177,22 +162,10 @@ int main(int argc, char** argv) {
       return 0;
     } else if (std::strcmp(argv[i], "--dry-run") == 0) {
       dry_run = true;
-    } else if (std::strcmp(argv[i], "--serve") == 0) {
-      serve = true;
-    } else if (std::strcmp(argv[i], "--submit") == 0 && i + 1 < argc) {
-      submit_file = argv[++i];
-    } else if (std::strcmp(argv[i], "--to") == 0 && i + 1 < argc) {
-      submit_to = argv[++i];
-    } else if (std::strcmp(argv[i], "--drain") == 0) {
-      drain = true;
-    } else if (std::strcmp(argv[i], "--shutdown") == 0) {
-      shutdown = true;
     } else if (std::strcmp(argv[i], "--steps") == 0 && i + 1 < argc) {
       steps_override = std::atol(argv[++i]);
     } else if (std::strcmp(argv[i], "--dir") == 0 && i + 1 < argc) {
       dir_override = argv[++i];
-    } else if (std::strcmp(argv[i], "--bench-json") == 0 && i + 1 < argc) {
-      bench_json = argv[++i];
     } else if (std::strcmp(argv[i], "--status") == 0 && i + 1 < argc) {
       status_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--export-trace") == 0 && i + 1 < argc) {
@@ -208,9 +181,8 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "unknown argument '%s' (valid: <campaign.txt>, --dry-run, "
-                   "--steps, --dir, --bench-json, --list-cases, --status, "
-                   "--watch, --interval, --json, --export-trace, --serve, "
-                   "--submit, --to, --drain, --shutdown)\n",
+                   "--steps, --dir, --list-cases, --status, "
+                   "--watch, --interval, --json, --export-trace)\n",
                    argv[i]);
       return 64;
     }
@@ -220,40 +192,6 @@ int main(int argc, char** argv) {
     return run_observer(trace_dir.empty() ? status_dir : trace_dir, watch,
                         interval > 0 ? interval : 2.0, json_out,
                         !trace_dir.empty());
-
-  // ---- service client verbs: pure file drops, no daemon required ----
-  if (!submit_file.empty()) {
-    if (submit_to.empty()) {
-      std::fprintf(stderr, "--submit needs --to DIR (the served campaign dir)\n");
-      return 64;
-    }
-    try {
-      const std::string id = svc::submit_file(submit_to, submit_file);
-      std::printf("submitted '%s' as '%s' (spool: %s)\n", submit_file.c_str(),
-                  id.c_str(), svc::spool_dir(submit_to).c_str());
-      return 0;
-    } catch (const Error& e) {
-      std::fprintf(stderr, "submit failed: %s\n", e.what());
-      return 66;
-    }
-  }
-  if (drain || shutdown) {
-    const std::string verb = drain ? "drain" : "shutdown";
-    if (submit_to.empty()) {
-      std::fprintf(stderr, "--%s needs --to DIR (the served campaign dir)\n",
-                   verb.c_str());
-      return 64;
-    }
-    try {
-      svc::request_control(submit_to, verb);
-      std::printf("%s requested for service on '%s'\n", verb.c_str(),
-                  submit_to.c_str());
-      return 0;
-    } catch (const Error& e) {
-      std::fprintf(stderr, "%s request failed: %s\n", verb.c_str(), e.what());
-      return 66;
-    }
-  }
 
   if (campaign_file.empty()) {
     std::fputs(kUsage, stderr);
@@ -282,15 +220,22 @@ int main(int argc, char** argv) {
   if (steps_override > 0)
     for (sched::CaseSpec& cs : spec.cases) cs.steps = steps_override;
 
-  // Validate every case's type upfront: a typo'd case.type is a config
-  // error, not a runtime failure — refuse to schedule (and burn retries on)
-  // a queue that can never run, and name the available cases instead.
+  // Validate every case's type and backend upfront: a typo'd case.type or
+  // device.backend is a config error, not a runtime failure — refuse to
+  // schedule (and burn retries on) a queue that can never run, and name the
+  // valid choices instead.
   for (const sched::CaseSpec& cs : spec.cases) {
     try {
       cases::Registry::global().resolve(cs.params.get_string("case.type", "rbc"));
     } catch (const Error& e) {
       std::fprintf(stderr, "case '%s': %s\n(try --list-cases)\n",
                    cs.id.c_str(), e.what());
+      return 65;
+    }
+    try {
+      device::select_backend(cs.params);
+    } catch (const Error& e) {
+      std::fprintf(stderr, "case '%s': %s\n", cs.id.c_str(), e.what());
       return 65;
     }
   }
@@ -312,27 +257,15 @@ int main(int argc, char** argv) {
   }
   if (dry_run) return 0;
 
-  if (serve) {
-    svc::Service service(std::move(spec), sched::make_case_runner(),
-                         svc::service_options_from_params(params));
-    const sched::CampaignReport report = service.serve();
-    std::printf("\n%-40s %8s %8s %10s\n", "case", "state", "attempts", "wall");
-    for (const sched::CaseOutcome& out : report.outcomes)
-      std::printf("%-40s %8s %8d %9.3fs%s\n", out.id.c_str(),
-                  out.state.c_str(), out.attempts, out.wall_seconds,
-                  out.skipped ? "  (previous session)" : "");
-    std::printf("\n%d done, %d skipped, %d failed, %d drained, %d retries, "
-                "%d submitted, %d preempted in %.3f s (utilisation %.2f)\n",
-                report.completed, report.skipped, report.failed,
-                report.drained, report.retries, report.submitted,
-                report.preemptions, report.wall_seconds, report.utilisation());
-    return svc::Service::exit_code(report);
-  }
-
   sched::Scheduler scheduler(std::move(spec),
                              sched::make_case_runner());
   sched::Scheduler::install_sigint_drain(&scheduler);
-  const sched::CampaignReport report = scheduler.run();
+  sched::CampaignReport report;
+  try {
+    report = scheduler.run();
+  } catch (const sched::ManifestReplayError& e) {
+    return corrupt_manifest(scheduler.spec().config.dir, e);
+  }
   sched::Scheduler::install_sigint_drain(nullptr);
 
   std::printf("\n%-40s %8s %8s %10s\n", "case", "state", "attempts", "wall");
@@ -351,10 +284,6 @@ int main(int argc, char** argv) {
     const std::string csv = scheduler.spec().summary_csv_path();
     sched::write_nu_ra_csv(scheduler.spec(), report, csv);
     std::printf("Nu(Ra) summary: %s\n", csv.c_str());
-  }
-  if (!bench_json.empty()) {
-    sched::write_bench_json(scheduler.spec(), report, bench_json);
-    std::printf("bench record: %s\n", bench_json.c_str());
   }
 
   if (report.failed > 0) return 1;

@@ -1,6 +1,8 @@
 #include "io/atomic_file.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <filesystem>
 
 #include "common/error.hpp"
@@ -45,6 +47,20 @@ void rename_file(const std::string& from, const std::string& to) {
   std::filesystem::rename(from, to, ec);
   FELIS_CHECK_MSG(!ec, "rename " << from << " -> " << to
                                  << " failed: " << ec.message());
+}
+
+// AtomicFileWriter's staging name, unique per writer: `<path>.tmp.<pid>.<n>`.
+// Two writers of one path — two processes, or two threads of one — never
+// share a temporary file, so neither can rename or truncate the other's.
+std::string unique_tmp_path(const std::string& path) {
+  static std::atomic<std::uint64_t> counter{0};
+#if defined(__unix__) || defined(__APPLE__)
+  const long pid = static_cast<long>(::getpid());
+#else
+  const long pid = 0;
+#endif
+  return path + kTmpSuffix + "." + std::to_string(pid) + "." +
+         std::to_string(counter.fetch_add(1));
 }
 
 std::string parent_dir(const std::string& path) {
@@ -107,7 +123,9 @@ std::vector<std::byte> read_file(const std::string& path) {
 }
 
 AtomicFileWriter::AtomicFileWriter(std::string path)
-    : path_(std::move(path)), tmp_path_(path_ + kTmpSuffix), out_(tmp_path_) {
+    : path_(std::move(path)),
+      tmp_path_(unique_tmp_path(path_)),
+      out_(tmp_path_) {
   FELIS_CHECK_MSG(out_.good(), "cannot open " << tmp_path_ << " for writing");
 }
 

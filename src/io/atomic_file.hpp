@@ -33,7 +33,9 @@ std::vector<std::byte> read_file(const std::string& path);
 
 /// Streaming variant for text writers (VTK/CSV): write to `stream()`, then
 /// `commit()` flushes, fsyncs and renames into place. Without commit() the
-/// destructor discards the tmp file and the target path is untouched.
+/// destructor discards the tmp file and the target path is untouched. Each
+/// writer stages in its own `<path>.tmp.<pid>.<n>`, so concurrent writers of
+/// one path (e.g. two status exporters) each commit a complete file.
 class AtomicFileWriter {
  public:
   explicit AtomicFileWriter(std::string path);

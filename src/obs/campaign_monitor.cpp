@@ -111,11 +111,6 @@ void CampaignMonitor::apply_manifest(const std::string& line) {
     decl.steps =
         static_cast<std::int64_t>(sched::extract_json_number(line, "steps"));
     decl.cost_seconds = sched::extract_json_number(line, "cost_seconds");
-    bool has_tenant = false;
-    const std::string tenant =
-        sched::extract_json_string(line, "tenant", &has_tenant);
-    if (has_tenant) decl.tenant = tenant;
-    decl.priority = static_cast<int>(sched::extract_json_number(line, "priority"));
     if (decls_.find(id) == decls_.end()) case_order_.push_back(id);
     decls_[id] = decl;
   } else if (type == "resume") {
@@ -148,7 +143,6 @@ void CampaignMonitor::apply_manifest(const std::string& line) {
       tm.finished_t = t_abs;
       tm.wall_seconds = wall;
       if (state == "retried") ++retry_transitions_;
-      if (state == "preempted") ++preempt_transitions_;
     }
     run_events_.push_back({id, state, attempt, t_abs, wall});
   }
@@ -255,17 +249,8 @@ CampaignSnapshot CampaignMonitor::snapshot() const {
   snap.resumes = resumes_;
   snap.clock_seconds = clock_high_water_;
   snap.retry_transitions = retry_transitions_;
-  snap.preempt_transitions = preempt_transitions_;
   snap.sched_stream_found = sched_stream_found_;
   snap.sched = sched_latest_;
-
-  // Service-mode submission decisions, straight off the production fold.
-  for (const auto& [id, sub] : manifest_.submissions) {
-    (void)id;
-    if (sub.decision == "admitted") ++snap.submissions_admitted;
-    else if (sub.decision == "rejected") ++snap.submissions_rejected;
-    else if (sub.decision == "deferred") ++snap.submissions_deferred;
-  }
 
   for (const std::string& id : case_order_) {
     CaseView v;
@@ -275,8 +260,6 @@ CampaignSnapshot CampaignMonitor::snapshot() const {
       v.threads = decl->second.threads;
       v.steps_planned = decl->second.steps;
       v.cost_seconds = decl->second.cost_seconds;
-      v.tenant = decl->second.tenant;
-      v.priority = decl->second.priority;
     }
     const auto folded = manifest_.cases.find(id);
     if (folded != manifest_.cases.end()) {
@@ -318,7 +301,6 @@ CampaignSnapshot CampaignMonitor::snapshot() const {
     else if (v.state == "done") ++snap.done;
     else if (v.state == "failed") ++snap.failed;
     else if (v.state == "retried") ++snap.retried;
-    else if (v.state == "preempted") ++snap.preempted;
 
     snap.total_cost_seconds += v.cost_seconds;
     const double retired = v.cost_seconds * v.progress;

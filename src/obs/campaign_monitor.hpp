@@ -66,8 +66,6 @@ struct CaseView {
   int threads = 1;
   std::int64_t steps_planned = 0;
   double cost_seconds = 0;  ///< perfmodel estimate the scheduler journalled
-  std::string tenant = "default";  ///< fair-share accounting key (service mode)
-  int priority = 0;                ///< admission/preemption rank
 
   // Campaign-clock timing (monotone across resume sessions).
   double queued_t = -1;    ///< latest queued transition (-1 = never)
@@ -113,15 +111,7 @@ struct CampaignSnapshot {
   int done = 0;
   int failed = 0;
   int retried = 0;
-  int preempted = 0;  ///< evicted at a checkpoint boundary, awaiting requeue
-  std::int64_t retry_transitions = 0;    ///< `retried` records observed
-  std::int64_t preempt_transitions = 0;  ///< `preempted` records observed
-
-  // Service-mode submission roll-up (manifest `submit` records; all zero for
-  // batch campaigns that never ran under `felis_campaign --serve`).
-  int submissions_admitted = 0;
-  int submissions_rejected = 0;
-  int submissions_deferred = 0;
+  std::int64_t retry_transitions = 0;  ///< `retried` records observed
 
   // Perfmodel-costed throughput / ETA.
   double total_cost_seconds = 0;
@@ -234,8 +224,6 @@ class CampaignMonitor {
     int threads = 1;
     std::int64_t steps = 0;
     double cost_seconds = 0;
-    std::string tenant = "default";
-    int priority = 0;
   };
   std::vector<std::string> case_order_;
   std::map<std::string, CaseDecl> decls_;
@@ -248,7 +236,6 @@ class CampaignMonitor {
   std::map<std::string, CaseTiming> timing_;
   std::vector<RunEvent> run_events_;
   std::int64_t retry_transitions_ = 0;
-  std::int64_t preempt_transitions_ = 0;
 
   // Campaign clock, rebased monotone across resume sessions.
   double clock_offset_ = 0;

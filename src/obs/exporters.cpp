@@ -81,13 +81,8 @@ std::string status_json(const CampaignSnapshot& snap) {
   os << "  \"counts\": {\"declared\": " << snap.declared
      << ", \"queued\": " << snap.queued << ", \"running\": " << snap.running
      << ", \"done\": " << snap.done << ", \"failed\": " << snap.failed
-     << ", \"retried\": " << snap.retried
-     << ", \"preempted\": " << snap.preempted << "},\n";
+     << ", \"retried\": " << snap.retried << "},\n";
   os << "  \"retry_transitions\": " << snap.retry_transitions << ",\n";
-  os << "  \"service\": {\"admitted\": " << snap.submissions_admitted
-     << ", \"rejected\": " << snap.submissions_rejected
-     << ", \"deferred\": " << snap.submissions_deferred
-     << ", \"preemptions\": " << snap.preempt_transitions << "},\n";
   os << "  \"progress\": {\"total_cost_seconds\": "
      << num(snap.total_cost_seconds)
      << ", \"done_cost_seconds\": " << num(snap.done_cost_seconds)
@@ -111,8 +106,6 @@ std::string status_json(const CampaignSnapshot& snap) {
     first = false;
     os << "    {\"case\": " << quoted(v.id) << ", \"state\": "
        << quoted(v.state) << ", \"attempts\": " << v.attempts
-       << ", \"tenant\": " << quoted(v.tenant)
-       << ", \"priority\": " << v.priority
        << ", \"threads\": " << v.threads
        << ", \"steps_planned\": " << v.steps_planned
        << ", \"step\": " << v.step << ", \"time\": " << num(v.sim_time)
@@ -150,24 +143,11 @@ std::string status_prometheus(const CampaignSnapshot& snap) {
   const std::map<std::string, int> counts = {
       {"declared", snap.declared}, {"queued", snap.queued},
       {"running", snap.running},   {"done", snap.done},
-      {"failed", snap.failed},     {"retried", snap.retried},
-      {"preempted", snap.preempted}};
+      {"failed", snap.failed},     {"retried", snap.retried}};
   for (const auto& [state, n] : counts)
     os << "felis_campaign_cases{state=\"" << state << "\"} " << n << "\n";
   os << "# TYPE felis_campaign_retry_transitions_total counter\n"
      << "felis_campaign_retry_transitions_total " << snap.retry_transitions
-     << "\n";
-  os << "# HELP felis_campaign_submissions_total Service-mode spool "
-        "admission decisions by outcome.\n"
-     << "# TYPE felis_campaign_submissions_total counter\n"
-     << "felis_campaign_submissions_total{decision=\"admitted\"} "
-     << snap.submissions_admitted << "\n"
-     << "felis_campaign_submissions_total{decision=\"rejected\"} "
-     << snap.submissions_rejected << "\n"
-     << "felis_campaign_submissions_total{decision=\"deferred\"} "
-     << snap.submissions_deferred << "\n";
-  os << "# TYPE felis_campaign_preemptions_total counter\n"
-     << "felis_campaign_preemptions_total " << snap.preempt_transitions
      << "\n";
   os << "# TYPE felis_campaign_resumes_total counter\n"
      << "felis_campaign_resumes_total " << snap.resumes << "\n";

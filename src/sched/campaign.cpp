@@ -60,19 +60,6 @@ CampaignSpec CampaignSpec::from_params(const ParamMap& params) {
   c.watchdog_seconds =
       params.get_real("campaign.watchdog_seconds", c.watchdog_seconds);
   c.monitor = params.get_bool("campaign.monitor", c.monitor);
-  c.max_case_cost_seconds =
-      params.get_real("svc.max_case_cost_seconds", c.max_case_cost_seconds);
-  c.max_pending_cost_seconds = params.get_real("svc.max_pending_cost_seconds",
-                                               c.max_pending_cost_seconds);
-  const std::string quota_prefix = "campaign.quota.";
-  for (const auto& [key, value] : params.entries()) {
-    if (key.rfind(quota_prefix, 0) != 0) continue;
-    const std::string tenant = key.substr(quota_prefix.size());
-    const int quota = params.get_int(key);
-    FELIS_CHECK_MSG(tenant.size() > 0 && quota >= 1,
-                    "malformed tenant quota '" << key << " = " << value << "'");
-    c.tenant_quota[tenant] = quota;
-  }
   FELIS_CHECK_MSG(c.workers >= 1, "campaign.workers must be >= 1");
   FELIS_CHECK_MSG(c.thread_budget >= 1, "campaign.thread_budget must be >= 1");
   FELIS_CHECK_MSG(c.ranks >= 1, "campaign.ranks must be >= 1");
@@ -91,27 +78,16 @@ CampaignSpec CampaignSpec::from_params(const ParamMap& params) {
     cs.steps = cs.params.get_int("case.steps", static_cast<int>(c.steps));
     FELIS_CHECK_MSG(cs.steps >= 1, "case '" << cs.id << "': steps must be >= 1");
     cs.cost_seconds = estimate_case_seconds(cs.params, cs.threads, cs.steps);
-    cs.tenant = cs.params.get_string("submit.tenant", cs.tenant);
-    cs.priority = cs.params.get_int("submit.priority", cs.priority);
-    FELIS_CHECK_MSG(!cs.tenant.empty(),
-                    "case '" << cs.id << "': submit.tenant must be non-empty");
   }
 
-  order_cases(spec.cases);
-  return spec;
-}
-
-void order_cases(std::vector<CaseSpec>& cases) {
-  // Priority first, then longest-processing-time-first within a priority
-  // band: with a bounded pool, launching the most expensive cases first
-  // minimizes the tail where one straggler holds the whole campaign open.
-  // stable_sort keeps expansion order among equals. Batch campaigns carry
-  // one priority, so this degenerates to plain LPT.
-  std::stable_sort(cases.begin(), cases.end(),
+  // Longest-processing-time-first: with a bounded pool, launching the most
+  // expensive cases first minimizes the tail where one straggler holds the
+  // whole campaign open. stable_sort keeps expansion order among equals.
+  std::stable_sort(spec.cases.begin(), spec.cases.end(),
                    [](const CaseSpec& a, const CaseSpec& b) {
-                     if (a.priority != b.priority) return a.priority > b.priority;
                      return a.cost_seconds > b.cost_seconds;
                    });
+  return spec;
 }
 
 std::string CampaignSpec::manifest_path() const {

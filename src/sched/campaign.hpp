@@ -30,18 +30,6 @@ struct CampaignConfig {
   int retry_backoff_ms = 50;     ///< first backoff; doubles per retry
   double watchdog_seconds = 0;   ///< cancel a run with no heartbeat (0 = off)
   bool monitor = false;          ///< journal sched.* metrics to sched.ndjson
-
-  // Service-mode knobs (felis_campaign --serve; src/svc/).
-  /// Per-tenant concurrent-thread cap (`campaign.quota.<tenant> = n`).
-  /// Tenants without an entry may use the whole thread budget; fair-share
-  /// ordering still balances them against each other.
-  std::map<std::string, int> tenant_quota;
-  /// Reject a submission whose single most expensive case the perfmodel
-  /// prices above this (`svc.max_case_cost_seconds`; 0 = unlimited).
-  double max_case_cost_seconds = 0;
-  /// Defer a submission while the queued backlog's modelled cost exceeds
-  /// this (`svc.max_pending_cost_seconds`; 0 = unlimited).
-  double max_pending_cost_seconds = 0;
 };
 
 struct CampaignSpec {
@@ -61,10 +49,6 @@ struct CampaignSpec {
   /// `sched` record per queue transition, consumed by obs::CampaignMonitor.
   std::string sched_stream_path() const;
 };
-
-/// Queue ordering shared by batch expansion and service-mode submission
-/// recovery: priority descending, then perfmodel cost descending (LPT).
-void order_cases(std::vector<CaseSpec>& cases);
 
 /// Perfmodel cost estimate for one case: per-step workload from the case's
 /// mesh/degree keys (mesh_stats-style partition statistics for `ranks`

@@ -65,9 +65,13 @@ void run_rank(const CaseSpec& cs, RunContext& ctx, comm::Communicator& comm,
   const cases::CaseInfo& info = cases::resolve_case(params);
   const cases::Geometry geo = info.make_geometry(params);
 
+  // The case's own device.backend (process default when absent) carries
+  // into every context and gather-scatter of both setups.
+  device::Backend& backend = device::select_backend(params);
   auto fine = operators::make_rank_setup(geo.mesh, geo.degree, comm,
-                                         /*dealias=*/true);
-  auto coarse = precon::make_coarse_setup(geo.mesh, comm);
+                                         /*dealias=*/true,
+                                         /*three_halves_rule=*/true, &backend);
+  auto coarse = precon::make_coarse_setup(geo.mesh, comm, &backend);
 
   // Everything durable lives under the run directory; multi-rank cases keep
   // one rotation per rank (`felis.r<k>`) so restores stay rank-local.
@@ -92,7 +96,7 @@ void run_rank(const CaseSpec& cs, RunContext& ctx, comm::Communicator& comm,
             {"program", "felis_campaign"},
             {"case", cs.id},
             {"type", info.type},
-            {"backend", device::default_backend().name()},
+            {"backend", backend.name()},
             {"threads", std::to_string(cs.threads)},
             {"degree", std::to_string(geo.degree)},
             {"rank", std::to_string(comm.rank())},
@@ -243,38 +247,6 @@ void write_nu_ra_csv(const CampaignSpec& spec, const CampaignReport& report,
     std::snprintf(buf, sizeof(buf), "%.4f", out->wall_seconds);
     writer.stream() << ',' << out->attempts << ',' << buf << '\n';
   }
-  writer.commit();
-}
-
-void write_bench_json(const CampaignSpec& spec, const CampaignReport& report,
-                      const std::string& path) {
-  const auto number = [](double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return std::string(buf);
-  };
-  io::AtomicFileWriter writer(path);
-  writer.stream()
-      << "{\n"
-      << "  \"bench\": \"campaign\",\n"
-      << "  \"campaign\": \"" << telemetry::json_escape(spec.config.name)
-      << "\",\n"
-      << "  \"cases\": " << report.outcomes.size() << ",\n"
-      << "  \"completed\": " << report.completed << ",\n"
-      << "  \"skipped\": " << report.skipped << ",\n"
-      << "  \"failed\": " << report.failed << ",\n"
-      << "  \"drained\": " << report.drained << ",\n"
-      << "  \"retries\": " << report.retries << ",\n"
-      << "  \"workers\": " << spec.config.workers << ",\n"
-      << "  \"thread_budget\": " << report.thread_budget << ",\n"
-      << "  \"max_threads_in_flight\": " << report.max_threads_in_flight
-      << ",\n"
-      << "  \"wall_seconds\": " << number(report.wall_seconds) << ",\n"
-      << "  \"busy_thread_seconds\": " << number(report.busy_thread_seconds)
-      << ",\n"
-      << "  \"worker_utilisation\": " << number(report.utilisation()) << ",\n"
-      << "  \"cases_per_hour\": " << number(report.cases_per_hour()) << "\n"
-      << "}\n";
   writer.commit();
 }
 

@@ -7,10 +7,11 @@
 /// `case.type` key resolves to in the case registry (cases::Registry — rbc,
 /// rbc2d, rbc_rot, ihc, rbc_cyl, or anything registered on top), built from
 /// its (sweep-expanded) parameters on `threads` simulated ranks
-/// (comm::run_parallel). The runner never names a concrete case class: the
-/// registry's factories own geometry and physics, the runner owns
-/// durability and the run loop. Everything a run writes lives under its
-/// RunContext::run_dir():
+/// (comm::run_parallel) and on the compute backend its `device.backend` key
+/// names (device::select_backend: the process default when absent). The
+/// runner never names a concrete case class: the registry's factories own
+/// geometry and physics, the runner owns durability and the run loop.
+/// Everything a run writes lives under its RunContext::run_dir():
 ///
 ///   <campaign.dir>/<case id>/checkpoints/   rotation (per rank: felis.r<k>)
 ///   <campaign.dir>/<case id>/telemetry/     NDJSON/CSV/trace per rank
@@ -56,11 +57,5 @@ CaseRunner make_case_runner(CaseRunnerOptions options = {});
 /// replaced (io::AtomicFileWriter).
 void write_nu_ra_csv(const CampaignSpec& spec, const CampaignReport& report,
                      const std::string& path);
-
-/// Write BENCH_campaign.json: campaign throughput (cases/hour), worker-pool
-/// utilisation, thread budget and retry counts, joinable against the other
-/// BENCH_*.json outputs.
-void write_bench_json(const CampaignSpec& spec, const CampaignReport& report,
-                      const std::string& path);
 
 }  // namespace felis::sched

@@ -44,8 +44,6 @@ std::string format_case_record(const CaseSpec& spec) {
   os << R"({"type":"case","case":")" << telemetry::json_escape(spec.id)
      << R"(","threads":)" << spec.threads << R"(,"steps":)" << spec.steps
      << R"(,"cost_seconds":)" << json_number(spec.cost_seconds)
-     << R"(,"tenant":")" << telemetry::json_escape(spec.tenant)
-     << R"(","priority":)" << spec.priority
      << R"(,"overrides":{)";
   bool first = true;
   for (const auto& [key, value] : spec.overrides) {
@@ -90,24 +88,6 @@ std::string format_run_record(const std::string& case_id,
   return os.str();
 }
 
-std::string format_submit_record(const std::string& submission_id,
-                                 const std::string& tenant, int priority,
-                                 const std::string& decision,
-                                 const std::string& reason, int cases,
-                                 double cost_seconds, double campaign_seconds) {
-  std::ostringstream os;
-  os << R"({"type":"submit","submission":")"
-     << telemetry::json_escape(submission_id) << R"(","tenant":")"
-     << telemetry::json_escape(tenant) << R"(","priority":)" << priority
-     << R"(,"decision":")" << decision << '"';
-  if (!reason.empty())
-    os << R"(,"reason":")" << telemetry::json_escape(reason) << '"';
-  os << R"(,"cases":)" << cases << R"(,"cost_seconds":)"
-     << json_number(cost_seconds) << R"(,"t":)"
-     << json_number(campaign_seconds) << '}';
-  return os.str();
-}
-
 ManifestWriter::ManifestWriter(const std::string& path) {
   std::filesystem::create_directories(
       std::filesystem::path(path).parent_path());
@@ -140,19 +120,6 @@ void ManifestWriter::write_transition(
     const std::map<std::string, double>& metrics) {
   const std::string line = format_run_record(
       case_id, state, attempt, campaign_seconds, wall_seconds, detail, metrics);
-  std::lock_guard<std::mutex> lock(mutex_);
-  out_->append(line);
-}
-
-void ManifestWriter::write_submit(const std::string& submission_id,
-                                  const std::string& tenant, int priority,
-                                  const std::string& decision,
-                                  const std::string& reason, int cases,
-                                  double cost_seconds,
-                                  double campaign_seconds) {
-  const std::string line =
-      format_submit_record(submission_id, tenant, priority, decision, reason,
-                           cases, cost_seconds, campaign_seconds);
   std::lock_guard<std::mutex> lock(mutex_);
   out_->append(line);
 }
@@ -229,28 +196,14 @@ void apply_manifest_line(ManifestState& state, const std::string& line) {
   const std::string type = extract_json_string(line, "type", &has_type);
   if (!has_type) return;
   if (type == "submit") {
-    bool ok = false;
-    const std::string id = extract_json_string(line, "submission", &ok);
-    if (!ok) return;
-    const std::string decision = extract_json_string(line, "decision", &ok);
-    if (!ok) return;
-    SubmissionStatus& sub = state.submissions[id];
-    if (sub.terminal()) {
-      // One decision per submission: a second terminal record means two
-      // services shared a spool or an admission re-ran after its decision
-      // was already durable — the double-admit the protocol exists to
-      // prevent. Refuse loudly rather than re-running or re-rejecting.
-      throw ManifestReplayError(
-          "manifest replay: duplicate decision for submission '" + id +
-          "' (journalled '" + sub.decision + "', then '" + decision + "')");
-    }
-    sub.decision = decision;
-    sub.reason = extract_json_string(line, "reason");
-    sub.tenant = extract_json_string(line, "tenant");
-    sub.priority = static_cast<int>(extract_json_number(line, "priority"));
-    sub.cases = static_cast<int>(extract_json_number(line, "cases"));
-    sub.cost_seconds = extract_json_number(line, "cost_seconds");
-    return;
+    // Admission ledger of the retired campaign service mode. Its cases may
+    // have been declared by submissions this build cannot replay; refuse the
+    // whole manifest rather than resume a campaign it would misread.
+    throw ManifestReplayError(
+        "manifest replay: record for submission '" +
+        extract_json_string(line, "submission") +
+        "' was written by campaign service mode, which this build no longer "
+        "has");
   }
   if (type != "run") return;
   bool ok = false;

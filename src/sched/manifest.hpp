@@ -8,27 +8,16 @@
 ///   {"type":"header", "schema":"felis-campaign-1", "campaign":..., ...}
 ///   {"type":"case",   "case":id, "threads":t, "steps":s, "cost_seconds":c,
 ///                     "overrides":{swept key:value,...}}
-///   {"type":"run",    "case":id, "state":queued|running|done|failed|
-///                     retried|preempted, "attempt":k, "t":campaign-clock,
-///                     "wall_seconds":w, "detail":..., "metrics":{...}}
+///   {"type":"run",    "case":id, "state":queued|running|done|failed|retried,
+///                     "attempt":k, "t":campaign-clock, "wall_seconds":w,
+///                     "detail":..., "metrics":{...}}
 ///   {"type":"resume", "pending":n}
-///   {"type":"submit", "submission":id, "tenant":..., "priority":p,
-///                     "decision":admitted|rejected|deferred, "reason":...,
-///                     "cases":n, "cost_seconds":c, "t":campaign-clock}
 ///
-/// State machine per case: queued → running → done | failed | retried |
-/// preempted; retried, preempted and failed cases may be re-queued (by the
-/// in-session retry/preemption loop or by a later resume). A campaign killed
-/// at any instant resumes from its manifest: `done` cases are never re-run,
-/// everything else is re-queued and its runner picks up from the newest valid
-/// checkpoint.
-///
-/// `submit` records are the service mode's admission ledger (src/svc/): one
-/// decision per spool submission, journalled *before* the spool file is
-/// removed, so a SIGKILL at any instant loses no accepted submission and a
-/// restart never admits one twice (the fold rejects a second terminal
-/// decision). `deferred` is non-terminal: the submission stays in the spool
-/// and may later be re-decided.
+/// State machine per case: queued → running → done | failed | retried;
+/// retried and failed cases may be re-queued (by the in-session retry loop or
+/// by a later resume). A campaign killed at any instant resumes from its
+/// manifest: `done` cases are never re-run, everything else is re-queued and
+/// its runner picks up from the newest valid checkpoint.
 ///
 /// Both sides of the protocol are exposed as *pure* functions —
 /// format_*_record() produce the exact on-disk line and apply_manifest_line()
@@ -79,13 +68,6 @@ std::string format_run_record(const std::string& case_id,
                               double campaign_seconds, double wall_seconds,
                               const std::string& detail = "",
                               const std::map<std::string, double>& metrics = {});
-/// One spool-admission decision (service mode). `decision` is `admitted`,
-/// `rejected` or `deferred`; `reason` names why for the latter two.
-std::string format_submit_record(const std::string& submission_id,
-                                 const std::string& tenant, int priority,
-                                 const std::string& decision,
-                                 const std::string& reason, int cases,
-                                 double cost_seconds, double campaign_seconds);
 
 /// Thread-safe append-side of the manifest (workers log transitions
 /// concurrently). Appending to an existing manifest resumes its journal.
@@ -102,10 +84,6 @@ class ManifestWriter {
                         int attempt, double campaign_seconds,
                         double wall_seconds, const std::string& detail = "",
                         const std::map<std::string, double>& metrics = {});
-  void write_submit(const std::string& submission_id, const std::string& tenant,
-                    int priority, const std::string& decision,
-                    const std::string& reason, int cases, double cost_seconds,
-                    double campaign_seconds);
 
  private:
   std::mutex mutex_;
@@ -123,36 +101,22 @@ struct CaseStatus {
   bool completed() const { return state == "done"; }
 };
 
-/// The last decision folded for one spool submission (service mode).
-struct SubmissionStatus {
-  std::string decision;  ///< admitted | rejected | deferred
-  std::string reason;    ///< names why (rejected/deferred)
-  std::string tenant;
-  int priority = 0;
-  int cases = 0;            ///< expanded case count (admitted)
-  double cost_seconds = 0;  ///< Σ perfmodel cost of the expansion
-  /// Terminal decisions are immutable; only `deferred` may be re-decided.
-  bool terminal() const { return decision == "admitted" || decision == "rejected"; }
-};
-
 struct ManifestState {
   std::map<std::string, CaseStatus> cases;
-  std::map<std::string, SubmissionStatus> submissions;
   bool found = false;  ///< manifest file existed
 };
 
 /// Pure replay transition: fold one journal line into `state`. Torn lines
-/// (no closing '}' or a value cut mid-record), blank lines and records that
-/// are neither `run` nor `submit` are ignored — a kill can tear at most the
-/// final line. Rules:
-///  * `done` is absorbing: queued/running/retried/preempted records for a
-///    completed case are stale late appends and are ignored, never applied;
+/// (no closing '}' or a value cut mid-record), blank lines and header, case
+/// and resume records are ignored — a kill can tear at most the final line.
+/// Rules:
+///  * `done` is absorbing: queued/running/retried records for a completed
+///    case are stale late appends and are ignored, never applied;
 ///  * a terminal record (`done`/`failed`) for a case whose replayed state is
 ///    already terminal — with no re-queue in between — throws
 ///    ManifestReplayError (duplicate terminal record);
-///  * a `submit` record for a submission whose folded decision is already
-///    terminal (admitted/rejected) throws ManifestReplayError — the
-///    double-admission a correct service can never journal;
+///  * a complete `submit` record, written only by the retired campaign
+///    service mode, throws ManifestReplayError naming the submission;
 ///  * everything else is last-writer-wins, as before.
 void apply_manifest_line(ManifestState& state, const std::string& line);
 

@@ -23,21 +23,6 @@
 ///    and cancels active runs; in-flight checkpoints stay durable and the
 ///    manifest records the interrupted runs as `retried` for the next resume.
 ///
-/// Service mode (enable_serve(), used by svc::Service): run() keeps the pool
-/// resident when the queue empties and accepts submit_case() from other
-/// threads until request_shutdown() or a drain. Admission then grows three
-/// policies on top of the LPT queue:
-///  * priority: among ready entries that fit, the highest submit.priority
-///    wins;
-///  * fair share: within a priority band, the tenant with the fewest threads
-///    currently running goes first, and `campaign.quota.<tenant>` hard-caps
-///    any one tenant's concurrent threads;
-///  * preemption: when the highest-priority waiting entry cannot fit only
-///    because lower-priority cases hold the budget, those runs are cancelled
-///    cooperatively at their next checkpoint boundary, journalled
-///    `preempted`, and re-queued — PR 3's bitwise-exact restart makes the
-///    later resume free.
-///
 /// Observability (campaign.monitor = true): every queue transition also
 /// charges sched.* metrics (queue depth, workers busy, threads in flight,
 /// admissions, retries, failures, completions, queue-wait histogram) through
@@ -49,13 +34,10 @@
 #include <atomic>
 #include <functional>
 #include <map>
-#include <memory>
 
 #include "sched/campaign.hpp"
 
 namespace felis::sched {
-
-class ManifestWriter;
 
 /// What one attempt of one case reports back.
 struct RunResult {
@@ -90,7 +72,7 @@ using CaseRunner = std::function<RunResult(const CaseSpec&, RunContext&)>;
 
 struct CaseOutcome {
   std::string id;
-  std::string state;  ///< done | failed | retried/queued (drained) | preempted
+  std::string state;  ///< done | failed | retried (drained) | queued (drained)
   int attempts = 0;   ///< total attempts across all campaign sessions
   double wall_seconds = 0;  ///< this session, summed over attempts
   bool skipped = false;     ///< completed in an earlier session; not re-run
@@ -108,8 +90,6 @@ struct CampaignReport {
   int failed = 0;     ///< retries exhausted
   int drained = 0;    ///< interrupted or never started due to drain
   int retries = 0;    ///< retry transitions this session
-  int preemptions = 0;  ///< checkpoint-boundary preemptions this session
-  int submitted = 0;    ///< cases accepted via submit_case() this session
 
   bool all_done() const { return failed == 0 && drained == 0; }
   /// Worker-pool utilisation: busy thread-seconds over budget × wall.
@@ -140,55 +120,11 @@ class Scheduler {
 
   const CampaignSpec& spec() const { return spec_; }
 
-  // ---- service mode (svc::Service) ----
-
-  /// Keep the pool resident on an empty queue and accept submissions; call
-  /// before run().
-  void enable_serve() { serve_ = true; }
-  /// Serve mode: finish everything queued and active, then return from
-  /// run(). Thread-safe; submissions are refused once requested.
-  void request_shutdown();
-  /// True while run() is accepting submissions (between the session journal
-  /// seed and run() returning).
-  bool serving() const { return serving_.load(std::memory_order_acquire); }
-
-  /// Accept one expanded case while serving: journals its `case` declaration
-  /// and `queued` transition, enqueues it under the priority/fair-share
-  /// policy and preempts lower-priority runs if it cannot otherwise fit.
-  /// Returns false (naming why in `error`) on a duplicate id, an
-  /// over-budget thread request, or when draining/shutting down.
-  bool submit_case(CaseSpec cs, std::string* error = nullptr);
-
-  /// Journal one spool-admission decision through the scheduler's manifest
-  /// writer (the single writer the crash-safety protocol requires), and
-  /// charge the sched.submissions.* counters. Serve mode only.
-  void journal_submission(const std::string& submission_id,
-                          const std::string& tenant, int priority,
-                          const std::string& decision,
-                          const std::string& reason, int cases,
-                          double cost_seconds);
-
-  /// Modelled cost (perfmodel seconds) of the queued-but-not-running
-  /// backlog — the admission-control signal for `svc.max_pending_cost_seconds`.
-  double pending_cost_seconds() const;
-
  private:
-  struct RunState;  // run()'s queue/pool state, shared with submit_case()
-
-  /// With rs_->mutex held: if the highest-priority ready queue entry is
-  /// blocked only by lower-priority runs holding budget/quota, cancel the
-  /// cheapest such victims cooperatively (they re-queue as `preempted`).
-  void maybe_preempt_locked();
-
   CampaignSpec spec_;
   CaseRunner runner_;
   std::atomic<bool> drain_{false};
-  std::atomic<bool> shutdown_{false};
-  std::atomic<bool> serving_{false};
-  bool serve_ = false;
   bool ran_ = false;
-  std::unique_ptr<ManifestWriter> manifest_;
-  std::unique_ptr<RunState> rs_;
 };
 
 }  // namespace felis::sched

@@ -36,10 +36,6 @@ struct CaseSpec {
   int threads = 1;          ///< GCD budget this case occupies while running
   std::int64_t steps = 0;   ///< time steps (resolved from case.steps)
   double cost_seconds = 0;  ///< perfmodel estimate (queue ordering)
-  /// Service-mode scheduling keys (submit.tenant / submit.priority). Batch
-  /// campaigns leave the defaults, which reproduce plain LPT ordering.
-  std::string tenant = "default";  ///< fair-share accounting bucket
-  int priority = 0;                ///< higher preempts lower at checkpoints
 };
 
 /// Expand one sweep value spec (`a:b:logN`, `a:b:linN`, or a comma list) into

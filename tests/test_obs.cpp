@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/campaign_monitor.hpp"
@@ -349,6 +351,22 @@ TEST_F(ObsTest, MonitorRaisesReplayErrorOnProtocolViolations) {
   }
   CampaignMonitor monitor(dir_);
   EXPECT_THROW(monitor.poll(), sched::ManifestReplayError);
+
+  // A manifest written by the retired campaign service mode: its `submit`
+  // admission records are refused by name, never folded.
+  const std::string old_dir = dir_ + "/service";
+  fs::create_directories(old_dir);
+  {
+    sched::ManifestWriter writer(old_dir + "/manifest.ndjson");
+    writer.write_header(spec);
+  }
+  append_raw(old_dir + "/manifest.ndjson",
+             R"({"type":"submit","submission":"carol-9b2e","tenant":"carol",)"
+             R"("priority":9,"decision":"rejected","cases":0,)"
+             R"("cost_seconds":0,"t":0.2})"
+             "\n");
+  CampaignMonitor old_monitor(old_dir);
+  EXPECT_THROW(old_monitor.poll(), sched::ManifestReplayError);
 }
 
 // ---- CampaignMonitor: derived signals ------------------------------------
@@ -539,6 +557,42 @@ TEST_F(ExporterTest, MergedTraceLaysOutSchedulerAndCaseTracks) {
   }
   EXPECT_EQ(std::count(trace.begin(), trace.end(), '{'),
             std::count(trace.begin(), trace.end(), '}'));
+}
+
+TEST_F(ExporterTest, ConcurrentStatusWritersShareNoTemporaryFile) {
+  // Two `felis_campaign --status` runs on one directory write the same two
+  // files at once. Each writer must stage through its own temporary file:
+  // no throw, a complete status.json, and nothing left behind.
+  build_campaign();
+  constexpr int kWriters = 4;
+  constexpr int kRounds = 20;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&] {
+      CampaignMonitor monitor(dir_);
+      monitor.poll();
+      for (int r = 0; r < kRounds; ++r) {
+        try {
+          write_status_files(monitor, dir_);
+        } catch (const std::exception&) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  std::ifstream in(dir_ + "/status.json");
+  std::stringstream json;
+  json << in.rdbuf();
+  EXPECT_NE(json.str().find("\"schema\": \"felis-campaign-status-1\""),
+            std::string::npos)
+      << json.str();
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    const std::string name = entry.path().filename().string();
+    EXPECT_EQ(name.find(".tmp"), std::string::npos) << "left over: " << name;
+  }
 }
 
 TEST_F(ExporterTest, WriteStatusFilesCommitsBothArtifacts) {

@@ -238,8 +238,12 @@ TEST_F(ManifestTest, SchedulerRunsEveryCaseOnce) {
   const CampaignReport report = scheduler.run();
   EXPECT_EQ(runs.load(), 5);
   EXPECT_EQ(report.completed, 5);
+  EXPECT_EQ(report.completed + report.skipped,
+            static_cast<int>(report.outcomes.size()));
   EXPECT_TRUE(report.all_done());
   EXPECT_LE(report.max_threads_in_flight, 2);
+  EXPECT_GT(report.utilisation(), 0.0);
+  EXPECT_LE(report.utilisation(), 1.0);
   // Manifest: every case reached `done`.
   const ManifestState state = read_manifest(dir_ + "/manifest.ndjson");
   ASSERT_EQ(state.cases.size(), 5u);
@@ -408,6 +412,41 @@ TEST_F(ManifestTest, ResumeSkipsCompletedCases) {
   EXPECT_EQ(r3.completed, 0);
   ASSERT_GT(r3.wall_seconds, 0.0);
   EXPECT_EQ(r3.cases_per_hour(), 0.0);
+}
+
+TEST_F(ManifestTest, RunRefusesARejectedManifestAndLeavesItUntouched) {
+  // Manifests the replay rules reject: a duplicate terminal record, and the
+  // admission ledger of the retired campaign service mode. run() must stop
+  // with the named error before it runs a case or appends a byte.
+  const std::string header =
+      R"({"type":"header","schema":"felis-campaign-1","campaign":"old",)"
+      R"("cases":1,"workers":1,"thread_budget":1,"ranks":1})";
+  const std::vector<std::string> bad_records = {
+      format_run_record("case0000-Ra10000", "done", 1, 0.5, 0.4) + "\n" +
+          format_run_record("case0000-Ra10000", "done", 1, 0.6, 0.4),
+      R"({"type":"submit","submission":"bob-77c1","tenant":"bob",)"
+      R"("priority":4,"decision":"admitted","cases":1,"cost_seconds":2,)"
+      R"("t":0.5})"};
+  const std::string path = dir_ + "/manifest.ndjson";
+  const auto slurp = [&path] {
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream bytes;
+    bytes << in.rdbuf();
+    return bytes.str();
+  };
+  for (const std::string& bad : bad_records) {
+    const std::string before = header + "\n" + bad + "\n";
+    std::ofstream(path, std::ios::trunc) << before;
+    std::atomic<int> runs{0};
+    Scheduler scheduler(tiny_spec(dir_, 1, 1, 1),
+                        [&](const CaseSpec&, RunContext&) {
+                          runs.fetch_add(1);
+                          return RunResult{true, "", {}};
+                        });
+    EXPECT_THROW(scheduler.run(), ManifestReplayError) << bad;
+    EXPECT_EQ(runs.load(), 0) << bad;
+    EXPECT_EQ(slurp(), before) << "manifest modified";
+  }
 }
 
 // ---- the real runner: campaign-level crash recovery ----------------------
@@ -611,6 +650,33 @@ TEST_F(ManifestTest, CaseTelemetryCountsItsOwnCheckpointWrites) {
   }
 }
 
+TEST_F(ManifestTest, EachCaseRunsOnItsOwnBackend) {
+  // device.backend is a per-case key: a sweep over it must run each case on
+  // the backend it names, and its telemetry header must say so.
+  ParamMap params = ParamMap::parse(R"(
+    campaign.workers = 1
+    campaign.thread_budget = 1
+    campaign.steps = 2
+    case.Ra = 2e4
+    case.dt = 1.5e-2
+    telemetry.enabled = true
+    sweep.device.backend = serial,openmp
+  )");
+  params.set("campaign.dir", dir_);
+  const CampaignSpec spec = CampaignSpec::from_params(params);
+  ASSERT_EQ(spec.cases.size(), 2u);
+  Scheduler scheduler(spec, make_case_runner());
+  ASSERT_TRUE(scheduler.run().all_done());
+  for (const CaseSpec& cs : spec.cases) {
+    std::string header;
+    std::ifstream in(fs::path(dir_) / cs.id / "telemetry" / "run.ndjson");
+    std::getline(in, header);
+    EXPECT_EQ(extract_json_string(header, "backend"),
+              cs.params.get_string("device.backend"))
+        << cs.id << ": " << header;
+  }
+}
+
 TEST_F(ManifestTest, EnvFaultInjectionCrashRetriesAndRecovers) {
   // The CI path: FELIS_FAULT_INJECT kills every case's second checkpoint
   // write; the scheduler's in-session retry restores and completes.
@@ -658,10 +724,10 @@ TEST_F(ManifestTest, MultiRankCaseRunsUnderTheBudget) {
   EXPECT_GT(r1, 0);
 }
 
-// ---- service mode: checkpoint-boundary preemption ------------------------
+// ---- drain: step-boundary cancellation and bitwise resume ---------------
 
-TEST_F(ManifestTest, PreemptedCaseResumesBitwiseIdentical) {
-  // Reference: the victim case, uninterrupted, batch mode.
+TEST_F(ManifestTest, DrainedCaseResumesBitwiseIdentical) {
+  // Reference: the case, uninterrupted.
   ParamMap base = ParamMap::parse(R"(
     campaign.workers = 1
     campaign.thread_budget = 1
@@ -671,6 +737,7 @@ TEST_F(ManifestTest, PreemptedCaseResumesBitwiseIdentical) {
     case.dt = 1.5e-2
     case.perturbation = 2e-2
     checkpoint.every = 5
+    telemetry.enabled = true
   )");
   ParamMap ref_params = base;
   ref_params.set("campaign.dir", dir_ + "/ref");
@@ -678,63 +745,63 @@ TEST_F(ManifestTest, PreemptedCaseResumesBitwiseIdentical) {
   ASSERT_TRUE(ref.run().all_done());
   const auto ref_final = final_checkpoints(ref.spec());
   ASSERT_EQ(ref_final.size(), 1u);
-  const std::string victim = ref_final.begin()->first;
+  const std::string id = ref_final.begin()->first;
 
-  // Service mode: the same victim at priority 0 on a 1-thread budget; a
-  // priority-5 submission arrives while it runs and can only fit by
-  // preempting it at its next checkpoint boundary.
-  const std::string dir = dir_ + "/serve";
+  // Session 1: drain, as SIGINT does, once the case has begun writing
+  // checkpoints. The runner leaves at its next step boundary.
   ParamMap params = base;
-  params.set("campaign.dir", dir);
-  CampaignSpec spec = CampaignSpec::from_params(params);
+  params.set("campaign.dir", dir_ + "/drained");
+  const CampaignSpec spec = CampaignSpec::from_params(params);
   ASSERT_EQ(spec.cases.size(), 1u);
-  ASSERT_EQ(spec.cases[0].id, victim);
-  Scheduler scheduler(spec, make_case_runner());
-  scheduler.enable_serve();
-
-  std::thread service([&] {
-    // The victim is running once its checkpoint directory appears; the
-    // intruder submitted then cannot fit without displacing it.
-    const fs::path started = fs::path(dir) / victim / "checkpoints";
-    while (!fs::exists(started))
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    CaseSpec high;
-    high.id = "intruder-Ra3e4";
-    high.threads = 1;
-    high.steps = 5;
-    high.priority = 5;
-    high.tenant = "urgent";
-    high.params = spec.cases[0].params;
-    high.params.set("case.Ra", std::string("3e4"));
-    high.params.set("campaign.steps", 5);
-    std::string error;
-    EXPECT_TRUE(scheduler.submit_case(high, &error)) << error;
-    // Unconditional: a refused submission must still let run() return.
-    scheduler.request_shutdown();
+  ASSERT_EQ(spec.cases[0].id, id);
+  Scheduler first(spec, make_case_runner());
+  std::atomic<bool> returned{false};
+  std::thread drainer([&] {
+    const fs::path started = fs::path(spec.config.dir) / id / "checkpoints";
+    while (!fs::exists(started) && !returned.load())
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    first.request_drain();
   });
-  const CampaignReport report = scheduler.run();
-  service.join();
+  const CampaignReport drained = first.run();
+  returned.store(true);
+  drainer.join();
+  EXPECT_EQ(drained.drained, 1);
+  EXPECT_EQ(drained.completed, 0);
+  EXPECT_EQ(read_manifest(spec.manifest_path()).cases.at(id).state, "retried");
+  const std::int64_t drained_step = final_checkpoints(spec).at(id).step;
+  ASSERT_GT(drained_step, 0);
+  ASSERT_LT(drained_step, 60) << "the case finished before the drain";
 
-  ASSERT_TRUE(report.all_done());
-  EXPECT_EQ(report.submitted, 1);
-  EXPECT_GE(report.preemptions, 1) << "the intruder never displaced the victim";
-  const auto& out = *std::find_if(
-      report.outcomes.begin(), report.outcomes.end(),
-      [&](const CaseOutcome& o) { return o.id == victim; });
-  EXPECT_GE(out.attempts, 2) << "preempted case did not re-run";
+  // Session 2: a fresh scheduler resumes from the drained checkpoint. The
+  // attempt-2 telemetry stream starts right after it, not at step 1.
+  Scheduler second(spec, make_case_runner());
+  const CampaignReport resumed = second.run();
+  ASSERT_TRUE(resumed.all_done());
+  EXPECT_EQ(resumed.completed, 1);
+  EXPECT_EQ(resumed.outcomes[0].attempts, 2);
+  std::string header, first_step;
+  {
+    std::ifstream in(fs::path(spec.config.dir) / id / "telemetry" /
+                     "run.ndjson");
+    std::getline(in, header);
+    for (std::string line; std::getline(in, line);) {
+      if (line.find(R"("type":"step")") != std::string::npos) {
+        first_step = line;
+        break;
+      }
+    }
+  }
+  EXPECT_EQ(extract_json_string(header, "attempt"), "2") << header;
+  EXPECT_EQ(extract_json_number(first_step, "step"),
+            static_cast<double>(drained_step + 1))
+      << first_step;
 
-  // The journal shows the preemption state machine: running -> preempted ->
-  // queued -> ... -> done, and the fold lands on done for both cases.
-  const ManifestState folded = read_manifest(dir + "/manifest.ndjson");
-  EXPECT_EQ(folded.cases.at(victim).state, "done");
-  EXPECT_EQ(folded.cases.at("intruder-Ra3e4").state, "done");
-
-  // The acceptance bar: the preempted victim's final state is bitwise
-  // identical to the never-preempted reference (PR 3's exact-restart
-  // guarantee, exercised through the preemption path).
-  const auto serve_final = final_checkpoints(scheduler.spec());
-  const fluid::Checkpoint& ck = serve_final.at(victim);
-  const fluid::Checkpoint& ref_ck = ref_final.at(victim);
+  // The drained-and-resumed final state is bitwise identical to the
+  // uninterrupted reference: the exact-restart guarantee, exercised through
+  // the drain path.
+  const auto resumed_final = final_checkpoints(spec);
+  const fluid::Checkpoint& ck = resumed_final.at(id);
+  const fluid::Checkpoint& ref_ck = ref_final.at(id);
   EXPECT_EQ(ck.step, ref_ck.step);
   EXPECT_EQ(ck.time, ref_ck.time);
   ASSERT_EQ(ck.u.size(), ref_ck.u.size());

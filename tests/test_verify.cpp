@@ -1,11 +1,11 @@
 // Tests for the protocol-verification subsystem: the explicit-state checker
 // itself (shortest counterexamples, exhaustion, truncation), the pure
 // manifest replay transition (duplicate-terminal rejection, absorbing done,
-// torn lines), the protocol models at their documented bounds (including the
-// rotation hazard at fault_budget == keep), and deterministic-schedule
-// stress tests that mirror each checked invariant against the *real*
-// scheduler, manifest and checkpoint manager — one implementation, two
-// drivers.
+// torn lines, service-mode records), the protocol models at their
+// documented bounds (including the rotation hazard at fault_budget == keep),
+// and deterministic-schedule stress tests that mirror each checked
+// invariant against the *real* scheduler, manifest and checkpoint manager —
+// one implementation, two drivers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,7 +24,6 @@
 #include "verify/checker.hpp"
 #include "verify/checkpoint_model.hpp"
 #include "verify/manifest_model.hpp"
-#include "verify/spool_model.hpp"
 
 namespace felis::verify {
 namespace {
@@ -90,6 +89,11 @@ TEST(Checker, MaxStatesTruncationIsReported) {
 
 // ---- pure manifest replay transition -------------------------------------
 
+/// An admission record as the retired campaign service mode journalled it.
+constexpr const char* kServiceSubmitRecord =
+    R"({"type":"submit","submission":"alice-0f3a","tenant":"alice",)"
+    R"("priority":1,"decision":"admitted","cases":2,"cost_seconds":4,"t":0})";
+
 sched::ManifestState replay(const std::vector<std::string>& lines) {
   sched::ManifestState state;
   state.found = true;
@@ -150,12 +154,28 @@ TEST(ManifestReplay, DoneIsAbsorbingForStaleNonTerminalRecords) {
 TEST(ManifestReplay, TornLinesAreIgnored) {
   const std::string full = sched::format_run_record("a", "done", 1, 0.5, 0.4);
   sched::ManifestState state;
-  for (usize cut = 0; cut < full.size(); ++cut)
-    sched::apply_manifest_line(state, full.substr(0, cut));
+  for (const std::string& line : {full, std::string(kServiceSubmitRecord)})
+    for (usize cut = 0; cut < line.size(); ++cut)
+      sched::apply_manifest_line(state, line.substr(0, cut));
   EXPECT_TRUE(state.cases.empty() || !state.cases.count("a") ||
               !state.cases.at("a").completed());
   sched::apply_manifest_line(state, full);
   EXPECT_TRUE(state.cases.at("a").completed());
+}
+
+TEST(ManifestReplay, ServiceModeSubmitRecordThrowsNamedError) {
+  // A manifest from the retired campaign service mode carries `submit`
+  // records; replay must refuse it by name, not fold it as a batch journal.
+  try {
+    replay({sched::format_run_record("a", "queued", 1, 0.0, 0.0),
+            kServiceSubmitRecord});
+    FAIL() << "service-mode submit record was accepted";
+  } catch (const sched::ManifestReplayError& e) {
+    EXPECT_NE(std::string(e.what()).find("'alice-0f3a'"), std::string::npos)
+        << "error does not name the submission: " << e.what();
+    EXPECT_NE(std::string(e.what()).find("service mode"), std::string::npos)
+        << e.what();
+  }
 }
 
 // ---- the protocol models at their documented bounds ----------------------
@@ -209,47 +229,6 @@ TEST(Models, CheckpointRecoveryMatchesGhostTruthUnderEveryFault) {
   const CheckResult r = check(CheckpointModel{opt});
   EXPECT_TRUE(r.complete);
   EXPECT_TRUE(r.ok) << r.violation;
-}
-
-TEST(Models, SpoolAdmissionProtocolHoldsAtDocumentedBounds) {
-  const SpoolModel model{SpoolModelOptions{}};
-  const CheckResult r = check(model);
-  EXPECT_TRUE(r.complete) << "documented bounds no longer exhaust";
-  EXPECT_TRUE(r.ok) << r.violation;
-  EXPECT_GT(r.stats.states, 10u) << "model degenerated; bounds too small";
-}
-
-TEST(Models, SpoolAdmissionProtocolHoldsWithThreeSubmissions) {
-  SpoolModelOptions opt;
-  opt.submissions = 3;
-  const CheckResult r = check(SpoolModel{opt}, 4000000);
-  EXPECT_TRUE(r.complete);
-  EXPECT_TRUE(r.ok) << r.violation;
-}
-
-TEST(Models, SpoolUnlinkBeforeArchiveLosesAcceptedWork) {
-  // The seeded bug: unlink the spool file as soon as the decision is
-  // durable, before the case records and the archive land. A crash in that
-  // window loses the accepted submission's parameters — the checker must
-  // find the trace and name the loss.
-  SpoolModelOptions opt;
-  opt.buggy_unlink_before_archive = true;
-  const CheckResult r = check(SpoolModel{opt});
-  ASSERT_FALSE(r.ok);
-  EXPECT_NE(r.violation.find("work lost"), std::string::npos) << r.violation;
-  EXPECT_FALSE(r.trace.empty()) << "no counterexample trace";
-}
-
-TEST(Models, SpoolSkippingDecidedCheckDoubleAdmits) {
-  // The converse seeded bug: re-decide a submission whose decision is
-  // already durable. The production fold refuses the duplicate terminal
-  // decision, which the model surfaces as a double-admission violation.
-  SpoolModelOptions opt;
-  opt.buggy_skip_decided_check = true;
-  const CheckResult r = check(SpoolModel{opt});
-  ASSERT_FALSE(r.ok);
-  EXPECT_NE(r.violation.find("double admission"), std::string::npos)
-      << r.violation;
 }
 
 // ---- deterministic stress mirrors against the real implementation --------

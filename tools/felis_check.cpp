@@ -8,9 +8,6 @@
 //   felis_check --model checkpoint [opts]
 //                                        checkpoint rotation/retry/recovery
 //                                        + fail-write/truncate/corrupt/crash
-//   felis_check --model spool [opts]     service spool admission protocol:
-//                                        decision/enqueue/archive/unlink with
-//                                        torn appends and seeded-bug modes
 //   --expect-violation                   succeed only if a counterexample is
 //                                        found (and print it) — used to
 //                                        demonstrate e.g. the fault_budget >=
@@ -27,7 +24,6 @@
 #include "verify/checker.hpp"
 #include "verify/checkpoint_model.hpp"
 #include "verify/manifest_model.hpp"
-#include "verify/spool_model.hpp"
 
 namespace {
 
@@ -76,13 +72,12 @@ int report(const std::string& name, const std::string& bounds,
 }
 
 struct Cli {
-  std::string model;  // "", "manifest", "checkpoint", "spool"
+  std::string model;  // "", "manifest", "checkpoint"
   bool all = false;
   bool expect_violation = false;
   usize max_states = 4000000;
   felis::verify::ManifestModelOptions manifest;
   felis::verify::CheckpointModelOptions checkpoint;
-  felis::verify::SpoolModelOptions spool;
 };
 
 int check_manifest(const Cli& cli) {
@@ -110,20 +105,6 @@ int check_checkpoint(const Cli& cli) {
                 cli.expect_violation);
 }
 
-int check_spool(const Cli& cli) {
-  const felis::verify::SpoolModel model(cli.spool);
-  const auto& o = model.options();
-  std::ostringstream bounds;
-  bounds << o.submissions << " submissions, rejects "
-         << (o.rejects ? "on" : "off") << ", torn appends "
-         << (o.torn_appends ? "on" : "off");
-  if (o.buggy_unlink_before_archive) bounds << ", BUG unlink-before-archive";
-  if (o.buggy_skip_decided_check) bounds << ", BUG skip-decided-check";
-  return report("spool", bounds.str(),
-                felis::verify::check(model, cli.max_states),
-                cli.expect_violation);
-}
-
 int run_all(const Cli& cli) {
   // The documented bounds (DESIGN.md §11): >= 3 cases on >= 2 workers with a
   // binding thread budget, a crash at every journalled point with the full
@@ -145,38 +126,17 @@ int run_all(const Cli& cli) {
   std::cout << "\n(the next run demonstrates the documented rotation hazard "
                "at fault budget == keep)\n";
   rc |= check_checkpoint(hazard);
-
-  Cli spool = cli;
-  spool.expect_violation = false;
-  rc |= check_spool(spool);
-
-  Cli bug1 = cli;
-  bug1.spool.buggy_unlink_before_archive = true;
-  bug1.expect_violation = true;
-  std::cout << "\n(the next run demonstrates why the spool unlink must wait "
-               "for the archive + enqueued case)\n";
-  rc |= check_spool(bug1);
-
-  Cli bug2 = cli;
-  bug2.spool.buggy_skip_decided_check = true;
-  bug2.expect_violation = true;
-  std::cout << "\n(the next run demonstrates why admission re-checks the "
-               "folded decision before journalling)\n";
-  rc |= check_spool(bug2);
   return rc;
 }
 
 int usage() {
   std::cout
-      << "usage: felis_check --all | --model manifest|checkpoint|spool "
-         "[options]\n"
+      << "usage: felis_check --all | --model manifest|checkpoint [options]\n"
          "  common:   --max-states N   --expect-violation\n"
          "  manifest: --cases N --workers N --budget N --retries N\n"
          "            --failures N --sessions N --no-torn --no-duplicates\n"
          "  checkpoint: --steps N --keep N --ckpt-retries N --faults N\n"
-         "              --no-monotonic\n"
-         "  spool: --submissions N --no-rejects --no-spool-torn\n"
-         "         --spool-bug-unlink --spool-bug-redecide\n";
+         "              --no-monotonic\n";
   return 2;
 }
 
@@ -219,14 +179,6 @@ int main(int argc, char** argv) {
     else if (arg == "--faults")
       cli.checkpoint.fault_budget = int_arg(i, arg.c_str());
     else if (arg == "--no-monotonic") cli.checkpoint.check_monotonic = false;
-    else if (arg == "--submissions")
-      cli.spool.submissions = int_arg(i, arg.c_str());
-    else if (arg == "--no-rejects") cli.spool.rejects = false;
-    else if (arg == "--no-spool-torn") cli.spool.torn_appends = false;
-    else if (arg == "--spool-bug-unlink")
-      cli.spool.buggy_unlink_before_archive = true;
-    else if (arg == "--spool-bug-redecide")
-      cli.spool.buggy_skip_decided_check = true;
     else if (arg == "--help" || arg == "-h") return usage();
     else {
       std::cout << "unknown argument: " << arg << "\n";
@@ -238,7 +190,6 @@ int main(int argc, char** argv) {
     if (cli.all) return run_all(cli);
     if (cli.model == "manifest") return check_manifest(cli);
     if (cli.model == "checkpoint") return check_checkpoint(cli);
-    if (cli.model == "spool") return check_spool(cli);
     return usage();
   } catch (const std::exception& err) {
     std::cout << "felis_check: " << err.what() << "\n";

@@ -70,15 +70,6 @@ Rules
                       which drives the production fold by design). Ad-hoc
                       folds elsewhere drift from the torn-tail and
                       duplicate-terminal semantics the checker verifies.
-  spool-confinement   The spool's on-disk layout (`spool/` directory,
-                      `*.case` submission files, `ctl-*.cmd` control drops)
-                      is private to src/svc/: outside it (src/, examples/),
-                      no spool path literal may appear. Clients submit
-                      through svc::submit_text / svc::request_control and
-                      the service admits through svc::admit_spool_file,
-                      so the crash-safety protocol the spool model verifies
-                      has exactly one implementation. tests/ white-box the
-                      layout by design and are exempt.
   raw-tensor-call     Library code outside src/field/ must not call the
                       tensor-product kernels (apply_axis0/1/2, grad_ref,
                       interp3) directly: direct calls pin the scalar reference
@@ -141,34 +132,26 @@ CLOCK_EXEMPT = {
 }
 CLOCK_EXEMPT_DIRS = (os.path.join("src", "telemetry"),)
 # Sanctioned thread owners: the device backends (worker pools), the
-# threads-as-ranks communicator, the in-situ consumer, the campaign
-# scheduler (whose whole job is budgeted thread accounting), and the
-# campaign service (whose spool poller rides alongside the scheduler it
-# owns).
+# threads-as-ranks communicator, the in-situ consumer, and the campaign
+# scheduler (whose whole job is budgeted thread accounting).
 THREAD_EXEMPT_DIRS = (
     os.path.join("src", "device"),
     os.path.join("src", "comm"),
     os.path.join("src", "insitu"),
     os.path.join("src", "sched"),
-    os.path.join("src", "svc"),
 )
 # The case-registry rule's scope: library and host code. tests/ and bench/
 # deliberately excluded — they white-box the plugins.
 CASE_PLUGIN_DIRS = ("src", "examples")
 CASE_PLUGIN_EXEMPT_PREFIX = "src/case/"
 # NDJSON protocol readers: the manifest owner defines the fold, the campaign
-# monitor consumes it, the model checker exercises it by design, and the
-# campaign service resumes half-admitted submissions off the folded journal.
-# Everyone else gets read_manifest() / obs::CampaignMonitor.
-NDJSON_READ_EXEMPT_PREFIXES = ("src/obs/", "src/verify/", "src/svc/")
+# monitor consumes it, and the model checker exercises it by design. Everyone
+# else gets read_manifest() / obs::CampaignMonitor.
+NDJSON_READ_EXEMPT_PREFIXES = ("src/obs/", "src/verify/")
 NDJSON_READ_EXEMPT = {
     os.path.join("src", "sched", "manifest.hpp"),
     os.path.join("src", "sched", "manifest.cpp"),
 }
-# The spool layout's home: the only directory allowed to spell spool paths.
-# Scope mirrors case-registry (library + hosts); tests/ white-box the layout.
-SPOOL_CONFINE_DIRS = ("src", "examples")
-SPOOL_CONFINE_EXEMPT_PREFIX = "src/svc/"
 # The tensor kernels' home: the only library directory allowed to call
 # apply_axis* / grad_ref / interp3 directly (definitions, variants, and the
 # TensorKernels defaults live there).
@@ -213,14 +196,6 @@ RAW_RENAME_FSYNC_RE = re.compile(
 RAW_NDJSON_READ_RE = re.compile(
     r"\b(?:sched\s*::\s*)?(apply_manifest_line|extract_json_string|"
     r"extract_json_number|extract_json_metrics)\s*\(")
-# A spool path literal: a string that is exactly "spool", contains a spool/
-# path component, names a *.case submission file, or spells a ctl-*.cmd
-# control drop. Prose mentioning the spool ("Service-mode spool counters")
-# has no path separator next to the word and does not match.
-SPOOL_LITERAL_RE = re.compile(
-    r'"(?:[^"\n]*/)?spool(?:/[^"\n]*)?"|'
-    r'"[^"\n]*\.case"|'
-    r'"[^"\n]*\bctl-[^"\n]*"')
 # A direct tensor-kernel call: the kernel name immediately followed by an
 # argument list. Variant names (apply_axis0_simd, grad_ref_fixed<...>) do not
 # match — the suffix breaks the word boundary before `(` — and neither do
@@ -248,12 +223,10 @@ class Violation:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
 
-def strip_comments_and_strings(text, keep_strings=False):
+def strip_comments_and_strings(text):
     """Blank out comments and string/char literals, preserving line structure
     so reported line numbers stay correct. A lexer-grade pass is overkill for
     lint purposes; this handles //, /* */, "..." and '...' including escapes.
-    With keep_strings, literals survive (quotes included) so rules that match
-    *inside* strings — e.g. spool path literals — still skip comments.
     """
     out = []
     i, n = 0, len(text)
@@ -274,7 +247,7 @@ def strip_comments_and_strings(text, keep_strings=False):
                 continue
             if ch == '"':
                 state = "string"
-                out.append('"' if keep_strings else " ")
+                out.append(" ")
                 i += 1
                 continue
             if ch == "'":
@@ -298,20 +271,13 @@ def strip_comments_and_strings(text, keep_strings=False):
             out.append("\n" if ch == "\n" else " ")
         elif state in ("string", "char"):
             quote = '"' if state == "string" else "'"
-            keep = keep_strings and state == "string"
             if ch == "\\":
-                out.append(text[i:i + 2] if keep else "  ")
+                out.append("  ")
                 i += 2
                 continue
             if ch == quote:
                 state = "code"
-                out.append('"' if keep else " ")
-                i += 1
-                continue
-            if keep:
-                out.append(ch)
-            else:
-                out.append(" " if ch != "\n" else "\n")
+            out.append(" " if ch != "\n" else "\n")
         i += 1
     return "".join(out)
 
@@ -593,27 +559,6 @@ def check_raw_ndjson_read(root):
     return out
 
 
-def check_spool_confinement(root):
-    out = []
-    for path in iter_files(root, SPOOL_CONFINE_DIRS, {".hpp", ".cpp"}):
-        relpath = rel(root, path)
-        if relpath.startswith(SPOOL_CONFINE_EXEMPT_PREFIX):
-            continue
-        # Path literals live inside strings, so keep them; comments that
-        # merely mention the spool are blanked and stay legal.
-        code = strip_comments_and_strings(
-            open(path, encoding="utf-8").read(), keep_strings=True)
-        for lineno, line in enumerate(code.splitlines(), 1):
-            if SPOOL_LITERAL_RE.search(line):
-                out.append(Violation(
-                    relpath, lineno, "spool-confinement",
-                    "spool path literal outside src/svc/; the spool layout "
-                    "is private — submit through svc::submit_text / "
-                    "svc::request_control, admit through "
-                    "svc::admit_spool_file"))
-    return out
-
-
 def check_raw_tensor_call(root):
     out = []
     for path in iter_files(root, (LIBRARY_DIR,), {".hpp", ".cpp"}):
@@ -646,7 +591,6 @@ ALL_CHECKS = [
     check_raw_thread,
     check_case_registry,
     check_raw_ndjson_read,
-    check_spool_confinement,
     check_raw_tensor_call,
 ]
 
@@ -797,34 +741,6 @@ SEEDED = {
         None,  # whole-file folds go through read_manifest
         "#include <string>\nvoid r(const std::string& path) {\n"
         "  auto state = sched::read_manifest(path);\n  (void)state;\n}\n"),
-    "src/bad/spool_path.cpp": (
-        "spool-confinement",
-        "#include <string>\nstd::string f(const std::string& dir) {\n"
-        '  return dir + "/spool/sub.case";\n}\n'),
-    "src/bad/spool_control.cpp": (
-        "spool-confinement",
-        "#include <fstream>\nvoid g() {\n"
-        '  std::ifstream in("out/spool/ctl-drain.cmd");\n}\n'),
-    "examples/spool_client.cpp": (
-        "spool-confinement",
-        '#include <string>\nint main() {\n'
-        '  std::string p = "spool";\n  return p.empty();\n}\n'),
-    "src/svc/spool_owner.cpp": (
-        None,  # src/svc/ owns the layout and may spell its paths
-        "#include <string>\nstd::string d(const std::string& dir) {\n"
-        '  return dir + "/spool/" + "ctl-shutdown.cmd";\n}\n'),
-    "src/good/spool_prose.cpp": (
-        None,  # prose and comments about the spool are not path literals
-        "#include <string>\n// the spool/ admission path is in src/svc/\n"
-        'std::string help() { return "Service-mode spool counters"; }\n'),
-    "src/svc/poller_thread.cpp": (
-        None,  # the service's spool poller is a sanctioned thread owner
-        "#include <thread>\nvoid s() {\n"
-        "  std::thread t([] {});\n  t.join();\n}\n"),
-    "src/svc/recovery_fold.cpp": (
-        None,  # the service resumes half-admitted work off the fold
-        "#include <string>\nvoid r(const std::string& line) {\n"
-        "  sched::apply_manifest_line(state, line);\n}\n"),
     "src/precon/raw_tensor.cpp": (
         "raw-tensor-call",
         "void f(const double* u, double* o, int n) {\n"

@@ -22,18 +22,11 @@ A campaign run (felis_campaign / sched::Scheduler) produces
   <campaign.dir>/manifest.ndjson   the crash-safe run journal: a `header`
                                    record, one `case` record per expanded
                                    sweep case, then `run` state transitions
-                                   (queued -> running -> done/failed/retried,
-                                   plus running -> preempted -> queued under
-                                   service-mode preemption) and `resume`
-                                   markers appended by later sessions. A
-                                   service-mode daemon (felis_campaign
-                                   --serve) additionally journals `submit`
-                                   admission decisions and the `case` records
-                                   of cases submitted after the header, so
-                                   the case count may exceed the header's. A
-                                   resume session heals a torn tail by
-                                   terminating it, so the journal may contain
-                                   newline-terminated malformed lines
+                                   (queued -> running -> done/failed/retried)
+                                   and `resume` markers appended by later
+                                   sessions. A resume session heals a torn
+                                   tail by terminating it, so the journal may
+                                   contain newline-terminated malformed lines
                                    mid-stream; the manifest reader skips and
                                    counts them, exactly like the C++ fold.
   <campaign.dir>/campaign.trace.json  (felis_campaign --export-trace) the
@@ -254,27 +247,18 @@ def cmd_check(paths):
 
 
 CAMPAIGN_SCHEMA = "felis-campaign-1"
-RUN_STATES = ("queued", "running", "done", "failed", "retried", "preempted")
+RUN_STATES = ("queued", "running", "done", "failed", "retried")
 # Legal per-case transitions within one scheduler session. A resume session
 # additionally re-queues every non-done case (including one left "running"
 # by a kill), which is legal only after a `resume` record has been seen.
-# "preempted" is the service-mode checkpoint-boundary eviction: the attempt
-# ends, the case goes straight back to the queue.
 CAMPAIGN_TRANSITIONS = {
     None: {"queued"},
     "queued": {"running"},
-    "running": {"done", "failed", "retried", "preempted"},
+    "running": {"done", "failed", "retried"},
     "retried": {"queued"},
-    "preempted": {"queued"},
     "failed": set(),
     "done": set(),
 }
-
-# Spool admission decisions (manifest `submit` records, service mode).
-# "deferred" is non-terminal: a later record may admit or reject; a second
-# decision after a terminal one is the double-admit the C++ fold refuses.
-SUBMIT_TERMINAL = ("admitted", "rejected")
-SUBMIT_DECISIONS = ("admitted", "rejected", "deferred")
 
 
 def read_campaign_manifest(path):
@@ -316,7 +300,6 @@ def check_campaign(path):
     cases = {}        # id -> case record
     last_state = {}   # id -> last run state
     attempts = {}     # id -> highest attempt seen
-    submissions = {}  # id -> last admission decision
     resumes = 0
     for lineno, record in records[1:]:
         rtype = record["type"]
@@ -335,23 +318,6 @@ def check_campaign(path):
             if "pending" not in record:
                 raise CheckError(f"{path}:{lineno}: resume missing 'pending'")
             resumes += 1
-        elif rtype == "submit":
-            for key in ("submission", "tenant", "priority", "decision",
-                        "cases", "cost_seconds"):
-                if key not in record:
-                    raise CheckError(
-                        f"{path}:{lineno}: submit record missing {key!r}")
-            sid, decision = record["submission"], record["decision"]
-            if decision not in SUBMIT_DECISIONS:
-                raise CheckError(
-                    f"{path}:{lineno}: unknown admission decision "
-                    f"{decision!r}")
-            prev = submissions.get(sid)
-            if prev in SUBMIT_TERMINAL:
-                raise CheckError(
-                    f"{path}:{lineno}: duplicate decision for submission "
-                    f"{sid!r} (journalled {prev!r}, then {decision!r})")
-            submissions[sid] = decision
         elif rtype == "run":
             for key in ("case", "state", "attempt", "wall_seconds"):
                 if key not in record:
@@ -381,23 +347,15 @@ def check_campaign(path):
             last_state[cid] = state
         else:
             raise CheckError(f"{path}:{lineno}: unknown record type {rtype!r}")
-    if submissions:
-        # Service mode: submissions add cases after the header was written,
-        # so the header count is a floor, not an exact match.
-        if len(cases) < header["cases"]:
-            raise CheckError(
-                f"{path}: header declares {header['cases']} cases, only "
-                f"{len(cases)} case records found")
-    elif len(cases) != header["cases"]:
+    if len(cases) != header["cases"]:
         raise CheckError(
             f"{path}: header declares {header['cases']} cases, "
             f"{len(cases)} case records found")
-    return (header, cases, last_state, attempts, submissions, resumes,
-            torn_tail, healed)
+    return header, cases, last_state, attempts, resumes, torn_tail, healed
 
 
 def cmd_campaign(path):
-    (header, cases, last_state, attempts, submissions, resumes, torn,
+    (header, cases, last_state, attempts, resumes, torn,
      healed) = check_campaign(path)
     counts = {}
     for cid in cases:
@@ -410,18 +368,10 @@ def cmd_campaign(path):
         notes += f", {healed} healed torn line(s) skipped"
     print(f"{path}: OK (campaign {header['campaign']!r}, {len(cases)} cases, "
           f"{resumes} resume(s), {total_attempts} attempts" + notes + ")")
-    if submissions:
-        decided = {}
-        for sid, decision in submissions.items():
-            decided.setdefault(decision, []).append(sid)
-        pairs = ", ".join(f"{d}={len(decided[d])}"
-                          for d in SUBMIT_DECISIONS if d in decided)
-        print(f"  submissions: {len(submissions)} ({pairs})")
-    for state in ("done", "running", "queued", "retried", "preempted",
-                  "failed", "declared"):
+    for state in ("done", "running", "queued", "retried", "failed", "declared"):
         ids = counts.get(state)
         if ids:
-            print(f"  {state:9s} {len(ids):3d}  {', '.join(sorted(ids))}")
+            print(f"  {state:8s} {len(ids):3d}  {', '.join(sorted(ids))}")
     return 0
 
 

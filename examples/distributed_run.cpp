@@ -10,6 +10,11 @@
 // trace under <telemetry-dir>/rank<r>/ — ranks are threads of one process,
 // so each needs its own channel directory or their records would interleave
 // in a single stream.
+//
+// Exit code (felis_campaign's): 64 usage (an unknown argument, a rank or
+// step count that is not a positive integer), 65 any felis::Error.
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -22,11 +27,9 @@
 
 using namespace felis;
 
-int main(int argc, char** argv) {
-  const int nranks = argc > 1 ? std::atoi(argv[1]) : 4;
-  const int steps = argc > 2 ? std::atoi(argv[2]) : 60;
-  const std::string telemetry_dir = argc > 3 ? argv[3] : "";
+namespace {
 
+int run(int nranks, int steps, const std::string& telemetry_dir) {
   // The cylindrical cell from the registry (slender-ish: Γ = D/H = 0.5).
   // Every rank resolves the same params, so the global mesh is identical
   // everywhere; it is built once, outside the rank loop.
@@ -105,4 +108,29 @@ int main(int argc, char** argv) {
     }
   });
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  int counts[2] = {4, 60};  // ranks, steps: positive integers
+  bool usage = argc > 4;
+  for (int i = 1; i < argc && i <= 2; ++i) {
+    char* end = nullptr;
+    errno = 0;
+    const long v = std::strtol(argv[i], &end, 10);
+    usage |= end == argv[i] || *end != '\0' || errno != 0 || v < 1 || v > INT_MAX;
+    counts[i - 1] = static_cast<int>(v);
+  }
+  if (usage) {
+    std::fprintf(stderr, "usage: distributed_run [ranks] [steps] "
+                         "[telemetry-dir]\n");
+    return 64;
+  }
+  try {
+    return run(counts[0], counts[1], argc > 3 ? argv[3] : "");
+  } catch (const Error& e) {
+    std::fprintf(stderr, "distributed_run: %s\n", e.what());
+    return 65;
+  }
 }

@@ -206,12 +206,13 @@ int main(int argc, char** argv) {
   }
   std::stringstream ss;
   ss << in.rdbuf();
-  ParamMap params = ParamMap::parse(ss.str());
-  if (!dir_override.empty()) params.set("campaign.dir", dir_override);
-  if (steps_override > 0) params.set("campaign.steps", static_cast<int>(steps_override));
 
   sched::CampaignSpec spec;
   try {
+    ParamMap params = ParamMap::parse(ss.str());
+    if (!dir_override.empty()) params.set("campaign.dir", dir_override);
+    if (steps_override > 0)
+      params.set("campaign.steps", static_cast<int>(steps_override));
     spec = sched::CampaignSpec::from_params(params);
   } catch (const Error& e) {
     std::fprintf(stderr, "bad campaign spec: %s\n", e.what());

@@ -9,11 +9,19 @@
 //   ./quickstart --case my_case.txt [steps]   (key = value file: case.*,
 //                                              mesh.*, fluid.*, telemetry.*)
 //   ./quickstart --list-cases                 (print the registered cases)
+//
+// Exit code (felis_campaign's): 64 usage (an unknown argument, an Ra that
+// does not parse, a step count that is not a positive integer), 65 any
+// felis::Error (e.g. an out-of-range case key), 66 an unreadable case file.
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "case/registry.hpp"
 #include "device/backend.hpp"
@@ -22,25 +30,50 @@
 
 using namespace felis;
 
-int main(int argc, char** argv) {
+namespace {
+
+/// The whole of `s` as a finite real; with `count`, as a positive int.
+bool parse_number(const std::string& s, bool count, double& out) {
+  char* end = nullptr;
+  errno = 0;
+  out = count ? static_cast<double>(std::strtol(s.c_str(), &end, 10))
+              : std::strtod(s.c_str(), &end);
+  return end != s.c_str() && *end == '\0' && errno == 0 && std::isfinite(out) &&
+         (!count || (out >= 1 && out <= INT_MAX));
+}
+
+int run(const std::vector<std::string>& args) {
   ParamMap params;
-  int steps = 100;
-  if (argc > 1 && std::strcmp(argv[1], "--list-cases") == 0) {
+  if (args == std::vector<std::string>{"--list-cases"}) {
     std::printf("registered cases (case.type):\n");
     for (const cases::CaseInfo& info : cases::Registry::global().infos())
       std::printf("  %-10s %s\n", info.type.c_str(), info.description.c_str());
     return 0;
   }
-  if (argc > 2 && std::strcmp(argv[1], "--case") == 0) {
-    std::ifstream in(argv[2]);
+  const bool from_file = !args.empty() && args[0] == "--case";
+  const usize steps_at = from_file ? 2 : 1;  // position of the step count
+  double ra = 0, count = 100;
+  if (args.size() > steps_at + 1 || (from_file && args.size() < 2) ||
+      (!from_file && !args.empty() && !parse_number(args[0], false, ra)) ||
+      (args.size() > steps_at && !parse_number(args[steps_at], true, count))) {
+    std::fprintf(stderr, "usage: quickstart [Ra] [steps] | --case FILE [steps] "
+                         "| --list-cases\n");
+    return 64;
+  }
+  if (from_file) {
+    std::ifstream in(args[1]);
+    if (!in.good()) {
+      std::fprintf(stderr, "quickstart: cannot read case file '%s'\n",
+                   args[1].c_str());
+      return 66;
+    }
     std::stringstream ss;
     ss << in.rdbuf();
     params = ParamMap::parse(ss.str());
-    if (argc > 3) steps = std::atoi(argv[3]);
-  } else {
-    if (argc > 1) params.set("case.Ra", std::atof(argv[1]));
-    if (argc > 2) steps = std::atoi(argv[2]);
+  } else if (!args.empty()) {
+    params.set("case.Ra", ra);
   }
+  const int steps = static_cast<int>(count);
 
   // 1. Scenario: resolve case.type against the registry. Unknown types get
   //    the registry's message naming every registered case.
@@ -50,13 +83,7 @@ int main(int argc, char** argv) {
   // Historical quickstart default: degree-5 elements for the slab case
   // (registered types keep their own defaults when selected explicitly).
   if (type == "rbc" && !params.has("mesh.degree")) params.set("mesh.degree", 5);
-  const cases::CaseInfo* info = nullptr;
-  try {
-    info = &cases::Registry::global().resolve(type);
-  } catch (const Error& e) {
-    std::fprintf(stderr, "%s\n(try --list-cases)\n", e.what());
-    return 65;
-  }
+  const cases::CaseInfo* info = &cases::Registry::global().resolve(type);
 
   // 2. Discretization: the case factory builds its mesh from the mesh.*
   //    keys; SelfComm = single rank. The device backend comes from the
@@ -133,4 +160,15 @@ int main(int argc, char** argv) {
                   telemetry.trace_path().c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(std::vector<std::string>(argv + 1, argv + argc));
+  } catch (const Error& e) {
+    std::fprintf(stderr, "quickstart: %s\n", e.what());
+    return 65;
+  }
 }

@@ -6,8 +6,6 @@
 #include <mutex>
 #include <thread>
 
-#include "telemetry/telemetry.hpp"
-
 // Locking discipline
 // ------------------
 // `SimWorld` holds three independent lock domains; none is ever held while
@@ -31,26 +29,8 @@
 // model recognise.
 namespace felis::comm {
 
-namespace {
-
-void charge_p2p(usize bytes) {
-  telemetry::charge_counter("comm.p2p_messages");
-  telemetry::charge_counter("comm.p2p_bytes", static_cast<double>(bytes));
-}
-
-}  // namespace
-
-void SelfComm::allreduce(real_t*, usize, ReduceOp) {
-  telemetry::charge_counter("comm.allreduces");
-}
-
-void SelfComm::allreduce(gidx_t*, usize, ReduceOp) {
-  telemetry::charge_counter("comm.allreduces");
-}
-
 void SelfComm::send_bytes(int dest, int tag, const void* data, usize bytes) {
   FELIS_CHECK_MSG(dest == 0, "SelfComm: destination rank out of range");
-  charge_p2p(bytes);
   std::vector<std::byte> blob(bytes);
   if (bytes) std::memcpy(blob.data(), data, bytes);
   mailbox_.emplace_back(tag, std::move(blob));
@@ -207,7 +187,6 @@ class SimComm final : public Communicator {
   }
 
   void send_bytes(int dest, int tag, const void* data, usize bytes) override {
-    charge_p2p(bytes);
     world_.send(rank_, dest, tag, data, bytes);
   }
   std::vector<std::byte> recv_bytes(int source, int tag) override {
@@ -217,7 +196,6 @@ class SimComm final : public Communicator {
  private:
   template <typename T>
   void dispatch(T* data, usize count, ReduceOp op) {
-    telemetry::charge_counter("comm.allreduces");
     switch (op) {
       case ReduceOp::kSum:
         world_.allreduce(rank_, data, count, [](T a, T b) { return a + b; });

@@ -98,10 +98,8 @@ class SelfComm final : public Communicator {
   int rank() const override { return 0; }
   int size() const override { return 1; }
   void barrier() override {}
-  // Trivial on one rank, but still charged to the comm.* telemetry counters
-  // so reduction counts are comparable across SelfComm and SimComm runs.
-  void allreduce(real_t*, usize, ReduceOp) override;
-  void allreduce(gidx_t*, usize, ReduceOp) override;
+  void allreduce(real_t*, usize, ReduceOp) override {}
+  void allreduce(gidx_t*, usize, ReduceOp) override {}
   std::vector<std::vector<std::byte>> allgatherv_bytes(
       const std::vector<std::byte>& mine) override {
     return {mine};

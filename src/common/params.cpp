@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/error.hpp"
 
@@ -85,6 +86,8 @@ real_t ParamMap::get_real(const std::string& key) const {
     return v;
   } catch (const std::invalid_argument&) {
     throw Error("parameter '" + key + "' is not a real number: " + s);
+  } catch (const std::out_of_range&) {
+    throw Error("parameter '" + key + "' is out of range: " + s);
   }
 }
 
@@ -97,6 +100,8 @@ int ParamMap::get_int(const std::string& key) const {
     return v;
   } catch (const std::invalid_argument&) {
     throw Error("parameter '" + key + "' is not an integer: " + s);
+  } catch (const std::out_of_range&) {
+    throw Error("parameter '" + key + "' is out of range: " + s);
   }
 }
 

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/trace.hpp"
 
 namespace felis {
 
@@ -35,44 +36,26 @@ Profiler::Profiler() {
 
 void Profiler::push(const std::string& name) {
   RegionNode* node = current_->child(name);
-  Frame frame{node, timing_enabled_ ? Clock::now() : Clock::time_point{}, {}};
-  if (timeline_enabled_) {
-    frame.path = stack_.empty() ? name : stack_.back().path + "/" + name;
-  }
-  stack_.push_back(std::move(frame));
+  stack_.push_back({node, timing_enabled_ ? Clock::now() : Clock::time_point{}});
   current_ = node;
 }
 
 void Profiler::pop() {
   FELIS_CHECK_MSG(!stack_.empty(), "Profiler::pop with empty region stack");
-  Frame frame = std::move(stack_.back());
+  const Frame frame = stack_.back();
   stack_.pop_back();
   frame.node->calls += 1;
   if (timing_enabled_) {
     const Clock::time_point end = Clock::now();
     frame.node->seconds +=
         std::chrono::duration<double>(end - frame.start).count();
-    if (timeline_enabled_) {
-      if (timeline_.size() < timeline_max_events_) {
-        timeline_.push_back(
-            {std::move(frame.path), static_cast<int>(stack_.size()) + 1,
-             std::chrono::duration<double>(frame.start - timeline_epoch_).count(),
-             std::chrono::duration<double>(end - timeline_epoch_).count()});
-      } else {
-        ++timeline_dropped_;
-      }
+    if (trace_ != nullptr) {
+      std::string path;
+      for (const Frame& open : stack_) path += open.node->name + "/";
+      trace_->record(kRegionTrack, path + frame.node->name, frame.start, end);
     }
   }
   current_ = stack_.empty() ? &root_ : stack_.back().node;
-}
-
-void Profiler::enable_timeline(std::chrono::steady_clock::time_point epoch,
-                               usize max_events) {
-  timeline_enabled_ = true;
-  timeline_epoch_ = epoch;
-  timeline_max_events_ = max_events;
-  timeline_dropped_ = 0;
-  timeline_.clear();
 }
 
 namespace {

@@ -60,18 +60,8 @@ struct RegionNode {
   double child_seconds() const;
 };
 
-/// One timestamped region interval, recorded only while the timeline is
-/// enabled (see Profiler::enable_timeline). Times are seconds since the
-/// epoch passed to enable_timeline, so recorders sharing that epoch (the
-/// telemetry layer's TraceRecorder) land on the same clock.
-struct ProfileTimelineEvent {
-  std::string path;   ///< slash-joined region path ("step/pressure/precon")
-  int depth = 0;      ///< nesting depth (1 = top-level region)
-  double t_begin = 0;
-  double t_end = 0;
-};
-
 class Profiler;
+class TraceRecorder;
 
 /// RAII region scope.
 class ScopedRegion {
@@ -130,18 +120,10 @@ class Profiler {
   /// operation counting only.
   void set_timing_enabled(bool on) { timing_enabled_ = on; }
 
-  /// Record a timestamped event for every region interval (in addition to
-  /// the aggregate tree) so the telemetry layer can export a Chrome trace.
-  /// `epoch` is the clock origin shared with other recorders; `max_events`
-  /// bounds memory — further intervals are counted in timeline_dropped()
-  /// instead of stored. Off by default: the aggregate-only hot path stays a
-  /// single branch. Same threading contract as push/pop (owner thread only).
-  void enable_timeline(std::chrono::steady_clock::time_point epoch,
-                       usize max_events = 1u << 18);
-  void disable_timeline() { timeline_enabled_ = false; }
-  bool timeline_enabled() const { return timeline_enabled_; }
-  const std::vector<ProfileTimelineEvent>& timeline() const { return timeline_; }
-  usize timeline_dropped() const { return timeline_dropped_; }
+  /// Also record every region this profiler closes into `trace`, as an
+  /// interval on kRegionTrack named by its slash path; nullptr stops it.
+  /// The aggregate tree is kept either way. Owner thread only, like push/pop.
+  void set_trace(TraceRecorder* trace) { trace_ = trace; }
 
  private:
   static void charge(double& counter, double n) {
@@ -152,18 +134,12 @@ class Profiler {
   struct Frame {
     RegionNode* node;
     Clock::time_point start;
-    std::string path;  ///< filled only while the timeline is enabled
   };
   RegionNode root_;
   RegionNode* current_;
   std::vector<Frame> stack_;
   bool timing_enabled_ = true;
-
-  bool timeline_enabled_ = false;
-  Clock::time_point timeline_epoch_{};
-  usize timeline_max_events_ = 0;
-  usize timeline_dropped_ = 0;
-  std::vector<ProfileTimelineEvent> timeline_;
+  TraceRecorder* trace_ = nullptr;
 };
 
 }  // namespace felis

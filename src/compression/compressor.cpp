@@ -8,7 +8,6 @@
 #include "compression/bitstream.hpp"
 #include "compression/huffman.hpp"
 #include "quadrature/basis.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace felis::compression {
 
@@ -238,12 +237,6 @@ CompressedField Compressor::compress(const RealVec& field,
 
   out.blob = huffman_encode(raw);
   out.compressed_bytes = out.blob.size();
-  telemetry::charge_counter("insitu.fields_compressed");
-  telemetry::charge_counter("insitu.original_bytes",
-                            static_cast<double>(out.original_bytes));
-  telemetry::charge_counter("insitu.compressed_bytes",
-                            static_cast<double>(out.compressed_bytes));
-  telemetry::charge_gauge("insitu.compression_ratio", out.reduction());
   return out;
 }
 

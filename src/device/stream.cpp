@@ -1,9 +1,5 @@
 #include "device/stream.hpp"
 
-#include <algorithm>
-#include <iomanip>
-#include <sstream>
-
 // Locking discipline
 // ------------------
 // `Stream`: one mutex (`mutex_`) guards the queue, `running_`, and
@@ -11,10 +7,6 @@
 // submit to its own or another stream without self-deadlock. `cv_submit_`
 // wakes the worker, `cv_done_` wakes waiters; both are always signalled with
 // the protected state already updated, never while a task is running.
-//
-// `TraceRecorder`: `mutex_` guards `t0_` and `events_`. `now()` must take the
-// lock too — `start()` rewrites `t0_` and concurrent `timed()` calls on other
-// streams read it (this was a TSan finding).
 namespace felis::device {
 
 Stream::Stream(int priority) : priority_(priority) {
@@ -61,75 +53,6 @@ void Stream::worker_loop() {
       if (queue_.empty()) cv_done_.notify_all();
     }
   }
-}
-
-void TraceRecorder::start() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  t0_ = std::chrono::steady_clock::now();
-  events_.clear();
-}
-
-void TraceRecorder::start_at(std::chrono::steady_clock::time_point epoch) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  t0_ = epoch;
-  events_.clear();
-}
-
-double TraceRecorder::now() const {
-  std::unique_lock<std::mutex> lock(mutex_);
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_)
-      .count();
-}
-
-void TraceRecorder::record(int stream, const std::string& name, double t_begin,
-                           double t_end) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  events_.push_back({stream, name, t_begin, t_end});
-}
-
-void TraceRecorder::timed(int stream, const std::string& name,
-                          const std::function<void()>& fn) {
-  const double t0 = now();
-  fn();
-  record(stream, name, t0, now());
-}
-
-std::vector<TraceEvent> TraceRecorder::events() const {
-  std::unique_lock<std::mutex> lock(mutex_);
-  return events_;
-}
-
-void TraceRecorder::clear() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  events_.clear();
-}
-
-std::string TraceRecorder::render(int width) const {
-  const std::vector<TraceEvent> evs = events();
-  if (evs.empty()) return "(empty trace)\n";
-  double t_max = 0;
-  int max_stream = 0;
-  for (const TraceEvent& e : evs) {
-    t_max = std::max(t_max, e.t_end);
-    max_stream = std::max(max_stream, e.stream);
-  }
-  if (t_max <= 0) t_max = 1e-9;
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(2) << "timeline (total " << t_max * 1e3
-     << " ms, '" << '#' << "' = busy)\n";
-  for (int s = 0; s <= max_stream; ++s) {
-    std::string row(static_cast<usize>(width), '.');
-    for (const TraceEvent& e : evs) {
-      if (e.stream != s) continue;
-      int b = static_cast<int>(e.t_begin / t_max * width);
-      int en = static_cast<int>(e.t_end / t_max * width);
-      b = std::clamp(b, 0, width - 1);
-      en = std::clamp(en, b + 1, width);
-      for (int c = b; c < en; ++c) row[static_cast<usize>(c)] = '#';
-    }
-    os << "stream " << s << " |" << row << "|\n";
-  }
-  return os.str();
 }
 
 }  // namespace felis::device

@@ -21,6 +21,7 @@
 #include <mutex>
 #include <thread>
 
+#include "common/trace.hpp"
 #include "common/types.hpp"
 
 namespace felis::device {
@@ -53,38 +54,9 @@ class Stream {
   std::thread worker_;
 };
 
-/// Timestamped task trace across streams — the data behind Fig. 2's timeline
-/// view. Recorded by the preconditioners and rendered by bench_fig2_overlap.
-struct TraceEvent {
-  int stream = 0;           ///< 0 = fine/default stream, 1 = coarse stream
-  std::string name;
-  double t_begin = 0;       ///< seconds since trace start
-  double t_end = 0;
-};
-
-class TraceRecorder {
- public:
-  void start();
-  /// Rebase the trace clock onto an externally owned epoch so intervals
-  /// recorded here land on the same timeline as other recorders sharing that
-  /// epoch (the telemetry layer aligns the Profiler timeline this way).
-  void start_at(std::chrono::steady_clock::time_point epoch);
-  /// Record an interval on a stream; thread-safe.
-  void record(int stream, const std::string& name, double t_begin, double t_end);
-  /// Convenience: run fn() and record its wall time.
-  void timed(int stream, const std::string& name, const std::function<void()>& fn);
-
-  double now() const;  ///< seconds since start()
-  std::vector<TraceEvent> events() const;
-  void clear();
-
-  /// Render an ASCII timeline (one row per stream), Fig. 2 style.
-  std::string render(int width = 100) const;
-
- private:
-  mutable std::mutex mutex_;
-  std::chrono::steady_clock::time_point t0_ = std::chrono::steady_clock::now();
-  std::vector<TraceEvent> events_;
-};
+/// The Fig. 2 trace recorder lives in common/ next to the Profiler, which
+/// records into it too; the device-layer names stay for existing callers.
+using felis::TraceEvent;
+using felis::TraceRecorder;
 
 }  // namespace felis::device

@@ -65,16 +65,14 @@ std::string CheckpointManager::write(const Checkpoint& ck) {
           static_cast<std::int64_t>(config_.retry_backoff_ms) << attempt));
     }
   }
-  telemetry::Telemetry* tel =
-      telemetry_ != nullptr ? telemetry_ : telemetry::Telemetry::current();
-  if (tel != nullptr && tel->enabled()) {
-    telemetry::MetricsRegistry& m = tel->metrics();
+  if (telemetry_ != nullptr && telemetry_->enabled()) {
+    telemetry::MetricsRegistry& m = telemetry_->metrics();
     m.add("checkpoint.writes", 1);
     m.add("checkpoint.bytes", static_cast<double>(blob.size()));
     m.observe("checkpoint.write_seconds", watch.seconds());
     if (retries > 0) {
       m.add("checkpoint.retries", retries);
-      tel->health().flag_checkpoint_retries(retries, path);
+      telemetry_->health().flag_checkpoint_retries(retries, path);
     }
   }
   // Prune the rotation via the shared policy; never the file just written.

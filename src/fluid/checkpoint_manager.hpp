@@ -36,9 +36,9 @@ struct CheckpointConfig {
 
 class CheckpointManager {
  public:
-  /// `telemetry` receives the checkpoint.* metrics; null falls back to
-  /// telemetry::Telemetry::current(). A run that owns its telemetry passes
-  /// it here, so concurrent runs in one process each count their own writes.
+  /// `telemetry` receives the checkpoint.* metrics; null leaves writes
+  /// uncharged. Each run passes its own, so concurrent runs in one process
+  /// each count their own writes.
   explicit CheckpointManager(CheckpointConfig config,
                              io::FaultInjector* fault = nullptr,
                              telemetry::Telemetry* telemetry = nullptr);

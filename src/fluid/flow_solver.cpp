@@ -64,19 +64,19 @@ FlowSolver::FlowSolver(const operators::Context& fine,
   FELIS_CHECK_MSG(fine_.prof != nullptr,
                   "FlowSolver requires an instrumented context (prof != null)");
 
-  // Telemetry attachment: put the preconditioner's stream intervals and the
-  // profiler's region timeline on the telemetry clock so the Chrome-trace
-  // export shows both on one timeline.
-  if (fine_.telemetry != nullptr && fine_.telemetry->enabled()) {
-    fine_.telemetry->attach_profiler(fine_.prof);
-    if (fine_.telemetry->config().trace)
-      hsmg_->set_trace(&fine_.telemetry->trace_recorder());
+  // A traced run records the profiler's regions and the preconditioner's
+  // stream intervals into its one recorder, next to the step marks.
+  if (telemetry::Telemetry* tel = fine_.telemetry;
+      tel != nullptr && tel->enabled() && tel->config().trace) {
+    TraceRecorder* trace = &tel->trace_recorder();
+    fine_.prof->set_trace(trace);
+    hsmg_->set_trace(trace);
   }
 }
 
 FlowSolver::~FlowSolver() {
-  if (fine_.telemetry != nullptr)
-    fine_.telemetry->detach_profiler(fine_.prof);
+  fine_.prof->set_trace(nullptr);
+  hsmg_->set_trace(nullptr);
 }
 
 void FlowSolver::apply_boundary_conditions() {
@@ -419,6 +419,14 @@ StepInfo FlowSolver::step() {
           pressure_projection_
               ? static_cast<double>(pressure_projection_->basis_size())
               : 0.0);
+    // This rank's own work since its setup was built (the Fig. 4 and
+    // perfmodel counts), charged by every layer through the Context.
+    const OpCounters work = fine_.prof->root().inclusive_counters();
+    m.set("profile.flops", work.flops);
+    m.set("profile.bytes", work.bytes);
+    m.set("profile.messages", work.messages);
+    m.set("profile.message_bytes", work.msg_bytes);
+    m.set("profile.reductions", work.reductions);
     m.set("device.arena_bytes",
           static_cast<double>(device::Workspace::process_bytes()));
     m.set("device.arena_high_water",

@@ -100,9 +100,8 @@ class FlowSolver {
   FlowSolver(const operators::Context& fine, const operators::Context& coarse,
              FlowConfig config);
 
-  /// Hands the profiler timeline back to an attached telemetry context: the
-  /// profiler lives in the rank setup and may die with this solver, before
-  /// Telemetry::finalize() runs.
+  /// Detaches the run's trace recorder from the profiler, which lives on in
+  /// the rank setup after this solver (and possibly after the recorder).
   ~FlowSolver();
 
   // Field access (local L-vectors).

@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "device/workspace.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace felis::gs {
 
@@ -88,7 +87,6 @@ void GatherScatter::apply(RealVec& field, GsOp op, Profiler* prof) const {
   FELIS_CHECK_MSG(field.size() == num_dofs_,
                   "gather-scatter field size mismatch: " << field.size()
                                                          << " != " << num_dofs_);
-  telemetry::charge_counter("gs.applies");
   const usize num_unique = dof_start_.size() - 1;
   device::WorkspaceFrame scratch;
   RealVec& val = scratch.vec(num_unique);
@@ -119,9 +117,6 @@ void GatherScatter::apply(RealVec& field, GsOp op, Profiler* prof) const {
     for (usize i = 0; i < pos.size(); ++i) sendbuf[i] = val[static_cast<usize>(pos[i])];
     comm_.send_vec(neighbors_[ni], tag_, sendbuf);
     if (prof) prof->add_message(static_cast<double>(sendbuf.size() * sizeof(real_t)));
-    telemetry::charge_counter("gs.messages");
-    telemetry::charge_counter(
-        "gs.message_bytes", static_cast<double>(sendbuf.size() * sizeof(real_t)));
   }
   for (usize ni = 0; ni < neighbors_.size(); ++ni) {
     const RealVec recvbuf = comm_.recv_vec<real_t>(neighbors_[ni], tag_);

@@ -1,7 +1,6 @@
 #include "insitu/snapshot_stream.hpp"
 
 #include "common/error.hpp"
-#include "telemetry/telemetry.hpp"
 
 // Locking discipline
 // ------------------
@@ -22,7 +21,6 @@ bool SnapshotStream::push(RealVec snapshot) {
   if (closed_) return false;
   queue_.push_back(std::move(snapshot));
   ++pushed_total_;
-  telemetry::charge_counter("insitu.snapshots_pushed");
   cv_pop_.notify_one();
   return true;
 }
@@ -34,7 +32,6 @@ std::optional<RealVec> SnapshotStream::pop() {
   RealVec snapshot = std::move(queue_.front());
   queue_.pop_front();
   ++popped_total_;
-  telemetry::charge_counter("insitu.snapshots_popped");
   cv_push_.notify_one();
   return snapshot;
 }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "telemetry/telemetry.hpp"
-
 namespace felis::insitu {
 
 StreamingPod::StreamingPod(RealVec weights, usize max_rank)
@@ -24,7 +22,6 @@ void StreamingPod::add_snapshot(const RealVec& snapshot) {
   RealVec x(snapshot.size());
   for (usize i = 0; i < x.size(); ++i) x[i] = snapshot[i] * sqrt_w_[i];
   ++count_;
-  telemetry::charge_counter("insitu.pod_snapshots");
 
   const lidx_t r = static_cast<lidx_t>(sigma_.size());
   if (r == 0) {
@@ -77,8 +74,6 @@ void StreamingPod::add_snapshot(const RealVec& snapshot) {
 
   u_ = std::move(u_new);
   sigma_.assign(ksvd.sigma.begin(), ksvd.sigma.begin() + new_rank);
-  telemetry::charge_gauge("insitu.pod_rank", static_cast<double>(sigma_.size()));
-  telemetry::charge_gauge("insitu.pod_discarded_energy", discarded_energy_);
 }
 
 RealVec StreamingPod::mode(usize k) const {

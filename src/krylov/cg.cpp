@@ -2,22 +2,11 @@
 
 #include <cmath>
 
-#include "telemetry/telemetry.hpp"
-
 namespace felis::krylov {
 
 SolveStats CgSolver::solve(LinearOperator& op, Preconditioner& precon,
                            const RealVec& b, RealVec& x,
                            const SolveControl& control) const {
-  const SolveStats stats = solve_impl(op, precon, b, x, control);
-  telemetry::charge_counter("krylov.cg_solves");
-  telemetry::charge_counter("krylov.cg_iterations", stats.iterations);
-  return stats;
-}
-
-SolveStats CgSolver::solve_impl(LinearOperator& op, Preconditioner& precon,
-                                const RealVec& b, RealVec& x,
-                                const SolveControl& control) const {
   const usize nd = ctx_.num_dofs();
   FELIS_CHECK(b.size() == nd && x.size() == nd);
   SolveStats stats;

@@ -25,10 +25,6 @@ class CgSolver {
                    RealVec& x, const SolveControl& control) const;
 
  private:
-  SolveStats solve_impl(LinearOperator& op, Preconditioner& precon,
-                        const RealVec& b, RealVec& x,
-                        const SolveControl& control) const;
-
   operators::Context ctx_;
 };
 

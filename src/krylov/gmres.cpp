@@ -2,25 +2,12 @@
 
 #include <cmath>
 
-#include "telemetry/telemetry.hpp"
-
 namespace felis::krylov {
 
 SolveStats GmresSolver::solve(LinearOperator& op, Preconditioner& precon,
                               const RealVec& b, RealVec& x,
                               const SolveControl& control,
                               bool null_space_mean) const {
-  const SolveStats stats =
-      solve_impl(op, precon, b, x, control, null_space_mean);
-  telemetry::charge_counter("krylov.gmres_solves");
-  telemetry::charge_counter("krylov.gmres_iterations", stats.iterations);
-  return stats;
-}
-
-SolveStats GmresSolver::solve_impl(LinearOperator& op, Preconditioner& precon,
-                                   const RealVec& b, RealVec& x,
-                                   const SolveControl& control,
-                                   bool null_space_mean) const {
   const usize nd = ctx_.num_dofs();
   FELIS_CHECK(b.size() == nd && x.size() == nd);
   const int m = restart_;

@@ -32,10 +32,6 @@ class GmresSolver {
                    bool null_space_mean = false) const;
 
  private:
-  SolveStats solve_impl(LinearOperator& op, Preconditioner& precon,
-                        const RealVec& b, RealVec& x,
-                        const SolveControl& control, bool null_space_mean) const;
-
   operators::Context ctx_;
   int restart_;
   bool batched_orthogonalization_;

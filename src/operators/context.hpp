@@ -30,9 +30,9 @@ struct Context {
   /// null falls back to the process default (FELIS_BACKEND / auto), so a
   /// zero-initialized Context keeps working.
   device::Backend* backend = nullptr;
-  /// Optional run-wide telemetry context (metrics + trace + health). Null in
-  /// plain operator tests; layers without a Context fall back to
-  /// telemetry::Telemetry::current().
+  /// Optional run telemetry (metrics + trace + health), read by the flow
+  /// solver and the case once per step. Null in plain operator tests. The
+  /// layers themselves only charge `prof`.
   telemetry::Telemetry* telemetry = nullptr;
   /// Per-order tensor-product kernel table (owned by RankSetup). Null falls
   /// back to the reference kernels, so a zero-initialized Context computes

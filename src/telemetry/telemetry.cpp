@@ -11,8 +11,6 @@
 
 namespace felis::telemetry {
 
-std::atomic<Telemetry*> Telemetry::current_{nullptr};
-
 TelemetryConfig config_from_params(const ParamMap& params) {
   TelemetryConfig cfg;
   cfg.enabled = params.get_bool("telemetry.enabled", cfg.enabled);
@@ -63,7 +61,7 @@ Telemetry::Telemetry(TelemetryConfig config,
                      std::map<std::string, std::string> metadata)
     : config_(std::move(config)),
       metadata_(std::move(metadata)),
-      epoch_(std::chrono::steady_clock::now()),
+      trace_(config_.max_trace_events),
       health_(std::make_unique<RunHealth>(config_.health,
                                           config_.enabled ? &metrics_ : nullptr)) {
   if (!config_.enabled) return;
@@ -98,16 +96,6 @@ Telemetry::Telemetry(TelemetryConfig config,
   ndjson_ = std::make_unique<io::DurableAppendWriter>(ndjson_path_,
                                                       config_.flush_every);
   write_header_record();
-
-  trace_.start_at(epoch_);
-
-  Telemetry* expected = nullptr;
-  installed_ = current_.compare_exchange_strong(expected, this,
-                                                std::memory_order_relaxed);
-  if (!installed_) {
-    FELIS_LOG_WARN("telemetry: another context is already installed; this one "
-                   "records only what is charged through it directly");
-  }
 }
 
 Telemetry::~Telemetry() {
@@ -117,26 +105,6 @@ Telemetry::~Telemetry() {
     // Destructor must not throw; the NDJSON stream is fsync'd per record, so
     // at worst the summary/trace files are missing.
   }
-}
-
-double Telemetry::now() const {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       epoch_)
-      .count();
-}
-
-void Telemetry::attach_profiler(Profiler* prof) {
-  if (!config_.enabled || prof == nullptr) return;
-  profiler_ = prof;
-  if (config_.trace) prof->enable_timeline(epoch_, config_.max_trace_events);
-}
-
-void Telemetry::detach_profiler(Profiler* prof) {
-  if (prof == nullptr || prof != profiler_) return;
-  profiler_events_ = prof->timeline();
-  profiler_dropped_ = prof->timeline_dropped();
-  prof->disable_timeline();
-  profiler_ = nullptr;
 }
 
 bool Telemetry::sampling_due(std::int64_t step) const {
@@ -155,8 +123,10 @@ void Telemetry::end_step(std::int64_t step, double sim_time) {
   step_watch_.reset();
   metrics_.observe("telemetry.step_seconds", step_seconds);
 
-  if (step_marks_.size() < config_.max_trace_events)
-    step_marks_.push_back({step, now()});
+  if (config_.trace) {
+    const double t = now();
+    trace_.record(kStepTrack, "step " + std::to_string(step), t, t);
+  }
 
   feed_health(step, step_seconds);
 
@@ -237,11 +207,8 @@ void Telemetry::write_summary_csv() const {
 
 void Telemetry::write_chrome_trace() const {
   std::map<std::string, std::string> meta = metadata_;
-  if (profiler_dropped_ > 0) {
-    meta["profiler_events_dropped"] = std::to_string(profiler_dropped_);
-  }
-  const std::string json = chrome_trace_json(profiler_events_, trace_.events(),
-                                             step_marks_, meta);
+  meta["trace_events_dropped"] = std::to_string(trace_.dropped());
+  const std::string json = chrome_trace_json(trace_.events(), meta);
   io::AtomicFileWriter writer(trace_path_);
   writer.stream() << json;
   writer.commit();
@@ -250,11 +217,6 @@ void Telemetry::write_chrome_trace() const {
 void Telemetry::finalize() {
   if (!config_.enabled || finalized_) return;
   finalized_ = true;
-  if (installed_) {
-    current_.store(nullptr, std::memory_order_relaxed);
-    installed_ = false;
-  }
-  detach_profiler(profiler_);  // harvest the timeline if the solver is alive
   ndjson_->sync();
   write_summary_csv();
   if (config_.trace) write_chrome_trace();

@@ -3,42 +3,26 @@
 /// registry, the per-step NDJSON stream, the merged Chrome trace, and the
 /// run-health watchdog.
 ///
-/// felis grew three instrumentation islands — the hierarchical Profiler
-/// (common/), the stream TraceRecorder behind Fig. 2 (device/), and the
-/// logger — that could not answer "what did step 4813 look like?" together.
-/// `Telemetry` unifies them behind one switch and one clock:
-///
-///  * a MetricsRegistry charged from the solver stack (CG/GMRES iterations,
-///    residuals, CFL, dt, Nusselt numbers, checkpoint latency/retries,
-///    gather–scatter traffic, compression ratios, arena high water);
-///  * a MetricsSink streaming one NDJSON record per sampled step (crash-safe
-///    appends: every fsync'd prefix is valid, at most one torn final line)
-///    plus a final CSV summary;
-///  * a Chrome `trace_event` export merging the Profiler's region timeline
-///    and the TraceRecorder's stream intervals on one steady-clock epoch,
-///    with step boundaries as instant events — loadable in Perfetto;
-///  * a RunHealth heartbeat logging one-line digests and flagging anomalies.
-///
-/// Layers that have an `operators::Context` reach telemetry through it;
-/// layers that do not (gs/, comm/, krylov/, insitu/, the checkpoint manager)
-/// use the process-wide `Telemetry::current()` pointer, which is installed
-/// only while an *enabled* context is live — so with telemetry off the entire
-/// hot-path cost is one relaxed atomic load and a branch, and the simulated
-/// fields are bitwise identical either way (telemetry only ever reads solver
-/// state, it never alters arithmetic).
+/// A rank records what it did in one way: every layer charges the Profiler
+/// it reaches through `operators::Context::prof`, and every interval goes
+/// into the run's one TraceRecorder, owned here. `Telemetry` turns both into
+/// artifacts behind one switch and one clock (the recorder's): per-step
+/// metrics (set by the flow solver, the case and the checkpoint manager it
+/// is handed) streamed as crash-safe NDJSON plus a CSV summary, a Chrome
+/// `trace_event` export of the recorder, and a RunHealth heartbeat. Nothing
+/// is process-wide: concurrent runs (campaign workers, simulated ranks) each
+/// own one. With telemetry off the solver pays one branch per step, and the
+/// fields are bitwise identical either way (telemetry only reads state).
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/params.hpp"
-#include "common/profiler.hpp"
+#include "common/trace.hpp"
 #include "common/types.hpp"
-#include "device/stream.hpp"
 #include "telemetry/chrome_trace.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/run_health.hpp"
@@ -56,7 +40,7 @@ struct TelemetryConfig {
   std::int64_t interval = 1;       ///< emit an NDJSON record every N steps
   bool trace = true;               ///< export the merged Chrome trace
   int flush_every = 1;             ///< fsync the NDJSON stream every N records
-  usize max_trace_events = 1u << 18;  ///< cap per recorder; excess is dropped
+  usize max_trace_events = 1u << 18;  ///< trace cap; excess is counted
   HealthConfig health;
 };
 
@@ -67,8 +51,8 @@ TelemetryConfig config_from_params(const ParamMap& params);
 
 /// Wall-clock stopwatch on the telemetry clock. Lives here so instrumented
 /// call sites (checkpoint writes, step loops) never touch a raw clock —
-/// felis_lint forbids steady_clock::now() outside common/profiler and this
-/// directory.
+/// felis_lint forbids steady_clock::now() outside common/profiler,
+/// common/trace and this directory.
 class Stopwatch {
  public:
   Stopwatch() : start_(std::chrono::steady_clock::now()) {}
@@ -94,44 +78,27 @@ class Telemetry {
   Telemetry& operator=(const Telemetry&) = delete;
   ~Telemetry();
 
-  /// The process-wide context, or nullptr when no enabled context is live.
-  /// One relaxed load — this is the entire disabled-path cost for layers
-  /// charging through it.
-  static Telemetry* current() {
-    return current_.load(std::memory_order_relaxed);
-  }
-
   bool enabled() const { return config_.enabled; }
   const TelemetryConfig& config() const { return config_; }
   MetricsRegistry& metrics() { return metrics_; }
   RunHealth& health() { return *health_; }
-  device::TraceRecorder& trace_recorder() { return trace_; }
+  /// The run's one interval recorder (capped at `max_trace_events`).
+  TraceRecorder& trace_recorder() { return trace_; }
 
-  /// Seconds since this context's epoch (the shared trace clock).
-  double now() const;
-
-  /// Start recording the profiler's region timeline on the shared epoch.
-  void attach_profiler(Profiler* prof);
-
-  /// Harvest the timeline and drop the reference. The profiler is owned by
-  /// the solver setup, which may die before finalize(); the solver calls this
-  /// from its destructor so the trace export never reads a dead profiler.
-  /// No-op unless `prof` is the currently attached profiler.
-  void detach_profiler(Profiler* prof);
+  /// Seconds on the recorder's clock.
+  double now() const { return trace_.now(); }
 
   /// True when `step` lands on the configured sampling interval.
   bool sampling_due(std::int64_t step) const;
 
   /// Step bracketing, driven by the case layer. `end_step` times the step,
-  /// records a step-boundary mark for the trace, feeds RunHealth and — when
-  /// the sample is due — appends one NDJSON record with a full metric
-  /// snapshot.
+  /// records the step boundary on kStepTrack, feeds RunHealth and — when the
+  /// sample is due — appends one NDJSON record with a full metric snapshot.
   void begin_step(std::int64_t step);
   void end_step(std::int64_t step, double sim_time);
 
-  /// Flush the NDJSON stream, write the CSV summary and the Chrome trace,
-  /// and uninstall the process-wide pointer. Idempotent; also run by the
-  /// destructor.
+  /// Flush the NDJSON stream, write the CSV summary and the Chrome trace.
+  /// Idempotent; also run by the destructor.
   void finalize();
 
   std::int64_t records_written() const { return records_written_; }
@@ -147,38 +114,18 @@ class Telemetry {
   void write_chrome_trace() const;
   void feed_health(std::int64_t step, double step_seconds);
 
-  static std::atomic<Telemetry*> current_;
-
   TelemetryConfig config_;
   std::map<std::string, std::string> metadata_;
-  std::chrono::steady_clock::time_point epoch_;
+  TraceRecorder trace_;
   MetricsRegistry metrics_;
   std::unique_ptr<RunHealth> health_;
-  device::TraceRecorder trace_;
-  Profiler* profiler_ = nullptr;
-  std::vector<ProfileTimelineEvent> profiler_events_;  ///< harvested on detach
-  usize profiler_dropped_ = 0;
   std::unique_ptr<io::DurableAppendWriter> ndjson_;
-  std::vector<StepMark> step_marks_;
   std::unique_ptr<Stopwatch> step_watch_;
   std::int64_t records_written_ = 0;
   bool finalized_ = false;
-  bool installed_ = false;
   std::string ndjson_path_;
   std::string trace_path_;
   std::string summary_path_;
 };
-
-/// Hot-path charging helpers for layers without a Context. All of them are a
-/// relaxed load + branch when telemetry is disabled.
-inline void charge_counter(const char* name, double n = 1) {
-  if (Telemetry* t = Telemetry::current()) t->metrics().add(name, n);
-}
-inline void charge_gauge(const char* name, double v) {
-  if (Telemetry* t = Telemetry::current()) t->metrics().set(name, v);
-}
-inline void charge_histogram(const char* name, double v) {
-  if (Telemetry* t = Telemetry::current()) t->metrics().observe(name, v);
-}
 
 }  // namespace felis::telemetry

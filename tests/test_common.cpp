@@ -1,5 +1,5 @@
-// Tests for the common substrate: error checks, profiler region tree,
-// parameter map, and sample statistics.
+// Tests for the common substrate: error checks, profiler region tree, trace
+// recorder, parameter map, and sample statistics.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,6 +10,7 @@
 #include "common/params.hpp"
 #include "common/profiler.hpp"
 #include "common/stats.hpp"
+#include "common/trace.hpp"
 
 namespace felis {
 namespace {
@@ -187,47 +188,55 @@ TEST(Profiler, ConcurrentCounterChargingLosesNothing) {
   EXPECT_DOUBLE_EQ(kernel->counters.reductions, 1.0 * kThreads * kReps);
 }
 
-TEST(Profiler, TimelineRecordsIntervalsOnTheSharedEpoch) {
+TEST(Profiler, RegionsRecordIntoAnAttachedTraceRecorder) {
+  TraceRecorder trace;
   Profiler prof;
-  prof.enable_timeline(std::chrono::steady_clock::now(), /*max_events=*/16);
+  prof.set_trace(&trace);
   {
     auto s = prof.scope("step");
     auto p = prof.scope("pressure");
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   // Children pop first, so the inner interval is recorded before the outer.
-  ASSERT_EQ(prof.timeline().size(), 2u);
-  const ProfileTimelineEvent& inner = prof.timeline()[0];
-  const ProfileTimelineEvent& outer = prof.timeline()[1];
-  EXPECT_EQ(inner.path, "step/pressure");
-  EXPECT_EQ(inner.depth, 2);
-  EXPECT_EQ(outer.path, "step");
-  EXPECT_EQ(outer.depth, 1);
+  const std::vector<TraceEvent> events = trace.events();
+  ASSERT_EQ(events.size(), 2u);
+  const TraceEvent& inner = events[0];
+  const TraceEvent& outer = events[1];
+  EXPECT_EQ(inner.name, "step/pressure");
+  EXPECT_EQ(outer.name, "step");
+  EXPECT_EQ(inner.stream, kRegionTrack);
+  EXPECT_EQ(outer.stream, kRegionTrack);
   EXPECT_GE(inner.t_begin, 0.0);
   EXPECT_GE(inner.t_end, inner.t_begin);
-  // The outer interval contains the inner one on the shared clock.
+  // The outer interval contains the inner one on the recorder's clock.
   EXPECT_LE(outer.t_begin, inner.t_begin);
   EXPECT_GE(outer.t_end, inner.t_end);
-  // The aggregate tree still accumulated alongside the timeline.
+  // The aggregate tree still accumulated alongside the trace.
   EXPECT_EQ(prof.find("step/pressure")->calls, 1);
 
-  prof.disable_timeline();
+  // A detached profiler records nothing more, but keeps counting.
+  prof.set_trace(nullptr);
   { auto s = prof.scope("after"); }
-  EXPECT_EQ(prof.timeline().size(), 2u);  // no further recording
+  EXPECT_EQ(trace.events().size(), 2u);
+  EXPECT_EQ(prof.find("after")->calls, 1);
 }
 
-TEST(Profiler, TimelineCapCountsDroppedEvents) {
+TEST(TraceRecorder, CapKeepsTheFirstEventsAndCountsTheRest) {
+  TraceRecorder trace(/*max_events=*/3);
   Profiler prof;
-  prof.enable_timeline(std::chrono::steady_clock::now(), /*max_events=*/3);
+  prof.set_trace(&trace);
   for (int i = 0; i < 10; ++i) {
     auto r = prof.scope("region");
   }
-  EXPECT_EQ(prof.timeline().size(), 3u);
-  EXPECT_EQ(prof.timeline_dropped(), 7u);
-  // Re-enabling resets both the buffer and the drop counter.
-  prof.enable_timeline(std::chrono::steady_clock::now(), 3);
-  EXPECT_EQ(prof.timeline().size(), 0u);
-  EXPECT_EQ(prof.timeline_dropped(), 0u);
+  trace.record(0, "schwarz", 0.0, 1e-3);  // every track shares the one cap
+  const std::vector<TraceEvent> events = trace.events();
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[2].name, "region");
+  EXPECT_EQ(trace.dropped(), 8u);
+  // start() forgets both the events and the drop count.
+  trace.start();
+  EXPECT_EQ(trace.events().size(), 0u);
+  EXPECT_EQ(trace.dropped(), 0u);
 }
 
 TEST(ParamMap, ParseAndTypedAccess) {
@@ -256,6 +265,11 @@ TEST(ParamMap, DefaultsAndErrors) {
   EXPECT_THROW(p.get_real("s"), Error);
   EXPECT_THROW(p.get_bool("s"), Error);
   EXPECT_THROW(ParamMap::parse("no equals sign"), Error);
+  // Out-of-range values are named errors too, never std::out_of_range.
+  p.set("mesh.nx", std::string("99999999999"));
+  EXPECT_THROW(p.get_int("mesh.nx"), Error);
+  p.set("case.Ra", std::string("1e400"));
+  EXPECT_THROW(p.get_real("case.Ra"), Error);
 }
 
 TEST(SampleStats, MomentsMatchClosedForm) {

@@ -602,10 +602,19 @@ TEST_F(ManifestTest, KilledCampaignAutoRecoversBitwise) {
   EXPECT_EQ(snap.resumes, 1);
 }
 
+/// The last line of a telemetry NDJSON stream (its newest step record).
+std::string last_record(const fs::path& ndjson) {
+  std::ifstream in(ndjson);
+  std::string last;
+  for (std::string line; std::getline(in, line);)
+    if (!line.empty()) last = line;
+  return last;
+}
+
 TEST_F(ManifestTest, CaseTelemetryCountsItsOwnCheckpointWrites) {
-  // Two workers run cases concurrently in one process, where only one
-  // telemetry context can be the process-wide current(). Each case's stream
-  // must still count exactly the checkpoints that case wrote.
+  // Two workers run cases concurrently in one process. Each case's stream
+  // must still count exactly the checkpoints that case wrote, and exactly
+  // the work it did: the same profile.* counts as with one worker.
   ParamMap params = acceptance_params(dir_);
   params.set("telemetry.enabled", true);
   const CampaignSpec spec = CampaignSpec::from_params(params);
@@ -613,17 +622,30 @@ TEST_F(ManifestTest, CaseTelemetryCountsItsOwnCheckpointWrites) {
   Scheduler scheduler(spec, make_case_runner());
   const CampaignReport report = scheduler.run();
   ASSERT_TRUE(report.all_done());
+
+  ParamMap serial = acceptance_params(dir_ + "/one_worker");
+  serial.set("telemetry.enabled", true);
+  serial.set("campaign.workers", 1);
+  const CampaignSpec serial_spec = CampaignSpec::from_params(serial);
+  Scheduler one_worker(serial_spec, make_case_runner());
+  ASSERT_TRUE(one_worker.run().all_done());
+
   for (const CaseSpec& cs : spec.cases) {
     const fs::path tel = fs::path(dir_) / cs.id / "telemetry";
     // 10 steps with checkpoint.every = 4: the writes at steps 4 and 8 land
     // before the step-10 record; the sealing write at step 10 comes after
     // it and shows up in the summary written at finalize.
-    std::string header, last;
-    {
-      std::ifstream in(tel / "run.ndjson");
-      std::getline(in, header);
-      for (std::string line; std::getline(in, line);)
-        if (!line.empty()) last = line;
+    std::string header;
+    std::getline(std::ifstream(tel / "run.ndjson"), header);
+    const std::string last = last_record(tel / "run.ndjson");
+    const std::string alone = last_record(
+        fs::path(serial_spec.config.dir) / cs.id / "telemetry" / "run.ndjson");
+    for (const char* name : {"profile.flops", "profile.bytes", "profile.messages",
+                             "profile.message_bytes", "profile.reductions"}) {
+      bool found = false;
+      const double count = extract_json_number(last, name, &found);
+      EXPECT_TRUE(found) << cs.id << " lacks " << name;
+      EXPECT_EQ(count, extract_json_number(alone, name)) << cs.id << " " << name;
     }
     // The header names the backend the case actually ran on.
     EXPECT_EQ(extract_json_string(header, "backend"),
@@ -701,6 +723,7 @@ TEST_F(ManifestTest, MultiRankCaseRunsUnderTheBudget) {
     case.Ra = 2e4
     case.dt = 1.5e-2
     checkpoint.every = 2
+    telemetry.enabled = true
   )");
   params.set("campaign.dir", dir_);
   CampaignSpec spec = CampaignSpec::from_params(params);
@@ -722,6 +745,14 @@ TEST_F(ManifestTest, MultiRankCaseRunsUnderTheBudget) {
   }
   EXPECT_GT(r0, 0);
   EXPECT_GT(r1, 0);
+  // Each rank's stream carries its own exchanges and no process-wide counts.
+  for (const char* rank : {"rank0", "rank1"}) {
+    const std::string last = last_record(fs::path(dir_) / spec.cases[0].id /
+                                         "telemetry" / rank / "run.ndjson");
+    EXPECT_GT(extract_json_number(last, "profile.messages"), 0.0) << rank;
+    for (const char* retired : {"\"gs.", "\"comm.", "\"krylov."})
+      EXPECT_EQ(last.find(retired), std::string::npos) << rank << ": " << last;
+  }
 }
 
 // ---- drain: step-boundary cancellation and bitwise resume ---------------

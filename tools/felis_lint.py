@@ -42,10 +42,10 @@ Rules
                       exempt sites.
   raw-clock           Library code (src/) must not read the clock directly
                       (steady_clock::now() and friends). Ad-hoc timing drifts
-                      off the shared telemetry epoch and never reaches the
+                      off the run's trace clock and never reaches the
                       merged trace; time regions with Profiler and ad-hoc
                       durations with telemetry::Stopwatch. Exempt: the clock
-                      owners themselves (common/profiler, device/stream
+                      owners themselves (common/profiler, common/trace
                       and src/telemetry/).
   case-registry       Scenario plugins are private to src/case/: outside it
                       (src/ and examples/), no file may include a plugin
@@ -121,14 +121,14 @@ RENAME_FSYNC_EXEMPT = {
     os.path.join("src", "io", "durable_append.hpp"),
     os.path.join("src", "io", "durable_append.cpp"),
 }
-# Sanctioned clock owners: the profiler (region timing), the stream trace
-# recorder (device-side timing), and the telemetry layer that provides the
-# shared epoch everyone else must inherit.
+# Sanctioned clock owners: the profiler (region timing), the run's trace
+# recorder (the clock every interval lands on), and the telemetry layer that
+# reads it.
 CLOCK_EXEMPT = {
     os.path.join("src", "common", "profiler.hpp"),
     os.path.join("src", "common", "profiler.cpp"),
-    os.path.join("src", "device", "stream.hpp"),
-    os.path.join("src", "device", "stream.cpp"),
+    os.path.join("src", "common", "trace.hpp"),
+    os.path.join("src", "common", "trace.cpp"),
 }
 CLOCK_EXEMPT_DIRS = (os.path.join("src", "telemetry"),)
 # Sanctioned thread owners: the device backends (worker pools), the
@@ -488,7 +488,7 @@ def check_raw_clock(root):
                 out.append(Violation(
                     relpath, lineno, "raw-clock",
                     "direct clock read in library code; time regions with "
-                    "Profiler (shares the telemetry trace epoch) or ad-hoc "
+                    "Profiler (records into the run's trace) or ad-hoc "
                     "durations with telemetry::Stopwatch"))
     return out
 
@@ -685,7 +685,7 @@ SEEDED = {
         "  auto t0 = std::chrono::steady_clock::now();\n"
         "  (void)t0;\n}\n"),
     "src/telemetry/clock_owner.cpp": (
-        None,  # the telemetry layer owns the shared epoch
+        None,  # the telemetry layer is a sanctioned clock owner
         "#include <chrono>\nvoid e() {\n"
         "  auto t0 = std::chrono::steady_clock::now();\n"
         "  (void)t0;\n}\n"),

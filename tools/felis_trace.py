@@ -5,10 +5,10 @@ A felis run with `telemetry.enabled = true` produces
   <dir>/<basename>.ndjson       one JSON record per line: a `header` record
                                 (schema + run metadata) followed by `step`
                                 records with the full metric snapshot;
-  <dir>/<basename>.trace.json   a Chrome trace_event file merging the
-                                Profiler region timeline and the stream
-                                TraceRecorder intervals on one clock, with
-                                step boundaries as instant events;
+  <dir>/<basename>.trace.json   a Chrome trace_event file of the run's one
+                                TraceRecorder: Profiler regions and stream
+                                intervals on one clock, with step
+                                boundaries as instant events;
   <dir>/<basename>.summary.csv  final metric summary (kind/value/count/...).
 
 The NDJSON stream uses crash-safe appends: every fsync'd prefix is a valid

@@ -6,6 +6,9 @@
 //
 //   ./distributed_run [ranks] [steps] [telemetry-dir]
 //
+// Each rank runs on its share of the process team (device::process_threads()
+// / ranks threads, at least one) of the process-default backend family.
+//
 // With a telemetry-dir, every rank records its own NDJSON stream / Chrome
 // trace under <telemetry-dir>/rank<r>/ — ranks are threads of one process,
 // so each needs its own channel directory or their records would interleave
@@ -13,6 +16,7 @@
 //
 // Exit code (felis_campaign's): 64 usage (an unknown argument, a rank or
 // step count that is not a positive integer), 65 any felis::Error.
+#include <algorithm>
 #include <cerrno>
 #include <climits>
 #include <cstdio>
@@ -22,6 +26,7 @@
 #include <string>
 
 #include "case/registry.hpp"
+#include "device/backend.hpp"
 #include "precon/coarse.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -42,13 +47,20 @@ int run(int nranks, int steps, const std::string& telemetry_dir) {
   const cases::CaseInfo& info = cases::resolve_case(params);
   const cases::Geometry geo = info.make_geometry(params);
 
-  std::printf("distributed %s: %d ranks (threads-as-ranks), %d elements\n",
-              info.type.c_str(), nranks, geo.mesh.num_elements());
+  // Every rank gets the same share of the process team, so one team size.
+  device::Backend& backend = device::select_backend(
+      params, std::max(1, device::process_threads() / nranks));
+
+  std::printf("distributed %s: %d ranks (threads-as-ranks), %d elements, "
+              "%s x%d per rank\n",
+              info.type.c_str(), nranks, geo.mesh.num_elements(),
+              backend.name().c_str(), backend.concurrency());
   std::mutex print_mutex;
 
   comm::run_parallel(nranks, [&](comm::Communicator& comm) {
-    auto fine = operators::make_rank_setup(geo.mesh, geo.degree, comm, true);
-    auto coarse = precon::make_coarse_setup(geo.mesh, comm);
+    auto fine = operators::make_rank_setup(geo.mesh, geo.degree, comm, true,
+                                           true, &backend);
+    auto coarse = precon::make_coarse_setup(geo.mesh, comm, &backend);
 
     // Per-rank telemetry channel: rank r writes <dir>/rank<r>/run.ndjson and
     // its own trace. The rank/size metadata keys disambiguate the channels
@@ -63,8 +75,8 @@ int run(int nranks, int steps, const std::string& telemetry_dir) {
           std::map<std::string, std::string>{
               {"program", "distributed_run"},
               {"type", info.type},
-              {"backend", "serial"},
-              {"threads", std::to_string(nranks)},
+              {"backend", backend.name()},
+              {"threads", std::to_string(backend.concurrency())},
               {"degree", std::to_string(geo.degree)},
               {"rank", std::to_string(comm.rank())},
               {"size", std::to_string(comm.size())}});

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <exception>
 #include <limits>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -47,17 +48,6 @@ constexpr lidx_t kAutoBlocksPerWorker = 4;
 lidx_t block_count(lidx_t n, lidx_t grain) { return (n + grain - 1) / grain; }
 
 #if !defined(_OPENMP) || FELIS_TSAN_BUILD
-
-int env_thread_count() {
-  // Manual OMP_NUM_THREADS parse for the std::thread fallback path, so the
-  // TSan build honors the same knob as the real OpenMP runtime.
-  if (const char* env = std::getenv("OMP_NUM_THREADS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
-}
 
 /// Work-stealing chunk dispatch on a transient std::thread pool. Workers pull
 /// block indices off a shared atomic counter; the first exception is captured
@@ -179,23 +169,22 @@ void SerialBackend::parallel_for_blocked(lidx_t n, lidx_t grain,
 
 // ---- OpenMpBackend ----------------------------------------------------------
 
-int OpenMpBackend::concurrency() const {
-  if (num_threads_ > 0) return num_threads_;
-#if defined(_OPENMP) && !FELIS_TSAN_BUILD
-  return std::max(1, omp_get_max_threads());
-#else
-  return env_thread_count();
-#endif
+OpenMpBackend::OpenMpBackend(int num_threads) : num_threads_(num_threads) {
+  FELIS_CHECK_MSG(num_threads >= 1,
+                  "an OpenMP team needs at least 1 thread, got " << num_threads);
 }
 
 void OpenMpBackend::parallel_for_blocked(lidx_t n, lidx_t grain,
                                          const RangeFn& fn) {
   if (n <= 0) return;
-  const int nthreads = concurrency();
+  const int nthreads = num_threads_;
+  // A one-thread team has nothing to balance: a free grain is one chunk, the
+  // serial backend's single call.
   const lidx_t g =
-      grain > 0 ? grain
-                : std::max<lidx_t>(1, (n + nthreads * kAutoBlocksPerWorker - 1) /
-                                          (nthreads * kAutoBlocksPerWorker));
+      grain > 0      ? grain
+      : nthreads < 2 ? n
+                     : std::max<lidx_t>(1, (n + nthreads * kAutoBlocksPerWorker - 1) /
+                                               (nthreads * kAutoBlocksPerWorker));
   const lidx_t nblocks = block_count(n, g);
   if (nthreads <= 1 || nblocks <= 1) {
     for (lidx_t b = 0; b < nblocks; ++b) {
@@ -215,6 +204,18 @@ void OpenMpBackend::parallel_for_blocked(lidx_t n, lidx_t grain,
 
 // ---- selection --------------------------------------------------------------
 
+int process_threads() {
+  static const int threads = [] {
+    if (const char* env = std::getenv("OMP_NUM_THREADS")) {
+      const int n = std::atoi(env);
+      if (n > 0) return n;
+    }
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw > 0 ? static_cast<int>(hw) : 1;
+  }();
+  return threads;
+}
+
 namespace {
 
 std::once_flag g_log_once;
@@ -226,38 +227,57 @@ void log_choice(const Backend& backend) {
   });
 }
 
-Backend& resolve(const std::string& spec) {
+/// The one OpenMP team of each size. Map nodes never move, and the map lives
+/// until exit, so every context may keep a plain pointer to its team.
+OpenMpBackend& team_of(int threads) {
+  static std::mutex mutex;
+  static std::map<int, OpenMpBackend> teams;
+  const std::lock_guard<std::mutex> lock(mutex);
+  return teams.try_emplace(threads, threads).first->second;
+}
+
+Backend& resolve(const std::string& family, int threads) {
+  if (threads < 1)
+    throw Error("device backend '" + family + "' asked for a team of " +
+                std::to_string(threads) + " threads (need at least 1)");
   static SerialBackend serial;
-  static OpenMpBackend openmp;
-  if (spec == "serial") return serial;
-  if (spec == "openmp") return openmp;
-  if (spec.empty() || spec == "auto") {
-    return openmp.concurrency() > 1 ? static_cast<Backend&>(openmp) : serial;
+  const bool is_auto = family.empty() || family == "auto";
+  if (family == "serial" || (is_auto && threads == 1)) return serial;
+  if (family == "openmp" || is_auto) {
+    // The process team is the null-backend fallback on every dispatch: keep
+    // it off the lock.
+    static OpenMpBackend& whole = team_of(process_threads());
+    return threads == whole.concurrency() ? whole : team_of(threads);
   }
-  throw Error("unknown device backend '" + spec +
+  throw Error("unknown device backend '" + family +
               "' (expected serial|openmp|auto)");
+}
+
+/// FELIS_BACKEND, else auto.
+std::string process_family() {
+  const char* env = std::getenv("FELIS_BACKEND");
+  return env != nullptr ? env : "auto";
 }
 
 }  // namespace
 
-Backend& backend_by_name(const std::string& name) {
-  Backend& backend = resolve(name);
-  log_choice(backend);
-  return backend;
-}
-
-Backend& default_backend() {
-  const char* env = std::getenv("FELIS_BACKEND");
-  Backend& backend = resolve(env != nullptr ? env : "auto");
+Backend& select_backend(const ParamMap& params, int threads) {
+  Backend& backend =
+      resolve(params.has("device.backend") ? params.get_string("device.backend")
+                                           : process_family(),
+              threads);
   log_choice(backend);
   return backend;
 }
 
 Backend& select_backend(const ParamMap& params) {
-  if (params.has("device.backend")) {
-    return backend_by_name(params.get_string("device.backend"));
-  }
-  return default_backend();
+  return select_backend(params, process_threads());
+}
+
+Backend& default_backend() {
+  Backend& backend = resolve(process_family(), process_threads());
+  log_choice(backend);
+  return backend;
 }
 
 }  // namespace felis::device

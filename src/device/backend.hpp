@@ -16,6 +16,11 @@
 /// every backend partitions the index space into the same fixed-size blocks
 /// and combines the block partials in ascending block order, so dots, norms
 /// and CFL numbers are bitwise identical for every backend and thread count.
+///
+/// Teams have an explicit size, and the layer owns them: select_backend()
+/// hands a rank the team its share of the thread budget pays for (a campaign
+/// rank one thread, a simulated rank its share of the process team), so
+/// every core has one owner, as every GCD has one rank in the paper.
 #pragma once
 
 #include <functional>
@@ -96,8 +101,9 @@ class SerialBackend final : public Backend {
   void parallel_for_blocked(lidx_t n, lidx_t grain, const RangeFn& fn) override;
 };
 
-/// Chunks dispatched across OpenMP worker threads. `num_threads == 0` means
-/// the runtime default (OMP_NUM_THREADS or the hardware concurrency).
+/// Chunks dispatched across a team of exactly `num_threads` (>= 1) OpenMP
+/// worker threads. A one-thread team with grain <= 0 makes the serial
+/// backend's single call fn(0, n, 0).
 ///
 /// Under ThreadSanitizer the OpenMP runtime (libgomp) is not instrumented and
 /// its barriers are invisible to TSan, so this backend transparently switches
@@ -106,28 +112,32 @@ class SerialBackend final : public Backend {
 /// without OpenMP support.
 class OpenMpBackend final : public Backend {
  public:
-  explicit OpenMpBackend(int num_threads = 0) : num_threads_(num_threads) {}
+  explicit OpenMpBackend(int num_threads);
   std::string name() const override { return "openmp"; }
-  int concurrency() const override;
+  int concurrency() const override { return num_threads_; }
   void parallel_for_blocked(lidx_t n, lidx_t grain, const RangeFn& fn) override;
 
  private:
-  int num_threads_ = 0;  ///< 0 = runtime default
+  int num_threads_;
 };
 
-/// Shared backend instance by name: "serial", "openmp", or "auto" (OpenMP
-/// when more than one thread is available, serial otherwise). Throws
-/// felis::Error on anything else. Logs the first process-wide choice.
-Backend& backend_by_name(const std::string& name);
+/// Threads of the whole process team: OMP_NUM_THREADS when set to a positive
+/// count, otherwise the hardware concurrency. Read once per process.
+int process_threads();
 
-/// Process-default backend: the FELIS_BACKEND environment variable
-/// (serial|openmp|auto) when set, otherwise "auto". The chosen backend and
-/// its thread count are logged once per process via the Logger.
-Backend& default_backend();
+/// The backend family "device.backend" names (serial|openmp|auto), with a
+/// team of exactly `threads` workers; without the key, the process default
+/// family (FELIS_BACKEND, else auto). `serial` ignores the count, `auto` is
+/// openmp only when threads > 1. Throws felis::Error for threads < 1 and for
+/// an unknown family. Instances live for the whole process, one per (family,
+/// team size), so contexts may keep plain pointers to them.
+Backend& select_backend(const ParamMap& params, int threads);
 
-/// Params-driven selection: the "device.backend" key when present, otherwise
-/// default_backend(). This is what case drivers pass to make_rank_setup so
-/// the whole solver stack picks the backend up from the case file.
+/// The whole process team: select_backend(params, process_threads()).
 Backend& select_backend(const ParamMap& params);
+
+/// Backend of contexts built without one: the process default family on the
+/// process team. The first choice of the process is logged once.
+Backend& default_backend();
 
 }  // namespace felis::device

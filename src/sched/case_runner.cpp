@@ -66,8 +66,11 @@ void run_rank(const CaseSpec& cs, RunContext& ctx, comm::Communicator& comm,
   const cases::Geometry geo = info.make_geometry(params);
 
   // The case's own device.backend (process default when absent) carries
-  // into every context and gather-scatter of both setups.
-  device::Backend& backend = device::select_backend(params);
+  // into every context and gather-scatter of both setups, on the team this
+  // rank's share of the case's budget threads pays for: one thread, since
+  // the scheduler charges one per rank.
+  device::Backend& backend = device::select_backend(
+      params, std::max(1, cs.threads / comm.size()));
   auto fine = operators::make_rank_setup(geo.mesh, geo.degree, comm,
                                          /*dealias=*/true,
                                          /*three_halves_rule=*/true, &backend);
@@ -97,7 +100,7 @@ void run_rank(const CaseSpec& cs, RunContext& ctx, comm::Communicator& comm,
             {"case", cs.id},
             {"type", info.type},
             {"backend", backend.name()},
-            {"threads", std::to_string(cs.threads)},
+            {"threads", std::to_string(backend.concurrency())},
             {"degree", std::to_string(geo.degree)},
             {"rank", std::to_string(comm.rank())},
             {"size", std::to_string(comm.size())},

@@ -7,8 +7,9 @@
 /// `case.type` key resolves to in the case registry (cases::Registry — rbc,
 /// rbc2d, rbc_rot, ihc, rbc_cyl, or anything registered on top), built from
 /// its (sweep-expanded) parameters on `threads` simulated ranks
-/// (comm::run_parallel) and on the compute backend its `device.backend` key
-/// names (device::select_backend: the process default when absent). The
+/// (comm::run_parallel), each rank on the compute backend its
+/// `device.backend` key names (the process default when absent) with the one
+/// thread the scheduler charges it (device::select_backend). The
 /// runner never names a concrete case class: the registry's factories own
 /// geometry and physics, the runner owns durability and the run loop.
 /// Everything a run writes lives under its RunContext::run_dir():

@@ -9,6 +9,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <thread>
 
 #include "common/error.hpp"
@@ -120,19 +122,25 @@ TEST(BackendTest, PositiveGrainGivesExactBlockPartition) {
   }
 }
 
-TEST(BackendTest, SerialAutoGrainIsOneChunk) {
-  // grain <= 0 on the serial backend must collapse to a single fn(0, n, 0)
-  // call — a dispatched kernel runs as one plain loop, zero overhead.
+TEST(BackendTest, SingleWorkerAutoGrainIsOneChunk) {
+  // grain <= 0 on the serial backend, or on a one-thread team, must collapse
+  // to a single fn(0, n, 0) call — a dispatched kernel runs as one plain
+  // loop, zero overhead.
   SerialBackend serial;
-  int calls = 0;
-  serial.parallel_for_blocked(1000, /*grain=*/0,
-                              [&](lidx_t begin, lidx_t end, int worker) {
-                                ++calls;
-                                EXPECT_EQ(begin, 0);
-                                EXPECT_EQ(end, 1000);
-                                EXPECT_EQ(worker, 0);
-                              });
-  EXPECT_EQ(calls, 1);
+  OpenMpBackend omp1(1);
+  for (Backend* backend : std::initializer_list<Backend*>{&serial, &omp1}) {
+    for (const lidx_t grain : {0, -3}) {
+      int calls = 0;
+      backend->parallel_for_blocked(1000, grain,
+                                    [&](lidx_t begin, lidx_t end, int worker) {
+                                      ++calls;
+                                      EXPECT_EQ(begin, 0);
+                                      EXPECT_EQ(end, 1000);
+                                      EXPECT_EQ(worker, 0);
+                                    });
+      EXPECT_EQ(calls, 1) << backend->name() << " grain=" << grain;
+    }
+  }
 }
 
 TEST(BackendTest, EmptyRangeNeverInvokesCallback) {
@@ -187,10 +195,12 @@ TEST(BackendTest, MultiComponentReduceSumIsDeterministic) {
   real_t expect[3];
   serial.reduce_sum(n, 3, expect, fn);
   EXPECT_EQ(expect[2], static_cast<real_t>(n));
-  OpenMpBackend omp(4);
-  real_t got[3];
-  omp.reduce_sum(n, 3, got, fn);
-  for (int c = 0; c < 3; ++c) EXPECT_EQ(got[c], expect[c]);
+  for (int threads : {1, 4}) {
+    OpenMpBackend omp(threads);
+    real_t got[3];
+    omp.reduce_sum(n, 3, got, fn);
+    for (int c = 0; c < 3; ++c) EXPECT_EQ(got[c], expect[c]) << "threads=" << threads;
+  }
 }
 
 TEST(BackendTest, ReduceMaxFindsGlobalMaximum) {
@@ -219,14 +229,93 @@ TEST(BackendTest, SerialDispatchPropagatesExceptions) {
                Error);
 }
 
+/// A case file naming `family` ("" leaves device.backend unset).
+ParamMap backend_params(const std::string& family) {
+  ParamMap params;
+  if (!family.empty()) params.set("device.backend", family);
+  return params;
+}
+
+/// Team selection with FELIS_BACKEND unset (restored afterwards), so an
+/// absent device.backend key means auto.
+class BackendTeams : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (const char* env = std::getenv("FELIS_BACKEND")) saved_ = env;
+    ::unsetenv("FELIS_BACKEND");
+  }
+  void TearDown() override {
+    if (saved_)
+      ::setenv("FELIS_BACKEND", saved_->c_str(), 1);
+    else
+      ::unsetenv("FELIS_BACKEND");
+  }
+  std::optional<std::string> saved_;
+};
+
+TEST_F(BackendTeams, FamilyAndTeamSizeTable) {
+  // (device.backend, threads) -> (name, concurrency). An absent key is the
+  // process default family, auto when FELIS_BACKEND is unset.
+  struct Row {
+    const char* family;
+    int threads;
+    const char* name;
+    int concurrency;
+  };
+  for (const Row& row : {Row{"serial", 1, "serial", 1},
+                         Row{"serial", 2, "serial", 1},
+                         Row{"openmp", 1, "openmp", 1},
+                         Row{"openmp", 2, "openmp", 2},
+                         Row{"auto", 1, "serial", 1},
+                         Row{"auto", 2, "openmp", 2},
+                         Row{"", 1, "serial", 1},
+                         Row{"", 2, "openmp", 2}}) {
+    const Backend& backend = select_backend(backend_params(row.family), row.threads);
+    EXPECT_EQ(backend.name(), row.name) << row.family << " x" << row.threads;
+    EXPECT_EQ(backend.concurrency(), row.concurrency)
+        << row.family << " x" << row.threads;
+  }
+  ::setenv("FELIS_BACKEND", "openmp", 1);
+  EXPECT_EQ(select_backend(backend_params(""), 1).name(), "openmp");
+  ::setenv("FELIS_BACKEND", "serial", 1);
+  EXPECT_EQ(select_backend(backend_params(""), 2).name(), "serial");
+}
+
+TEST_F(BackendTeams, OneInstancePerFamilyAndTeamSize) {
+  const ParamMap omp = backend_params("openmp");
+  EXPECT_EQ(&select_backend(omp, 2), &select_backend(omp, 2));
+  EXPECT_EQ(&select_backend(omp, 1), &select_backend(omp, 1));
+  EXPECT_NE(&select_backend(omp, 1), &select_backend(omp, 2));
+  EXPECT_EQ(&select_backend(backend_params("auto"), 2), &select_backend(omp, 2));
+  EXPECT_EQ(&select_backend(backend_params("serial"), 1),
+            &select_backend(backend_params("serial"), 2));
+  // The whole process team is the team of process_threads() workers.
+  EXPECT_EQ(&select_backend(omp), &select_backend(omp, process_threads()));
+  EXPECT_EQ(select_backend(omp).concurrency(), process_threads());
+  EXPECT_EQ(&default_backend(), &select_backend(ParamMap()));
+}
+
 TEST(BackendSelection, ByNameAndErrors) {
-  EXPECT_EQ(backend_by_name("serial").name(), "serial");
-  EXPECT_EQ(backend_by_name("openmp").name(), "openmp");
-  EXPECT_NO_THROW(backend_by_name("auto"));
-  EXPECT_THROW(backend_by_name("cuda"), Error);
-  // Shared instances: repeated lookups return the same object.
-  EXPECT_EQ(&backend_by_name("serial"), &backend_by_name("serial"));
-  EXPECT_EQ(&backend_by_name("openmp"), &backend_by_name("openmp"));
+  EXPECT_EQ(select_backend(backend_params("serial")).name(), "serial");
+  EXPECT_EQ(select_backend(backend_params("openmp")).name(), "openmp");
+  EXPECT_NO_THROW(select_backend(backend_params("auto")));
+  const auto message = [](const ParamMap& params, int threads) -> std::string {
+    try {
+      select_backend(params, threads);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_NE(message(backend_params("cuda"), 1).find("unknown device backend 'cuda'"),
+            std::string::npos);
+  EXPECT_NE(message(backend_params("cuda"), 1).find("serial|openmp|auto"),
+            std::string::npos);
+  for (const char* family : {"serial", "openmp", "auto"})
+    EXPECT_NE(message(backend_params(family), 0).find("team of 0 threads"),
+              std::string::npos)
+        << family;
+  EXPECT_THROW(OpenMpBackend(0), Error);
 }
 
 TEST(BackendSelection, EnvironmentVariableOverridesDefault) {

@@ -647,10 +647,12 @@ TEST_F(ManifestTest, CaseTelemetryCountsItsOwnCheckpointWrites) {
       EXPECT_TRUE(found) << cs.id << " lacks " << name;
       EXPECT_EQ(count, extract_json_number(alone, name)) << cs.id << " " << name;
     }
-    // The header names the backend the case actually ran on.
+    // The header names the team the case actually ran on: the one thread
+    // its rank is charged, so the process-default family at one thread.
     EXPECT_EQ(extract_json_string(header, "backend"),
-              device::default_backend().name())
+              device::select_backend(ParamMap(), 1).name())
         << cs.id << ": " << header;
+    EXPECT_EQ(extract_json_string(header, "threads"), "1") << cs.id << ": " << header;
     ASSERT_NE(last.find(R"("type":"step","step":10)"), std::string::npos)
         << cs.id << ": " << last;
     EXPECT_EQ(extract_json_number(last, "checkpoint.writes"), 2.0) << cs.id;
@@ -674,7 +676,8 @@ TEST_F(ManifestTest, CaseTelemetryCountsItsOwnCheckpointWrites) {
 
 TEST_F(ManifestTest, EachCaseRunsOnItsOwnBackend) {
   // device.backend is a per-case key: a sweep over it must run each case on
-  // the backend it names, and its telemetry header must say so.
+  // the backend it names, on the one thread the budget charges its rank, and
+  // its telemetry header must say so. The team does not change the bits.
   ParamMap params = ParamMap::parse(R"(
     campaign.workers = 1
     campaign.thread_budget = 1
@@ -688,7 +691,8 @@ TEST_F(ManifestTest, EachCaseRunsOnItsOwnBackend) {
   const CampaignSpec spec = CampaignSpec::from_params(params);
   ASSERT_EQ(spec.cases.size(), 2u);
   Scheduler scheduler(spec, make_case_runner());
-  ASSERT_TRUE(scheduler.run().all_done());
+  const CampaignReport report = scheduler.run();
+  ASSERT_TRUE(report.all_done());
   for (const CaseSpec& cs : spec.cases) {
     std::string header;
     std::ifstream in(fs::path(dir_) / cs.id / "telemetry" / "run.ndjson");
@@ -696,6 +700,15 @@ TEST_F(ManifestTest, EachCaseRunsOnItsOwnBackend) {
     EXPECT_EQ(extract_json_string(header, "backend"),
               cs.params.get_string("device.backend"))
         << cs.id << ": " << header;
+    EXPECT_EQ(extract_json_string(header, "threads"), "1") << cs.id << ": " << header;
+  }
+  ASSERT_EQ(report.outcomes.size(), 2u);
+  const auto& a = report.outcomes[0].result.metrics;
+  const auto& b = report.outcomes[1].result.metrics;
+  for (const char* name : {"nu_plate", "nu_volume"}) {
+    ASSERT_EQ(a.count(name), 1u) << name;
+    ASSERT_EQ(b.count(name), 1u) << name;
+    EXPECT_EQ(a.at(name), b.at(name)) << name;  // bitwise, not NEAR
   }
 }
 

@@ -13,6 +13,7 @@ file(WRITE "${DIR}/no_equals.txt" "case.Ra = 1e4\nno equals sign\n")
 file(WRITE "${DIR}/big_nx.txt" "mesh.nx = 99999999999\n")
 file(WRITE "${DIR}/big_ra.txt" "case.Ra = 1e400\n")
 file(WRITE "${DIR}/slab_nx2.txt" "mesh.nx = 2\n")
+file(WRITE "${DIR}/monitor.txt" "campaign.monitor = true\n")
 
 # expect(<exit code> <stderr regex> <command> [args...])
 function(expect code pattern)
@@ -27,6 +28,7 @@ endfunction()
 expect(65 "missing '='" "${CAMPAIGN}" "${DIR}/no_equals.txt" --dry-run)
 expect(65 "mesh.nx" "${CAMPAIGN}" "${DIR}/big_nx.txt" --dry-run)
 expect(65 "case.Ra" "${CAMPAIGN}" "${DIR}/big_ra.txt" --dry-run)
+expect(65 "campaign.monitor.*--status" "${CAMPAIGN}" "${DIR}/monitor.txt" --dry-run)
 expect(65 "mesh.nx" "${QUICKSTART}" --case "${DIR}/big_nx.txt" 1)
 expect(65 "case.Ra" "${QUICKSTART}" --case "${DIR}/big_ra.txt" 1)
 expect(65 "periodic x requires at least 3 elements"

@@ -47,6 +47,12 @@ void extract_prefixed_numbers(const std::string& line, const std::string& prefix
 
 double clamp01(double v) { return std::min(1.0, std::max(0.0, v)); }
 
+// A running case is a straggler when its slowdown exceeds this multiple of
+// the fleet median; below kMinProgress its slowdown is undefined.
+constexpr double kStragglerFactor = 2.0;
+constexpr double kMinProgress = 0.02;
+constexpr usize kMaxStepMarks = 20000;  ///< per-case trace-mark cap
+
 }  // namespace
 
 bool CampaignSnapshot::complete() const {
@@ -62,13 +68,8 @@ const CaseView* CampaignSnapshot::find(const std::string& id) const {
 }
 
 CampaignMonitor::CampaignMonitor(std::string dir)
-    : CampaignMonitor(std::move(dir), Options()) {}
-
-CampaignMonitor::CampaignMonitor(std::string dir, Options options)
     : dir_(std::move(dir)),
-      options_(options),
-      manifest_follower_((fs::path(dir_) / "manifest.ndjson").string()),
-      sched_follower_((fs::path(dir_) / "sched.ndjson").string()) {}
+      manifest_follower_((fs::path(dir_) / "manifest.ndjson").string()) {}
 
 void CampaignMonitor::note_clock(double t) {
   clock_high_water_ = std::max(clock_high_water_, t);
@@ -168,22 +169,8 @@ void CampaignMonitor::apply_case_stream(CaseLive& live,
   live.pressure_iterations =
       sched::extract_json_number(line, "solver.pressure_iterations");
   extract_prefixed_numbers(line, "health.flags.", &live.health_flags);
-  if (live.marks.size() < options_.max_step_marks)
+  if (live.marks.size() < kMaxStepMarks)
     live.marks.push_back({step, live.wall_seconds});
-}
-
-void CampaignMonitor::apply_sched_stream(const std::string& line) {
-  bool ok = false;
-  const std::string type = sched::extract_json_string(line, "type", &ok);
-  if (!ok) return;
-  if (type == "header") {
-    // A new scheduler session opened the stream: its t restarts at 0.
-    sched_session_offset_ = clock_high_water_;
-    return;
-  }
-  if (type != "sched") return;
-  note_clock(sched::extract_json_number(line, "t") + sched_session_offset_);
-  extract_prefixed_numbers(line, "sched.", &sched_latest_);
 }
 
 usize CampaignMonitor::poll_case_streams() {
@@ -216,20 +203,11 @@ usize CampaignMonitor::poll_case_streams() {
 }
 
 usize CampaignMonitor::poll() {
-  usize consumed = 0;
   std::vector<std::string> lines;
-
   if (manifest_follower_.exists()) manifest_.found = true;
-  consumed += manifest_follower_.poll(&lines);
+  const usize consumed = manifest_follower_.poll(&lines);
   for (const std::string& line : lines) apply_manifest(line);
-
-  consumed += poll_case_streams();
-
-  lines.clear();
-  if (sched_follower_.exists()) sched_stream_found_ = true;
-  consumed += sched_follower_.poll(&lines);
-  for (const std::string& line : lines) apply_sched_stream(line);
-  return consumed;
+  return consumed + poll_case_streams();
 }
 
 const std::vector<CampaignMonitor::StepMark>& CampaignMonitor::step_marks(
@@ -249,8 +227,6 @@ CampaignSnapshot CampaignMonitor::snapshot() const {
   snap.resumes = resumes_;
   snap.clock_seconds = clock_high_water_;
   snap.retry_transitions = retry_transitions_;
-  snap.sched_stream_found = sched_stream_found_;
-  snap.sched = sched_latest_;
 
   for (const std::string& id : case_order_) {
     CaseView v;
@@ -301,6 +277,7 @@ CampaignSnapshot CampaignMonitor::snapshot() const {
     else if (v.state == "done") ++snap.done;
     else if (v.state == "failed") ++snap.failed;
     else if (v.state == "retried") ++snap.retried;
+    if (v.state == "running") snap.threads_in_flight += v.threads;
 
     snap.total_cost_seconds += v.cost_seconds;
     const double retired = v.cost_seconds * v.progress;
@@ -313,8 +290,7 @@ CampaignSnapshot CampaignMonitor::snapshot() const {
     double observed_wall = 0;
     if (v.terminal()) observed_wall = v.wall_seconds;
     else if (v.telemetry_found) observed_wall = v.run_wall_seconds;
-    if (retired > 0 && v.progress >= options_.min_progress &&
-        observed_wall > 0) {
+    if (retired > 0 && v.progress >= kMinProgress && observed_wall > 0) {
       v.slowdown = observed_wall / retired;
     }
 
@@ -354,7 +330,7 @@ CampaignSnapshot CampaignMonitor::snapshot() const {
     const double median = slowdowns[mid];
     for (CaseView& v : snap.cases) {
       v.straggler = v.state == "running" && v.slowdown > 0 && median > 0 &&
-                    v.slowdown > options_.straggler_factor * median;
+                    v.slowdown > kStragglerFactor * median;
     }
   }
   return snap;

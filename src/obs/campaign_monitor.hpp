@@ -15,12 +15,11 @@
 ///   <dir>/<case>/telemetry/run.ndjson    each case's per-step metrics
 ///                                        stream (rank0/ fallback for
 ///                                        multi-rank cases): step, simulated
-///                                        time, Nu, residuals, health flags;
-///   <dir>/sched.ndjson                   the scheduler's own sched.*
-///                                        metrics (queue depth, workers
-///                                        busy, retries, queue wait) when
-///                                        campaign.monitor is enabled —
-///                                        tolerated when absent.
+///                                        time, Nu, residuals, health flags.
+///
+/// The queue shape comes from the same manifest fold: queued and running
+/// counts are the folded states, and threads in flight is the declared
+/// threads summed over running cases.
 ///
 /// Everything is read incrementally through NdjsonFollower, so the monitor
 /// is safe to point at a *running* campaign (it only ever sees fsync'd
@@ -36,9 +35,9 @@
 ///    step progress) by the campaign clock to get a cost retirement rate,
 ///    and prices the remaining cost at that rate.
 ///  * Stragglers: a running case whose observed wall-seconds per unit of
-///    modelled cost exceeds `straggler_factor` × the median slowdown across
-///    comparably progressed cases — the normalized test that stays valid
-///    when case costs span decades of Ra.
+///    modelled cost exceeds twice the median slowdown across comparably
+///    progressed cases — the normalized test that stays valid when case
+///    costs span decades of Ra.
 #pragma once
 
 #include <cstdint>
@@ -112,6 +111,7 @@ struct CampaignSnapshot {
   int failed = 0;
   int retried = 0;
   std::int64_t retry_transitions = 0;  ///< `retried` records observed
+  int threads_in_flight = 0;           ///< Σ declared threads of running cases
 
   // Perfmodel-costed throughput / ETA.
   double total_cost_seconds = 0;
@@ -125,10 +125,6 @@ struct CampaignSnapshot {
   std::map<std::string, double> health_flags;
   double anomalies = 0;
 
-  // Scheduler-side sched.* stream (absent when campaign.monitor is off).
-  bool sched_stream_found = false;
-  std::map<std::string, double> sched;  ///< latest flat sched.* values
-
   /// Every case reached `done`.
   bool complete() const;
   const CaseView* find(const std::string& id) const;
@@ -136,21 +132,14 @@ struct CampaignSnapshot {
 
 class CampaignMonitor {
  public:
-  struct Options {
-    double straggler_factor = 2.0;  ///< slowdown > factor × median ⇒ flag
-    double min_progress = 0.02;     ///< slowdown undefined below this
-    usize max_step_marks = 20000;   ///< per-case trace-mark cap
-  };
-
   explicit CampaignMonitor(std::string dir);
-  CampaignMonitor(std::string dir, Options options);
   CampaignMonitor(const CampaignMonitor&) = delete;
   CampaignMonitor& operator=(const CampaignMonitor&) = delete;
 
   /// Tail every journal: the manifest first (it declares the cases), then
-  /// each known case's telemetry stream and the sched.* stream. Returns the
-  /// number of journal lines consumed. Throws sched::ManifestReplayError on
-  /// a protocol-violating manifest, exactly like sched::read_manifest.
+  /// each known case's telemetry stream. Returns the number of journal lines
+  /// consumed. Throws sched::ManifestReplayError on a protocol-violating
+  /// manifest, exactly like sched::read_manifest.
   usize poll();
 
   /// Fold the consumed journals into a fleet snapshot.
@@ -162,7 +151,6 @@ class CampaignMonitor {
   const sched::ManifestState& manifest_state() const { return manifest_; }
 
   const std::string& dir() const { return dir_; }
-  const Options& options() const { return options_; }
 
   /// One manifest `run` record, campaign-clock rebased; the merged trace is
   /// built from these (queue intervals, attempt intervals, transitions).
@@ -202,15 +190,12 @@ class CampaignMonitor {
 
   void apply_manifest(const std::string& line);
   void apply_case_stream(CaseLive& live, const std::string& line);
-  void apply_sched_stream(const std::string& line);
   usize poll_case_streams();
   std::string telemetry_stream_path(const std::string& id) const;
   void note_clock(double t);
 
   std::string dir_;
-  Options options_;
   NdjsonFollower manifest_follower_;
-  NdjsonFollower sched_follower_;
 
   sched::ManifestState manifest_;
 
@@ -242,10 +227,6 @@ class CampaignMonitor {
   double clock_high_water_ = 0;
 
   std::map<std::string, CaseLive> live_;
-
-  bool sched_stream_found_ = false;
-  std::map<std::string, double> sched_latest_;
-  double sched_session_offset_ = 0;
 };
 
 }  // namespace felis::obs

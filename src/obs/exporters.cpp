@@ -50,14 +50,6 @@ std::string prom_label(const std::string& s) {
   return out;
 }
 
-/// Metric-name sanitization: dots become underscores.
-std::string prom_name(const std::string& s) {
-  std::string out = s;
-  for (char& c : out)
-    if (c == '.') c = '_';
-  return out;
-}
-
 std::int64_t usec(double seconds) {
   const double us = seconds * 1e6;
   return us > 0 ? static_cast<std::int64_t>(std::llround(us)) : 0;
@@ -83,6 +75,7 @@ std::string status_json(const CampaignSnapshot& snap) {
      << ", \"done\": " << snap.done << ", \"failed\": " << snap.failed
      << ", \"retried\": " << snap.retried << "},\n";
   os << "  \"retry_transitions\": " << snap.retry_transitions << ",\n";
+  os << "  \"threads_in_flight\": " << snap.threads_in_flight << ",\n";
   os << "  \"progress\": {\"total_cost_seconds\": "
      << num(snap.total_cost_seconds)
      << ", \"done_cost_seconds\": " << num(snap.done_cost_seconds)
@@ -94,11 +87,6 @@ std::string status_json(const CampaignSnapshot& snap) {
      << ", \"flags\": ";
   emit_flat_map(os, snap.health_flags);
   os << "},\n";
-  os << "  \"sched_stream_found\": "
-     << (snap.sched_stream_found ? "true" : "false") << ",\n";
-  os << "  \"sched\": ";
-  emit_flat_map(os, snap.sched);
-  os << ",\n";
   os << "  \"cases\": [\n";
   bool first = true;
   for (const CaseView& v : snap.cases) {
@@ -149,6 +137,8 @@ std::string status_prometheus(const CampaignSnapshot& snap) {
   os << "# TYPE felis_campaign_retry_transitions_total counter\n"
      << "felis_campaign_retry_transitions_total " << snap.retry_transitions
      << "\n";
+  os << "# TYPE felis_campaign_threads_in_flight gauge\n"
+     << "felis_campaign_threads_in_flight " << snap.threads_in_flight << "\n";
   os << "# TYPE felis_campaign_resumes_total counter\n"
      << "felis_campaign_resumes_total " << snap.resumes << "\n";
   os << "# TYPE felis_campaign_clock_seconds gauge\n"
@@ -195,10 +185,6 @@ std::string status_prometheus(const CampaignSnapshot& snap) {
   for (const CaseView& v : snap.cases)
     os << "felis_campaign_case_straggler{case=\"" << prom_label(v.id)
        << "\"} " << (v.straggler ? 1 : 0) << "\n";
-  for (const auto& [key, value] : snap.sched) {
-    os << "# TYPE felis_" << prom_name(key) << " gauge\n"
-       << "felis_" << prom_name(key) << " " << num(value) << "\n";
-  }
   return os.str();
 }
 

@@ -5,9 +5,9 @@
 /// Three read-only views over one CampaignMonitor, for three consumers:
 ///
 ///  * status_json()        machine-readable snapshot (schema
-///                         felis-campaign-status-1) — per-case states exactly
-///                         equal to the manifest fold, progress/ETA/straggler
-///                         roll-ups, health flags;
+///                         felis-campaign-status-2) — per-case states exactly
+///                         equal to the manifest fold, queue shape,
+///                         progress/ETA/straggler roll-ups, health flags;
 ///  * status_prometheus()  Prometheus/OpenMetrics-style text exposition
 ///                         (felis_campaign_* samples) for scrape-based
 ///                         dashboards;
@@ -30,7 +30,7 @@
 
 namespace felis::obs {
 
-inline constexpr const char* kStatusSchema = "felis-campaign-status-1";
+inline constexpr const char* kStatusSchema = "felis-campaign-status-2";
 
 /// Pretty-printed JSON status document for `snap`.
 std::string status_json(const CampaignSnapshot& snap);

@@ -1,9 +1,9 @@
 /// \file ndjson_follower.hpp
 /// \brief Crash-tolerant incremental tail reader for NDJSON journals.
 ///
-/// Every felis journal (campaign manifest, per-step telemetry stream, the
-/// scheduler's sched.ndjson) is written through io::DurableAppendWriter:
-/// append-only, fsync-per-record, at most one torn final line after a kill.
+/// Every felis journal (campaign manifest, per-step telemetry stream) is
+/// written through io::DurableAppendWriter: append-only, fsync-per-record,
+/// at most one torn final line after a kill.
 /// NdjsonFollower is the matching read side for a *live* journal: each
 /// poll() reads only the bytes appended since the last poll and returns the
 /// newly *completed* lines.

@@ -59,7 +59,11 @@ CampaignSpec CampaignSpec::from_params(const ParamMap& params) {
   c.retry_backoff_ms = params.get_int("campaign.backoff_ms", c.retry_backoff_ms);
   c.watchdog_seconds =
       params.get_real("campaign.watchdog_seconds", c.watchdog_seconds);
-  c.monitor = params.get_bool("campaign.monitor", c.monitor);
+  // ParamMap ignores unknown keys, so a file written for the retired
+  // scheduler metrics journal would otherwise run without comment.
+  if (params.has("campaign.monitor"))
+    throw Error("parameter 'campaign.monitor' was removed: the manifest is the "
+                "one campaign journal, read by felis_campaign --status DIR");
   FELIS_CHECK_MSG(c.workers >= 1, "campaign.workers must be >= 1");
   FELIS_CHECK_MSG(c.thread_budget >= 1, "campaign.thread_budget must be >= 1");
   FELIS_CHECK_MSG(c.ranks >= 1, "campaign.ranks must be >= 1");
@@ -96,10 +100,6 @@ std::string CampaignSpec::manifest_path() const {
 
 std::string CampaignSpec::summary_csv_path() const {
   return (std::filesystem::path(config.dir) / "nu_ra.csv").string();
-}
-
-std::string CampaignSpec::sched_stream_path() const {
-  return (std::filesystem::path(config.dir) / "sched.ndjson").string();
 }
 
 }  // namespace felis::sched

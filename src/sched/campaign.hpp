@@ -29,7 +29,6 @@ struct CampaignConfig {
   int max_retries = 2;           ///< extra attempts per case after a failure
   int retry_backoff_ms = 50;     ///< first backoff; doubles per retry
   double watchdog_seconds = 0;   ///< cancel a run with no heartbeat (0 = off)
-  bool monitor = false;          ///< journal sched.* metrics to sched.ndjson
 };
 
 struct CampaignSpec {
@@ -39,15 +38,13 @@ struct CampaignSpec {
   /// Parse campaign.* keys, expand the sweep axes, resolve per-case threads
   /// (campaign.ranks, overridable per case via case.ranks) and steps
   /// (campaign.steps / case.steps), estimate costs and order the queue.
-  /// Throws felis::Error on malformed keys (naming them) and when any case
-  /// needs more threads than the budget.
+  /// Throws felis::Error on malformed keys (naming them), on a key of the
+  /// retired scheduler metrics journal, and when any case needs more threads
+  /// than the budget.
   static CampaignSpec from_params(const ParamMap& params);
 
   std::string manifest_path() const;
   std::string summary_csv_path() const;
-  /// Scheduler-side observability journal (campaign.monitor = true): one
-  /// `sched` record per queue transition, consumed by obs::CampaignMonitor.
-  std::string sched_stream_path() const;
 };
 
 /// Perfmodel cost estimate for one case: per-step workload from the case's

@@ -55,7 +55,7 @@ struct InjectorPool {
 /// the restore step via allreduce so the lockstep communication pattern is
 /// never broken by one rank leaving the loop early.
 void run_rank(const CaseSpec& cs, RunContext& ctx, comm::Communicator& comm,
-              io::FaultInjector* fault, bool with_telemetry, RunResult* result,
+              io::FaultInjector* fault, RunResult* result,
               std::mutex* result_mutex) {
   const ParamMap& params = cs.params;
 
@@ -85,7 +85,7 @@ void run_rank(const CaseSpec& cs, RunContext& ctx, comm::Communicator& comm,
   if (comm.size() > 1) ck.basename += ".r" + std::to_string(comm.rank());
 
   std::optional<telemetry::Telemetry> telemetry;
-  if (with_telemetry && params.get_bool("telemetry.enabled", false)) {
+  if (params.get_bool("telemetry.enabled", false)) {
     telemetry::TelemetryConfig tc = telemetry::config_from_params(params);
     std::filesystem::path dir =
         std::filesystem::path(ctx.run_dir()) / "telemetry";
@@ -180,26 +180,22 @@ void run_rank(const CaseSpec& cs, RunContext& ctx, comm::Communicator& comm,
 
 }  // namespace
 
-CaseRunner make_case_runner(CaseRunnerOptions options) {
+CaseRunner make_case_runner() {
   auto injectors = std::make_shared<InjectorPool>();
-  return [options, injectors](const CaseSpec& cs,
-                              RunContext& ctx) -> RunResult {
+  return [injectors](const CaseSpec& cs, RunContext& ctx) -> RunResult {
     // Injection is single-rank only: with threads-as-ranks, a rank that dies
     // mid-exchange leaves its peers blocked forever (exactly like MPI without
     // a fault tolerance layer), so the injected kill would hang the pool
     // instead of failing the case.
-    io::FaultInjector* fault =
-        options.fault_injection && cs.threads == 1 ? injectors->get(cs)
-                                                   : nullptr;
+    io::FaultInjector* fault = cs.threads == 1 ? injectors->get(cs) : nullptr;
     RunResult result;
     std::mutex result_mutex;
     if (cs.threads == 1) {
       comm::SelfComm comm;
-      run_rank(cs, ctx, comm, fault, options.telemetry, &result, &result_mutex);
+      run_rank(cs, ctx, comm, fault, &result, &result_mutex);
     } else {
       comm::run_parallel(cs.threads, [&](comm::Communicator& comm) {
-        run_rank(cs, ctx, comm, fault, options.telemetry, &result,
-                 &result_mutex);
+        run_rank(cs, ctx, comm, fault, &result, &result_mutex);
       });
     }
     return result;

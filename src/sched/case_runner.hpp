@@ -24,23 +24,18 @@
 /// registered case, a case that crashes and retries finishes in exactly the
 /// state of an uninterrupted run.
 ///
-/// Fault injection (fault.* case keys or FELIS_FAULT_INJECT) is honoured for
-/// single-rank cases only — one injector per case persists across attempts,
-/// so `at=N` faults fire once per campaign, not once per attempt. Multi-rank
-/// cases skip injection: a rank killed mid-exchange would deadlock its peers,
-/// which is a property of threads-as-ranks, not of the scheduler under test.
+/// The case's own keys govern everything optional: per-rank telemetry is on
+/// when `telemetry.enabled` is, and fault injection (fault.* case keys or
+/// FELIS_FAULT_INJECT) is honoured for single-rank cases only — one injector
+/// per case persists across attempts, so `at=N` faults fire once per
+/// campaign, not once per attempt. Multi-rank cases skip injection: a rank
+/// killed mid-exchange would deadlock its peers, which is a property of
+/// threads-as-ranks, not of the scheduler under test.
 #pragma once
 
 #include "sched/scheduler.hpp"
 
 namespace felis::sched {
-
-struct CaseRunnerOptions {
-  /// Honour fault.* keys / FELIS_FAULT_INJECT on single-rank cases.
-  bool fault_injection = true;
-  /// Attach per-rank telemetry when the case enables telemetry.enabled.
-  bool telemetry = true;
-};
 
 /// Build the default registry-driven runner. The returned callable is
 /// thread-safe (the scheduler invokes it concurrently for different cases)
@@ -49,7 +44,7 @@ struct CaseRunnerOptions {
 /// registry's available-cases message as the failure detail; hosts should
 /// validate types upfront (felis_campaign does) so deterministic config
 /// errors never burn retries.
-CaseRunner make_case_runner(CaseRunnerOptions options = {});
+CaseRunner make_case_runner();
 
 /// Write the campaign-level Nu summary CSV (the aggregate the
 /// bench_nu_ra_scaling study and the validation matrix tabulate): one row

@@ -4,20 +4,16 @@
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
-#include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/logger.hpp"
-#include "io/durable_append.hpp"
 #include "io/fault_injector.hpp"
 #include "sched/manifest.hpp"
-#include "telemetry/metrics.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace felis::sched {
@@ -50,50 +46,6 @@ std::atomic<Scheduler*> g_sigint_target{nullptr};
 void sigint_handler(int) {
   if (Scheduler* s = g_sigint_target.load(std::memory_order_relaxed))
     s->request_drain();
-}
-
-// Scheduler-side observability state (campaign.monitor = true): the sched.*
-// metrics registry plus the crash-safe journal they are exported through.
-// Lives only for the duration of run(); every charge site is gated by one
-// relaxed load of the owning atomic pointer so the disabled path costs a
-// load + branch and nothing else.
-struct MonitorState {
-  explicit MonitorState(const std::string& path) : out(path) {}
-  telemetry::MetricsRegistry metrics;
-  io::DurableAppendWriter out;
-};
-
-std::string sched_json_number(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  return buf;
-}
-
-// One `sched` record: flat counters/gauges, nested count/sum/min/max for
-// histograms — the same shape telemetry step records use, so the monitor's
-// prefix scanner reads both.
-std::string format_sched_record(double t,
-                                const telemetry::MetricsRegistry& metrics) {
-  std::ostringstream os;
-  os << R"({"type":"sched","t":)" << sched_json_number(t) << R"(,"metrics":{)";
-  bool first = true;
-  for (const telemetry::MetricRow& row : metrics.snapshot()) {
-    if (!first) os << ',';
-    first = false;
-    os << '"' << row.name << "\":";
-    if (row.kind == telemetry::MetricKind::kHistogram) {
-      const bool empty = row.count <= 0;
-      os << R"({"last":)" << sched_json_number(row.value) << R"(,"count":)"
-         << sched_json_number(row.count) << R"(,"sum":)"
-         << sched_json_number(row.sum) << R"(,"min":)"
-         << sched_json_number(empty ? 0 : row.min) << R"(,"max":)"
-         << sched_json_number(empty ? 0 : row.max) << '}';
-    } else {
-      os << sched_json_number(row.value);
-    }
-  }
-  os << "}}";
-  return os.str();
 }
 
 }  // namespace
@@ -133,8 +85,7 @@ CampaignReport Scheduler::run() {
   struct QueueEntry {
     usize case_index;
     int attempt;
-    double ready_at;   ///< campaign-clock seconds (retry backoff gate)
-    double queued_at;  ///< when the entry joined the queue (wait metric)
+    double ready_at;  ///< campaign-clock seconds (retry backoff gate)
   };
   struct ActiveRun {
     RunContext ctx;
@@ -152,29 +103,6 @@ CampaignReport Scheduler::run() {
 
   const telemetry::Stopwatch watch;
   const auto clock = [&watch] { return watch.seconds(); };
-
-  // ---- observability producer (campaign.monitor) ----
-  std::unique_ptr<MonitorState> monitor_owner;
-  if (cfg.monitor) {
-    monitor_owner = std::make_unique<MonitorState>(spec_.sched_stream_path());
-    // Per-session header: the monitor rebases this session's `t` values onto
-    // its campaign clock when it sees one (resume sessions restart at 0).
-    monitor_owner->out.append(
-        std::string(R"({"type":"header","schema":"felis-sched-1","campaign":")") +
-        cfg.name + R"(","workers":)" + std::to_string(cfg.workers) +
-        R"(,"thread_budget":)" + std::to_string(cfg.thread_budget) + "}");
-  }
-  std::atomic<MonitorState*> monitor{monitor_owner.get()};
-  // Charge the queue-shape gauges and journal one record; callers hold
-  // `mutex` (so queue/active/threads_in_flight reads are consistent) and have
-  // already passed the relaxed-load gate.
-  const auto charge_sched = [&](MonitorState& m, int queue_depth,
-                                int workers_busy, int in_flight) {
-    m.metrics.set("sched.queue_depth", queue_depth);
-    m.metrics.set("sched.workers_busy", workers_busy);
-    m.metrics.set("sched.threads_in_flight", in_flight);
-    m.out.append(format_sched_record(clock(), m.metrics));
-  };
 
   // ---- seed the queue from the spec and the previous session's journal ----
   int pending = 0;
@@ -196,7 +124,7 @@ CampaignReport Scheduler::run() {
       ++report.skipped;
       continue;
     }
-    queue.push_back({i, prior_attempts + 1, 0.0, 0.0});
+    queue.push_back({i, prior_attempts + 1, 0.0});
     ++pending;
   }
 
@@ -216,8 +144,6 @@ CampaignReport Scheduler::run() {
   for (const QueueEntry& e : queue)
     manifest.write_transition(spec_.cases[e.case_index].id, "queued", e.attempt,
                               clock(), 0.0);
-  if (MonitorState* m = monitor.load(std::memory_order_relaxed))
-    charge_sched(*m, static_cast<int>(queue.size()), 0, 0);
 
   FELIS_LOG_INFO("campaign '", cfg.name, "': ", pending, " case(s) to run, ",
                  report.skipped, " already done, ", cfg.workers, " worker(s), ",
@@ -318,17 +244,6 @@ CampaignReport Scheduler::run() {
       run->ctx.heartbeat();
 
       manifest.write_transition(cs.id, "running", entry.attempt, clock(), 0.0);
-      if (MonitorState* m = monitor.load(std::memory_order_relaxed)) {
-        m->metrics.add("sched.admissions", 1);
-        // Queue wait excludes the retry-backoff gate: an entry only becomes
-        // schedulable at ready_at, so time before that is intentional delay,
-        // not contention.
-        m->metrics.observe(
-            "sched.queue_wait_seconds",
-            std::max(0.0, clock() - std::max(entry.queued_at, entry.ready_at)));
-        charge_sched(*m, static_cast<int>(queue.size()),
-                     static_cast<int>(active.size()), threads_in_flight);
-      }
       lock.unlock();
 
       std::filesystem::create_directories(run->ctx.run_dir_);
@@ -363,8 +278,6 @@ CampaignReport Scheduler::run() {
         manifest.write_transition(cs.id, "done", entry.attempt, clock(),
                                   run_wall, out.result.detail,
                                   out.result.metrics);
-        if (MonitorState* m = monitor.load(std::memory_order_relaxed))
-          m->metrics.add("sched.completions", 1);
       } else if (draining()) {
         // Interrupted, not broken: journal `retried` so the next session
         // resumes this case from its newest checkpoint.
@@ -387,11 +300,9 @@ CampaignReport Scheduler::run() {
               static_cast<double>(cfg.retry_backoff_ms) *
               static_cast<double>(1 << (used - 1)) / 1000.0;
           queue.push_back({entry.case_index, entry.attempt + 1,
-                           clock() + backoff, clock()});
+                           clock() + backoff});
           manifest.write_transition(cs.id, "queued", entry.attempt + 1,
                                     clock(), 0.0, result.detail);
-          if (MonitorState* m = monitor.load(std::memory_order_relaxed))
-            m->metrics.add("sched.retries", 1);
         } else {
           out.state = "failed";
           out.result = std::move(result);
@@ -400,13 +311,8 @@ CampaignReport Scheduler::run() {
                           entry.attempt, " attempt(s): ", out.result.detail);
           manifest.write_transition(cs.id, "failed", entry.attempt, clock(),
                                     run_wall, out.result.detail);
-          if (MonitorState* m = monitor.load(std::memory_order_relaxed))
-            m->metrics.add("sched.failures", 1);
         }
       }
-      if (MonitorState* m = monitor.load(std::memory_order_relaxed))
-        charge_sched(*m, static_cast<int>(queue.size()),
-                     static_cast<int>(active.size()), threads_in_flight);
       maybe_finished();
       cv.notify_all();
     }
@@ -447,11 +353,6 @@ CampaignReport Scheduler::run() {
       ++report.drained;
     }
   }
-
-  // Final journal record: the at-rest queue shape (drained entries included)
-  // so a post-mortem `--status` sees the terminal sched.* values.
-  if (MonitorState* m = monitor.load(std::memory_order_relaxed))
-    charge_sched(*m, static_cast<int>(queue.size()), 0, 0);
 
   report.wall_seconds = watch.seconds();
   FELIS_LOG_INFO("campaign '", cfg.name, "': ", report.completed, " done, ",

@@ -23,12 +23,9 @@
 ///    and cancels active runs; in-flight checkpoints stay durable and the
 ///    manifest records the interrupted runs as `retried` for the next resume.
 ///
-/// Observability (campaign.monitor = true): every queue transition also
-/// charges sched.* metrics (queue depth, workers busy, threads in flight,
-/// admissions, retries, failures, completions, queue-wait histogram) through
-/// a telemetry::MetricsRegistry and journals them to <dir>/sched.ndjson,
-/// which obs::CampaignMonitor folds into the live fleet view. Disabled, the
-/// hot path pays one relaxed pointer load and a branch per transition.
+/// The manifest is the scheduler's only journal: obs::CampaignMonitor folds
+/// it (plus each case's telemetry stream) into the live fleet view, queue
+/// shape and threads in flight included.
 #pragma once
 
 #include <atomic>

@@ -3,8 +3,8 @@
 // mid-write races, truncation resets), the CampaignMonitor fold (manifest
 // equivalence with sched::read_manifest including torn tails, clock rebase
 // across resume sessions, telemetry roll-up, health flags, perfmodel ETA and
-// normalized straggler detection, sched.* stream), and the three exporters
-// (status JSON, Prometheus text, merged Chrome trace).
+// normalized straggler detection, queue shape from the manifest alone), and
+// the three exporters (status JSON, Prometheus text, merged Chrome trace).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -436,34 +436,43 @@ TEST_F(ObsTest, MonitorSumsHealthFlagsAcrossTheFleet) {
       snap.find("a")->health_flags.at("health.flags.iteration_spike"), 2.0);
 }
 
-TEST_F(ObsTest, MonitorFoldsTheSchedulerStream) {
-  const sched::CampaignSpec spec = make_spec(1);
-  {
-    sched::ManifestWriter writer(manifest_path());
-    writer.write_header(spec);
-    writer.write_case(spec.cases[0]);
-    writer.write_transition("a", "queued", 1, 0.0, 0);
+TEST_F(ObsTest, MonitorDerivesThreadsInFlightFromTheManifestAlone) {
+  sched::CampaignSpec spec = make_spec(2);
+  spec.cases[1].threads = 2;
+  sched::ManifestWriter writer(manifest_path());
+  writer.write_header(spec);
+  for (const auto& c : spec.cases) writer.write_case(c);
+  for (const char* id : {"a", "b"}) {
+    writer.write_transition(id, "queued", 1, 0.0, 0);
+    writer.write_transition(id, "running", 1, 0.1, 0);
   }
+
+  CampaignMonitor monitor(dir_);
+  monitor.poll();
+  EXPECT_EQ(monitor.snapshot().threads_in_flight, 3);
+
+  writer.write_transition("b", "done", 1, 1.0, 0.9);
+  monitor.poll();
+  const CampaignSnapshot snap = monitor.snapshot();
+  EXPECT_EQ(snap.threads_in_flight, 1);
+  EXPECT_EQ(snap.running, 1);
+  EXPECT_EQ(snap.done, 1);
+
+  // The scheduler metrics journal an older build wrote next to the manifest
+  // is no input: the status document stays the same to the byte.
+  const std::string before = status_json(snap);
   append_raw(dir_ + "/sched.ndjson",
              R"({"type":"header","schema":"felis-sched-1",)"
              R"("campaign":"obs_campaign","workers":2,"thread_budget":4})"
              "\n"
-             R"({"type":"sched","t":0.5,"metrics":{"sched.queue_depth":3,)"
-             R"("sched.admissions":1,"sched.workers_busy":2,)"
-             R"("sched.queue_wait_seconds":{"last":0.5,"count":1,"sum":0.5,)"
-             R"("min":0.5,"max":0.5}}})"
+             R"({"type":"sched","t":99,"metrics":{"sched.queue_depth":3,)"
+             R"("sched.workers_busy":2,"sched.threads_in_flight":3}})"
              "\n");
-
-  CampaignMonitor monitor(dir_);
   monitor.poll();
-  const CampaignSnapshot snap = monitor.snapshot();
-  EXPECT_TRUE(snap.sched_stream_found);
-  EXPECT_DOUBLE_EQ(snap.sched.at("sched.queue_depth"), 3.0);
-  EXPECT_DOUBLE_EQ(snap.sched.at("sched.admissions"), 1.0);
-  EXPECT_DOUBLE_EQ(snap.sched.at("sched.workers_busy"), 2.0);
-  // Histogram sub-fields fold under their dotted metric name's own keys, not
-  // as the nested object (the prefix scan skips `{` values).
-  EXPECT_EQ(snap.sched.count("sched.queue_wait_seconds"), 0u);
+  EXPECT_EQ(status_json(monitor.snapshot()), before);
+  CampaignMonitor fresh(dir_);
+  fresh.poll();
+  EXPECT_EQ(status_json(fresh.snapshot()), before);
 }
 
 TEST_F(ObsTest, MonitorOnAnEmptyDirectoryReportsNothingFound) {
@@ -471,7 +480,6 @@ TEST_F(ObsTest, MonitorOnAnEmptyDirectoryReportsNothingFound) {
   EXPECT_EQ(monitor.poll(), 0u);
   const CampaignSnapshot snap = monitor.snapshot();
   EXPECT_FALSE(snap.manifest_found);
-  EXPECT_FALSE(snap.sched_stream_found);
   EXPECT_TRUE(snap.cases.empty());
   EXPECT_FALSE(snap.complete());
   EXPECT_DOUBLE_EQ(snap.eta_seconds, 0.0);  // nothing declared, nothing owed
@@ -506,13 +514,17 @@ TEST_F(ExporterTest, StatusJsonCarriesTheSchemaAndEveryCase) {
   const std::string json = status_json(monitor.snapshot());
 
   for (const char* needle :
-       {"\"type\": \"campaign_status\"", "\"schema\": \"felis-campaign-status-1\"",
+       {"\"type\": \"campaign_status\"", "\"schema\": \"felis-campaign-status-2\"",
         "\"campaign\": \"obs_campaign\"", "\"manifest_found\": true",
         "\"case\": \"a\"", "\"state\": \"done\"", "\"case\": \"b\"",
-        "\"state\": \"running\"", "\"counts\"", "\"eta_seconds\"",
-        "\"health.flags.iteration_spike\":1", "\"case.nu_volume\":17.5"}) {
+        "\"state\": \"running\"", "\"counts\"", "\"threads_in_flight\": 1",
+        "\"eta_seconds\"", "\"health.flags.iteration_spike\":1",
+        "\"case.nu_volume\":17.5"}) {
     EXPECT_NE(json.find(needle), std::string::npos) << "missing: " << needle;
   }
+  // The queue shape lives in `counts` and `threads_in_flight`; no key of the
+  // retired scheduler metrics journal remains.
+  EXPECT_EQ(json.find("\"sched"), std::string::npos) << json;
   // Balanced braces/brackets — cheap structural sanity without a parser.
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
@@ -530,6 +542,7 @@ TEST_F(ExporterTest, PrometheusTextExposesFleetAndPerCaseSamples) {
        {"felis_campaign_info{campaign=\"obs_campaign\"} 1",
         "felis_campaign_cases{state=\"done\"} 1",
         "felis_campaign_cases{state=\"running\"} 1",
+        "felis_campaign_threads_in_flight 1",
         "felis_campaign_completed_fraction",
         "felis_campaign_health_flags{class=\"iteration_spike\"} 1",
         "felis_campaign_case_progress{case=\"a\"} 1",
@@ -586,7 +599,7 @@ TEST_F(ExporterTest, ConcurrentStatusWritersShareNoTemporaryFile) {
   std::ifstream in(dir_ + "/status.json");
   std::stringstream json;
   json << in.rdbuf();
-  EXPECT_NE(json.str().find("\"schema\": \"felis-campaign-status-1\""),
+  EXPECT_NE(json.str().find("\"schema\": \"felis-campaign-status-2\""),
             std::string::npos)
       << json.str();
   for (const auto& entry : fs::directory_iterator(dir_)) {

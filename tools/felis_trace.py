@@ -43,10 +43,13 @@ Usage
       is validated against the campaign contract (sched + step categories).
   felis_trace.py --summary <run.ndjson>
       Print a human-readable run summary from the metrics stream.
-  felis_trace.py --campaign <manifest.ndjson>
+  felis_trace.py --campaign <manifest.ndjson> [<status.json>]
       Validate a campaign manifest: header-first schema, every run record
       referencing a declared case, legal state transitions, monotone attempt
       numbers. Prints the per-case final states (exit 1 on violations).
+      With a `felis_campaign --status` document, also require that its
+      per-case states, state counts and threads_in_flight equal this fold
+      of the same manifest (the C++ monitor folds it independently).
 """
 
 import argparse
@@ -354,9 +357,61 @@ def check_campaign(path):
     return header, cases, last_state, attempts, resumes, torn_tail, healed
 
 
-def cmd_campaign(path):
+STATUS_SCHEMA = "felis-campaign-status-2"
+STATUS_STATES = ("declared", "queued", "running", "done", "failed", "retried")
+
+
+def check_status(path, header, cases, last_state):
+    """Cross-check a status document against check_campaign's fold: the same
+    campaign and case set, every case's state equal to its last manifest
+    state ("" for a case declared but never queued), the state counts, and
+    threads_in_flight equal to the declared threads of the running cases.
+    Returns threads_in_flight."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            status = json.load(f)
+    except FileNotFoundError:
+        raise CheckError(f"{path}: status document not found")
+    except json.JSONDecodeError as e:
+        raise CheckError(f"{path}: malformed JSON ({e})")
+    if status.get("schema") != STATUS_SCHEMA:
+        raise CheckError(f"{path}: schema {status.get('schema')!r}, "
+                         f"expected {STATUS_SCHEMA!r}")
+    if status.get("campaign") != header["campaign"]:
+        raise CheckError(f"{path}: campaign {status.get('campaign')!r}, "
+                         f"the manifest says {header['campaign']!r}")
+    rows = {row["case"]: row for row in status.get("cases", [])}
+    if set(rows) != set(cases):
+        raise CheckError(f"{path}: case set differs from the manifest's "
+                         f"({', '.join(sorted(set(rows) ^ set(cases)))})")
+    problems = []
+    for cid in sorted(cases):
+        want = last_state.get(cid, "")
+        if rows[cid].get("state") != want:
+            problems.append(f"case {cid!r} is {rows[cid].get('state')!r}, "
+                            f"the manifest fold says {want!r}")
+    counts = {state: 0 for state in STATUS_STATES}
+    for cid in cases:
+        counts[last_state.get(cid) or "declared"] += 1
+    if status.get("counts") != counts:
+        problems.append(f"counts {status.get('counts')}, the manifest fold "
+                        f"says {counts}")
+    threads = sum(cases[cid]["threads"] for cid in cases
+                  if last_state.get(cid) == "running")
+    if status.get("threads_in_flight") != threads:
+        problems.append(f"threads_in_flight {status.get('threads_in_flight')}"
+                        f", the manifest fold says {threads}")
+    if problems:
+        raise CheckError(f"{path}: " + "; ".join(problems))
+    return threads
+
+
+def cmd_campaign(path, status_path=None):
     (header, cases, last_state, attempts, resumes, torn,
      healed) = check_campaign(path)
+    threads = None
+    if status_path is not None:
+        threads = check_status(status_path, header, cases, last_state)
     counts = {}
     for cid in cases:
         counts.setdefault(last_state.get(cid, "declared"), []).append(cid)
@@ -372,6 +427,9 @@ def cmd_campaign(path):
         ids = counts.get(state)
         if ids:
             print(f"  {state:8s} {len(ids):3d}  {', '.join(sorted(ids))}")
+    if status_path is not None:
+        print(f"{status_path}: OK (states, counts and threads_in_flight "
+              f"{threads} match the manifest fold)")
     return 0
 
 
@@ -425,13 +483,16 @@ def main():
     mode.add_argument("--campaign", action="store_true",
                       help="validate a campaign manifest.ndjson")
     parser.add_argument("paths", nargs="+",
-                        help="run.ndjson [run.trace.json] | manifest.ndjson")
+                        help="run.ndjson [run.trace.json] | "
+                             "manifest.ndjson [status.json]")
     args = parser.parse_args()
+    if len(args.paths) > (1 if args.summary else 2):
+        parser.error(f"too many paths: {' '.join(args.paths)}")
     try:
         if args.check:
             return cmd_check(args.paths)
         if args.campaign:
-            return cmd_campaign(args.paths[0])
+            return cmd_campaign(*args.paths[:2])
         return cmd_summary(args.paths[0])
     except (CheckError, OSError) as e:
         print(f"felis-trace: {e}", file=sys.stderr)

@@ -12,6 +12,8 @@ Reads the campaign file's validation.* keys:
 
 and checks, against <campaign_dir>/manifest.ndjson and nu_ra.csv:
 
+  0. the manifest passes felis_trace.py's campaign check, whose fold gives
+     each case's final state;
   1. every campaign case reached final state `done` in the manifest;
   2. every done case has a CSV row;
   3. the matrix exercised at least --min-types distinct case types (default 3);
@@ -25,9 +27,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
+
+from felis_trace import CheckError, check_campaign
 
 
 def parse_params(text: str) -> dict[str, str]:
@@ -43,26 +46,6 @@ def parse_params(text: str) -> dict[str, str]:
         key, value = line.split("=", 1)
         params[key.strip()] = value.strip()
     return params
-
-
-def final_states(manifest_path: Path) -> tuple[dict[str, str], set[str]]:
-    """Last recorded state per case, plus the declared case set."""
-    states: dict[str, str] = {}
-    declared: set[str] = set()
-    with manifest_path.open() as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn tail is legal in a crash-safe NDJSON log
-            if record.get("type") == "case":
-                declared.add(record["case"])
-            elif record.get("type") == "run":
-                states[record["case"]] = record["state"]
-    return states, declared
 
 
 def main() -> int:
@@ -96,8 +79,12 @@ def main() -> int:
             print(f"FAIL {p}")
         return 1
 
-    states, declared = final_states(manifest)
-    for case in sorted(declared):
+    try:
+        _, cases, states, *_ = check_campaign(str(manifest))
+    except CheckError as e:
+        print(f"FAIL {e}")
+        return 1
+    for case in sorted(cases):
         state = states.get(case, "absent")
         if state != "done":
             problems.append(f"{case}: final manifest state '{state}', not 'done'")
@@ -106,7 +93,7 @@ def main() -> int:
         rows = [row for row in csv.DictReader(
             line for line in fh if not line.startswith("#"))]
     rows_by_case = {row["case"]: row for row in rows}
-    for case in sorted(declared):
+    for case in sorted(cases):
         if states.get(case) == "done" and case not in rows_by_case:
             problems.append(f"{case}: done but missing from {summary.name}")
 

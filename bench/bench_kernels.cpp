@@ -120,9 +120,15 @@ BENCHMARK(BM_AxHelmholtzRef)->Apply([](benchmark::internal::Benchmark* b) {
   sweep(b, {3, 5, 7, 9});
 });
 
-void BM_DealiasedAdvection(benchmark::State& state) {
+/// Advector::apply on a fixed velocity, flops as executed per element:
+/// eleven tensor sweeps (the s and t chains share the r interpolation), the
+/// three flux products and the signed update. On the m-point dealias grid
+/// an m×n sweep chain costs 2mn³ + 2m²n² + 2m³n and the back-projection the
+/// same; apply runs three sweeps of 2mn³ and four each of 2m²n² and 2m³n.
+void dealiased_advection(benchmark::State& state, bool reference) {
   KernelFixture f(static_cast<int>(state.range(0)),
                   static_cast<int>(state.range(1)));
+  if (reference) f.setup.kernels = field::TensorKernels::reference();
   const operators::Context ctx = f.setup.ctx();
   operators::Advector adv(ctx);
   adv.set_velocity(f.cx, f.cy, f.cz);
@@ -132,14 +138,29 @@ void BM_DealiasedAdvection(benchmark::State& state) {
     benchmark::DoNotOptimize(f.out.data());
   }
   const double n = static_cast<double>(state.range(0)) + 1;
-  const double nd = std::ceil(1.5 * n);  // 3/2-rule dealias grid
+  const double m = field::dealias_points(static_cast<int>(n));
   const double nelem = static_cast<double>(ctx.num_elements());
-  // Interp to the Gauss grid (3 sweeps), 3 flux products, project back.
   annotate(state,
-           nelem * (6 * nd * std::pow(n, 3) + 11 * std::pow(nd, 3)),
-           nelem * (2 * std::pow(n, 3) + 4 * std::pow(nd, 3)) * sizeof(real_t));
+           nelem * (6 * m * std::pow(n, 3) + 8 * m * m * n * n +
+                    8 * std::pow(m, 3) * n + 5 * std::pow(m, 3) +
+                    2 * std::pow(n, 3)),
+           nelem * (2 * std::pow(n, 3) + 4 * std::pow(m, 3)) * sizeof(real_t));
+}
+
+void BM_DealiasedAdvection(benchmark::State& state) {
+  dealiased_advection(state, false);
 }
 BENCHMARK(BM_DealiasedAdvection)->Apply([](benchmark::internal::Benchmark* b) {
+  sweep(b, {3, 5, 7});
+});
+
+/// The same advector on the scalar reference kernels: the
+/// BM_DealiasedAdvection / BM_DealiasedAdvectionRef ratio is the table's
+/// margin on the rectangular sweeps, gated like the Ax/AxRef ratio.
+void BM_DealiasedAdvectionRef(benchmark::State& state) {
+  dealiased_advection(state, true);
+}
+BENCHMARK(BM_DealiasedAdvectionRef)->Apply([](benchmark::internal::Benchmark* b) {
   sweep(b, {3, 5, 7});
 });
 

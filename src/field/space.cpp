@@ -27,7 +27,7 @@ Space Space::make(int degree, bool dealias) {
   sp.n = degree + 1;
   // ⌈3n/2⌉ Gauss points per the 3/2 dealiasing rule; the aliased variant
   // evaluates the convective products on the GLL grid itself.
-  sp.nd = dealias ? (3 * sp.n + 1) / 2 : sp.n;
+  sp.nd = dealias ? dealias_points(sp.n) : sp.n;
 
   const quadrature::QuadRule gll = quadrature::gauss_lobatto_legendre(sp.n);
   const quadrature::QuadRule gl = dealias

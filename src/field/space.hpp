@@ -8,6 +8,10 @@
 
 namespace felis::field {
 
+/// Gauss points per direction of the dealias grid for n GLL nodes: ⌈3n/2⌉,
+/// the 3/2 rule. The kernel table specializes the n×m transfer shapes on it.
+constexpr int dealias_points(int n) { return (3 * n + 1) / 2; }
+
 struct Space {
   int degree = 0;  ///< polynomial degree N (paper production value: 7)
   int n = 0;       ///< nodes per direction, N+1

@@ -412,6 +412,9 @@ void Advector::apply(const RealVec& u, RealVec& out, real_t sign) const {
         RealVec& t1 = scratch.vec(nd3);
         RealVec& t2 = scratch.vec(nd3);
         RealVec& s = scratch.vec(nd3);
+        RealVec& ir = scratch.vec(static_cast<usize>(m) *
+                                  static_cast<usize>(n) *
+                                  static_cast<usize>(n));
         RealVec& ua = scratch.vec(static_cast<usize>(npe));
         for (lidx_t e = e0; e < e1; ++e) {
           const usize base = static_cast<usize>(e) * static_cast<usize>(npe);
@@ -419,7 +422,9 @@ void Advector::apply(const RealVec& u, RealVec& out, real_t sign) const {
           const real_t* ue = u.data() + base;
           // s(q) = Σ_a c_a(q) · (∂u/∂r_a)(q) on the Gauss grid; ∂u/∂r_a at
           // Gauss points via mixed tensor chains (derivative on axis a,
-          // interpolation on the others).
+          // interpolation on the others). The s and t chains both start by
+          // interpolating along r: that sweep runs once, into ir.
+          kern.axis0(sp.interp, ue, ir.data(), n, n);
           // axis r: dgl ⊗ interp ⊗ interp.
           kern.axis0(sp.dgl, ue, t1.data(), n, n);
           kern.axis1(sp.interp, t1.data(), t2.data(), m, n);
@@ -428,15 +433,13 @@ void Advector::apply(const RealVec& u, RealVec& out, real_t sign) const {
             s[static_cast<usize>(q)] =
                 cr_[base_d + static_cast<usize>(q)] * t1[static_cast<usize>(q)];
           // axis s.
-          kern.axis0(sp.interp, ue, t1.data(), n, n);
-          kern.axis1(sp.dgl, t1.data(), t2.data(), m, n);
+          kern.axis1(sp.dgl, ir.data(), t2.data(), m, n);
           kern.axis2(sp.interp, t2.data(), t1.data(), m, m);
           for (lidx_t q = 0; q < npe_d; ++q)
             s[static_cast<usize>(q)] +=
                 cs_[base_d + static_cast<usize>(q)] * t1[static_cast<usize>(q)];
           // axis t.
-          kern.axis0(sp.interp, ue, t1.data(), n, n);
-          kern.axis1(sp.interp, t1.data(), t2.data(), m, n);
+          kern.axis1(sp.interp, ir.data(), t2.data(), m, n);
           kern.axis2(sp.dgl, t2.data(), t1.data(), m, m);
           for (lidx_t q = 0; q < npe_d; ++q)
             s[static_cast<usize>(q)] +=

@@ -1,16 +1,18 @@
-// Tensor-kernel table and variant-equivalence tests.
+// Tensor-kernel table and kernel-equivalence tests.
 //
 // The contract under test: every kernel `TensorKernels::for_order(n)` can
-// dispatch to — directly, or as the delegate a fixed-order variant hands
-// non-square shapes to — produces THE SAME BITS as the scalar reference
-// kernel for every shape it can be called with (square and rectangular
-// operators, all three axes, the fused gradient, the interpolation chain).
-// That contract is what lets the table choose a variant per order without
-// changing what the solver computes. The final test holds the full solver to
-// it: a multi-step RBC solve with the per-order table must match one with the
-// kernels pinned to the reference, bitwise.
+// dispatch to — a shape-specialized kernel, or the reference kernel it
+// routes every other shape to — produces THE SAME BITS as the scalar
+// reference kernel for every shape it can be called with (square and
+// rectangular operators, all three axes, the fused gradient, the
+// interpolation chain, the dealiased advector). That contract is what lets
+// the table route shapes without changing what the solver computes. The
+// final test holds the full solver to it: a multi-step RBC solve with the
+// per-order table must match one with the kernels pinned to the reference,
+// bitwise.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 #include <random>
 #include <string>
@@ -52,19 +54,20 @@ void expect_bitwise(const RealVec& a, const RealVec& b, const std::string& what)
 // The table is a pure function of n: pin every slot at every order the
 // equivalence tests below cover, and check that rank setups on different
 // backends receive that same table.
+template <int N>
+field::TensorKernels order_row() {
+  using namespace field;  // the kernel names read like the table itself
+  return {&apply_axis_order<0, N>, &apply_axis_order<1, N>,
+          &apply_axis_order<2, N>, &grad_order<N>, &interp3_order<N>};
+}
+
 TEST(TensorKernelTable, ForOrderIsThePinnedTable) {
-  using namespace field;  // the variant names read like the table itself
-  const std::map<int, TensorKernels> fixed = {
-      {4, {&apply_axis0_fixed<4>, &apply_axis1_fixed<4>, &apply_axis2_fixed<4>,
-           &grad_ref_fixed<4>, &interp3}},
-      {6, {&apply_axis0_fixed<6>, &apply_axis1_fixed<6>, &apply_axis2,
-           &grad_ref_fixed<6>, &interp3}},
-      {8, {&apply_axis0_fixed<8>, &apply_axis1_fixed<8>, &apply_axis2,
-           &grad_ref_fixed<8>, &interp3}},
-      {10, {&apply_axis0_fixed<10>, &apply_axis1_fixed<10>, &apply_axis2,
-            &grad_ref_fixed<10>, &interp3}},
-      {12, {&apply_axis0_fixed<12>, &apply_axis1_fixed<12>, &apply_axis2,
-            &grad_ref_fixed<12>, &interp3}}};
+  using field::TensorKernels;
+  const std::map<int, TensorKernels> fixed = {{4, order_row<4>()},
+                                              {6, order_row<6>()},
+                                              {8, order_row<8>()},
+                                              {10, order_row<10>()},
+                                              {12, order_row<12>()}};
   const auto expect_table = [](const TensorKernels& got,
                                const TensorKernels& want,
                                const std::string& what) {
@@ -149,43 +152,49 @@ TEST(TensorVariants, GradBitwiseAtAllOrders) {
   }
 }
 
-// Rectangular operators: the dealiased advector applies nd×n interpolation
-// and n×nd projection ops through the SAME table pointers, so every slot
-// (including the fixed-N specializations, which must detect the shape
-// mismatch and delegate to the simd variants) has to reproduce the reference
-// bitwise there too.
+// One rows×cols operator swept along each axis of a table at the extents
+// the solver's chains use: axis0 on a cols×cols×cols block, axis1 on
+// rows×cols×cols, axis2 on rows×rows×cols.
+void expect_chain_bitwise(std::mt19937& rng, const std::vector<AxisSlot>& slots,
+                          int rows, int cols, const std::string& shape) {
+  const field::Op1D op = random_op(rng, rows, cols);
+  const usize r = static_cast<usize>(rows), c = static_cast<usize>(cols);
+  const int da[3] = {cols, rows, rows}, db[3] = {cols, cols, rows};
+  const usize in_size[3] = {c * c * c, r * c * c, r * r * c};
+  for (int s = 0; s < 3; ++s) {
+    const AxisSlot& slot = slots[static_cast<usize>(s)];
+    const usize out_size = in_size[s] / c * r;
+    const RealVec u = random_vec(rng, in_size[s]);
+    RealVec ref(out_size), got(out_size, -7.0);
+    slot.ref(op, u.data(), ref.data(), da[s], db[s]);
+    slot.got(op, u.data(), got.data(), da[s], db[s]);
+    expect_bitwise(ref, got, std::string(slot.name) + shape);
+  }
+}
+
+// Rectangular operators at every shape the solver applies: the dealiased
+// advector's m×n interpolation and n×m back-projection (m = dealias_points),
+// the coarse grid's 2×n restriction and n×2 prolongation, and an off-table
+// (n+3)×n operator, which every slot must hand to the reference kernel.
 TEST(TensorVariants, RectangularOpsBitwise) {
   std::mt19937 rng(4242);
   for (int n = 2; n <= 13; ++n) {
     const std::vector<AxisSlot> slots =
         axis_slots(field::TensorKernels::for_order(n));
-    for (const int m : {2, (3 * n + 1) / 2, n + 3}) {
-      const usize un = static_cast<usize>(n), um = static_cast<usize>(m);
-      const field::Op1D op = random_op(rng, m, n);  // m×n: n-points → m-points
-      const std::string shape =
-          "/m=" + std::to_string(m) + "/n=" + std::to_string(n);
-      // axis0 on an n×n×n block; axis1 on an m×n×n block (the advector's
-      // mid-chain shape after the axis-0 sweep); axis2 on an m×m×n block
-      // (the final sweep). Trailing extents per slot:
-      const int da[3] = {n, m, m}, db[3] = {n, n, m};
-      const usize in_size[3] = {un * un * un, um * un * un, um * um * un};
-      const usize out_size[3] = {um * un * un, um * um * un, um * um * um};
-      for (int s = 0; s < 3; ++s) {
-        const AxisSlot& slot = slots[static_cast<usize>(s)];
-        const RealVec u = random_vec(rng, in_size[s]);
-        RealVec ref(out_size[s]), got(out_size[s], -7.0);
-        slot.ref(op, u.data(), ref.data(), da[s], db[s]);
-        slot.got(op, u.data(), got.data(), da[s], db[s]);
-        expect_bitwise(ref, got, std::string(slot.name) + shape);
-      }
-    }
+    const int dealias = field::dealias_points(n);
+    for (const int m : {2, dealias, n + 3})
+      expect_chain_bitwise(rng, slots, m, n,
+                           "/" + std::to_string(m) + "x" + std::to_string(n));
+    for (const int m : {dealias, 2})
+      expect_chain_bitwise(rng, slots, n, m,
+                           "/" + std::to_string(n) + "x" + std::to_string(m));
   }
 }
 
 TEST(TensorVariants, Interp3Bitwise) {
   std::mt19937 rng(99);
   for (int n = 2; n <= 13; ++n) {
-    const int m = (3 * n + 1) / 2;  // the 3/2-rule dealias grid
+    const int m = field::dealias_points(n);
     const usize un = static_cast<usize>(n), um = static_cast<usize>(m);
     const field::Op1D op = random_op(rng, m, n);
     const RealVec u = random_vec(rng, un * un * un);
@@ -199,12 +208,49 @@ TEST(TensorVariants, Interp3Bitwise) {
   }
 }
 
+// The dealiased advector, whose s and t chains share one interpolation
+// sweep: set_velocity + apply on the per-order table against the same
+// advector on the reference kernels, at every tabled order and one odd n.
+TEST(TensorVariants, AdvectorBitwiseVsReference) {
+  mesh::BoxMeshConfig cfg;
+  cfg.nx = cfg.ny = cfg.nz = 2;
+  const mesh::HexMesh mesh = make_box_mesh(cfg);
+  comm::SelfComm comm;
+  device::SerialBackend backend;
+  for (const int n : {4, 5, 6, 8, 10, 12}) {
+    SCOPED_TRACE("n " + std::to_string(n));
+    const operators::RankSetup tabled =
+        operators::make_rank_setup(mesh, n - 1, comm, true, true, &backend);
+    operators::RankSetup plain =
+        operators::make_rank_setup(mesh, n - 1, comm, true, true, &backend);
+    plain.kernels = field::TensorKernels::reference();
+    const operators::Context tc = tabled.ctx(), pc = plain.ctx();
+    const usize dofs = tc.num_dofs();
+    RealVec cx(dofs), cy(dofs), cz(dofs), u(dofs);
+    for (usize i = 0; i < dofs; ++i) {
+      const real_t x = tc.coef->x[i], y = tc.coef->y[i], z = tc.coef->z[i];
+      cx[i] = std::sin(2 * y) + z;
+      cy[i] = std::cos(3 * x) * z;
+      cz[i] = x * y - 0.3;
+      u[i] = std::sin(x + 2 * y) * std::cos(z);
+    }
+    operators::Advector adv_t(tc), adv_r(pc);
+    adv_t.set_velocity(cx, cy, cz);
+    adv_r.set_velocity(cx, cy, cz);
+    RealVec out_t(dofs, 0.25), out_r(dofs, 0.25);
+    adv_t.apply(u, out_t, -1.0);
+    adv_r.apply(u, out_r, -1.0);
+    expect_bitwise(out_r, out_t, "advector/n=" + std::to_string(n));
+  }
+}
+
 // ---- tabled dispatch --------------------------------------------------------
 
 // Full 3-step RBC solve, per-order table vs reference kernels, bitwise: the
-// end-to-end form of the variant-identity contract, at degree 3 (n = 4, the
-// only order with a fixed axis2) and degree 5 (n = 6). Whatever the table
-// picks, the physics must not change by a single bit.
+// end-to-end form of the kernel-identity contract, at degree 3 (n = 4),
+// degree 5 (n = 6) and the orders of the cyl_n7 and slab_n9 benchmark
+// workloads, degree 7 (n = 8) and degree 9 (n = 10). Whatever the table
+// routes, the physics must not change by a single bit.
 TEST(TensorDispatch, FullRbcSolveBitwiseVsReference) {
   mesh::BoxMeshConfig cfg;
   cfg.nx = cfg.ny = cfg.nz = 3;
@@ -215,7 +261,7 @@ TEST(TensorDispatch, FullRbcSolveBitwiseVsReference) {
   comm::SelfComm comm;
   device::SerialBackend backend;
 
-  for (const int degree : {3, 5}) {
+  for (const int degree : {3, 5, 7, 9}) {
     SCOPED_TRACE("degree " + std::to_string(degree));
     operators::RankSetup tabled =
         operators::make_rank_setup(mesh, degree, comm, true, true, &backend);

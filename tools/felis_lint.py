@@ -197,8 +197,8 @@ RAW_NDJSON_READ_RE = re.compile(
     r"\b(?:sched\s*::\s*)?(apply_manifest_line|extract_json_string|"
     r"extract_json_number|extract_json_metrics)\s*\(")
 # A direct tensor-kernel call: the kernel name immediately followed by an
-# argument list. Variant names (apply_axis0_simd, grad_ref_fixed<...>) do not
-# match — the suffix breaks the word boundary before `(` — and neither do
+# argument list. Shaped-kernel names (apply_axis_order<0, 8>, grad_order<8>)
+# do not match — the suffix sits between the name and `(` — and neither do
 # table dispatches (kern.axis0(...)) or address-of uses (&apply_axis0).
 RAW_TENSOR_CALL_RE = re.compile(
     r"(?<!&)\b(?:field\s*::\s*)?(apply_axis[012]|grad_ref|interp3)\s*\(")
@@ -746,10 +746,10 @@ SEEDED = {
         "void f(const double* u, double* o, int n) {\n"
         "  field::apply_axis0(op, u, o, n, n);\n}\n"),
     "src/operators/table_dispatch.cpp": (
-        None,  # table dispatch and variant names are the sanctioned forms
+        None,  # table dispatch and shaped-kernel names are sanctioned forms
         "void g(const double* u, double* o, int n) {\n"
         "  kern.axis0(op, u, o, n, n);\n"
-        "  field::apply_axis0_simd(op, u, o, n, n);\n"
+        "  field::apply_axis_order<0, 8>(op, u, o, n, n);\n"
         "  auto* fn = &field::apply_axis0;\n  (void)fn;\n}\n"),
     "src/field/tensor_site.cpp": (
         None,  # src/field/ owns the kernels and may call them raw

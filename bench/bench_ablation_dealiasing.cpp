@@ -10,7 +10,9 @@
 #include <cstdio>
 
 #include "bench_utils.hpp"
+#include "case/rbc.hpp"
 #include "operators/ops.hpp"
+#include "precon/coarse.hpp"
 #include "quadrature/basis.hpp"
 
 using namespace felis;

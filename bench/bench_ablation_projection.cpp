@@ -11,27 +11,18 @@ using namespace felis;
 
 namespace {
 
-bench::RbcRun make_run(comm::Communicator& comm, bool projection) {
-  mesh::BoxMeshConfig box;
-  box.nx = box.ny = 3;
-  box.nz = 3;
-  box.lx = box.ly = 2.0;
-  box.periodic_x = box.periodic_y = true;
-  const mesh::HexMesh mesh = make_box_mesh(box);
-  bench::RbcRun run;
-  run.fine = operators::make_rank_setup(mesh, 6, comm, true);
-  run.coarse = precon::make_coarse_setup(mesh, comm);
-  rbc::RbcConfig config;
-  config.rayleigh = 2e5;
-  config.dt = 1.5e-2;
-  config.perturbation = 2e-2;
-  config.perturbation_lx = box.lx;
-  config.perturbation_ly = box.ly;
-  config.flow.velocity_walls = {mesh::FaceTag::kBottom, mesh::FaceTag::kTop};
-  config.flow.use_projection = projection;
-  run.sim = std::make_unique<rbc::RbcSimulation>(run.fine.ctx(),
-                                                 run.coarse.ctx(), config);
-  run.sim->set_initial_conditions();
+/// The registered `rbc` slab (3×3×3, N = 6) with the pressure projection
+/// space on or off.
+std::unique_ptr<cases::CaseSetup> make_run(comm::Communicator& comm,
+                                           bool projection) {
+  ParamMap params;
+  params.set("case.Ra", 2e5);
+  params.set("case.dt", 1.5e-2);
+  params.set("case.perturbation", 2e-2);
+  params.set("mesh.degree", 6);
+  params.set("fluid.use_projection", projection);
+  auto run = cases::build_case(cases::resolve_case(params), params, comm);
+  run->sim->set_initial_conditions();
   return run;
 }
 
@@ -46,13 +37,13 @@ int main() {
   bench::print_rule(78);
   double base_time = 0;
   for (const bool projection : {false, true}) {
-    bench::RbcRun run = make_run(comm, projection);
-    for (int i = 0; i < 10; ++i) run.sim->step();  // transient
-    run.fine.prof->reset();
+    const auto run = make_run(comm, projection);
+    for (int i = 0; i < 10; ++i) run->sim->step();  // transient
+    run->fine.prof->reset();
     SampleStats iters;
-    for (int i = 0; i < 30; ++i) iters.add(run.sim->step().pressure_iterations);
+    for (int i = 0; i < 30; ++i) iters.add(run->sim->step().pressure_iterations);
     const double pressure_time =
-        run.fine.prof->find("step/pressure")->seconds / 30;
+        run->fine.prof->find("step/pressure")->seconds / 30;
     if (!projection) base_time = pressure_time;
     std::printf("%-22s %18.1f %15.2f ms %15.2fx\n",
                 projection ? "projection (8 vectors)" : "no projection",

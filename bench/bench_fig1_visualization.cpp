@@ -11,42 +11,37 @@
 #include <cstdio>
 
 #include "bench_utils.hpp"
-#include "operators/setup.hpp"
-#include "precon/coarse.hpp"
 
 using namespace felis;
 
 int main() {
   std::printf("Fig. 1 — canonical RBC in a cylindrical cell (qualitative "
               "signature)\n\n");
-  mesh::CylinderMeshConfig cyl;
-  cyl.nc = 2;
-  cyl.nr = 2;
-  cyl.nz = 6;
-  cyl.radius = 0.5;
-  const mesh::HexMesh mesh = make_cylinder_mesh(cyl);
+  // The registered cylinder cell at its default mesh (2×2 core, 2 rings,
+  // 6 layers: D/H = 1, 120 elements).
+  const real_t rayleigh = 2e5;
+  ParamMap params;
+  params.set("case.type", "rbc_cyl");
+  params.set("case.Ra", rayleigh);
+  params.set("case.dt", 1.5e-2);
+  params.set("case.perturbation", 2e-2);
+  params.set("mesh.degree", 5);
   comm::SelfComm comm;
-  auto fine = operators::make_rank_setup(mesh, 5, comm, true);
-  auto coarse = precon::make_coarse_setup(mesh, comm);
-  rbc::RbcConfig config;
-  config.rayleigh = 2e5;
-  config.dt = 1.5e-2;
-  config.perturbation = 2e-2;
-  config.perturbation_lx = 2 * cyl.radius;
-  config.perturbation_ly = 2 * cyl.radius;
-  rbc::RbcSimulation sim(fine.ctx(), coarse.ctx(), config);
+  const std::unique_ptr<cases::CaseSetup> setup =
+      cases::build_case(cases::resolve_case(params), params, comm);
+  cases::Case& sim = *setup->sim;
   sim.set_initial_conditions();
 
   int steps = 0;
   for (; steps < 500; ++steps) {
     sim.step();
-    if (sim.diagnostics().kinetic_energy > 2e-3) break;
+    if (sim.observables().at("kinetic_energy") > 2e-3) break;
   }
-  const operators::Context ctx = fine.ctx();
-  const rbc::RbcDiagnostics d = sim.diagnostics();
+  const operators::Context ctx = setup->fine.ctx();
+  const cases::Observables d = sim.observables();
   std::printf("cylinder D/H=1, Ra=%.0e, %d elements N=5, %d steps to "
               "convection\n\n",
-              config.rayleigh, mesh.num_elements(), steps);
+              rayleigh, setup->geometry.mesh.num_elements(), steps);
 
   // Horizontally averaged temperature profile: the Fig. 1 colour story (red
   // bottom, blue top) with boundary layers at the plates.
@@ -84,7 +79,7 @@ int main() {
               "  [%s]\n",
               flux_mid, flux_mid > 0 ? "ok" : "FAIL");
   std::printf("  heat transport above conduction: Nu_vol=%.3f > 1  [%s]\n",
-              d.nusselt_volume, d.nusselt_volume > 1.0 ? "ok" : "FAIL");
+              d.at("nu_volume"), d.at("nu_volume") > 1.0 ? "ok" : "FAIL");
   std::printf("\n(cross-section AA renderings: run examples/rbc_cylinder)\n");
   return 0;
 }

@@ -97,9 +97,9 @@ int main() {
               "threads):\n",
               std::thread::hardware_concurrency());
   comm::SelfComm comm;
-  bench::RbcRun run = bench::make_rbc_run(comm, 1e5, 5, 1e-2);
-  const operators::Context ctx = run.fine.ctx();
-  precon::HsmgPrecon hsmg(ctx, run.coarse.ctx(), precon::OverlapMode::kSerial);
+  const auto run = bench::make_rbc_run(comm, 1e5, 5, 1e-2);
+  const operators::Context ctx = run->fine.ctx();
+  precon::HsmgPrecon hsmg(ctx, run->coarse.ctx(), precon::OverlapMode::kSerial);
   RealVec r(ctx.num_dofs());
   for (usize i = 0; i < r.size(); ++i)
     r[i] = ctx.coef->mass[i] * std::sin(3.0 * ctx.coef->x[i]);

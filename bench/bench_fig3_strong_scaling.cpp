@@ -20,8 +20,8 @@ int main() {
 
   // Measure real iteration counts (transient removed, §6.1 protocol).
   comm::SelfComm comm;
-  bench::RbcRun run = bench::make_rbc_run(comm, 1e5, 5, 1.5e-2);
-  const bench::MeasuredCounts measured = bench::measure_counts(*run.sim, 10, 25);
+  const auto run = bench::make_rbc_run(comm, 1e5, 5, 1.5e-2);
+  const bench::MeasuredCounts measured = bench::measure_counts(*run->sim, 10, 25);
   std::printf("measured on this machine (laptop-scale RBC, transient "
               "removed):\n");
   std::printf("  GMRES+HSMG pressure iterations/step: %.1f\n",

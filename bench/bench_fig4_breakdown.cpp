@@ -19,22 +19,22 @@ int main() {
 
   // ---- Part A: measured locally -------------------------------------------
   comm::SelfComm comm;
-  bench::RbcRun run = bench::make_rbc_run(comm, 1e5, 6, 1.5e-2);
-  for (int i = 0; i < 8; ++i) run.sim->step();  // transient (order ramp)
-  run.fine.prof->reset();
-  for (int i = 0; i < 20; ++i) run.sim->step();
-  const RegionNode* step = run.fine.prof->find("step");
+  const auto run = bench::make_rbc_run(comm, 1e5, 6, 1.5e-2);
+  for (int i = 0; i < 8; ++i) run->sim->step();  // transient (order ramp)
+  run->fine.prof->reset();
+  for (int i = 0; i < 20; ++i) run->sim->step();
+  const RegionNode* step = run->fine.prof->find("step");
   std::printf("A) measured on this machine (single rank, %d elements, N=6, "
               "20 steps):\n",
-              run.fine.lmesh.num_elements());
+              run->fine.lmesh.num_elements());
   const double total = step->seconds;
   for (const char* phase : {"pressure", "velocity", "scalar", "forcing"}) {
-    const RegionNode* node = run.fine.prof->find(std::string("step/") + phase);
+    const RegionNode* node = run->fine.prof->find(std::string("step/") + phase);
     if (node)
       std::printf("   %-12s %7.2f ms   %5.1f%%\n", phase,
                   1e3 * node->seconds / 20, 100 * node->seconds / total);
   }
-  const double other = total - run.fine.prof->find("step")->child_seconds();
+  const double other = total - run->fine.prof->find("step")->child_seconds();
   std::printf("   %-12s %7.2f ms   %5.1f%%\n", "other", 1e3 * other / 20,
               100 * other / total);
 

@@ -19,21 +19,21 @@ int main() {
   std::printf("Fig. 5 — error-bounded compression of an RBC velocity "
               "snapshot\n\n");
   comm::SelfComm comm;
-  bench::RbcRun run = bench::make_rbc_run(comm, 3e5, 7, 1e-2);
+  const auto run = bench::make_rbc_run(comm, 3e5, 7, 1e-2);
   // Develop convection so the field carries a realistic multi-scale
   // structure (the paper's snapshot is developed turbulence).
   int steps = 0;
   for (; steps < 600; ++steps) {
-    run.sim->step();
-    if (run.sim->diagnostics().kinetic_energy > 5e-3) break;
+    run->sim->step();
+    if (run->sim->observables().at("kinetic_energy") > 5e-3) break;
   }
-  const rbc::RbcDiagnostics d = run.sim->diagnostics();
+  const cases::Observables d = run->sim->observables();
   std::printf("snapshot after %d steps: KE=%.3e, Nu_vol=%.3f (convecting: %s)\n\n",
-              steps, d.kinetic_energy, d.nusselt_volume,
-              d.nusselt_volume > 1.05 ? "yes" : "still developing");
+              steps, d.at("kinetic_energy"), d.at("nu_volume"),
+              d.at("nu_volume") > 1.05 ? "yes" : "still developing");
 
-  const compression::Compressor compressor(run.fine.lmesh, run.fine.space);
-  const RealVec& w = run.sim->solver().w();  // vertical (stream-wise) velocity
+  const compression::Compressor compressor(run->fine.lmesh, run->fine.space);
+  const RealVec& w = run->sim->solver().w();  // vertical (stream-wise) velocity
 
   std::printf("%12s %12s %12s %14s %12s\n", "error bound", "reduction",
               "rel. error", "retained coeff", "bytes");
@@ -67,7 +67,7 @@ int main() {
     compression::CompressOptions opt;
     opt.error_bound = 0.025;
     const compression::CompressedField c =
-        compressor.compress(run.sim->solver().temperature(), opt);
+        compressor.compress(run->sim->solver().temperature(), opt);
     std::printf("\ntemperature snapshot at the same bound: %.1f%% reduction\n",
                 100 * c.reduction());
   }

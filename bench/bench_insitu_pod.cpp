@@ -18,19 +18,19 @@ using namespace felis;
 int main() {
   std::printf("in-situ POD fidelity on compressed snapshots (§5.2)\n\n");
   comm::SelfComm comm;
-  bench::RbcRun run = bench::make_rbc_run(comm, 2e5, 6, 1.5e-2);
-  const operators::Context ctx = run.fine.ctx();
+  const auto run = bench::make_rbc_run(comm, 2e5, 6, 1.5e-2);
+  const operators::Context ctx = run->fine.ctx();
 
   // Collect snapshots from a developed convection run.
-  for (int s = 0; s < 250; ++s) run.sim->step();
+  for (int s = 0; s < 250; ++s) run->sim->step();
   std::vector<RealVec> snapshots;
   for (int s = 0; s < 120; ++s) {
-    run.sim->step();
-    if (s % 6 == 0) snapshots.push_back(run.sim->solver().w());
+    run->sim->step();
+    if (s % 6 == 0) snapshots.push_back(run->sim->solver().w());
   }
+  const cases::Observables obs = run->sim->observables();
   std::printf("collected %zu w-snapshots (KE=%.3e, Nu=%.3f)\n\n",
-              snapshots.size(), run.sim->diagnostics().kinetic_energy,
-              run.sim->diagnostics().nusselt_volume);
+              snapshots.size(), obs.at("kinetic_energy"), obs.at("nu_volume"));
 
   RealVec weights = ctx.coef->mass;
   const RealVec& inv = ctx.gs->inverse_multiplicity();
@@ -44,7 +44,7 @@ int main() {
   };
   const insitu::StreamingPod reference = pod_of(snapshots);
 
-  const compression::Compressor compressor(run.fine.lmesh, run.fine.space);
+  const compression::Compressor compressor(run->fine.lmesh, run->fine.space);
   std::printf("%12s %12s %16s %22s\n", "error bound", "reduction",
               "sigma rel.err", "mode-1 alignment");
   bench::print_rule(68);

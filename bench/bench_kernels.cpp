@@ -120,11 +120,8 @@ BENCHMARK(BM_AxHelmholtzRef)->Apply([](benchmark::internal::Benchmark* b) {
   sweep(b, {3, 5, 7, 9});
 });
 
-/// Advector::apply on a fixed velocity, flops as executed per element:
-/// eleven tensor sweeps (the s and t chains share the r interpolation), the
-/// three flux products and the signed update. On the m-point dealias grid
-/// an m×n sweep chain costs 2mn³ + 2m²n² + 2m³n and the back-projection the
-/// same; apply runs three sweeps of 2mn³ and four each of 2m²n² and 2m³n.
+/// Advector::apply on a fixed velocity, flops as executed per element
+/// (field::advector_apply_flops).
 void dealiased_advection(benchmark::State& state, bool reference) {
   KernelFixture f(static_cast<int>(state.range(0)),
                   static_cast<int>(state.range(1)));
@@ -140,10 +137,7 @@ void dealiased_advection(benchmark::State& state, bool reference) {
   const double n = static_cast<double>(state.range(0)) + 1;
   const double m = field::dealias_points(static_cast<int>(n));
   const double nelem = static_cast<double>(ctx.num_elements());
-  annotate(state,
-           nelem * (6 * m * std::pow(n, 3) + 8 * m * m * n * n +
-                    8 * std::pow(m, 3) * n + 5 * std::pow(m, 3) +
-                    2 * std::pow(n, 3)),
+  annotate(state, nelem * field::advector_apply_flops(n, m),
            nelem * (2 * std::pow(n, 3) + 4 * std::pow(m, 3)) * sizeof(real_t));
 }
 

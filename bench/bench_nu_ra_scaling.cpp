@@ -26,20 +26,20 @@ int main() {
   for (const real_t ra : {2e4, 6e4, 2e5, 6e5}) {
     // dt shrinks with Ra (free-fall velocities grow toward u~1).
     const real_t dt = 1.5e-2;
-    bench::RbcRun run = bench::make_rbc_run(comm, ra, 5, dt);
+    const auto run = bench::make_rbc_run(comm, ra, 5, dt);
     // Run to a statistically steady state: fixed horizon in free-fall units,
     // then average diagnostics over a window.
     const int settle = 900;
     const int window = 300;
     fluid::StepInfo info;
-    for (int s = 0; s < settle; ++s) info = run.sim->step();
+    for (int s = 0; s < settle; ++s) info = run->sim->step();
     SampleStats nu_plate, nu_vol, ke;
     for (int s = 0; s < window; ++s) {
-      info = run.sim->step();
-      const rbc::RbcDiagnostics d = run.sim->diagnostics();
-      nu_plate.add(0.5 * (d.nusselt_bottom + d.nusselt_top));
-      nu_vol.add(d.nusselt_volume);
-      ke.add(d.kinetic_energy);
+      info = run->sim->step();
+      const cases::Observables d = run->sim->observables();
+      nu_plate.add(d.at("nu_plate"));
+      nu_vol.add(d.at("nu_volume"));
+      ke.add(d.at("kinetic_energy"));
     }
     std::printf("%10.0e %10d %12.4f %12.4f %12.3e %8.3f\n", ra,
                 settle + window, nu_plate.mean(), nu_vol.mean(), ke.mean(),

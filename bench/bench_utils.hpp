@@ -1,52 +1,34 @@
 /// \file bench_utils.hpp
-/// \brief Shared helpers for the figure/table reproduction benches: canonical
-/// small RBC cases, measured solver-iteration statistics, and table printing.
+/// \brief Shared helpers for the figure/table reproduction benches: the
+/// canonical small RBC case, measured solver-iteration statistics, and table
+/// printing.
 #pragma once
 
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "case/rbc.hpp"
+#include "case/registry.hpp"
 #include "common/stats.hpp"
-#include "operators/setup.hpp"
 #include "perfmodel/workload.hpp"
-#include "precon/coarse.hpp"
 
 namespace felis::bench {
 
-struct RbcRun {
-  operators::RankSetup fine;
-  operators::RankSetup coarse;
-  std::unique_ptr<rbc::RbcSimulation> sim;
-};
-
-/// Canonical laptop-scale RBC slab used by the measurement benches.
-inline RbcRun make_rbc_run(comm::Communicator& comm, real_t rayleigh, int degree,
-                           real_t dt, int nz = 3,
-                           precon::OverlapMode overlap =
-                               precon::OverlapMode::kTaskParallel) {
-  mesh::BoxMeshConfig box;
-  box.nx = box.ny = 3;
-  box.nz = nz;
-  box.lx = box.ly = 2.0;
-  box.periodic_x = box.periodic_y = true;
-  const mesh::HexMesh mesh = make_box_mesh(box);
-  RbcRun run;
-  run.fine = operators::make_rank_setup(mesh, degree, comm, true);
-  run.coarse = precon::make_coarse_setup(mesh, comm);
-  rbc::RbcConfig config;
-  config.rayleigh = rayleigh;
-  config.dt = dt;
-  config.perturbation = 2e-2;
-  config.perturbation_lx = box.lx;
-  config.perturbation_ly = box.ly;
-  config.flow.velocity_walls = {mesh::FaceTag::kBottom, mesh::FaceTag::kTop};
-  config.flow.overlap = overlap;
-  run.sim = std::make_unique<rbc::RbcSimulation>(run.fine.ctx(), run.coarse.ctx(),
-                                                 config);
-  run.sim->set_initial_conditions();
+/// Canonical laptop-scale RBC slab used by the measurement benches: the
+/// registered `rbc` case (periodic 3×3×3 box of extent 2×2×1) at the given
+/// Ra, degree and dt, seeded with a 2 % perturbation.
+inline std::unique_ptr<cases::CaseSetup> make_rbc_run(comm::Communicator& comm,
+                                                      real_t rayleigh,
+                                                      int degree, real_t dt) {
+  ParamMap params;
+  params.set("case.Ra", rayleigh);
+  params.set("case.dt", dt);
+  params.set("case.perturbation", 2e-2);
+  params.set("mesh.degree", degree);
+  auto run = cases::build_case(cases::resolve_case(params), params, comm);
+  run->sim->set_initial_conditions();
   return run;
 }
 
@@ -57,7 +39,7 @@ struct MeasuredCounts {
   SampleStats step_seconds;
 };
 
-inline MeasuredCounts measure_counts(rbc::RbcSimulation& sim, int transient,
+inline MeasuredCounts measure_counts(cases::Case& sim, int transient,
                                      int steps) {
   MeasuredCounts m;
   SampleStats p, v, s;

@@ -4,21 +4,22 @@
 // continues.
 //
 //   ./compression_insitu [Ra] [steps] [snapshot_every]
+//
+// Exit code (felis_campaign's): 64 usage (an Ra that is not a finite number,
+// a step or snapshot count that is not a positive integer, a snapshot
+// interval longer than the run), 65 any felis::Error.
 #include <cstdio>
-#include <cstdlib>
 
 #include "case/registry.hpp"
 #include "compression/compressor.hpp"
+#include "example_args.hpp"
 #include "insitu/async_pod.hpp"
-#include "precon/coarse.hpp"
 
 using namespace felis;
 
-int main(int argc, char** argv) {
-  const real_t rayleigh = argc > 1 ? std::atof(argv[1]) : 1e5;
-  const int steps = argc > 2 ? std::atoi(argv[2]) : 300;
-  const int every = argc > 3 ? std::atoi(argv[3]) : 10;
+namespace {
 
+int run(real_t rayleigh, int steps, int every) {
   // The periodic-slab RBC case from the registry, at degree 6 (snapshots
   // with enough modal content to make the spectral compressor interesting).
   ParamMap params;
@@ -26,15 +27,12 @@ int main(int argc, char** argv) {
   params.set("case.Ra", rayleigh);
   params.set("case.dt", 1.5e-2);
   params.set("mesh.degree", 6);
-  const cases::CaseInfo& info = cases::resolve_case(params);
-  const cases::Geometry geo = info.make_geometry(params);
   comm::SelfComm comm;
-  auto fine = operators::make_rank_setup(geo.mesh, geo.degree, comm, true);
-  auto coarse = precon::make_coarse_setup(geo.mesh, comm);
-
-  const std::unique_ptr<cases::Case> sim =
-      info.make_case(fine.ctx(), coarse.ctx(), geo, params);
-  sim->set_initial_conditions();
+  const std::unique_ptr<cases::CaseSetup> setup =
+      cases::build_case(cases::resolve_case(params), params, comm);
+  cases::Case& sim = *setup->sim;
+  sim.set_initial_conditions();
+  const operators::RankSetup& fine = setup->fine;
   const operators::Context ctx = fine.ctx();
 
   // In-situ consumers: compressor + asynchronous streaming POD of the
@@ -56,9 +54,9 @@ int main(int argc, char** argv) {
   usize total_raw = 0, total_compressed = 0;
   int snapshots = 0;
   for (int s = 1; s <= steps; ++s) {
-    sim->step();
+    sim.step();
     if (s % every != 0) continue;
-    const RealVec& w = sim->solver().w();
+    const RealVec& w = sim.solver().w();
     // Lossy in-situ compression (what would be written to disk)...
     const compression::CompressedField c = compressor.compress(w, copt);
     total_raw += c.original_bytes;
@@ -88,4 +86,23 @@ int main(int argc, char** argv) {
                 result.singular_values()[k],
                 100 * result.captured_energy(k + 1));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  double values[3] = {1e5, 300, 10};  // Ra, steps, snapshot_every
+  if (!examples::parse_args(argc, argv, {false, true, true}, values) ||
+      values[2] > values[1]) {
+    std::fprintf(stderr, "usage: compression_insitu [Ra] [steps] "
+                         "[snapshot_every]\n");
+    return 64;
+  }
+  try {
+    return run(values[0], static_cast<int>(values[1]),
+               static_cast<int>(values[2]));
+  } catch (const Error& e) {
+    std::fprintf(stderr, "compression_insitu: %s\n", e.what());
+    return 65;
+  }
 }

@@ -221,18 +221,11 @@ int main(int argc, char** argv) {
   if (steps_override > 0)
     for (sched::CaseSpec& cs : spec.cases) cs.steps = steps_override;
 
-  // Validate every case's type and backend upfront: a typo'd case.type or
-  // device.backend is a config error, not a runtime failure — refuse to
-  // schedule (and burn retries on) a queue that can never run, and name the
-  // valid choices instead.
+  // Validate every case's backend upfront (from_params already resolved
+  // each case.type and built its mesh): a typo'd device.backend is a config
+  // error, not a runtime failure — refuse to schedule (and burn retries on)
+  // a queue that can never run, and name the valid choices instead.
   for (const sched::CaseSpec& cs : spec.cases) {
-    try {
-      cases::Registry::global().resolve(cs.params.get_string("case.type", "rbc"));
-    } catch (const Error& e) {
-      std::fprintf(stderr, "case '%s': %s\n(try --list-cases)\n",
-                   cs.id.c_str(), e.what());
-      return 65;
-    }
     try {
       device::select_backend(cs.params);
     } catch (const Error& e) {

@@ -2,8 +2,9 @@
 # exit code (64 usage, 65 bad data, 66 missing input), never an abort (134).
 #
 #   cmake -DQUICKSTART=<quickstart> -DDISTRIBUTED=<distributed_run>
-#         -DCAMPAIGN=<felis_campaign> -DDIR=<scratch dir> -P input_errors.cmake
-foreach(var QUICKSTART DISTRIBUTED CAMPAIGN DIR)
+#         -DCAMPAIGN=<felis_campaign> -DCYLINDER=<rbc_cylinder>
+#         -DINSITU=<compression_insitu> -DDIR=<scratch dir> -P input_errors.cmake
+foreach(var QUICKSTART DISTRIBUTED CAMPAIGN CYLINDER INSITU DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "input_errors.cmake needs -D${var}=...")
   endif()
@@ -29,6 +30,8 @@ expect(65 "missing '='" "${CAMPAIGN}" "${DIR}/no_equals.txt" --dry-run)
 expect(65 "mesh.nx" "${CAMPAIGN}" "${DIR}/big_nx.txt" --dry-run)
 expect(65 "case.Ra" "${CAMPAIGN}" "${DIR}/big_ra.txt" --dry-run)
 expect(65 "campaign.monitor.*--status" "${CAMPAIGN}" "${DIR}/monitor.txt" --dry-run)
+expect(65 "periodic x requires at least 3 elements"
+       "${CAMPAIGN}" "${DIR}/slab_nx2.txt" --dry-run)
 expect(65 "mesh.nx" "${QUICKSTART}" --case "${DIR}/big_nx.txt" 1)
 expect(65 "case.Ra" "${QUICKSTART}" --case "${DIR}/big_ra.txt" 1)
 expect(65 "periodic x requires at least 3 elements"
@@ -38,4 +41,8 @@ expect(64 "usage: quickstart" "${QUICKSTART}" --help)
 expect(64 "usage: quickstart" "${QUICKSTART}" 1e4 abc)
 expect(64 "usage: distributed_run" "${DISTRIBUTED}" --bogus)
 expect(64 "usage: distributed_run" "${DISTRIBUTED}" 0)
+expect(64 "usage: rbc_cylinder" "${CYLINDER}" abc 3)
+expect(64 "usage: compression_insitu" "${INSITU}" 1e4 2 0)
+expect(64 "usage: compression_insitu" "${INSITU}" 1e4 abc 0)
+expect(64 "usage: compression_insitu" "${INSITU}" 1e4 2 5)
 file(REMOVE_RECURSE "${DIR}")

@@ -6,16 +6,19 @@
 // Fig. 1 — to CSV, plus an ASCII preview.
 //
 //   ./rbc_cylinder [Ra] [steps] [aspect D/H]
+//
+// Exit code (felis_campaign's): 64 usage (an Ra or aspect that is not a
+// finite number, a step count that is not a positive integer), 65 any
+// felis::Error.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <vector>
 
 #include "case/registry.hpp"
+#include "example_args.hpp"
 #include "io/field_io.hpp"
-#include "precon/coarse.hpp"
 
 using namespace felis;
 
@@ -90,13 +93,7 @@ void ascii_render(const Slice& s, const char* title) {
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const real_t rayleigh = argc > 1 ? std::atof(argv[1]) : 1e5;
-  const int steps = argc > 2 ? std::atoi(argv[2]) : 400;
-  const real_t aspect = argc > 3 ? std::atof(argv[3]) : 1.0;  // D/H
-
+int run(real_t rayleigh, int steps, real_t aspect) {
   // The cylinder case from the registry (paper geometry, Pr = 1); the
   // factory owns the o-grid mesh and boundary conditions.
   ParamMap params;
@@ -106,24 +103,20 @@ int main(int argc, char** argv) {
   params.set("case.aspect", aspect);
   params.set("case.perturbation", 2e-2);
   params.set("mesh.degree", 5);
-  const cases::CaseInfo& case_info = cases::resolve_case(params);
-  const cases::Geometry geo = case_info.make_geometry(params);
-  const real_t radius = 0.5 * geo.lx;
-
   comm::SelfComm comm;
-  auto fine = operators::make_rank_setup(geo.mesh, geo.degree, comm, true);
-  auto coarse = precon::make_coarse_setup(geo.mesh, comm);
-
-  const std::unique_ptr<cases::Case> sim =
-      case_info.make_case(fine.ctx(), coarse.ctx(), geo, params);
-  sim->set_initial_conditions();
+  const std::unique_ptr<cases::CaseSetup> setup =
+      cases::build_case(cases::resolve_case(params), params, comm);
+  const cases::Geometry& geo = setup->geometry;
+  const real_t radius = 0.5 * geo.lx;
+  cases::Case& sim = *setup->sim;
+  sim.set_initial_conditions();
 
   std::printf("RBC cylinder: D/H=%.2f, Ra=%.2g, Pr=1, %d elements, N=%d\n",
               aspect, rayleigh, geo.mesh.num_elements(), geo.degree);
   for (int s = 1; s <= steps; ++s) {
-    const fluid::StepInfo info = sim->step();
+    const fluid::StepInfo info = sim.step();
     if (s % 50 == 0) {
-      const cases::Observables obs = sim->observables();
+      const cases::Observables obs = sim.observables();
       std::printf(
           "step %5lld t=%7.3f cfl=%.3f p_iters=%3d Nu_vol=%7.4f KE=%.4e\n",
           static_cast<long long>(info.step), info.time, info.cfl,
@@ -133,30 +126,48 @@ int main(int argc, char** argv) {
   }
 
   // Fig. 1-style output: cross-section AA near the heated bottom wall.
+  const operators::RankSetup& fine = setup->fine;
   const operators::Context ctx = fine.ctx();
+  const fluid::FlowSolver& solver = sim.solver();
   RealVec umag(ctx.num_dofs());
-  const RealVec& u = sim->solver().u();
-  const RealVec& v = sim->solver().v();
-  const RealVec& w = sim->solver().w();
+  const RealVec& u = solver.u();
+  const RealVec& v = solver.v();
+  const RealVec& w = solver.w();
   for (usize i = 0; i < umag.size(); ++i)
     umag[i] = std::sqrt(u[i] * u[i] + v[i] * v[i] + w[i] * w[i]);
   const real_t z_aa = 0.1;  // close to the heated bottom wall
   const Slice temp_slice =
-      sample_slice(ctx, sim->solver().temperature(), z_aa, radius, 48, 24);
+      sample_slice(ctx, solver.temperature(), z_aa, radius, 48, 24);
   const Slice umag_slice = sample_slice(ctx, umag, z_aa, radius, 48, 24);
   write_csv(temp_slice, radius, "rbc_cylinder_temperature_AA.csv");
   write_csv(umag_slice, radius, "rbc_cylinder_velocity_AA.csv");
   // Full 3-D fields for ParaView (GLL-subdivided hexes).
   io::write_vtk("rbc_cylinder.vtk", fine.lmesh, fine.space, fine.coef,
-                {{"temperature", &sim->solver().temperature()},
-                 {"u", &sim->solver().u()},
-                 {"v", &sim->solver().v()},
-                 {"w", &sim->solver().w()},
-                 {"pressure", &sim->solver().pressure()}});
+                {{"temperature", &solver.temperature()},
+                 {"u", &u},
+                 {"v", &v},
+                 {"w", &w},
+                 {"pressure", &solver.pressure()}});
   std::printf("\ncross-section AA at z=%.2f (Fig. 1 content):\n", z_aa);
   ascii_render(umag_slice, "velocity magnitude");
   ascii_render(temp_slice, "temperature");
   std::printf("CSV written: rbc_cylinder_{temperature,velocity}_AA.csv\n");
   std::printf("VTK written: rbc_cylinder.vtk (open in ParaView)\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  double values[3] = {1e5, 400, 1.0};  // Ra, steps, aspect D/H
+  if (!examples::parse_args(argc, argv, {false, true, false}, values)) {
+    std::fprintf(stderr, "usage: rbc_cylinder [Ra] [steps] [aspect D/H]\n");
+    return 64;
+  }
+  try {
+    return run(values[0], static_cast<int>(values[1]), values[2]);
+  } catch (const Error& e) {
+    std::fprintf(stderr, "rbc_cylinder: %s\n", e.what());
+    return 65;
+  }
 }

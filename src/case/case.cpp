@@ -5,8 +5,8 @@
 namespace felis::cases {
 
 fluid::StepInfo Case::step() {
-  telemetry::Telemetry* tel = solver().context().telemetry;
-  if (tel == nullptr || !tel->enabled()) return advance();
+  telemetry::Telemetry* tel = solver().telemetry();
+  if (tel == nullptr) return advance();
 
   tel->begin_step(solver().step_count() + 1);
   const fluid::StepInfo info = advance();
@@ -36,8 +36,15 @@ bool Case::maybe_checkpoint(fluid::CheckpointManager& manager) const {
 }
 
 bool Case::restore_latest(const fluid::CheckpointManager& manager) {
-  const std::optional<fluid::Checkpoint> latest = manager.load_latest();
-  if (!latest) return false;
+  std::optional<fluid::Checkpoint> latest = manager.load_latest();
+  const gidx_t newest = latest ? static_cast<gidx_t>(latest->step) : -1;
+  comm::Communicator& comm = *solver().context().comm;
+  const gidx_t common =
+      comm.size() > 1 ? comm.allreduce_scalar(newest, comm::ReduceOp::kMin)
+                      : newest;
+  if (common < 0) return false;
+  if (latest->step != common)
+    latest = fluid::Checkpoint::load(manager.path_for_step(common));
   restore_checkpoint(*latest);
   return true;
 }

@@ -9,7 +9,7 @@
 ///
 ///  * initial conditions    — set_initial_conditions() seeds the fields;
 ///  * time stepping         — step() advances the underlying FlowSolver and,
-///    when a telemetry context is attached, brackets the step and charges the
+///    when telemetry is attached to it, brackets the step and charges the
 ///    physical `case.*` observables on sampled steps (bitwise identical
 ///    fields with telemetry on or off);
 ///  * observables           — a name→value map of the case's physical
@@ -70,11 +70,11 @@ class Case {
   /// is not collective.
   virtual Observables parameters() const = 0;
 
-  /// Advance one step. With a telemetry context attached to the solver's
-  /// operators::Context this brackets the step (begin_step/end_step) and
-  /// charges `case.<observable>` gauges on sampled steps; without telemetry
-  /// it is exactly advance(). Final — override advance() instead, so the
-  /// telemetry contract holds for every case type.
+  /// Advance one step. With telemetry attached to the solver
+  /// (FlowSolver::attach_telemetry) this brackets the step
+  /// (begin_step/end_step) and charges `case.<observable>` gauges on sampled
+  /// steps; without telemetry it is exactly advance(). Final — override
+  /// advance() instead, so the telemetry contract holds for every case type.
   fluid::StepInfo step();
 
   /// Checkpoint closure. The defaults capture/restore the complete
@@ -87,6 +87,9 @@ class Case {
   /// Write a checkpoint through `manager` when the current step is due.
   bool maybe_checkpoint(fluid::CheckpointManager& manager) const;
   /// Recover the newest valid checkpoint after a crash (false = cold start).
+  /// Collective above one rank: a crash can leave rank rotations at
+  /// different steps, so every rank restores the newest step all of them
+  /// hold (allreduce-min), or none restores.
   bool restore_latest(const fluid::CheckpointManager& manager);
 
  protected:

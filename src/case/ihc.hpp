@@ -37,8 +37,6 @@ struct IhcConfig {
   real_t perturbation_lx = 1.0;  ///< see rbc::RbcConfig — periodic seam rule
   real_t perturbation_ly = 1.0;
   unsigned seed = 7;
-
-  fluid::CheckpointConfig checkpoint;
 };
 
 class InternallyHeatedSimulation : public cases::Case {
@@ -56,8 +54,6 @@ class InternallyHeatedSimulation : public cases::Case {
   cases::Observables observables() const override;
   cases::Observables parameters() const override;
 
-  const IhcConfig& config() const { return config_; }
-
  private:
   operators::Context fine_;
   IhcConfig config_;
@@ -67,8 +63,7 @@ class InternallyHeatedSimulation : public cases::Case {
 
 /// Build an IhcConfig from a parsed case file. Same key set as the RBC
 /// reader (case.Ra, case.Pr, case.dt, case.perturbation, case.seed,
-/// case.perturbation_lx/_ly, fluid.*, checkpoint.*); missing keys keep
-/// their defaults.
+/// case.perturbation_lx/_ly, fluid.*); missing keys keep their defaults.
 IhcConfig config_from_params(const ParamMap& params);
 
 }  // namespace felis::ihc

@@ -17,9 +17,9 @@ RbcConfig config_from_params(const ParamMap& params) {
       params.get_real("case.perturbation_lx", config.perturbation_lx);
   config.perturbation_ly =
       params.get_real("case.perturbation_ly", config.perturbation_ly);
-  config.seed = static_cast<unsigned>(params.get_int("case.seed", 7));
+  config.seed = static_cast<unsigned>(
+      params.get_int("case.seed", static_cast<int>(config.seed)));
   fluid::apply_flow_params(params, config.flow);
-  config.checkpoint = fluid::CheckpointManager::config_from_params(params);
   return config;
 }
 

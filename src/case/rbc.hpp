@@ -52,10 +52,6 @@ struct RbcConfig {
   real_t perturbation_lx = 1.0;
   real_t perturbation_ly = 1.0;
   unsigned seed = 7;
-
-  /// Crash-safe checkpoint rotation (checkpoint.* keys in the case file);
-  /// checkpoint.every = 0 leaves checkpointing under driver control.
-  fluid::CheckpointConfig checkpoint;
 };
 
 /// Physical diagnostics of the current state.
@@ -91,8 +87,6 @@ class RbcSimulation : public cases::Case {
 
   RbcDiagnostics diagnostics() const;
 
-  const RbcConfig& config() const { return config_; }
-
  private:
   operators::Context fine_;
   RbcConfig config_;
@@ -102,10 +96,9 @@ class RbcSimulation : public cases::Case {
 
 /// Build an RbcConfig from a parsed case file (see ParamMap::parse). Keys:
 ///   case.Ra, case.Pr, case.dt, case.Ro, case.perturbation, case.seed,
-///   case.perturbation_lx/_ly, case.y_invariant, the fluid.* solver keys
-///   (see fluid::apply_flow_params) and the checkpoint.* keys
-///   (see fluid::CheckpointManager::config_from_params).
-/// Missing keys keep their defaults.
+///   case.perturbation_lx/_ly, case.y_invariant and the fluid.* solver keys
+///   (see fluid::apply_flow_params). Missing keys keep their defaults; the
+///   checkpoint.* keys belong to the host's CheckpointManager.
 RbcConfig config_from_params(const ParamMap& params);
 
 /// Free-fall viscosity √(Pr/Ra) and diffusivity 1/√(Ra·Pr).

@@ -13,10 +13,8 @@
 ///   ihc      internally heated convection (Goluskin, both plates cold)
 /// are registered lazily on first access of Registry::global() — NOT via
 /// static initializers, which a static-library link would silently strip.
-/// External code can add its own types before resolving.
-///
-/// (The ISSUE sketches this as `case::Case`/`case::Registry`; `case` is a
-/// C++ keyword, so the namespace is felis::cases.)
+/// External code can add its own types before resolving. (`case` is a C++
+/// keyword, hence the namespace felis::cases.)
 #pragma once
 
 #include <functional>
@@ -29,6 +27,7 @@
 #include "common/params.hpp"
 #include "mesh/hex_mesh.hpp"
 #include "operators/setup.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace felis::cases {
 
@@ -79,14 +78,30 @@ class Registry {
 /// Resolve `case.type` (default "rbc") against the global registry.
 const CaseInfo& resolve_case(const ParamMap& params);
 
+/// Where a rank's telemetry goes, as its host names it: the output
+/// directory and the host's own header keys (`program`, `case`, ...).
+/// build_case does the rest: the other `telemetry.*` keys, one `rank<r>/`
+/// subdirectory per rank when the communicator has more than one (ranks are
+/// threads of one process and would interleave one stream), and the identity
+/// keys every header carries (`type`, `backend`, `threads`, `degree`,
+/// `rank`, `size`).
+struct TelemetryChannel {
+  std::string dir;
+  std::map<std::string, std::string> header;
+};
+
 /// Everything needed to run a resolved case on one rank. Heap-only and
 /// pinned: operators::Context instances capture raw pointers into the
 /// RankSetup value members, so this object must never move once `sim` is
-/// built (deleting copy also suppresses move).
+/// built (deleting copy also suppresses move). Members are declared in
+/// lifetime order: the case goes first, then the telemetry it writes to.
 struct CaseSetup {
   Geometry geometry;
   operators::RankSetup fine;
   operators::RankSetup coarse;
+  /// The rank's telemetry; null unless a channel was asked for and
+  /// `telemetry.enabled` is set.
+  std::unique_ptr<telemetry::Telemetry> telemetry;
   std::unique_ptr<Case> sim;
 
   CaseSetup() = default;
@@ -95,14 +110,15 @@ struct CaseSetup {
 };
 
 /// Build a case end-to-end on this rank: geometry → fine/coarse rank setups
-/// → case instance. `telemetry` (optional) is attached to the fine setup
-/// *before* contexts are taken, so the solver's internal Context copies see
-/// it. Initial conditions are NOT applied (callers restore-or-seed).
+/// (3/2-rule dealiasing) → telemetry → case instance, with the telemetry
+/// attached to the case's solver. `backend` null = process default. Without a
+/// `channel` nothing is written, whatever the telemetry.* keys say. Initial
+/// conditions are NOT applied (callers restore-or-seed).
 std::unique_ptr<CaseSetup> build_case(const CaseInfo& info,
                                       const ParamMap& params,
                                       comm::Communicator& comm,
                                       device::Backend* backend = nullptr,
-                                      telemetry::Telemetry* telemetry = nullptr);
+                                      const TelemetryChannel* channel = nullptr);
 
 namespace detail {
 /// Install the builtin scenario matrix (idempotent only via global()'s

@@ -12,6 +12,23 @@ namespace felis::field {
 /// the 3/2 rule. The kernel table specializes the n×m transfer shapes on it.
 constexpr int dealias_points(int n) { return (3 * n + 1) / 2; }
 
+/// Flops per element of the dealiased advector (operators::Advector) with n
+/// GLL and m Gauss points per direction: the one definition its Profiler
+/// charge, the perfmodel and the kernel bench share. set_velocity runs three
+/// m×n interpolation chains (2mn³ + 2m²n² + 2m³n each) and 7 flops per
+/// Gauss point and direction for the contravariant fluxes.
+constexpr double advector_set_velocity_flops(double n, double m) {
+  return 3 * (2 * m * n * n * n + 2 * m * m * n * n + 2 * m * m * m * n) +
+         21 * m * m * m;
+}
+/// apply runs eleven sweeps — three of 2mn³, four each of 2m²n² and 2m³n
+/// (the s and t chains share the r interpolation) — plus the three flux
+/// products (5m³) and the signed update (2n³).
+constexpr double advector_apply_flops(double n, double m) {
+  return 6 * m * n * n * n + 8 * m * m * n * n + 8 * m * m * m * n +
+         5 * m * m * m + 2 * n * n * n;
+}
+
 struct Space {
   int degree = 0;  ///< polynomial degree N (paper production value: 7)
   int n = 0;       ///< nodes per direction, N+1

@@ -63,20 +63,19 @@ FlowSolver::FlowSolver(const operators::Context& fine,
         fine_, config_.projection_vectors, /*singular_operator=*/true);
   FELIS_CHECK_MSG(fine_.prof != nullptr,
                   "FlowSolver requires an instrumented context (prof != null)");
-
-  // A traced run records the profiler's regions and the preconditioner's
-  // stream intervals into its one recorder, next to the step marks.
-  if (telemetry::Telemetry* tel = fine_.telemetry;
-      tel != nullptr && tel->enabled() && tel->config().trace) {
-    TraceRecorder* trace = &tel->trace_recorder();
-    fine_.prof->set_trace(trace);
-    hsmg_->set_trace(trace);
-  }
 }
 
-FlowSolver::~FlowSolver() {
-  fine_.prof->set_trace(nullptr);
-  hsmg_->set_trace(nullptr);
+FlowSolver::~FlowSolver() { attach_telemetry(nullptr); }
+
+void FlowSolver::attach_telemetry(telemetry::Telemetry* telemetry) {
+  telemetry_ = telemetry != nullptr && telemetry->enabled() ? telemetry : nullptr;
+  // A traced run records the profiler's regions and the preconditioner's
+  // stream intervals into its one recorder, next to the step marks.
+  TraceRecorder* trace = telemetry_ != nullptr && telemetry_->config().trace
+                             ? &telemetry_->trace_recorder()
+                             : nullptr;
+  fine_.prof->set_trace(trace);
+  hsmg_->set_trace(trace);
 }
 
 void FlowSolver::apply_boundary_conditions() {
@@ -404,9 +403,8 @@ StepInfo FlowSolver::step() {
 
   // Telemetry charging is read-only with respect to solver state, so the
   // simulated fields are bitwise identical with telemetry on or off.
-  if (telemetry::Telemetry* tel = fine_.telemetry;
-      tel != nullptr && tel->enabled()) {
-    telemetry::MetricsRegistry& m = tel->metrics();
+  if (telemetry_ != nullptr) {
+    telemetry::MetricsRegistry& m = telemetry_->metrics();
     m.set("solver.cfl", info.cfl);
     m.set("solver.dt", dt);
     m.set("solver.time", time_);
@@ -437,9 +435,11 @@ StepInfo FlowSolver::step() {
 
 void apply_flow_params(const ParamMap& params, FlowConfig& config) {
   config.max_order = params.get_int("fluid.max_order", config.max_order);
-  config.overlap = params.get_bool("fluid.overlap", true)
-                       ? precon::OverlapMode::kTaskParallel
-                       : precon::OverlapMode::kSerial;
+  config.overlap =
+      params.get_bool("fluid.overlap",
+                      config.overlap == precon::OverlapMode::kTaskParallel)
+          ? precon::OverlapMode::kTaskParallel
+          : precon::OverlapMode::kSerial;
   config.use_projection =
       params.get_bool("fluid.use_projection", config.use_projection);
   config.pressure_control.abs_tol =

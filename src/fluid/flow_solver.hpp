@@ -32,6 +32,10 @@
 #include "krylov/projection.hpp"
 #include "precon/hsmg.hpp"
 
+namespace felis::telemetry {
+class Telemetry;
+}
+
 namespace felis::fluid {
 
 /// Optional user body force, evaluated every step at the current time:
@@ -118,6 +122,15 @@ class FlowSolver {
 
   const FlowConfig& config() const { return config_; }
   const operators::Context& context() const { return fine_; }
+
+  /// The run's telemetry (null = off), the one attach for the solver and its
+  /// case: step() charges the solver.* and profile.* metrics into it,
+  /// Case::step the case.* observables, and a traced run records the
+  /// profiler's regions and the preconditioner's stream intervals into its
+  /// recorder. `telemetry` must outlive this solver or be detached first.
+  void attach_telemetry(telemetry::Telemetry* telemetry);
+  telemetry::Telemetry* telemetry() const { return telemetry_; }
+
   real_t time() const { return time_; }
   std::int64_t step_count() const { return step_; }
 
@@ -183,6 +196,7 @@ class FlowSolver {
 
   operators::Context fine_;
   FlowConfig config_;
+  telemetry::Telemetry* telemetry_ = nullptr;
   std::int64_t step_ = 0;
   real_t time_ = 0;
   StepInfo last_info_;

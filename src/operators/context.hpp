@@ -11,10 +11,6 @@
 #include "gs/gather_scatter.hpp"
 #include "mesh/partition.hpp"
 
-namespace felis::telemetry {
-class Telemetry;
-}
-
 namespace felis::operators {
 
 /// Non-owning view of one rank's discretization. All operator routines take
@@ -30,10 +26,6 @@ struct Context {
   /// null falls back to the process default (FELIS_BACKEND / auto), so a
   /// zero-initialized Context keeps working.
   device::Backend* backend = nullptr;
-  /// Optional run telemetry (metrics + trace + health), read by the flow
-  /// solver and the case once per step. Null in plain operator tests. The
-  /// layers themselves only charge `prof`.
-  telemetry::Telemetry* telemetry = nullptr;
   /// Per-order tensor-product kernel table (owned by RankSetup). Null falls
   /// back to the reference kernels, so a zero-initialized Context computes
   /// identical results — every variant is bitwise-equal to the reference.

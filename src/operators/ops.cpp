@@ -395,8 +395,7 @@ void Advector::set_velocity(const RealVec& cx, const RealVec& cy,
       });
   if (ctx_.prof)
     ctx_.prof->add_flops(static_cast<double>(ctx_.num_elements()) *
-                         (3 * 2.0 * std::pow(sp.nd, 3) * sp.n * 3 +
-                          18.0 * std::pow(sp.nd, 3)));
+                         field::advector_set_velocity_flops(sp.n, sp.nd));
 }
 
 void Advector::apply(const RealVec& u, RealVec& out, real_t sign) const {
@@ -454,10 +453,8 @@ void Advector::apply(const RealVec& u, RealVec& out, real_t sign) const {
         }
       });
   if (ctx_.prof)
-    ctx_.prof->add_flops(static_cast<double>(ctx_.num_elements()) * 12.0 *
-                             std::pow(m, 3) * n +
-                         static_cast<double>(ctx_.num_elements()) * 6.0 *
-                             std::pow(m, 3));
+    ctx_.prof->add_flops(static_cast<double>(ctx_.num_elements()) *
+                         field::advector_apply_flops(n, m));
 }
 
 // ---- backend-dispatched vector kernels --------------------------------------

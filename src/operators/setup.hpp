@@ -20,7 +20,6 @@ struct RankSetup {
   std::unique_ptr<Profiler> prof;
   comm::Communicator* comm = nullptr;
   device::Backend* backend = nullptr;  ///< null = process default
-  telemetry::Telemetry* telemetry = nullptr;  ///< null = telemetry off
   /// Tensor kernels for this space's order (make_rank_setup fills it from
   /// TensorKernels::for_order; default-constructed it is the reference).
   field::TensorKernels kernels;
@@ -34,7 +33,6 @@ struct RankSetup {
     c.comm = comm;
     c.prof = prof.get();
     c.backend = backend;
-    c.telemetry = telemetry;
     c.kernels = &kernels;
     return c;
   }

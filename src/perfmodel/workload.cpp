@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "field/space.hpp"
+
 namespace felis::perfmodel {
 
 namespace {
@@ -11,11 +13,12 @@ constexpr double kReal = sizeof(real_t);
 /// Footprints of the individual kernels, per element, matching the
 /// instrumentation formulas in operators/ops.cpp and precon/fdm.cpp.
 struct KernelShapes {
-  double n, npe, nd3;
+  double n, npe, m, nd3;
   explicit KernelShapes(int degree) {
     n = degree + 1;
     npe = n * n * n;
-    nd3 = std::pow((3 * (degree + 1) + 1) / 2, 3);
+    m = field::dealias_points(degree + 1);
+    nd3 = m * m * m;
   }
   double ax_flops() const { return 12 * npe * n + 18 * npe; }
   double ax_bytes() const { return 9 * npe * kReal; }
@@ -25,9 +28,11 @@ struct KernelShapes {
   double divw_bytes() const { return 14 * npe * kReal; }
   double fdm_flops() const { return 12 * npe * n; }
   double fdm_bytes() const { return 5 * npe * kReal; }
-  double adv_set_flops() const { return 18 * nd3 * n + 18 * nd3; }
+  double adv_set_flops() const {
+    return field::advector_set_velocity_flops(n, m);
+  }
   double adv_set_bytes() const { return (3 * npe + 13 * nd3) * kReal; }
-  double adv_apply_flops() const { return 12 * nd3 * n + 6 * nd3; }
+  double adv_apply_flops() const { return field::advector_apply_flops(n, m); }
   double adv_apply_bytes() const { return (2 * npe + 6 * nd3) * kReal; }
   /// Pointwise pass over `fields` field-sized arrays.
   double pw_bytes(double fields) const { return fields * npe * kReal; }

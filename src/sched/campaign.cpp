@@ -4,6 +4,7 @@
 #include <cmath>
 #include <filesystem>
 
+#include "case/registry.hpp"
 #include "common/error.hpp"
 #include "perfmodel/machine.hpp"
 #include "perfmodel/workload.hpp"
@@ -12,6 +13,8 @@ namespace felis::sched {
 
 double estimate_case_seconds(const ParamMap& case_params, int ranks,
                              std::int64_t steps) {
+  // The rbc slab's mesh defaults: rbc2d and rbc_cyl are priced as that slab
+  // unless their mesh.* keys are set (ROADMAP item 3).
   const double nx = case_params.get_int("mesh.nx", 3);
   const double ny = case_params.get_int("mesh.ny", 3);
   const double nz = case_params.get_int("mesh.nz", 3);
@@ -81,6 +84,14 @@ CampaignSpec CampaignSpec::from_params(const ParamMap& params) {
                  << " threads but campaign.thread_budget is " << c.thread_budget);
     cs.steps = cs.params.get_int("case.steps", static_cast<int>(c.steps));
     FELIS_CHECK_MSG(cs.steps >= 1, "case '" << cs.id << "': steps must be >= 1");
+    // Build every case's geometry once before anything runs: a case.type
+    // the registry does not know, or a mesh its factory rejects, is a
+    // config error that would otherwise fail every attempt.
+    try {
+      cases::resolve_case(cs.params).make_geometry(cs.params);
+    } catch (const Error& e) {
+      throw Error("case '" + cs.id + "': " + e.what());
+    }
     cs.cost_seconds = estimate_case_seconds(cs.params, cs.threads, cs.steps);
   }
 

@@ -39,8 +39,9 @@ struct CampaignSpec {
   /// (campaign.ranks, overridable per case via case.ranks) and steps
   /// (campaign.steps / case.steps), estimate costs and order the queue.
   /// Throws felis::Error on malformed keys (naming them), on a key of the
-  /// retired scheduler metrics journal, and when any case needs more threads
-  /// than the budget.
+  /// retired scheduler metrics journal, when any case needs more threads
+  /// than the budget, and on a case whose `case.type` is unknown or whose
+  /// mesh its geometry factory rejects (naming the case).
   static CampaignSpec from_params(const ParamMap& params);
 
   std::string manifest_path() const;

@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -18,7 +17,6 @@
 #include "io/atomic_file.hpp"
 #include "io/fault_injector.hpp"
 #include "sched/manifest.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace felis::sched {
 
@@ -58,89 +56,40 @@ void run_rank(const CaseSpec& cs, RunContext& ctx, comm::Communicator& comm,
               io::FaultInjector* fault, RunResult* result,
               std::mutex* result_mutex) {
   const ParamMap& params = cs.params;
+  const std::filesystem::path run_dir = ctx.run_dir();
 
-  // The registry owns geometry and physics; the runner owns durability and
-  // the run loop. resolve_case throws the available-cases message for
-  // unknown types — callers surface it as the case's failure detail.
+  // cases::build_case owns geometry, physics and the telemetry channel; the
+  // runner owns durability and the run loop. The case's own device.backend
+  // (process default when absent) runs on the one thread the scheduler
+  // charges each rank.
   const cases::CaseInfo& info = cases::resolve_case(params);
-  const cases::Geometry geo = info.make_geometry(params);
-
-  // The case's own device.backend (process default when absent) carries
-  // into every context and gather-scatter of both setups, on the team this
-  // rank's share of the case's budget threads pays for: one thread, since
-  // the scheduler charges one per rank.
-  device::Backend& backend = device::select_backend(
-      params, std::max(1, cs.threads / comm.size()));
-  auto fine = operators::make_rank_setup(geo.mesh, geo.degree, comm,
-                                         /*dealias=*/true,
-                                         /*three_halves_rule=*/true, &backend);
-  auto coarse = precon::make_coarse_setup(geo.mesh, comm, &backend);
+  device::Backend& backend = device::select_backend(params, /*threads=*/1);
+  const cases::TelemetryChannel channel{
+      (run_dir / "telemetry").string(),
+      {{"program", "felis_campaign"},
+       {"case", cs.id},
+       {"attempt", std::to_string(ctx.attempt())},
+       {"Ra", params.get_string("case.Ra", "default")}}};
+  const std::unique_ptr<cases::CaseSetup> setup =
+      cases::build_case(info, params, comm, &backend, &channel);
+  cases::Case& sim = *setup->sim;
 
   // Everything durable lives under the run directory; multi-rank cases keep
   // one rotation per rank (`felis.r<k>`) so restores stay rank-local.
+  // Checkpoint metrics go to this case's own telemetry.
   fluid::CheckpointConfig ck =
       fluid::CheckpointManager::config_from_params(params);
-  ck.directory =
-      (std::filesystem::path(ctx.run_dir()) / "checkpoints").string();
+  ck.directory = (run_dir / "checkpoints").string();
   if (comm.size() > 1) ck.basename += ".r" + std::to_string(comm.rank());
-
-  std::optional<telemetry::Telemetry> telemetry;
-  if (params.get_bool("telemetry.enabled", false)) {
-    telemetry::TelemetryConfig tc = telemetry::config_from_params(params);
-    std::filesystem::path dir =
-        std::filesystem::path(ctx.run_dir()) / "telemetry";
-    // Ranks are threads of one process: each needs its own channel directory
-    // or they would interleave records in one NDJSON stream.
-    if (comm.size() > 1) dir /= "rank" + std::to_string(comm.rank());
-    tc.dir = dir.string();
-    telemetry.emplace(
-        std::move(tc),
-        std::map<std::string, std::string>{
-            {"program", "felis_campaign"},
-            {"case", cs.id},
-            {"type", info.type},
-            {"backend", backend.name()},
-            {"threads", std::to_string(backend.concurrency())},
-            {"degree", std::to_string(geo.degree)},
-            {"rank", std::to_string(comm.rank())},
-            {"size", std::to_string(comm.size())},
-            {"attempt", std::to_string(ctx.attempt())},
-            {"Ra", params.get_string("case.Ra", "default")}});
-    // Attached before ctx() is taken below: the solver copies its Context at
-    // construction, so a later attach would be invisible.
-    fine.telemetry = &*telemetry;
-    coarse.telemetry = &*telemetry;
-  }
-  // Checkpoint metrics go to this case's telemetry: with several workers in
-  // one process, the process-wide current() belongs to whichever case
-  // installed it first.
   fluid::CheckpointManager manager(ck, comm.rank() == 0 ? fault : nullptr,
-                                   telemetry ? &*telemetry : nullptr);
+                                   setup->telemetry.get());
 
-  const std::unique_ptr<cases::Case> sim =
-      info.make_case(fine.ctx(), coarse.ctx(), geo, params);
-  sim->set_initial_conditions();
-
-  // Restore: newest valid checkpoint, but never past what every rank has —
-  // a crash can leave rank rotations at different steps, and ranks resuming
-  // from different steps would desynchronise the lockstep exchanges.
-  std::string restore_path;
-  std::optional<fluid::Checkpoint> latest = manager.load_latest(&restore_path);
-  gidx_t newest = latest ? static_cast<gidx_t>(latest->step) : -1;
-  const gidx_t common =
-      comm.size() > 1 ? comm.allreduce_scalar(newest, comm::ReduceOp::kMin)
-                      : newest;
-  if (common >= 0) {
-    if (!latest || latest->step != common)
-      latest = fluid::Checkpoint::load(manager.path_for_step(common));
-    sim->restore_checkpoint(*latest);
-  }
+  sim.set_initial_conditions();
+  sim.restore_latest(manager);
 
   bool cancelled = false;
   fluid::StepInfo step_info{};
-  step_info.step = sim->solver().step_count();
-  step_info.time = sim->solver().time();
-  while (sim->solver().step_count() < cs.steps) {
+  while (sim.solver().step_count() < cs.steps) {
     // Cancellation consensus: every rank leaves at the same step or none do.
     gidx_t stop = ctx.cancelled() ? 1 : 0;
     if (comm.size() > 1) stop = comm.allreduce_scalar(stop, comm::ReduceOp::kMax);
@@ -148,31 +97,31 @@ void run_rank(const CaseSpec& cs, RunContext& ctx, comm::Communicator& comm,
       cancelled = true;
       break;
     }
-    step_info = sim->step();
+    step_info = sim.step();
     if (comm.rank() == 0) ctx.heartbeat();
-    sim->maybe_checkpoint(manager);
+    sim.maybe_checkpoint(manager);
   }
   // Seal the run: the final state must be durable for the resume-skip
   // guarantee (a `done` case is never re-run, so its checkpoint is the
   // campaign's record of that case). Skip when the rotation already holds it.
-  if (!cancelled && !manager.due(sim->solver().step_count()))
-    manager.write(sim->capture_checkpoint());
+  if (!cancelled && !manager.due(sim.solver().step_count()))
+    manager.write(sim.capture_checkpoint());
 
-  const cases::Observables obs = sim->observables();  // collective: all ranks
-  if (telemetry) telemetry->finalize();
+  const cases::Observables obs = sim.observables();  // collective: all ranks
+  if (setup->telemetry) setup->telemetry->finalize();
 
   if (comm.rank() == 0) {
     std::lock_guard<std::mutex> lock(*result_mutex);
     result->ok = !cancelled;
     if (cancelled) result->detail = "cancelled at step " +
-                                    std::to_string(sim->solver().step_count());
+                                    std::to_string(sim.solver().step_count());
     result->metrics = {
-        {"steps", static_cast<double>(sim->solver().step_count())},
-        {"time", static_cast<double>(sim->solver().time())},
+        {"steps", static_cast<double>(sim.solver().step_count())},
+        {"time", static_cast<double>(sim.solver().time())},
         {"cfl", static_cast<double>(step_info.cfl)},
         {"ranks", static_cast<double>(comm.size())},
     };
-    for (const auto& [name, value] : sim->parameters())
+    for (const auto& [name, value] : sim.parameters())
       result->metrics[name] = value;
     for (const auto& [name, value] : obs) result->metrics[name] = value;
   }
@@ -190,14 +139,9 @@ CaseRunner make_case_runner() {
     io::FaultInjector* fault = cs.threads == 1 ? injectors->get(cs) : nullptr;
     RunResult result;
     std::mutex result_mutex;
-    if (cs.threads == 1) {
-      comm::SelfComm comm;
+    comm::run_parallel(cs.threads, [&](comm::Communicator& comm) {
       run_rank(cs, ctx, comm, fault, &result, &result_mutex);
-    } else {
-      comm::run_parallel(cs.threads, [&](comm::Communicator& comm) {
-        run_rank(cs, ctx, comm, fault, &result, &result_mutex);
-      });
-    }
+    });
     return result;
   };
 }

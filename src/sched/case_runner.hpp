@@ -10,17 +10,19 @@
 /// (comm::run_parallel), each rank on the compute backend its
 /// `device.backend` key names (the process default when absent) with the one
 /// thread the scheduler charges it (device::select_backend). The
-/// runner never names a concrete case class: the registry's factories own
-/// geometry and physics, the runner owns durability and the run loop.
-/// Everything a run writes lives under its RunContext::run_dir():
+/// runner never names a concrete case class: cases::build_case owns
+/// geometry, physics and the telemetry channel, the runner owns durability
+/// and the run loop. Everything a run writes lives under its
+/// RunContext::run_dir():
 ///
 ///   <campaign.dir>/<case id>/checkpoints/   rotation (per rank: felis.r<k>)
-///   <campaign.dir>/<case id>/telemetry/     NDJSON/CSV/trace per rank
+///   <campaign.dir>/<case id>/telemetry/     NDJSON/CSV/trace (multi-rank:
+///                                           one rank<r>/ per rank)
 ///
 /// Fault tolerance contract: every attempt first restores the newest valid
-/// checkpoint (multi-rank: the newest step *common* to all ranks, agreed by
-/// allreduce-min, so ranks never resume from different steps), then steps to
-/// the target. Because restarts are bitwise-exact (PR 3) for every
+/// checkpoint through Case::restore_latest (multi-rank: the newest step
+/// *common* to all ranks, so ranks never resume from different steps), then
+/// steps to the target. Because restarts are bitwise-exact (PR 3) for every
 /// registered case, a case that crashes and retries finishes in exactly the
 /// state of an uninterrupted run.
 ///

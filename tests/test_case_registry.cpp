@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "case/registry.hpp"
 #include "common/error.hpp"
@@ -191,6 +193,132 @@ TEST_F(CaseRegistryRestartTest, EveryRegisteredCaseRestoresBitwise) {
     for (usize i = 0; i < ta.size(); ++i) ASSERT_EQ(ta[i], tb[i]);
     EXPECT_EQ(ref->sim->solver().time(), second->sim->solver().time());
   }
+}
+
+TEST_F(CaseRegistryRestartTest, RanksResumeFromTheNewestStepAllOfThemHold) {
+  // Two simulated ranks checkpoint every 4 steps to step 12; then rank 1
+  // loses its newest file, as a crash between the two ranks' writes leaves
+  // it. Both ranks must restore step 8, the newest step both hold, and reach
+  // step 14 in exactly the state of the uninterrupted run.
+  const CaseInfo& info = Registry::global().resolve("rbc");
+  const ParamMap params = matrix_params("rbc");
+  const auto rotation = [this](int rank) {
+    fluid::CheckpointConfig c = config();
+    c.basename += ".r" + std::to_string(rank);
+    return c;
+  };
+  const auto state = [](const Case& sim) {
+    RealVec s = sim.solver().temperature();
+    for (const RealVec* v :
+         {&sim.solver().u(), &sim.solver().v(), &sim.solver().w()})
+      s.insert(s.end(), v->begin(), v->end());
+    return s;
+  };
+  // Each rank writes only its own slot.
+  std::vector<RealVec> reference(2), resumed(2);
+  std::vector<std::int64_t> restored(2, -1);
+  comm::run_parallel(2, [&](comm::Communicator& comm) {
+    const std::unique_ptr<CaseSetup> setup = build_case(info, params, comm);
+    setup->sim->set_initial_conditions();
+    fluid::CheckpointManager manager(rotation(comm.rank()));
+    for (int s = 0; s < 14; ++s) {
+      setup->sim->step();
+      setup->sim->maybe_checkpoint(manager);
+    }
+    reference[static_cast<usize>(comm.rank())] = state(*setup->sim);
+  });
+  const fluid::CheckpointManager rank1(rotation(1));
+  ASSERT_TRUE(fs::remove(rank1.path_for_step(12)));
+
+  comm::run_parallel(2, [&](comm::Communicator& comm) {
+    const std::unique_ptr<CaseSetup> setup = build_case(info, params, comm);
+    setup->sim->set_initial_conditions();
+    const usize r = static_cast<usize>(comm.rank());
+    if (setup->sim->restore_latest(fluid::CheckpointManager(rotation(comm.rank()))))
+      restored[r] = setup->sim->solver().step_count();
+    // Ranks at different steps would deadlock in the lockstep exchanges:
+    // stop both, so a restore that disagrees fails the test, not hangs it.
+    const gidx_t step = setup->sim->solver().step_count();
+    if (comm.allreduce_scalar(step, comm::ReduceOp::kMin) !=
+        comm.allreduce_scalar(step, comm::ReduceOp::kMax))
+      return;
+    while (setup->sim->solver().step_count() < 14) setup->sim->step();
+    resumed[r] = state(*setup->sim);
+  });
+  EXPECT_EQ(restored, (std::vector<std::int64_t>{8, 8}));
+  for (usize r = 0; r < 2; ++r) {
+    ASSERT_EQ(reference[r].size(), resumed[r].size());
+    for (usize i = 0; i < reference[r].size(); ++i)
+      ASSERT_EQ(reference[r][i], resumed[r][i])
+          << "rank " << r << ": bitwise mismatch at " << i;
+  }
+}
+
+// ---- the telemetry channel --------------------------------------------------
+
+using CaseChannelTest = CaseRegistryRestartTest;
+
+std::string first_line(const fs::path& path) {
+  std::ifstream in(path);
+  std::string line;
+  std::getline(in, line);
+  return line;
+}
+
+/// The header of a rank's stream carries the host's keys and the six
+/// identity keys the builder writes.
+void expect_header(const fs::path& stream, int rank, int size) {
+  SCOPED_TRACE(stream.string());
+  const std::string header = first_line(stream);
+  ASSERT_EQ(header.rfind(R"({"type":"header")", 0), 0u) << header;
+  for (const std::string& field :
+       {std::string(R"("program":"test")"), std::string(R"("type":"rbc")"),
+        std::string(R"("backend":")"), std::string(R"("threads":")"),
+        std::string(R"("degree":"4")"),
+        R"("rank":")" + std::to_string(rank) + '"',
+        R"("size":")" + std::to_string(size) + '"'})
+    EXPECT_NE(header.find(field), std::string::npos) << field << " in " << header;
+}
+
+TEST_F(CaseChannelTest, OneRankWritesTheChannelRanksEachTheirOwnDirectory) {
+  ParamMap params = matrix_params("rbc");
+  params.set("telemetry.enabled", true);
+  params.set("telemetry.heartbeat", 0);
+  const CaseInfo& info = resolve_case(params);
+  const auto run = [&](comm::Communicator& comm, const std::string& dir) {
+    const TelemetryChannel channel{dir, {{"program", "test"}}};
+    const std::unique_ptr<CaseSetup> setup =
+        build_case(info, params, comm, nullptr, &channel);
+    ASSERT_NE(setup->telemetry, nullptr);
+    setup->sim->set_initial_conditions();
+    setup->sim->step();
+  };
+  comm::SelfComm self;
+  run(self, dir_ + "/one");
+  expect_header(fs::path(dir_) / "one" / "run.ndjson", 0, 1);
+  EXPECT_FALSE(fs::exists(fs::path(dir_) / "one" / "rank0"));
+
+  comm::run_parallel(2, [&](comm::Communicator& comm) { run(comm, dir_ + "/two"); });
+  for (int rank : {0, 1})
+    expect_header(fs::path(dir_) / "two" / ("rank" + std::to_string(rank)) /
+                      "run.ndjson",
+                  rank, 2);
+  EXPECT_FALSE(fs::exists(fs::path(dir_) / "two" / "run.ndjson"));
+}
+
+TEST_F(CaseChannelTest, NothingIsWrittenWithoutAChannel) {
+  // telemetry.enabled alone opens nothing: only a host names a channel.
+  ParamMap params = matrix_params("rbc");
+  params.set("telemetry.enabled", true);
+  params.set("telemetry.dir", dir_);
+  comm::SelfComm comm;
+  const std::unique_ptr<CaseSetup> setup =
+      build_case(resolve_case(params), params, comm);
+  EXPECT_EQ(setup->telemetry, nullptr);
+  EXPECT_EQ(setup->sim->solver().telemetry(), nullptr);
+  setup->sim->set_initial_conditions();
+  setup->sim->step();
+  EXPECT_FALSE(fs::exists(dir_));
 }
 
 }  // namespace

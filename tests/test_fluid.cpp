@@ -372,5 +372,19 @@ TEST(CaseFile, ConfigFromParams) {
   EXPECT_EQ(config.flow.max_order, 3);
 }
 
+TEST(CaseFile, MissingFlowKeysKeepTheCurrentValues) {
+  // A case that layers its own solver defaults first keeps them for every
+  // fluid.* key the file leaves out, the overlap mode included.
+  FlowConfig config;
+  config.overlap = precon::OverlapMode::kSerial;
+  config.gmres_restart = 7;
+  apply_flow_params(ParamMap::parse("fluid.use_projection = false"), config);
+  EXPECT_EQ(config.overlap, precon::OverlapMode::kSerial);
+  EXPECT_EQ(config.gmres_restart, 7);
+  EXPECT_FALSE(config.use_projection);
+  apply_flow_params(ParamMap::parse("fluid.overlap = true"), config);
+  EXPECT_EQ(config.overlap, precon::OverlapMode::kTaskParallel);
+}
+
 }  // namespace
 }  // namespace felis::fluid

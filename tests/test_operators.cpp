@@ -310,6 +310,42 @@ TEST(AdvectorTest, EnergyConservationPeriodicBox) {
   EXPECT_LT(std::abs(energy), 1e-8 * std::max(scale, real_t(1)));
 }
 
+TEST(AdvectorTest, ChargesTheFlopsItExecutes) {
+  // One set_velocity plus one apply charge the per-element counts of the
+  // sweeps and products they run (n GLL, m = ⌈3n/2⌉ Gauss points).
+  const struct {
+    int degree;
+    double set_velocity, apply;
+  } cases[] = {
+      // n = 4, m = 6: 3·(2·6·64 + 2·36·16 + 2·216·4) + 21·216;
+      //               6·6·64 + 8·36·16 + 8·216·4 + 5·216 + 2·64.
+      {3, 15480, 15032},
+      // n = 8, m = 12: the counts behind the bench_kernels annotation.
+      {7, 211392, 230848},
+  };
+  mesh::BoxMeshConfig cfg;
+  cfg.nx = cfg.ny = cfg.nz = 2;
+  comm::SelfComm comm;
+  for (const auto& c : cases) {
+    const auto setup = make_rank_setup(make_box_mesh(cfg), c.degree, comm, true);
+    const Context ctx = setup.ctx();
+    const double elements = ctx.num_elements();
+    EXPECT_EQ(field::advector_set_velocity_flops(ctx.space->n, ctx.space->nd),
+              c.set_velocity);
+    EXPECT_EQ(field::advector_apply_flops(ctx.space->n, ctx.space->nd), c.apply);
+    Advector adv(ctx);
+    const RealVec one(ctx.num_dofs(), 1.0);
+    RealVec out(ctx.num_dofs(), 0.0);
+    setup.prof->reset();
+    adv.set_velocity(one, one, one);
+    EXPECT_EQ(setup.prof->root().inclusive_counters().flops,
+              elements * c.set_velocity);
+    adv.apply(one, out, 1.0);
+    EXPECT_EQ(setup.prof->root().inclusive_counters().flops,
+              elements * (c.set_velocity + c.apply));
+  }
+}
+
 TEST(RemoveMean, ZeroesVolumeMean) {
   mesh::CylinderMeshConfig ccfg;
   ccfg.nc = 2;

@@ -133,6 +133,25 @@ TEST(Campaign, FromParamsOrdersQueueByEstimatedCost) {
   EXPECT_GT(spec.cases[0].cost_seconds, 0.0);
 }
 
+TEST(Campaign, RejectsACaseItsFactoryCannotBuild) {
+  // A mesh the geometry factory rejects, or a type the registry does not
+  // know, fails the spec naming the case, before any attempt runs.
+  const auto message = [](const char* text) {
+    try {
+      CampaignSpec::from_params(ParamMap::parse(text));
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("(accepted)");
+  };
+  const std::string slab = message("mesh.nx = 2");
+  EXPECT_NE(slab.find("case 'case"), std::string::npos) << slab;
+  EXPECT_NE(slab.find("at least 3 elements"), std::string::npos) << slab;
+  const std::string type = message("sweep.type = rbc,nope");
+  EXPECT_NE(type.find("typenope"), std::string::npos) << type;
+  EXPECT_NE(type.find("unknown case type 'nope'"), std::string::npos) << type;
+}
+
 TEST(Campaign, ValidatesConfigAndPerCaseBudgets) {
   EXPECT_THROW(
       CampaignSpec::from_params(ParamMap::parse("campaign.workers = 0")),

@@ -296,9 +296,8 @@ class TelemetryRbc : public ::testing::Test {
     device::SerialBackend backend;
     auto fine = operators::make_rank_setup(mesh, 5, comm, true, true, &backend);
     auto coarse = precon::make_coarse_setup(mesh, comm, &backend);
-    fine.telemetry = tel;
-    coarse.telemetry = tel;
     rbc::RbcSimulation sim(fine.ctx(), coarse.ctx(), case_config());
+    sim.solver().attach_telemetry(tel);
     sim.set_initial_conditions();
     for (int s = 0; s < steps; ++s) sim.step();
     RealVec state = sim.solver().temperature();

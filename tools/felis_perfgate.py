@@ -4,7 +4,7 @@ baseline and fail on regression.
 
 The baseline (BENCH_kernels.json at the repo root) is a committed perf
 trajectory: every PR that touches a kernel reruns the sweep and the gate
-refuses deltas outside the tolerance band. Two comparison modes:
+refuses deltas outside the tolerance band. Three modes:
 
   ratio (default)  Per-record ns_per_iter is normalized by an anchor — the
                    geometric mean of the anchor kernel's records in the SAME
@@ -16,11 +16,19 @@ refuses deltas outside the tolerance band. Two comparison modes:
                    and fresh run on the same machine (e.g. a dedicated perf
                    runner).
 
+  scaling          Thread scaling within the fresh sweep alone (no
+                   baseline): at the best degree, BM_AxHelmholtz on the
+                   serial backend must take at least 2.0x the time it takes
+                   on the 4-thread openmp backend. The best degree, not
+                   every degree, because the first OpenMP records of a sweep
+                   can read 100-500x slow while the team warms up.
+
 Records are keyed by (kernel, degree, backend, threads). Keys present in only
 one dataset are reported but not fatal (sweeps evolve); zero overlapping keys
 is a structural error. The committed baseline is serial-focused (CI containers
 often expose one core), so --only-backend serial is the normal CI invocation;
-multi-thread scaling is gated separately by the bench-smoke job.
+multi-thread scaling is gated separately, by the bench-smoke job's
+--mode scaling run.
 
 --require-speedup TUNED:REF:DEGREE:MINRATIO asserts, WITHIN the fresh sweep,
 that kernel TUNED is at least MINRATIO× faster than kernel REF at DEGREE on
@@ -29,8 +37,9 @@ the per-order kernel table must not lose to the pinned scalar reference at
 the paper's production order). This is a same-machine, same-run comparison,
 so it is exact in either mode.
 
-Exit codes: 0 pass, 1 regression (or failed speedup), 2 structural problem
-(missing/unreadable file, no overlapping records, missing anchor records).
+Exit codes: 0 pass, 1 regression (or failed speedup or scaling), 2
+structural problem (missing/unreadable file, no overlapping records, missing
+anchor records).
 """
 
 import argparse
@@ -75,6 +84,40 @@ def parse_tol_overrides(items):
     return out
 
 
+SCALING_KERNEL = "BM_AxHelmholtz"
+SCALING_THREADS = 4
+SCALING_MIN = 2.0
+
+
+def check_scaling(fresh):
+    """Scaling mode: the best degree's serial/openmp-4 time ratio of
+    SCALING_KERNEL reaches SCALING_MIN. Returns an exit code."""
+    degrees = sorted({d for (k, d, b, t) in fresh
+                      if k == SCALING_KERNEL and b == "serial"} &
+                     {d for (k, d, b, t) in fresh
+                      if k == SCALING_KERNEL and b == "openmp"
+                      and t == SCALING_THREADS})
+    if not degrees:
+        print(f"felis-perfgate: scaling mode needs {SCALING_KERNEL} records "
+              f"on serial/1t and openmp/{SCALING_THREADS}t at one degree",
+              file=sys.stderr)
+        return 2
+    best = 0.0
+    for degree in degrees:
+        serial = fresh[(SCALING_KERNEL, degree, "serial", 1)]
+        omp = fresh[(SCALING_KERNEL, degree, "openmp", SCALING_THREADS)]
+        best = max(best, serial / omp)
+        print(f"degree {degree}: serial {serial:.0f} ns, openmp/"
+              f"{SCALING_THREADS} {omp:.0f} ns, speedup {serial / omp:.2f}x")
+    if best < SCALING_MIN:
+        print(f"felis-perfgate: best openmp/{SCALING_THREADS} speedup "
+              f"{best:.2f}x < {SCALING_MIN:.1f}x FAILED.")
+        return 1
+    print(f"felis-perfgate: best openmp/{SCALING_THREADS} speedup "
+          f"{best:.2f}x >= {SCALING_MIN:.1f}x.")
+    return 0
+
+
 def key_str(key):
     kernel, degree, backend, threads = key
     return f"{kernel}/deg{degree}/{backend}/{threads}t"
@@ -84,11 +127,13 @@ def main(argv):
     ap = argparse.ArgumentParser(
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--baseline", required=True,
-                    help="committed BENCH_kernels.json")
+    ap.add_argument("--baseline",
+                    help="committed BENCH_kernels.json (all modes but "
+                         "scaling)")
     ap.add_argument("--fresh", required=True,
                     help="freshly produced BENCH_kernels.json")
-    ap.add_argument("--mode", choices=("ratio", "absolute"), default="ratio")
+    ap.add_argument("--mode", choices=("ratio", "absolute", "scaling"),
+                    default="ratio")
     ap.add_argument("--anchor", default="BM_AxHelmholtzRef",
                     help="anchor kernel for ratio mode (default: "
                          "%(default)s — the pinned scalar reference)")
@@ -115,6 +160,13 @@ def main(argv):
         print(f"felis-perfgate: {e}", file=sys.stderr)
         return 2
 
+    if args.mode == "scaling":
+        fresh = load_records(args.fresh)
+        return 2 if fresh is None else check_scaling(fresh)
+    if args.baseline is None:
+        print(f"felis-perfgate: --mode {args.mode} needs --baseline",
+              file=sys.stderr)
+        return 2
     baseline = load_records(args.baseline, args.only_backend)
     fresh = load_records(args.fresh, args.only_backend)
     if baseline is None or fresh is None:

@@ -20,7 +20,7 @@ using namespace felis;
 namespace {
 
 int run(real_t rayleigh, int steps, int every) {
-  // The periodic-slab RBC case from the registry, at degree 6 (snapshots
+  // The periodic-slab RBC case from the case table, at degree 6 (snapshots
   // with enough modal content to make the spectral compressor interesting).
   ParamMap params;
   params.set("case.type", "rbc");

@@ -1,4 +1,4 @@
-// Distributed execution: the same registered case on multiple simulated
+// Distributed execution: the same builtin case on multiple simulated
 // ranks (threads with message passing — felis' stand-in for MPI, see
 // DESIGN.md), demonstrating the two-phase gather-scatter, per-rank
 // profiling, the task-overlapped pressure preconditioner running with real
@@ -30,7 +30,7 @@ using namespace felis;
 namespace {
 
 int run(int nranks, int steps, const std::string& telemetry_dir) {
-  // The cylindrical cell from the registry (slender-ish: Γ = D/H = 0.5).
+  // The cylindrical cell from the case table (slender-ish: Γ = D/H = 0.5).
   // Every rank resolves the same params, so every rank builds the same
   // global mesh.
   ParamMap params;

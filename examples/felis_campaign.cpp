@@ -6,7 +6,7 @@
 //     --dry-run            expand + order the queue, print it, run nothing
 //     --steps N            override every case's step count (smoke runs)
 //     --dir PATH           override campaign.dir
-//     --list-cases         print the registered case types and exit
+//     --list-cases         print the builtin case types and exit
 //
 // Observer modes (work on a running, finished, or crashed campaign dir —
 // they only read the crash-safe journals, skipping torn tails):
@@ -21,7 +21,7 @@
 //
 // The campaign file is an ordinary key = value ParamMap with sweep.* axes;
 // `case.type` (sweepable: `sweep.type = rbc,rbc2d,ihc`) selects each case's
-// scenario from the case registry:
+// scenario from the case table:
 //
 //   campaign.name = ra_sweep        sweep.Ra = 2e4:6e5:log4
 //   campaign.workers = 2            case.dt = 1.5e-2
@@ -42,6 +42,7 @@
 #include "case/registry.hpp"
 #include "common/error.hpp"
 #include "device/backend.hpp"
+#include "example_args.hpp"
 #include "io/atomic_file.hpp"
 #include "obs/campaign_monitor.hpp"
 #include "obs/exporters.hpp"
@@ -49,6 +50,7 @@
 #include "sched/scheduler.hpp"
 
 using namespace felis;
+using examples::parse_number;
 
 namespace {
 
@@ -152,18 +154,23 @@ int main(int argc, char** argv) {
   bool watch = false;
   bool json_out = false;
   double interval = 2.0;
-  long steps_override = 0;
+  int steps_override = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--list-cases") == 0) {
       std::printf("registered cases (case.type / sweep.type):\n");
-      for (const cases::CaseInfo& info : cases::Registry::global().infos())
+      for (const cases::CaseInfo& info : cases::builtin_cases())
         std::printf("  %-10s %s\n", info.type.c_str(),
                     info.description.c_str());
       return 0;
     } else if (std::strcmp(argv[i], "--dry-run") == 0) {
       dry_run = true;
     } else if (std::strcmp(argv[i], "--steps") == 0 && i + 1 < argc) {
-      steps_override = std::atol(argv[++i]);
+      double steps = 0;
+      if (!parse_number(argv[++i], true, steps)) {
+        std::fputs(kUsage, stderr);
+        return 64;
+      }
+      steps_override = static_cast<int>(steps);
     } else if (std::strcmp(argv[i], "--dir") == 0 && i + 1 < argc) {
       dir_override = argv[++i];
     } else if (std::strcmp(argv[i], "--status") == 0 && i + 1 < argc) {
@@ -175,7 +182,10 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--json") == 0) {
       json_out = true;
     } else if (std::strcmp(argv[i], "--interval") == 0 && i + 1 < argc) {
-      interval = std::atof(argv[++i]);
+      if (!parse_number(argv[++i], false, interval) || interval <= 0) {
+        std::fputs(kUsage, stderr);
+        return 64;
+      }
     } else if (campaign_file.empty() && argv[i][0] != '-') {
       campaign_file = argv[i];
     } else {
@@ -190,8 +200,7 @@ int main(int argc, char** argv) {
 
   if (!status_dir.empty() || !trace_dir.empty())
     return run_observer(trace_dir.empty() ? status_dir : trace_dir, watch,
-                        interval > 0 ? interval : 2.0, json_out,
-                        !trace_dir.empty());
+                        interval, json_out, !trace_dir.empty());
 
   if (campaign_file.empty()) {
     std::fputs(kUsage, stderr);
@@ -212,7 +221,7 @@ int main(int argc, char** argv) {
     ParamMap params = ParamMap::parse(ss.str());
     if (!dir_override.empty()) params.set("campaign.dir", dir_override);
     if (steps_override > 0)
-      params.set("campaign.steps", static_cast<int>(steps_override));
+      params.set("campaign.steps", steps_override);
     spec = sched::CampaignSpec::from_params(params);
   } catch (const Error& e) {
     std::fprintf(stderr, "bad campaign spec: %s\n", e.what());

@@ -32,6 +32,12 @@ expect(65 "case.Ra" "${CAMPAIGN}" "${DIR}/big_ra.txt" --dry-run)
 expect(65 "campaign.monitor.*--status" "${CAMPAIGN}" "${DIR}/monitor.txt" --dry-run)
 expect(65 "periodic x requires at least 3 elements"
        "${CAMPAIGN}" "${DIR}/slab_nx2.txt" --dry-run)
+foreach(steps abc -3 7x 0)
+  expect(64 "usage: felis_campaign"
+         "${CAMPAIGN}" "${DIR}/slab_nx2.txt" --dry-run --steps ${steps})
+endforeach()
+expect(64 "usage: felis_campaign"
+       "${CAMPAIGN}" --status "${DIR}" --watch --interval abc)
 expect(65 "mesh.nx" "${QUICKSTART}" --case "${DIR}/big_nx.txt" 1)
 expect(65 "case.Ra" "${QUICKSTART}" --case "${DIR}/big_ra.txt" 1)
 expect(65 "periodic x requires at least 3 elements"

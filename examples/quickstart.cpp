@@ -1,14 +1,14 @@
 // Quickstart: a minimal felis simulation — the shortest path from nothing
 // to a working convection run.
 //
-// The scenario comes from the case registry: `case.type` in the case file
-// selects any registered case (rbc, rbc2d, rbc_rot, ihc, rbc_cyl, ...); the
-// default is the periodic-slab RBC case at Ra = 10⁴ (mildly supercritical).
+// The scenario comes from the case table: `case.type` in the case file
+// selects any builtin case (rbc, rbc2d, rbc_rot, ihc, rbc_cyl); the default
+// is the periodic-slab RBC case at Ra = 10⁴ (mildly supercritical).
 //
 //   ./quickstart [Ra] [steps]
 //   ./quickstart --case my_case.txt [steps]   (key = value file: case.*,
 //                                              mesh.*, fluid.*, telemetry.*)
-//   ./quickstart --list-cases                 (print the registered cases)
+//   ./quickstart --list-cases                 (print the builtin cases)
 //
 // Exit code (felis_campaign's): 64 usage (an unknown argument, an Ra that
 // does not parse, a step count that is not a positive integer), 65 any
@@ -32,7 +32,7 @@ int run(const std::vector<std::string>& args) {
   ParamMap params;
   if (args == std::vector<std::string>{"--list-cases"}) {
     std::printf("registered cases (case.type):\n");
-    for (const cases::CaseInfo& info : cases::Registry::global().infos())
+    for (const cases::CaseInfo& info : cases::builtin_cases())
       std::printf("  %-10s %s\n", info.type.c_str(), info.description.c_str());
     return 0;
   }
@@ -61,17 +61,17 @@ int run(const std::vector<std::string>& args) {
   }
   const int steps = static_cast<int>(count);
 
-  // 1. Scenario: resolve case.type against the registry. Unknown types get
-  //    the registry's message naming every registered case.
+  // 1. Scenario: resolve case.type against the case table. Unknown types get
+  //    a message naming every builtin case.
   params.set("case.Ra", params.get_real("case.Ra", 1e4));
   params.set("case.dt", params.get_real("case.dt", 2e-2));
-  const std::string type = params.get_string("case.type", "rbc");
+  const cases::CaseInfo& info = cases::resolve_case(params);
   // Historical quickstart default: degree-5 elements for the slab case
-  // (registered types keep their own defaults when selected explicitly).
-  if (type == "rbc" && !params.has("mesh.degree")) params.set("mesh.degree", 5);
-  const cases::CaseInfo& info = cases::Registry::global().resolve(type);
+  // (the other types keep their own defaults).
+  if (info.type == "rbc" && !params.has("mesh.degree"))
+    params.set("mesh.degree", 5);
 
-  // 2. Discretization and case: the registered factories build the mesh
+  // 2. Discretization and case: the table's factories build the mesh
   //    from the mesh.* keys and own boundary conditions, forcing and physics
   //    (free-fall units); SelfComm = single rank. The device backend comes
   //    from the `device.backend` case key (or FELIS_BACKEND env, or

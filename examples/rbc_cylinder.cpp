@@ -94,7 +94,7 @@ void ascii_render(const Slice& s, const char* title) {
 }
 
 int run(real_t rayleigh, int steps, real_t aspect) {
-  // The cylinder case from the registry (paper geometry, Pr = 1); the
+  // The cylinder case from the case table (paper geometry, Pr = 1); the
   // factory owns the o-grid mesh and boundary conditions.
   ParamMap params;
   params.set("case.type", "rbc_cyl");

@@ -1,18 +1,21 @@
 /// \file builtin.cpp
-/// \brief The builtin scenario matrix: every case type felis ships with,
-/// registered as factories (see registry.hpp for the list and the lazy
-/// registration rationale).
+/// \brief The case table: every case type felis ships with, one constant
+/// row each (see registry.hpp for the list).
 ///
-/// Mesh defaults mirror the campaign runner's historical ones (periodic
-/// 3×3×3 box of extent 2×2×1, degree 4) so existing campaign files keep
-/// their exact meaning; each type overrides only what its physics needs.
-#include <utility>
+/// A row is data: the type's mesh defaults, its physics class and its config
+/// defaults (rbc2d's y-invariant seed is row data only, not a case key). The
+/// case keys themselves are read once, by rbc::config_from_params. Mesh defaults
+/// mirror the campaign runner's historical ones (periodic 3×3×3 box of
+/// extent 2×2×1, degree 4) so existing campaign files keep their exact
+/// meaning; each type overrides only what its physics needs.
+#include <algorithm>
+#include <sstream>
 
 #include "case/ihc.hpp"
 #include "case/rbc.hpp"
 #include "case/registry.hpp"
 
-namespace felis::cases::detail {
+namespace felis::cases {
 
 namespace {
 
@@ -23,122 +26,106 @@ struct BoxDefaults {
 };
 
 /// Horizontally periodic slab from the mesh.* keys, over type defaults.
-Geometry box_geometry(const ParamMap& params, const BoxDefaults& d) {
-  mesh::BoxMeshConfig box;
-  box.nx = params.get_int("mesh.nx", d.nx);
-  box.ny = params.get_int("mesh.ny", d.ny);
-  box.nz = params.get_int("mesh.nz", d.nz);
-  box.lx = params.get_real("mesh.lx", d.lx);
-  box.ly = params.get_real("mesh.ly", d.ly);
-  box.lz = params.get_real("mesh.lz", d.lz);
-  box.periodic_x = box.periodic_y = true;
+GeometryFactory slab(BoxDefaults d) {
+  return [d](const ParamMap& params) {
+    mesh::BoxMeshConfig box;
+    box.nx = params.get_int("mesh.nx", d.nx);
+    box.ny = params.get_int("mesh.ny", d.ny);
+    box.nz = params.get_int("mesh.nz", d.nz);
+    box.lx = params.get_real("mesh.lx", d.lx);
+    box.ly = params.get_real("mesh.ly", d.ly);
+    box.lz = params.get_real("mesh.lz", d.lz);
+    box.periodic_x = box.periodic_y = true;
+    Geometry geo;
+    geo.mesh = mesh::make_box_mesh(box);
+    geo.degree = params.get_int("mesh.degree", d.degree);
+    geo.lx = box.lx;
+    geo.ly = box.ly;
+    geo.lz = box.lz;
+    return geo;
+  };
+}
+
+/// Cylindrical cell of unit height from the mesh.* keys and case.aspect.
+Geometry cylinder(const ParamMap& params) {
+  mesh::CylinderMeshConfig cyl;
+  cyl.nc = params.get_int("mesh.nc", 2);
+  cyl.nr = params.get_int("mesh.nr", 2);
+  cyl.nz = params.get_int("mesh.nz", 6);
+  cyl.height = 1.0;
+  cyl.radius = 0.5 * params.get_real("case.aspect", 1.0) * cyl.height;
   Geometry geo;
-  geo.mesh = mesh::make_box_mesh(box);
-  geo.degree = params.get_int("mesh.degree", d.degree);
-  geo.lx = box.lx;
-  geo.ly = box.ly;
-  geo.lz = box.lz;
+  geo.mesh = mesh::make_cylinder_mesh(cyl);
+  geo.degree = params.get_int("mesh.degree", 4);
+  geo.lx = geo.ly = 2.0 * cyl.radius;
+  geo.lz = cyl.height;
   return geo;
 }
 
-/// RBC config for a periodic slab: perturbation wavelengths default to the
-/// box extents (the periodic-seam continuity rule) and only the plates are
-/// no-slip (the sides are periodic, not walls).
-rbc::RbcConfig slab_rbc_config(const ParamMap& params, const Geometry& geo) {
-  rbc::RbcConfig config = rbc::config_from_params(params);
-  if (!params.has("case.perturbation_lx")) config.perturbation_lx = geo.lx;
-  if (!params.has("case.perturbation_ly")) config.perturbation_ly = geo.ly;
-  config.flow.velocity_walls = {mesh::FaceTag::kBottom, mesh::FaceTag::kTop};
-  return config;
+/// A row of the table: a `Sim` built from the case keys over `defaults`.
+/// Every boundary that is not periodic is no-slip (the FlowConfig default):
+/// the plates of a slab, the plates and the side wall of a cylinder.
+template <class Sim>
+CaseInfo row(const char* type, const char* description,
+             GeometryFactory geometry, rbc::RbcConfig defaults) {
+  return {type, description, std::move(geometry),
+          [type, defaults](const operators::Context& fine,
+                           const operators::Context& coarse,
+                           const Geometry& geo,
+                           const ParamMap& p) -> std::unique_ptr<Case> {
+            rbc::RbcConfig config = rbc::config_from_params(p, defaults);
+            // Perturbation wavelengths default to the domain extents: on a
+            // periodic slab they must (the seed is otherwise discontinuous
+            // across the seam), in an enclosed cell any O(diameter) value
+            // seeds fine.
+            if (!p.has("case.perturbation_lx")) config.perturbation_lx = geo.lx;
+            if (!p.has("case.perturbation_ly")) config.perturbation_ly = geo.ly;
+            return std::make_unique<Sim>(fine, coarse, config, geo.lz, type);
+          }};
 }
+
+using rbc::RbcSimulation;
+using ihc::InternallyHeatedSimulation;
 
 }  // namespace
 
-void register_builtins(Registry& registry) {
-  registry.add(
-      {"rbc", "Rayleigh-Benard convection in a horizontally periodic slab",
-       [](const ParamMap& p) { return box_geometry(p, {}); },
-       [](const operators::Context& fine, const operators::Context& coarse,
-          const Geometry& geo, const ParamMap& p) -> std::unique_ptr<Case> {
-         return std::make_unique<rbc::RbcSimulation>(
-             fine, coarse, slab_rbc_config(p, geo), geo.lz, "rbc");
-       }});
-
-  registry.add(
-      {"rbc2d",
-       "quasi-2D RBC slab (y-invariant seed, thin mesh, low degree): the "
-       "cheap mass-campaign fast path",
-       [](const ParamMap& p) {
-         BoxDefaults d;
-         d.nz = 2;
-         d.ly = 1.0;
-         d.degree = 3;
-         return box_geometry(p, d);
-       },
-       [](const operators::Context& fine, const operators::Context& coarse,
-          const Geometry& geo, const ParamMap& p) -> std::unique_ptr<Case> {
-         rbc::RbcConfig config = slab_rbc_config(p, geo);
-         config.y_invariant = true;
-         return std::make_unique<rbc::RbcSimulation>(fine, coarse, config,
-                                                     geo.lz, "rbc2d");
-       }});
-
-  registry.add(
-      {"rbc_rot",
-       "rotating RBC about e_z (Coriolis forcing, case.Ro; default Ro = 1)",
-       [](const ParamMap& p) { return box_geometry(p, {}); },
-       [](const operators::Context& fine, const operators::Context& coarse,
-          const Geometry& geo, const ParamMap& p) -> std::unique_ptr<Case> {
-         rbc::RbcConfig config = slab_rbc_config(p, geo);
-         // Rotating by definition: a missing case.Ro means the type default,
-         // not "non-rotating" (that is what case.type = rbc says).
-         config.rossby = p.get_real("case.Ro", 1.0);
-         return std::make_unique<rbc::RbcSimulation>(fine, coarse, config,
-                                                     geo.lz, "rbc_rot");
-       }});
-
-  registry.add(
-      {"ihc",
-       "internally heated convection (uniform source, both plates cold)",
-       [](const ParamMap& p) { return box_geometry(p, {}); },
-       [](const operators::Context& fine, const operators::Context& coarse,
-          const Geometry& geo, const ParamMap& p) -> std::unique_ptr<Case> {
-         ihc::IhcConfig config = ihc::config_from_params(p);
-         if (!p.has("case.perturbation_lx")) config.perturbation_lx = geo.lx;
-         if (!p.has("case.perturbation_ly")) config.perturbation_ly = geo.ly;
-         config.flow.velocity_walls = {mesh::FaceTag::kBottom,
-                                       mesh::FaceTag::kTop};
-         return std::make_unique<ihc::InternallyHeatedSimulation>(
-             fine, coarse, config, geo.lz);
-       }});
-
-  registry.add(
-      {"rbc_cyl",
-       "RBC in a cylindrical cell (o-grid mesh, case.aspect = diameter/height)",
-       [](const ParamMap& p) {
-         mesh::CylinderMeshConfig cyl;
-         cyl.nc = p.get_int("mesh.nc", 2);
-         cyl.nr = p.get_int("mesh.nr", 2);
-         cyl.nz = p.get_int("mesh.nz", 6);
-         cyl.height = 1.0;
-         cyl.radius = 0.5 * p.get_real("case.aspect", 1.0) * cyl.height;
-         Geometry geo;
-         geo.mesh = mesh::make_cylinder_mesh(cyl);
-         geo.degree = p.get_int("mesh.degree", 4);
-         geo.lx = geo.ly = 2.0 * cyl.radius;
-         geo.lz = cyl.height;
-         return geo;
-       },
-       [](const operators::Context& fine, const operators::Context& coarse,
-          const Geometry& geo, const ParamMap& p) -> std::unique_ptr<Case> {
-         rbc::RbcConfig config = rbc::config_from_params(p);
-         // Enclosed cell: all boundaries no-slip (the FlowConfig default),
-         // any O(diameter) perturbation wavelength seeds fine.
-         if (!p.has("case.perturbation_lx")) config.perturbation_lx = geo.lx;
-         if (!p.has("case.perturbation_ly")) config.perturbation_ly = geo.ly;
-         return std::make_unique<rbc::RbcSimulation>(fine, coarse, config,
-                                                     geo.lz, "rbc_cyl");
-       }});
+std::span<const CaseInfo> builtin_cases() {
+  // Sorted by type, the order --list-cases prints. A rotating case without
+  // case.Ro rotates at Ro = 1: non-rotating is what case.type = rbc says.
+  static const CaseInfo table[] = {
+      row<InternallyHeatedSimulation>(
+          "ihc", "internally heated convection (uniform source, both plates cold)",
+          slab({}), {}),
+      row<RbcSimulation>(
+          "rbc", "Rayleigh-Benard convection in a horizontally periodic slab",
+          slab({}), {}),
+      row<RbcSimulation>(
+          "rbc2d",
+          "quasi-2D RBC slab (y-invariant seed, thin mesh, low degree): the "
+          "cheap mass-campaign fast path",
+          slab({.nz = 2, .ly = 1.0, .degree = 3}), {.y_invariant = true}),
+      row<RbcSimulation>(
+          "rbc_cyl",
+          "RBC in a cylindrical cell (o-grid mesh, case.aspect = diameter/height)",
+          cylinder, {}),
+      row<RbcSimulation>(
+          "rbc_rot",
+          "rotating RBC about e_z (Coriolis forcing, case.Ro; default Ro = 1)",
+          slab({}), {.rossby = 1.0}),
+  };
+  return table;
 }
 
-}  // namespace felis::cases::detail
+const CaseInfo& resolve_case(const ParamMap& params) {
+  const std::string type = params.get_string("case.type", "rbc");
+  const std::span<const CaseInfo> table = builtin_cases();
+  const auto it = std::find_if(table.begin(), table.end(),
+                               [&](const CaseInfo& c) { return c.type == type; });
+  if (it != table.end()) return *it;
+  std::ostringstream os;
+  os << "unknown case type '" << type << "'; registered cases:";
+  for (const CaseInfo& c : table) os << " " << c.type;
+  throw Error(os.str());
+}
+
+}  // namespace felis::cases

@@ -4,12 +4,18 @@
 
 namespace felis::cases {
 
-fluid::StepInfo Case::step() {
-  telemetry::Telemetry* tel = solver().telemetry();
-  if (tel == nullptr) return advance();
+Case::Case(std::string type, const operators::Context& fine,
+           const operators::Context& coarse, fluid::FlowConfig flow,
+           real_t height)
+    : type_(std::move(type)), height_(height),
+      solver_(fine, coarse, std::move(flow)) {}
 
-  tel->begin_step(solver().step_count() + 1);
-  const fluid::StepInfo info = advance();
+fluid::StepInfo Case::step() {
+  telemetry::Telemetry* tel = solver_.telemetry();
+  if (tel == nullptr) return solver_.step();
+
+  tel->begin_step(solver_.step_count() + 1);
+  const fluid::StepInfo info = solver_.step();
   // Physical observables are charged only on sampled steps: they cost extra
   // reductions but never touch solver state, so the fields stay bitwise
   // identical with telemetry on or off.
@@ -22,15 +28,15 @@ fluid::StepInfo Case::step() {
 }
 
 fluid::Checkpoint Case::capture_checkpoint() const {
-  return fluid::capture_checkpoint(solver());
+  return fluid::capture_checkpoint(solver_);
 }
 
 void Case::restore_checkpoint(const fluid::Checkpoint& checkpoint) {
-  fluid::restore_checkpoint(solver(), checkpoint);
+  fluid::restore_checkpoint(solver_, checkpoint);
 }
 
 bool Case::maybe_checkpoint(fluid::CheckpointManager& manager) const {
-  if (!manager.due(solver().step_count())) return false;
+  if (!manager.due(solver_.step_count())) return false;
   manager.write(capture_checkpoint());
   return true;
 }
@@ -38,7 +44,7 @@ bool Case::maybe_checkpoint(fluid::CheckpointManager& manager) const {
 bool Case::restore_latest(const fluid::CheckpointManager& manager) {
   std::optional<fluid::Checkpoint> latest = manager.load_latest();
   const gidx_t newest = latest ? static_cast<gidx_t>(latest->step) : -1;
-  comm::Communicator& comm = *solver().context().comm;
+  comm::Communicator& comm = *fine().comm;
   const gidx_t common =
       comm.size() > 1 ? comm.allreduce_scalar(newest, comm::ReduceOp::kMin)
                       : newest;

@@ -1,5 +1,5 @@
 /// \file case.hpp
-/// \brief The scenario-plugin interface: what every simulation case must
+/// \brief The scenario interface: what every simulation case must
 /// provide to run under any felis host (quickstart, the campaign scheduler,
 /// the distributed driver).
 ///
@@ -8,7 +8,7 @@
 /// behind a uniform contract so hosts never special-case the physics:
 ///
 ///  * initial conditions    — set_initial_conditions() seeds the fields;
-///  * time stepping         — step() advances the underlying FlowSolver and,
+///  * time stepping         — step() advances the case's FlowSolver and,
 ///    when telemetry is attached to it, brackets the step and charges the
 ///    physical `case.*` observables on sampled steps (bitwise identical
 ///    fields with telemetry on or off);
@@ -18,16 +18,13 @@
 ///    stay uniform; see DESIGN.md §12 for the contract);
 ///  * parameters            — the case's defining numbers (Ra, Pr, Ro, ...)
 ///    for summary tables and telemetry metadata;
-///  * checkpoint closure    — capture/restore must round-trip the *complete*
-///    integrator state so a restored case continues bitwise identically to
-///    an uninterrupted run (the PR 3 exact-restart guarantee is per-case: a
-///    case type whose state is fully held by its FlowSolver inherits the
-///    default implementation; one with extra evolving state must override
-///    capture_checkpoint()/restore_checkpoint() to include it).
+///  * checkpoint closure    — capture/restore round-trip the *complete*
+///    integrator state, which every case keeps in its FlowSolver, so a
+///    restored case continues bitwise identically to an uninterrupted run.
 ///
-/// Concrete cases register a factory in cases::Registry (registry.hpp) and
-/// are resolved by the `case.type` parameter; nothing outside src/case/
-/// names a concrete case class (enforced by the `case-registry` lint rule).
+/// The builtin types are rows of the case table (registry.hpp), resolved by
+/// the `case.type` parameter; nothing outside src/case/ names a concrete
+/// case class (enforced by the `case-registry` lint rule).
 #pragma once
 
 #include <map>
@@ -44,21 +41,20 @@ using Observables = std::map<std::string, real_t>;
 
 class Case {
  public:
-  explicit Case(std::string type) : type_(std::move(type)) {}
   virtual ~Case() = default;
   Case(const Case&) = delete;
   Case& operator=(const Case&) = delete;
 
-  /// The registered `case.type` this instance was built as.
+  /// The `case.type` this instance was built as.
   const std::string& type() const { return type_; }
 
   /// Seed the fields (and apply the boundary conditions).
   virtual void set_initial_conditions() = 0;
 
   /// The underlying integrator. Hosts use it for field access, step counts
-  /// and the checkpoint plumbing; the default capture/restore close over it.
-  virtual fluid::FlowSolver& solver() = 0;
-  virtual const fluid::FlowSolver& solver() const = 0;
+  /// and the checkpoint plumbing.
+  fluid::FlowSolver& solver() { return solver_; }
+  const fluid::FlowSolver& solver() const { return solver_; }
 
   /// Physical observables of the current state (collective: every rank must
   /// call). Contract: every case emits `nu_plate`, `nu_volume` and
@@ -70,19 +66,17 @@ class Case {
   /// is not collective.
   virtual Observables parameters() const = 0;
 
-  /// Advance one step. With telemetry attached to the solver
+  /// Advance one solver step. With telemetry attached to the solver
   /// (FlowSolver::attach_telemetry) this brackets the step
   /// (begin_step/end_step) and charges `case.<observable>` gauges on sampled
-  /// steps; without telemetry it is exactly advance(). Final — override
-  /// advance() instead, so the telemetry contract holds for every case type.
+  /// steps.
   fluid::StepInfo step();
 
-  /// Checkpoint closure. The defaults capture/restore the complete
-  /// FlowSolver state (fields, histories, clock, projection basis, last-step
-  /// stats) — sufficient for any case whose evolving state lives entirely in
-  /// the solver. Cases with extra state must override both.
-  virtual fluid::Checkpoint capture_checkpoint() const;
-  virtual void restore_checkpoint(const fluid::Checkpoint& checkpoint);
+  /// Checkpoint closure: the complete FlowSolver state (fields, histories,
+  /// clock, projection basis, last-step stats), which is all the evolving
+  /// state a case has.
+  fluid::Checkpoint capture_checkpoint() const;
+  void restore_checkpoint(const fluid::Checkpoint& checkpoint);
 
   /// Write a checkpoint through `manager` when the current step is due.
   bool maybe_checkpoint(fluid::CheckpointManager& manager) const;
@@ -93,12 +87,19 @@ class Case {
   bool restore_latest(const fluid::CheckpointManager& manager);
 
  protected:
-  /// The raw state advance — solver().step() unless the case interleaves
-  /// extra per-step work (in-situ capture, moving forcing, ...).
-  virtual fluid::StepInfo advance() { return solver().step(); }
+  /// A `type` case whose solver runs `flow` over `fine`/`coarse`, between
+  /// plates `height` apart.
+  Case(std::string type, const operators::Context& fine,
+       const operators::Context& coarse, fluid::FlowConfig flow, real_t height);
+
+  /// The fine context (the solver's) and the plate gap.
+  const operators::Context& fine() const { return solver_.context(); }
+  real_t height() const { return height_; }
 
  private:
   std::string type_;
+  real_t height_;
+  fluid::FlowSolver solver_;
 };
 
 /// Area integral of −∂f/∂z (and the face area) over the boundary faces

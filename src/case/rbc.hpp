@@ -13,18 +13,18 @@
 /// verification of RBC codes; Nu(Ra) is the paper's headline science
 /// question (classical Nu~Ra^{1/3} vs ultimate Nu~Ra^{1/2}).
 ///
-/// Variants served by the same class through RbcConfig (registered in the
-/// case registry as distinct types, see registry.hpp):
+/// Variants served by the same class through RbcConfig (rows of the case
+/// table, see registry.hpp):
 ///  * rossby > 0 — rotating RBC about e_z: adds the Coriolis force
 ///    −(1/Ro) ẑ×u (free-fall units), the `rbc_rot` case;
 ///  * y_invariant — quasi-2D fast path: the seed perturbation drops all
 ///    y-modes so the (deterministic) dynamics stay y-invariant on the thin
 ///    periodic box, the cheap `rbc2d` campaign-testing case.
+/// Internally heated convection (ihc.hpp) reads the same config and seeds
+/// through the same loop, rbc::seed, over its own base profile.
 #pragma once
 
 #include <cmath>
-#include <functional>
-#include <memory>
 
 #include "case/case.hpp"
 #include "common/params.hpp"
@@ -38,9 +38,10 @@ struct RbcConfig {
   /// Rossby number for rotation about e_z; 0 = non-rotating. Maps to
   /// FlowConfig::coriolis = 1/Ro.
   real_t rossby = 0.0;
-  /// Seed only x-modes (quasi-2D slab fast path, see file comment).
+  /// Seed only x-modes (quasi-2D slab fast path, see file comment). Row
+  /// data of the case table, not a case key: `rbc2d` sets it.
   bool y_invariant = false;
-  fluid::FlowConfig flow;  ///< solver knobs; ν, κ, dt are overwritten
+  fluid::FlowConfig flow = {};  ///< solver knobs; ν, κ, dt are overwritten
 
   /// Amplitude of the initial temperature perturbation on the conduction
   /// profile (0 = pure conduction).
@@ -63,21 +64,33 @@ struct RbcDiagnostics {
   real_t temperature_mean = 0;
 };
 
+/// The free-fall flow of `config`: its solver knobs with ν, κ, dt, unit
+/// buoyancy, the Coriolis parameter 1/Ro and the temperature equation
+/// (bottom plate T = 1, top T = 0: the FlowConfig default).
+fluid::FlowConfig flow_config(const RbcConfig& config);
+
+/// The temperature a seed perturbs, at height fraction z/H.
+using Profile = real_t (*)(real_t z);
+
+/// The one seed loop of the convection cases: T = `profile` plus `config`'s
+/// deterministic perturbation (vanishing at both plates, so the Dirichlet
+/// data is exact; x-modes only when `config.y_invariant`), zero velocity,
+/// then the solver's boundary conditions. `height`: the plate gap.
+void seed(fluid::FlowSolver& solver, const RbcConfig& config, real_t height,
+          Profile profile);
+
 class RbcSimulation : public cases::Case {
  public:
   /// `fine`/`coarse`: contexts over the RBC mesh (box or cylinder) whose
   /// bottom/top faces are tagged kBottom/kTop. `height`: plate separation
-  /// (non-dimensionally 1 in the paper). `type`: the registered case type
-  /// this instance represents (rbc / rbc2d / rbc_rot / rbc_cyl).
+  /// (non-dimensionally 1 in the paper). `type`: the case type this instance
+  /// represents (rbc / rbc2d / rbc_rot / rbc_cyl).
   RbcSimulation(const operators::Context& fine, const operators::Context& coarse,
                 const RbcConfig& config, real_t height = 1.0,
                 std::string type = "rbc");
 
-  /// Conduction profile + random perturbation; applies the BCs.
+  /// Conduction profile 1 − z/H + seeded perturbation; applies the BCs.
   void set_initial_conditions() override;
-
-  fluid::FlowSolver& solver() override { return *solver_; }
-  const fluid::FlowSolver& solver() const override { return *solver_; }
 
   /// nu_plate (mean of both plates), nu_volume, kinetic_energy,
   /// temperature_mean. Collective.
@@ -88,18 +101,16 @@ class RbcSimulation : public cases::Case {
   RbcDiagnostics diagnostics() const;
 
  private:
-  operators::Context fine_;
   RbcConfig config_;
-  real_t height_;
-  std::unique_ptr<fluid::FlowSolver> solver_;
 };
 
-/// Build an RbcConfig from a parsed case file (see ParamMap::parse). Keys:
-///   case.Ra, case.Pr, case.dt, case.Ro, case.perturbation, case.seed,
-///   case.perturbation_lx/_ly, case.y_invariant and the fluid.* solver keys
-///   (see fluid::apply_flow_params). Missing keys keep their defaults; the
-///   checkpoint.* keys belong to the host's CheckpointManager.
-RbcConfig config_from_params(const ParamMap& params);
+/// Build an RbcConfig from a parsed case file (see ParamMap::parse): the one
+/// reader of the case.* physics keys. Keys: case.Ra, case.Pr, case.dt,
+/// case.Ro, case.perturbation, case.seed, case.perturbation_lx/_ly and the
+/// fluid.* solver keys (see fluid::apply_flow_params). Missing keys keep
+/// their value in `defaults`, which also carry the row-only y_invariant; the
+/// checkpoint.* keys belong to the host's CheckpointManager.
+RbcConfig config_from_params(const ParamMap& params, RbcConfig defaults = {});
 
 /// Free-fall viscosity √(Pr/Ra) and diffusivity 1/√(Ra·Pr).
 inline real_t rbc_viscosity(real_t ra, real_t pr) { return std::sqrt(pr / ra); }

@@ -1,68 +1,10 @@
 #include "case/registry.hpp"
 
 #include <filesystem>
-#include <sstream>
 
 #include "precon/coarse.hpp"
 
 namespace felis::cases {
-
-void Registry::add(CaseInfo info) {
-  FELIS_CHECK_MSG(!info.type.empty(), "case type must be non-empty");
-  FELIS_CHECK_MSG(info.make_geometry && info.make_case,
-                  "case '" << info.type << "' needs both factories");
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto [it, inserted] = infos_.emplace(info.type, std::move(info));
-  if (!inserted)
-    throw Error("case type '" + it->first + "' is already registered");
-}
-
-const CaseInfo& Registry::resolve(const std::string& type) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = infos_.find(type);
-  if (it == infos_.end()) {
-    std::ostringstream os;
-    os << "unknown case type '" << type << "'; registered cases:";
-    for (const auto& [name, info] : infos_) os << " " << name;
-    throw Error(os.str());
-  }
-  return it->second;
-}
-
-bool Registry::contains(const std::string& type) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return infos_.count(type) > 0;
-}
-
-std::vector<std::string> Registry::types() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> out;
-  out.reserve(infos_.size());
-  for (const auto& [name, info] : infos_) out.push_back(name);
-  return out;  // std::map iteration is already sorted
-}
-
-std::vector<CaseInfo> Registry::infos() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<CaseInfo> out;
-  out.reserve(infos_.size());
-  for (const auto& [name, info] : infos_) out.push_back(info);
-  return out;
-}
-
-Registry& Registry::global() {
-  // Builtins are installed lazily here rather than by per-TU static
-  // initializers: felis links as static libraries, where nothing references
-  // a registration-only TU and the linker would drop it.
-  static Registry registry;
-  static std::once_flag once;
-  std::call_once(once, [] { detail::register_builtins(registry); });
-  return registry;
-}
-
-const CaseInfo& resolve_case(const ParamMap& params) {
-  return Registry::global().resolve(params.get_string("case.type", "rbc"));
-}
 
 std::unique_ptr<CaseSetup> build_case(const CaseInfo& info,
                                       const ParamMap& params,
@@ -77,9 +19,8 @@ std::unique_ptr<CaseSetup> build_case(const CaseInfo& info,
                                            /*three_halves_rule=*/true, backend);
   setup->coarse = precon::make_coarse_setup(setup->geometry.mesh, comm, backend);
 
-  telemetry::TelemetryConfig tc;
-  if (channel != nullptr) tc = telemetry::config_from_params(params);
-  if (tc.enabled) {
+  if (channel != nullptr && params.get_bool("telemetry.enabled", false)) {
+    telemetry::TelemetryConfig tc = telemetry::config_from_params(params);
     std::filesystem::path dir = channel->dir;
     if (comm.size() > 1) dir /= "rank" + std::to_string(comm.rank());
     tc.dir = dir.string();

@@ -1,27 +1,24 @@
 /// \file registry.hpp
-/// \brief The case registry: registered factories mapping a `case.type`
-/// string to a scenario (geometry + boundary conditions + forcing + initial
-/// conditions + observables).
+/// \brief The case table: every builtin `case.type`, with the factories
+/// that build its scenario (geometry + boundary conditions + forcing +
+/// initial conditions + observables), and the one rank builder.
 ///
 /// Hosts (quickstart, felis_campaign, the distributed driver) never name a
 /// concrete case class; they resolve `case.type` here and build through the
-/// returned CaseInfo. Builtins — the scenario matrix —
+/// returned CaseInfo. The builtins — the scenario matrix —
+///   ihc      internally heated convection (Goluskin, both plates cold)
 ///   rbc      periodic-slab Rayleigh–Bénard (the paper's configuration)
 ///   rbc2d    quasi-2D thin slab, low degree: the cheap mass-campaign path
-///   rbc_rot  rotating RBC (Coriolis forcing, case.Ro)
 ///   rbc_cyl  cylindrical-cell RBC (o-grid mesh, case.aspect = Γ = D/H)
-///   ihc      internally heated convection (Goluskin, both plates cold)
-/// are registered lazily on first access of Registry::global() — NOT via
-/// static initializers, which a static-library link would silently strip.
-/// External code can add its own types before resolving. (`case` is a C++
+///   rbc_rot  rotating RBC (Coriolis forcing, case.Ro)
+/// are the rows of one constant table in builtin.cpp. (`case` is a C++
 /// keyword, hence the namespace felis::cases.)
 #pragma once
 
 #include <functional>
 #include <map>
-#include <mutex>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "case/case.hpp"
 #include "common/params.hpp"
@@ -49,33 +46,17 @@ using CaseFactory = std::function<std::unique_ptr<Case>(
     const Geometry& geometry, const ParamMap& params)>;
 
 struct CaseInfo {
-  std::string type;         ///< the `case.type` key this factory serves
+  std::string type;         ///< the `case.type` key this row serves
   std::string description;  ///< one line for --list-cases
   GeometryFactory make_geometry;
   CaseFactory make_case;
 };
 
-/// Thread-safe add-only registry keyed by type. Duplicate registration and
-/// unknown-type resolution both throw felis::Error with messages that name
-/// the offender (and, for resolve, the available types).
-class Registry {
- public:
-  void add(CaseInfo info);
-  const CaseInfo& resolve(const std::string& type) const;
-  bool contains(const std::string& type) const;
-  std::vector<std::string> types() const;  ///< sorted
-  std::vector<CaseInfo> infos() const;     ///< sorted by type
+/// The builtin case types, sorted by type: one constant row each.
+std::span<const CaseInfo> builtin_cases();
 
-  /// The process-wide registry, with the builtin scenario matrix installed
-  /// on first use.
-  static Registry& global();
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, CaseInfo> infos_;
-};
-
-/// Resolve `case.type` (default "rbc") against the global registry.
+/// Resolve `case.type` (default "rbc") against the table. An unknown type
+/// throws felis::Error naming it and every builtin type.
 const CaseInfo& resolve_case(const ParamMap& params);
 
 /// Where a rank's telemetry goes, as its host names it: the output
@@ -119,11 +100,5 @@ std::unique_ptr<CaseSetup> build_case(const CaseInfo& info,
                                       comm::Communicator& comm,
                                       device::Backend* backend = nullptr,
                                       const TelemetryChannel* channel = nullptr);
-
-namespace detail {
-/// Install the builtin scenario matrix (idempotent only via global()'s
-/// once-guard; tests building private registries may call it directly).
-void register_builtins(Registry& registry);
-}  // namespace detail
 
 }  // namespace felis::cases

@@ -36,7 +36,7 @@ Profiler::Profiler() {
 
 void Profiler::push(const std::string& name) {
   RegionNode* node = current_->child(name);
-  stack_.push_back({node, timing_enabled_ ? Clock::now() : Clock::time_point{}});
+  stack_.push_back({node, Clock::now()});
   current_ = node;
 }
 
@@ -45,15 +45,12 @@ void Profiler::pop() {
   const Frame frame = stack_.back();
   stack_.pop_back();
   frame.node->calls += 1;
-  if (timing_enabled_) {
-    const Clock::time_point end = Clock::now();
-    frame.node->seconds +=
-        std::chrono::duration<double>(end - frame.start).count();
-    if (trace_ != nullptr) {
-      std::string path;
-      for (const Frame& open : stack_) path += open.node->name + "/";
-      trace_->record(kRegionTrack, path + frame.node->name, frame.start, end);
-    }
+  const Clock::time_point end = Clock::now();
+  frame.node->seconds += std::chrono::duration<double>(end - frame.start).count();
+  if (trace_ != nullptr) {
+    std::string path;
+    for (const Frame& open : stack_) path += open.node->name + "/";
+    trace_->record(kRegionTrack, path + frame.node->name, frame.start, end);
   }
   current_ = stack_.empty() ? &root_ : stack_.back().node;
 }

@@ -116,10 +116,6 @@ class Profiler {
   /// percentages of parent and counters.
   std::string report() const;
 
-  /// Disable timing (counters still accumulate); used when replaying for
-  /// operation counting only.
-  void set_timing_enabled(bool on) { timing_enabled_ = on; }
-
   /// Also record every region this profiler closes into `trace`, as an
   /// interval on kRegionTrack named by its slash path; nullptr stops it.
   /// The aggregate tree is kept either way. Owner thread only, like push/pop.
@@ -138,7 +134,6 @@ class Profiler {
   RegionNode root_;
   RegionNode* current_;
   std::vector<Frame> stack_;
-  bool timing_enabled_ = true;
   TraceRecorder* trace_ = nullptr;
 };
 

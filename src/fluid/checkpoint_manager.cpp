@@ -65,7 +65,7 @@ std::string CheckpointManager::write(const Checkpoint& ck) {
           static_cast<std::int64_t>(config_.retry_backoff_ms) << attempt));
     }
   }
-  if (telemetry_ != nullptr && telemetry_->enabled()) {
+  if (telemetry_ != nullptr) {
     telemetry::MetricsRegistry& m = telemetry_->metrics();
     m.add("checkpoint.writes", 1);
     m.add("checkpoint.bytes", static_cast<double>(blob.size()));

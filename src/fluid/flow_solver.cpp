@@ -68,7 +68,7 @@ FlowSolver::FlowSolver(const operators::Context& fine,
 FlowSolver::~FlowSolver() { attach_telemetry(nullptr); }
 
 void FlowSolver::attach_telemetry(telemetry::Telemetry* telemetry) {
-  telemetry_ = telemetry != nullptr && telemetry->enabled() ? telemetry : nullptr;
+  telemetry_ = telemetry;
   // A traced run records the profiler's regions and the preconditioner's
   // stream intervals into its one recorder, next to the step marks.
   TraceRecorder* trace = telemetry_ != nullptr && telemetry_->config().trace

@@ -85,7 +85,7 @@ CampaignSpec CampaignSpec::from_params(const ParamMap& params) {
     cs.steps = cs.params.get_int("case.steps", static_cast<int>(c.steps));
     FELIS_CHECK_MSG(cs.steps >= 1, "case '" << cs.id << "': steps must be >= 1");
     // Build every case's geometry once before anything runs: a case.type
-    // the registry does not know, or a mesh its factory rejects, is a
+    // the case table does not know, or a mesh its factory rejects, is a
     // config error that would otherwise fail every attempt.
     try {
       cases::resolve_case(cs.params).make_geometry(cs.params);

@@ -165,9 +165,8 @@ void write_nu_ra_csv(const CampaignSpec& spec, const CampaignReport& report,
                    });
 
   // The case type comes from the expanded spec (metrics are double-valued).
-  std::map<std::string, std::string> type_by_id;
-  for (const CaseSpec& cs : spec.cases)
-    type_by_id[cs.id] = cs.params.get_string("case.type", "rbc");
+  std::map<std::string, const CaseSpec*> spec_by_id;
+  for (const CaseSpec& cs : spec.cases) spec_by_id[cs.id] = &cs;
 
   io::AtomicFileWriter writer(path);
   writer.stream() << "# campaign: " << spec.config.name << "\n"
@@ -179,9 +178,8 @@ void write_nu_ra_csv(const CampaignSpec& spec, const CampaignReport& report,
   };
   char buf[64];
   for (const CaseOutcome* out : rows) {
-    const auto type_it = type_by_id.find(out->id);
     writer.stream() << out->id << ','
-                    << (type_it != type_by_id.end() ? type_it->second : "rbc");
+                    << cases::resolve_case(spec_by_id.at(out->id)->params).type;
     for (const char* key : {"Ra", "Pr", "steps", "time", "nu_plate",
                             "nu_volume", "kinetic_energy", "ranks"}) {
       std::snprintf(buf, sizeof(buf), "%.10g", metric(out, key));

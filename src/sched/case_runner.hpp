@@ -1,11 +1,11 @@
 /// \file case_runner.hpp
-/// \brief The default campaign runner: one registered case per campaign
+/// \brief The default campaign runner: one builtin case per campaign
 /// case, with crash-safe checkpointing, restore-on-retry and per-run
 /// telemetry.
 ///
 /// A campaign case runs `case.steps` time steps of the scenario its
-/// `case.type` key resolves to in the case registry (cases::Registry — rbc,
-/// rbc2d, rbc_rot, ihc, rbc_cyl, or anything registered on top), built from
+/// `case.type` key resolves to in the case table (cases::resolve_case — rbc,
+/// rbc2d, rbc_rot, ihc, rbc_cyl), built from
 /// its (sweep-expanded) parameters on `threads` simulated ranks
 /// (comm::run_parallel), each rank on the compute backend its
 /// `device.backend` key names (the process default when absent) with the one
@@ -23,7 +23,7 @@
 /// checkpoint through Case::restore_latest (multi-rank: the newest step
 /// *common* to all ranks, so ranks never resume from different steps), then
 /// steps to the target. Because restarts are bitwise-exact (PR 3) for every
-/// registered case, a case that crashes and retries finishes in exactly the
+/// builtin case, a case that crashes and retries finishes in exactly the
 /// state of an uninterrupted run.
 ///
 /// The case's own keys govern everything optional: per-rank telemetry is on
@@ -39,11 +39,11 @@
 
 namespace felis::sched {
 
-/// Build the default registry-driven runner. The returned callable is
+/// Build the default table-driven runner. The returned callable is
 /// thread-safe (the scheduler invokes it concurrently for different cases)
 /// and stateful: it owns the per-case fault injectors that persist across
 /// retry attempts. Unknown `case.type` values fail the case with the
-/// registry's available-cases message as the failure detail; hosts should
+/// table's available-cases message as the failure detail; hosts should
 /// validate types upfront (felis_campaign does) so deterministic config
 /// errors never burn retries.
 CaseRunner make_case_runner();

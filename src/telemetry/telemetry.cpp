@@ -13,7 +13,6 @@ namespace felis::telemetry {
 
 TelemetryConfig config_from_params(const ParamMap& params) {
   TelemetryConfig cfg;
-  cfg.enabled = params.get_bool("telemetry.enabled", cfg.enabled);
   cfg.dir = params.get_string("telemetry.dir", cfg.dir);
   cfg.basename = params.get_string("telemetry.basename", cfg.basename);
   cfg.interval = params.get_int("telemetry.interval",
@@ -62,10 +61,7 @@ Telemetry::Telemetry(TelemetryConfig config,
     : config_(std::move(config)),
       metadata_(std::move(metadata)),
       trace_(config_.max_trace_events),
-      health_(std::make_unique<RunHealth>(config_.health,
-                                          config_.enabled ? &metrics_ : nullptr)) {
-  if (!config_.enabled) return;
-
+      health_(std::make_unique<RunHealth>(config_.health, &metrics_)) {
   // Pre-register the fields every step record must carry (acceptance: a
   // record always contains iteration counts, residuals, Nu, CFL, checkpoint
   // stats — even on a step where a subsystem charged nothing).
@@ -108,17 +104,16 @@ Telemetry::~Telemetry() {
 }
 
 bool Telemetry::sampling_due(std::int64_t step) const {
-  return config_.enabled && step % config_.interval == 0;
+  return step % config_.interval == 0;
 }
 
 void Telemetry::begin_step(std::int64_t step) {
   (void)step;
-  if (!config_.enabled) return;
   step_watch_ = std::make_unique<Stopwatch>();
 }
 
 void Telemetry::end_step(std::int64_t step, double sim_time) {
-  if (!config_.enabled || finalized_) return;
+  if (finalized_) return;
   const double step_seconds = step_watch_ ? step_watch_->seconds() : 0.0;
   step_watch_.reset();
   metrics_.observe("telemetry.step_seconds", step_seconds);
@@ -215,7 +210,7 @@ void Telemetry::write_chrome_trace() const {
 }
 
 void Telemetry::finalize() {
-  if (!config_.enabled || finalized_) return;
+  if (finalized_) return;
   finalized_ = true;
   ndjson_->sync();
   write_summary_csv();

@@ -11,8 +11,10 @@
 /// is handed) streamed as crash-safe NDJSON plus a CSV summary, a Chrome
 /// `trace_event` export of the recorder, and a RunHealth heartbeat. Nothing
 /// is process-wide: concurrent runs (campaign workers, simulated ranks) each
-/// own one. With telemetry off the solver pays one branch per step, and the
-/// fields are bitwise identical either way (telemetry only reads state).
+/// own one. A Telemetry exists only when telemetry is on (cases::build_case
+/// reads `telemetry.enabled`); without one the solver pays one branch per
+/// step, and the fields are bitwise identical either way (telemetry only
+/// reads state).
 #pragma once
 
 #include <chrono>
@@ -34,7 +36,6 @@ class DurableAppendWriter;
 namespace felis::telemetry {
 
 struct TelemetryConfig {
-  bool enabled = false;
   std::string dir = "telemetry";   ///< output directory (created on demand)
   std::string basename = "run";    ///< file stem: <basename>.ndjson etc.
   std::int64_t interval = 1;       ///< emit an NDJSON record every N steps
@@ -44,9 +45,9 @@ struct TelemetryConfig {
   HealthConfig health;
 };
 
-/// Read `telemetry.*` keys (enabled, dir, basename, interval, heartbeat,
-/// trace, flush_every, max_trace_events, spike_factor, spike_margin,
-/// stagnation_run) with the defaults above.
+/// Read the `telemetry.*` keys that shape an open channel (dir, basename,
+/// interval, heartbeat, trace, flush_every, max_trace_events, spike_factor,
+/// spike_margin, stagnation_run) with the defaults above.
 TelemetryConfig config_from_params(const ParamMap& params);
 
 /// Wall-clock stopwatch on the telemetry clock. Lives here so instrumented
@@ -71,14 +72,13 @@ class Telemetry {
   /// `metadata` lands verbatim in every artifact header (NDJSON header
   /// record, trace otherData, CSV comment lines) — callers put backend,
   /// thread count and polynomial order there so telemetry files join against
-  /// BENCH_*.json. A disabled config constructs a cheap inert object.
+  /// BENCH_*.json. Creates `config.dir` and starts the NDJSON stream.
   Telemetry(TelemetryConfig config,
             std::map<std::string, std::string> metadata = {});
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
   ~Telemetry();
 
-  bool enabled() const { return config_.enabled; }
   const TelemetryConfig& config() const { return config_; }
   MetricsRegistry& metrics() { return metrics_; }
   RunHealth& health() { return *health_; }

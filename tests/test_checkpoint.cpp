@@ -18,6 +18,7 @@
 #include "io/atomic_file.hpp"
 #include "operators/setup.hpp"
 #include "precon/coarse.hpp"
+#include "test_paths.hpp"
 
 namespace felis::fluid {
 namespace {
@@ -199,7 +200,7 @@ TEST(Checkpoint, FileRoundTrip) {
   Case c = make_case(comm, false);
   for (int s = 0; s < 4; ++s) c.sim->step();
   const Checkpoint ck = capture_checkpoint(c.sim->solver());
-  const std::string path = "/tmp/felis_checkpoint_test.ck";
+  const std::string path = test::scratch_path("felis_checkpoint_test.ck");
   ck.save(path);
   const Checkpoint back = Checkpoint::load(path);
   EXPECT_EQ(back.step, ck.step);
@@ -340,8 +341,7 @@ TEST(Checkpoint, HostileLengthFieldCannotOverflowTheBoundsCheck) {
 
 TEST(Checkpoint, UnknownCompressionFlagAndBadMagicNameTheFile) {
   const Checkpoint ck = tiny_checkpoint();
-  const std::string dir =
-      (fs::temp_directory_path() / "felis_ck_naming").string();
+  const std::string dir = test::scratch_path("felis_ck_naming");
   fs::remove_all(dir);
   fs::create_directories(dir);
 
@@ -478,12 +478,7 @@ TEST(FaultInjectorConfig, ParsesParamsAndEnvironment) {
 class CheckpointManagerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() /
-            ("felis_mgr_" +
-             std::string(::testing::UnitTest::GetInstance()
-                             ->current_test_info()
-                             ->name())))
-               .string();
+    dir_ = test::test_scratch_dir("felis_mgr_");
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }

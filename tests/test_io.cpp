@@ -9,6 +9,7 @@
 
 #include "io/field_io.hpp"
 #include "operators/setup.hpp"
+#include "test_paths.hpp"
 
 namespace felis::io {
 namespace {
@@ -49,7 +50,7 @@ std::string slurp(const std::string& path) {
 
 TEST(Vtk, StructureAndCountsAreValid) {
   const IoSetup s = make(true, 3);
-  const std::string path = "/tmp/felis_test_io.vtk";
+  const std::string path = test::scratch_path("felis_test_io.vtk");
   write_vtk(path, s.rank.lmesh, s.rank.space, s.rank.coef, {{"T", &s.temp}});
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
@@ -85,7 +86,7 @@ TEST(Vtk, RejectsWrongFieldSize) {
 
 TEST(Csv, ValuesRoundTrip) {
   const IoSetup s = make(false, 2);
-  const std::string path = "/tmp/felis_test_io.csv";
+  const std::string path = test::scratch_path("felis_test_io.csv");
   write_csv(path, s.rank.coef, {{"T", &s.temp}});
   std::ifstream in(path);
   std::string header;
@@ -111,7 +112,7 @@ TEST(Csv, ValuesRoundTrip) {
 TEST(Csv, MultipleFieldsInStableOrder) {
   const IoSetup s = make(true, 2);
   RealVec other(s.temp.size(), 2.5);
-  const std::string path = "/tmp/felis_test_io2.csv";
+  const std::string path = test::scratch_path("felis_test_io2.csv");
   // std::map orders keys alphabetically: "a" before "t".
   write_csv(path, s.rank.coef, {{"t_field", &s.temp}, {"a_field", &other}});
   std::ifstream in(path);

@@ -23,6 +23,7 @@
 #include "obs/ndjson_follower.hpp"
 #include "sched/campaign.hpp"
 #include "sched/manifest.hpp"
+#include "test_paths.hpp"
 
 namespace felis::obs {
 namespace {
@@ -32,11 +33,7 @@ namespace fs = std::filesystem;
 class ObsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() /
-            ("felis_obs_" + std::string(::testing::UnitTest::GetInstance()
-                                            ->current_test_info()
-                                            ->name())))
-               .string();
+    dir_ = test::test_scratch_dir("felis_obs_");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

@@ -25,6 +25,7 @@
 #include "sched/case_runner.hpp"
 #include "sched/manifest.hpp"
 #include "sched/scheduler.hpp"
+#include "test_paths.hpp"
 
 namespace felis::sched {
 namespace {
@@ -175,11 +176,7 @@ TEST(Campaign, ValidatesConfigAndPerCaseBudgets) {
 class ManifestTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() /
-            ("felis_sched_" + std::string(::testing::UnitTest::GetInstance()
-                                              ->current_test_info()
-                                              ->name())))
-               .string();
+    dir_ = test::test_scratch_dir("felis_sched_");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

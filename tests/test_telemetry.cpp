@@ -20,6 +20,7 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/run_health.hpp"
 #include "telemetry/telemetry.hpp"
+#include "test_paths.hpp"
 
 namespace felis {
 namespace {
@@ -199,24 +200,8 @@ TEST(RunHealth, CheckpointRetriesCountAsAnomalies) {
   EXPECT_EQ(health.anomaly_count(), 2);
 }
 
-// ---- disabled-path contract -------------------------------------------------
-
-TEST(Telemetry, DisabledContextIsInertAndNeverInstalls) {
-  telemetry::TelemetryConfig config;  // enabled = false
-  telemetry::Telemetry tel(config);
-  EXPECT_FALSE(tel.enabled());
-  // The whole step API is a no-op and writes nothing.
-  tel.begin_step(1);
-  tel.end_step(1, 0.02);
-  tel.finalize();
-  EXPECT_EQ(tel.records_written(), 0);
-  EXPECT_TRUE(tel.ndjson_path().empty());
-  EXPECT_EQ(tel.metrics().size(), 0u);
-}
-
 TEST(Telemetry, ConfigFromParamsReadsTelemetryKeys) {
   const ParamMap params = ParamMap::parse(R"(
-    telemetry.enabled = true
     telemetry.dir = out
     telemetry.basename = probe
     telemetry.interval = 0   # clamped to 1
@@ -226,7 +211,6 @@ TEST(Telemetry, ConfigFromParamsReadsTelemetryKeys) {
   )");
   const telemetry::TelemetryConfig config =
       telemetry::config_from_params(params);
-  EXPECT_TRUE(config.enabled);
   EXPECT_EQ(config.dir, "out");
   EXPECT_EQ(config.basename, "probe");
   EXPECT_EQ(config.interval, 1);
@@ -254,11 +238,7 @@ void expect_bitwise(const RealVec& a, const RealVec& b, const char* what) {
 class TelemetryRbc : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() /
-            ("felis_tel_" + std::string(::testing::UnitTest::GetInstance()
-                                            ->current_test_info()
-                                            ->name())))
-               .string();
+    dir_ = test::test_scratch_dir("felis_tel_");
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }
@@ -283,7 +263,6 @@ class TelemetryRbc : public ::testing::Test {
 
   telemetry::TelemetryConfig telemetry_config() const {
     telemetry::TelemetryConfig config;
-    config.enabled = true;
     config.dir = dir_;
     config.health.heartbeat = 0;  // keep test logs quiet
     return config;

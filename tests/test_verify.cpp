@@ -24,6 +24,7 @@
 #include "verify/checker.hpp"
 #include "verify/checkpoint_model.hpp"
 #include "verify/manifest_model.hpp"
+#include "test_paths.hpp"
 
 namespace felis::verify {
 namespace {
@@ -236,11 +237,7 @@ TEST(Models, CheckpointRecoveryMatchesGhostTruthUnderEveryFault) {
 class VerifyStressTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() /
-            ("felis_verify_" + std::string(::testing::UnitTest::GetInstance()
-                                               ->current_test_info()
-                                               ->name())))
-               .string();
+    dir_ = test::test_scratch_dir("felis_verify_");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

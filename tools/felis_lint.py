@@ -721,7 +721,7 @@ SEEDED = {
     "src/case/registry.hpp": (
         None,
         "/// \\file registry.hpp\n#pragma once\n"
-        "namespace felis::cases { class Registry; }\n"),
+        "namespace felis::cases { struct CaseInfo; }\n"),
     "src/bad/raw_ndjson.cpp": (
         "raw-ndjson-read",
         "#include <string>\nvoid f(const std::string& line) {\n"

@@ -1,5 +1,6 @@
 #include "comm/comm.hpp"
 
+#include <array>
 #include <condition_variable>
 #include <deque>
 #include <exception>
@@ -8,25 +9,20 @@
 
 // Locking discipline
 // ------------------
-// `SimWorld` holds three independent lock domains; none is ever held while
-// acquiring another, so there is no lock ordering to violate:
+// One mutex, `SimWorld::mutex_`, guards all of a world's shared state: the
+// mailboxes, the rendezvous (arrival count, generation counter, the two slot
+// banks) and the first error. Each mailbox has its own condition variable,
+// so a send wakes only the receiving rank's waiters.
 //
-//  * `barrier_mutex_`  — barrier count + generation counter. The generation
-//    counter disambiguates consecutive barriers (a rank that wakes late must
-//    not count toward the *next* barrier's quorum); it is only ever read or
-//    written under this mutex.
-//  * `reduce_slots_`   — no mutex: in allreduce phase 1 each rank writes
-//    only its own slot; the barrier that follows publishes every slot, after
-//    which phase 2 reads are lock-free and race-free because nobody writes
-//    until the *second* barrier retires the slots for reuse. The same
-//    publish/retire pattern covers `gather_slots_`.
-//  * `gather_mutex_`   — `gather_slots_` writes in allgatherv phase 1.
-//  * per-mailbox mutex — each rank's mailbox has its own mutex + condvar;
-//    senders lock only the destination mailbox, receivers only their own.
+// Rendezvous g uses bank g % 2: a rank copies its bytes into its slot under
+// the mutex and waits once, for the generation to move on; it then reads the
+// bank without the lock. Nobody writes that bank again before rendezvous
+// g + 2, which no rank can enter before every rank has arrived at g + 1,
+// i.e. has finished reading bank g % 2. The generation counter also keeps a
+// rank that wakes late from counting toward the next rendezvous' quorum.
 //
-// All cross-rank happens-before edges therefore flow through either a mutex
-// or the barrier (itself mutex+condvar), which both TSan and the C++ memory
-// model recognise.
+// All cross-rank happens-before edges therefore flow through the mutex,
+// which both TSan and the C++ memory model recognise.
 namespace felis::comm {
 
 void SelfComm::send_bytes(int dest, int tag, const void* data, usize bytes) {
@@ -54,62 +50,55 @@ namespace {
 /// Shared state for one simulated world of R ranks.
 class SimWorld {
  public:
+  using Bank = std::vector<std::vector<std::byte>>;  ///< one slot per rank
+
   explicit SimWorld(int nranks)
       : nranks_(nranks),
         mailboxes_(static_cast<usize>(nranks)),
-        reduce_slots_(static_cast<usize>(nranks)) {}
+        banks_{Bank(static_cast<usize>(nranks)), Bank(static_cast<usize>(nranks))} {}
 
   int nranks() const { return nranks_; }
 
-  void barrier() {
-    std::unique_lock<std::mutex> lock(barrier_mutex_);
-    const std::int64_t gen = barrier_generation_;
-    if (++barrier_count_ == nranks_) {
-      barrier_count_ = 0;
-      ++barrier_generation_;
-      barrier_cv_.notify_all();
+  /// Every collective: publish `bytes` of `data` in this rank's slot of the
+  /// current bank and wait once, until every rank has published. The
+  /// returned bank (slots in rank order) stays intact until this rank's next
+  /// rendezvous. A slot keeps its capacity, so steady-state calls do not
+  /// allocate.
+  const Bank& rendezvous(int rank, const void* data, usize bytes) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    throw_if_failed();
+    const std::int64_t gen = generation_;
+    Bank& bank = banks_[static_cast<usize>(gen % 2)];
+    const auto* mine = static_cast<const std::byte*>(data);
+    bank[static_cast<usize>(rank)].assign(mine, mine + bytes);
+    if (++arrived_ == nranks_) {
+      arrived_ = 0;
+      ++generation_;
+      cv_.notify_all();
     } else {
-      barrier_cv_.wait(lock, [&] { return barrier_generation_ != gen; });
+      cv_.wait(lock, [&] { return generation_ != gen || error_; });
+      if (generation_ == gen) throw_if_failed();  // woken by a failure
     }
+    return bank;
   }
 
   template <typename T, typename Combine>
   void allreduce(int rank, T* data, usize count, Combine combine) {
-    // Phase 1: publish this rank's contribution in its own slot. A slot
-    // keeps its capacity, so steady-state reductions do not allocate.
     const usize bytes = count * sizeof(T);
-    std::vector<std::byte>& mine = reduce_slots_[static_cast<usize>(rank)];
-    mine.resize(bytes);
-    if (count) std::memcpy(mine.data(), data, bytes);
-    barrier();
-    // Phase 2: every rank combines slots 0..R-1 in rank order, so the result
-    // is bitwise the same whichever rank arrived first (floating-point sums
-    // are not associative). A second barrier before any rank may start the
-    // next reduction guards slot reuse.
-    for (usize r = 0; r < reduce_slots_.size(); ++r) {
-      FELIS_CHECK_MSG(reduce_slots_[r].size() == bytes,
+    const Bank& bank = rendezvous(rank, data, bytes);
+    // Every rank combines slots 0..R-1 in rank order, so the result is
+    // bitwise the same whichever rank arrived first (floating-point sums
+    // are not associative).
+    for (usize r = 0; r < bank.size(); ++r) {
+      FELIS_CHECK_MSG(bank[r].size() == bytes,
                       "mismatched allreduce sizes across ranks");
-      const std::byte* contrib = reduce_slots_[r].data();
+      const std::byte* contrib = bank[r].data();
       for (usize i = 0; i < count; ++i) {
         T v{};
         std::memcpy(&v, contrib + i * sizeof(T), sizeof(T));
         data[i] = r == 0 ? v : combine(data[i], v);
       }
     }
-    barrier();
-  }
-
-  std::vector<std::vector<std::byte>> allgatherv(
-      int rank, const std::vector<std::byte>& mine) {
-    {
-      std::unique_lock<std::mutex> lock(gather_mutex_);
-      gather_slots_.resize(static_cast<usize>(nranks_));
-      gather_slots_[static_cast<usize>(rank)] = mine;
-    }
-    barrier();
-    std::vector<std::vector<std::byte>> out = gather_slots_;
-    barrier();  // all ranks copied; safe to reuse slots afterwards
-    return out;
   }
 
   void send(int source, int dest, int tag, const void* data, usize bytes) {
@@ -117,17 +106,17 @@ class SimWorld {
     Mailbox& box = mailboxes_[static_cast<usize>(dest)];
     std::vector<std::byte> blob(bytes);
     if (bytes) std::memcpy(blob.data(), data, bytes);
-    {
-      std::unique_lock<std::mutex> lock(box.mutex);
-      box.messages.push_back({source, tag, std::move(blob)});
-    }
+    const std::lock_guard<std::mutex> lock(mutex_);
+    box.messages.push_back({source, tag, std::move(blob)});
     box.cv.notify_all();
   }
 
+  /// A message that has arrived is delivered even after a failure; only a
+  /// receive that would wait throws.
   std::vector<std::byte> recv(int rank, int source, int tag) {
     FELIS_CHECK_MSG(source >= 0 && source < nranks_, "recv: source out of range");
     Mailbox& box = mailboxes_[static_cast<usize>(rank)];
-    std::unique_lock<std::mutex> lock(box.mutex);
+    std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
       for (auto it = box.messages.begin(); it != box.messages.end(); ++it) {
         if (it->source == source && it->tag == tag) {
@@ -136,9 +125,22 @@ class SimWorld {
           return blob;
         }
       }
+      throw_if_failed();
       box.cv.wait(lock);
     }
   }
+
+  /// Fail the world with a rank's error and wake every rank waiting in it.
+  /// The first error is kept: a PeerFailed is only thrown after it.
+  void fail(std::exception_ptr error) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (!error_) error_ = std::move(error);
+    cv_.notify_all();
+    for (Mailbox& box : mailboxes_) box.cv.notify_all();
+  }
+
+  /// Read once every rank has joined.
+  const std::exception_ptr& error() const { return error_; }
 
  private:
   struct Message {
@@ -147,23 +149,22 @@ class SimWorld {
     std::vector<std::byte> payload;
   };
   struct Mailbox {
-    std::mutex mutex;
     std::condition_variable cv;
     std::deque<Message> messages;
   };
 
+  void throw_if_failed() const {
+    if (error_) throw PeerFailed("a peer rank of this simulated world failed");
+  }
+
   int nranks_;
+  std::mutex mutex_;
   std::vector<Mailbox> mailboxes_;
-
-  std::mutex barrier_mutex_;
-  std::condition_variable barrier_cv_;
-  int barrier_count_ = 0;
-  std::int64_t barrier_generation_ = 0;
-
-  std::vector<std::vector<std::byte>> reduce_slots_;  ///< one per rank
-
-  std::mutex gather_mutex_;
-  std::vector<std::vector<std::byte>> gather_slots_;
+  std::condition_variable cv_;  ///< rendezvous
+  int arrived_ = 0;
+  std::int64_t generation_ = 0;
+  std::array<Bank, 2> banks_;
+  std::exception_ptr error_;  ///< the first error a rank threw
 };
 
 class SimComm final : public Communicator {
@@ -172,7 +173,7 @@ class SimComm final : public Communicator {
 
   int rank() const override { return rank_; }
   int size() const override { return world_.nranks(); }
-  void barrier() override { world_.barrier(); }
+  void barrier() override { world_.rendezvous(rank_, nullptr, 0); }
 
   void allreduce(real_t* data, usize count, ReduceOp op) override {
     dispatch(data, count, op);
@@ -183,7 +184,7 @@ class SimComm final : public Communicator {
 
   std::vector<std::vector<std::byte>> allgatherv_bytes(
       const std::vector<std::byte>& mine) override {
-    return world_.allgatherv(rank_, mine);
+    return world_.rendezvous(rank_, mine.data(), mine.size());
   }
 
   void send_bytes(int dest, int tag, const void* data, usize bytes) override {
@@ -224,7 +225,6 @@ void run_parallel(int nranks, const std::function<void(Communicator&)>& body) {
   }
   SimWorld world(nranks);
   std::vector<std::thread> threads;
-  std::vector<std::exception_ptr> errors(static_cast<usize>(nranks));
   threads.reserve(static_cast<usize>(nranks));
   for (int r = 0; r < nranks; ++r) {
     threads.emplace_back([&, r] {
@@ -232,18 +232,12 @@ void run_parallel(int nranks, const std::function<void(Communicator&)>& body) {
         SimComm comm(world, r);
         body(comm);
       } catch (...) {
-        errors[static_cast<usize>(r)] = std::current_exception();
-        // A failed rank must not leave peers blocked in a collective forever;
-        // there is no clean way to cancel them, so we simply record the error.
-        // Peers blocked on this rank's messages would deadlock — tests keep
-        // failure paths single-rank for this reason.
+        world.fail(std::current_exception());
       }
     });
   }
   for (auto& t : threads) t.join();
-  for (auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  if (world.error()) std::rethrow_exception(world.error());
 }
 
 }  // namespace felis::comm

@@ -14,6 +14,8 @@
 ///
 /// Point-to-point sends are *buffered* (enqueue and return), so any send /
 /// recv ordering that is correct under MPI buffered mode is deadlock-free.
+/// A rank that throws fails its world, as MPI's default error handler ends
+/// the job: its peers get `PeerFailed` instead of blocking forever.
 #pragma once
 
 #include <cstring>
@@ -27,6 +29,13 @@
 namespace felis::comm {
 
 enum class ReduceOp { kSum, kMin, kMax };
+
+/// Thrown, once a rank of a simulated world has failed, by its peers' pending
+/// and later collectives and by their receives that would have to wait.
+class PeerFailed : public Error {
+ public:
+  using Error::Error;
+};
 
 class Communicator {
  public:
@@ -53,11 +62,8 @@ class Communicator {
 
   // ---- typed conveniences -------------------------------------------------
 
-  real_t allreduce_scalar(real_t v, ReduceOp op) {
-    allreduce(&v, 1, op);
-    return v;
-  }
-  gidx_t allreduce_scalar(gidx_t v, ReduceOp op) {
+  template <typename T>
+  T allreduce_scalar(T v, ReduceOp op) {
     allreduce(&v, 1, op);
     return v;
   }
@@ -112,8 +118,9 @@ class SelfComm final : public Communicator {
   std::vector<std::pair<int, std::vector<std::byte>>> mailbox_;
 };
 
-/// Run `body(comm)` on `nranks` simulated ranks (threads). Exceptions thrown
-/// by any rank are re-thrown (the first one) after all threads join.
+/// Run `body(comm)` on `nranks` simulated ranks (threads). A rank whose body
+/// throws fails the world (see PeerFailed); once every rank has returned, the
+/// first error is rethrown: the failing rank's own, with its type.
 void run_parallel(int nranks, const std::function<void(Communicator&)>& body);
 
 }  // namespace felis::comm

@@ -7,16 +7,14 @@
 /// overlap" (§5.3). felis' `Stream` is the host-side equivalent: a dedicated
 /// worker thread draining an ordered task queue. Work submitted to different
 /// streams runs concurrently; work within a stream is ordered — the same
-/// semantics as CUDA/HIP streams.
-///
-/// `priority` is advisory metadata (mirrors cudaStreamCreateWithPriority):
-/// the discrete-event simulator in perfmodel/ honours it exactly the way the
-/// paper describes for NVIDIA vs AMD scheduling; the host implementation
-/// relies on OS scheduling.
+/// semantics as CUDA/HIP streams. A task that throws does not take the
+/// worker thread down: the stream keeps the first exception and `wait()`
+/// rethrows it.
 #pragma once
 
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -28,7 +26,7 @@ namespace felis::device {
 
 class Stream {
  public:
-  explicit Stream(int priority = 0);
+  Stream();
   ~Stream();
   Stream(const Stream&) = delete;
   Stream& operator=(const Stream&) = delete;
@@ -36,21 +34,21 @@ class Stream {
   /// Enqueue a task; returns immediately (asynchronous launch).
   void submit(std::function<void()> task);
 
-  /// Block until every task submitted so far has completed.
+  /// Block until every task submitted so far has completed, then rethrow
+  /// the first exception a task threw since the last wait(), if any. Tasks
+  /// queued behind a failed one still run.
   void wait();
-
-  int priority() const { return priority_; }
 
  private:
   void worker_loop();
 
-  int priority_;
   std::mutex mutex_;
   std::condition_variable cv_submit_;
   std::condition_variable cv_done_;
   std::deque<std::function<void()>> queue_;
   bool running_ = false;   ///< a task is currently executing
   bool shutdown_ = false;
+  std::exception_ptr error_;  ///< first task exception not yet rethrown
   std::thread worker_;
 };
 

@@ -42,8 +42,7 @@ bool has_torn_tail(const std::string& path) {
 
 }  // namespace
 
-DurableAppendWriter::DurableAppendWriter(std::string path, int flush_every)
-    : path_(std::move(path)), flush_every_(flush_every < 1 ? 1 : flush_every) {
+DurableAppendWriter::DurableAppendWriter(std::string path) : path_(std::move(path)) {
   // Self-heal a torn tail before the first append: terminate the partial
   // line so it stays *visibly* torn (readers skip it) instead of being
   // silently fused with the next record.
@@ -74,14 +73,13 @@ DurableAppendWriter::~DurableAppendWriter() {
 void DurableAppendWriter::append(const std::string& line) {
   out_ << line << '\n';
   FELIS_CHECK_MSG(out_.good(), "failed appending to " << path_);
-  if (++pending_ >= flush_every_) sync();
+  sync();
 }
 
 void DurableAppendWriter::sync() {
   out_.flush();
   FELIS_CHECK_MSG(out_.good(), "failed flushing " << path_);
   fsync_path(path_);
-  pending_ = 0;
 }
 
 }  // namespace felis::io

@@ -23,15 +23,15 @@
 namespace felis::io {
 
 /// Append-mode writer for record streams: each `append()` adds one complete
-/// line and every `flush_every` lines the stream is flushed and fsync'd.
+/// line, then flushes and fsyncs the stream.
 class DurableAppendWriter {
  public:
-  explicit DurableAppendWriter(std::string path, int flush_every = 1);
+  explicit DurableAppendWriter(std::string path);
   DurableAppendWriter(const DurableAppendWriter&) = delete;
   DurableAppendWriter& operator=(const DurableAppendWriter&) = delete;
   ~DurableAppendWriter();
 
-  /// Write `line` plus a trailing newline; flushes/fsyncs per policy.
+  /// Write `line` plus a trailing newline, then sync().
   void append(const std::string& line);
   /// Force a flush + fsync now (also called by the destructor).
   void sync();
@@ -40,8 +40,6 @@ class DurableAppendWriter {
 
  private:
   std::string path_;
-  int flush_every_;
-  int pending_ = 0;
   std::ofstream out_;
 };
 

@@ -27,51 +27,52 @@ void HsmgPrecon::apply_fine(const RealVec& r, RealVec& z_fine) {
   operators::vec_mul(fine_.dev(), fine_.gs->inverse_multiplicity(), z_fine);
 }
 
+void HsmgPrecon::timed(int track, const char* name,
+                       const std::function<void()>& fn) {
+  if (trace_) {
+    trace_->timed(track, name, fn);
+  } else {
+    fn();
+  }
+}
+
 void HsmgPrecon::apply(const RealVec& r, RealVec& z) {
   z.resize(r.size());
   z_coarse_.resize(r.size());
   z_fine_.resize(r.size());
 
-  if (mode_ == OverlapMode::kSerial) {
-    Profiler* prof = fine_.prof;
-    if (prof) prof->push("coarse");
-    if (trace_) {
-      trace_->timed(0, "coarse", [&] { coarse_solver_.solve(r, z_coarse_); });
-    } else {
-      coarse_solver_.solve(r, z_coarse_);
-    }
+  // Serial: coarse term, then fine smoother, on track 0. Task-parallel: the
+  // coarse term on its own stream (track 1) while the caller's thread runs
+  // the fine smoother — both include their own communication (coarse: CG
+  // reductions; fine: gather-scatter), which is where the overlap pays off.
+  const bool overlap = mode_ == OverlapMode::kTaskParallel;
+  const auto coarse = [this, &r](int track) {
+    timed(track, "coarse", [&] { coarse_solver_.solve(r, z_coarse_); });
+  };
+  Profiler* prof = fine_.prof;
+  if (prof) prof->push(overlap ? "overlapped" : "coarse");
+  if (overlap) {
+    coarse_stream_.submit([&coarse] { coarse(1); });
+  } else {
+    coarse(0);
     if (prof) {
       prof->pop();
       prof->push("schwarz");
     }
-    if (trace_) {
-      trace_->timed(0, "schwarz", [&] { apply_fine(r, z_fine_); });
-    } else {
-      apply_fine(r, z_fine_);
-    }
-    if (prof) prof->pop();
-  } else {
-    // Task-parallel: coarse term on the dedicated high-priority stream,
-    // fine smoother on the caller's thread — both include their own
-    // communication (coarse: CG reductions; fine: gather-scatter), which is
-    // where the overlap pays off.
-    Profiler* prof = fine_.prof;
-    if (prof) prof->push("overlapped");
-    coarse_stream_.submit([this, &r] {
-      if (trace_) {
-        trace_->timed(1, "coarse", [&] { coarse_solver_.solve(r, z_coarse_); });
-      } else {
-        coarse_solver_.solve(r, z_coarse_);
-      }
-    });
-    if (trace_) {
-      trace_->timed(0, "schwarz", [&] { apply_fine(r, z_fine_); });
-    } else {
-      apply_fine(r, z_fine_);
-    }
-    coarse_stream_.wait();
-    if (prof) prof->pop();
   }
+  try {
+    timed(0, "schwarz", [&] { apply_fine(r, z_fine_); });
+  } catch (...) {
+    // The coarse task reads `r`, which may die once this unwinds: wait for
+    // it. The fine term's error is the one reported; the task's is dropped.
+    try {
+      coarse_stream_.wait();
+    } catch (...) {
+    }
+    throw;
+  }
+  coarse_stream_.wait();  // returns at once in serial mode
+  if (prof) prof->pop();
 
   operators::vec_copy(fine_.dev(), z_fine_, z);
   operators::vec_add(fine_.dev(), z_coarse_, z);

@@ -13,11 +13,13 @@
 ///
 /// `OverlapMode::kTaskParallel` launches the two independent terms on
 /// separate streams — the coarse solve (latency-bound: small kernels, global
-/// reductions) on a dedicated high-priority stream, the fine smoother on the
-/// caller's stream — exactly the decomposition Fig. 2 traces. A
-/// TraceRecorder can be attached to capture that timeline.
+/// reductions) on a dedicated stream, the fine smoother on the caller's
+/// thread — exactly the decomposition Fig. 2 traces (the paper also gives the
+/// coarse stream a higher priority, §5.3; the host relies on OS scheduling).
+/// A TraceRecorder can be attached to capture that timeline.
 #pragma once
 
+#include <functional>
 #include <memory>
 
 #include "device/stream.hpp"
@@ -45,18 +47,16 @@ class HsmgPrecon final : public krylov::Preconditioner {
   /// Attach a trace recorder (Fig. 2); pass nullptr to detach.
   void set_trace(device::TraceRecorder* trace) { trace_ = trace; }
 
-  CoarseSolver& coarse_solver() { return coarse_solver_; }
-
  private:
   void apply_fine(const RealVec& r, RealVec& z_fine);
+  /// Run fn(), recorded as `name` on `track` when a recorder is attached.
+  void timed(int track, const char* name, const std::function<void()>& fn);
 
   operators::Context fine_;
   OverlapMode mode_;
   FdmSolver fdm_;
   CoarseSolver coarse_solver_;
-  /// High-priority stream for the coarse-grid term ("assign higher priority
-  /// to the stream where the coarse-solve work is launched", §5.3).
-  device::Stream coarse_stream_{/*priority=*/1};
+  device::Stream coarse_stream_;  ///< the coarse-grid term, task-parallel mode
   device::TraceRecorder* trace_ = nullptr;
   RealVec z_coarse_, z_fine_;
 };

@@ -132,11 +132,7 @@ void run_rank(const CaseSpec& cs, RunContext& ctx, comm::Communicator& comm,
 CaseRunner make_case_runner() {
   auto injectors = std::make_shared<InjectorPool>();
   return [injectors](const CaseSpec& cs, RunContext& ctx) -> RunResult {
-    // Injection is single-rank only: with threads-as-ranks, a rank that dies
-    // mid-exchange leaves its peers blocked forever (exactly like MPI without
-    // a fault tolerance layer), so the injected kill would hang the pool
-    // instead of failing the case.
-    io::FaultInjector* fault = cs.threads == 1 ? injectors->get(cs) : nullptr;
+    io::FaultInjector* fault = injectors->get(cs);
     RunResult result;
     std::mutex result_mutex;
     comm::run_parallel(cs.threads, [&](comm::Communicator& comm) {

@@ -28,11 +28,10 @@
 ///
 /// The case's own keys govern everything optional: per-rank telemetry is on
 /// when `telemetry.enabled` is, and fault injection (fault.* case keys or
-/// FELIS_FAULT_INJECT) is honoured for single-rank cases only — one injector
-/// per case persists across attempts, so `at=N` faults fire once per
-/// campaign, not once per attempt. Multi-rank cases skip injection: a rank
-/// killed mid-exchange would deadlock its peers, which is a property of
-/// threads-as-ranks, not of the scheduler under test.
+/// FELIS_FAULT_INJECT) acts on rank 0's checkpoint writes — one injector per
+/// case persists across attempts, so `at=N` faults fire once per campaign,
+/// not once per attempt. A rank killed mid-exchange fails its peers
+/// (comm::PeerFailed), so the attempt fails with rank 0's own error.
 #pragma once
 
 #include "sched/scheduler.hpp"

@@ -91,7 +91,7 @@ std::string format_run_record(const std::string& case_id,
 ManifestWriter::ManifestWriter(const std::string& path) {
   std::filesystem::create_directories(
       std::filesystem::path(path).parent_path());
-  out_ = std::make_unique<io::DurableAppendWriter>(path, /*flush_every=*/1);
+  out_ = std::make_unique<io::DurableAppendWriter>(path);
 }
 
 ManifestWriter::~ManifestWriter() = default;

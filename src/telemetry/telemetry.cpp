@@ -19,7 +19,6 @@ TelemetryConfig config_from_params(const ParamMap& params) {
                                 static_cast<int>(cfg.interval));
   if (cfg.interval < 1) cfg.interval = 1;
   cfg.trace = params.get_bool("telemetry.trace", cfg.trace);
-  cfg.flush_every = params.get_int("telemetry.flush_every", cfg.flush_every);
   cfg.max_trace_events = static_cast<usize>(params.get_int(
       "telemetry.max_trace_events", static_cast<int>(cfg.max_trace_events)));
   cfg.health.heartbeat =
@@ -89,8 +88,7 @@ Telemetry::Telemetry(TelemetryConfig config,
   summary_path_ = config_.dir + "/" + config_.basename + ".summary.csv";
   // Truncate a stale stream from a previous run before appending.
   { std::error_code ec; std::filesystem::remove(ndjson_path_, ec); }
-  ndjson_ = std::make_unique<io::DurableAppendWriter>(ndjson_path_,
-                                                      config_.flush_every);
+  ndjson_ = std::make_unique<io::DurableAppendWriter>(ndjson_path_);
   write_header_record();
 }
 

@@ -40,14 +40,13 @@ struct TelemetryConfig {
   std::string basename = "run";    ///< file stem: <basename>.ndjson etc.
   std::int64_t interval = 1;       ///< emit an NDJSON record every N steps
   bool trace = true;               ///< export the merged Chrome trace
-  int flush_every = 1;             ///< fsync the NDJSON stream every N records
   usize max_trace_events = 1u << 18;  ///< trace cap; excess is counted
   HealthConfig health;
 };
 
 /// Read the `telemetry.*` keys that shape an open channel (dir, basename,
-/// interval, heartbeat, trace, flush_every, max_trace_events, spike_factor,
-/// spike_margin, stagnation_run) with the defaults above.
+/// interval, heartbeat, trace, max_trace_events, spike_factor, spike_margin,
+/// stagnation_run) with the defaults above.
 TelemetryConfig config_from_params(const ParamMap& params);
 
 /// Wall-clock stopwatch on the telemetry clock. Lives here so instrumented

@@ -1,12 +1,14 @@
 // Tests for the communicator substrate: serial SelfComm, threads-as-ranks
 // SimComm collectives (including rank-order, arrival-independent
-// floating-point reductions) and point-to-point messaging.
+// floating-point reductions), point-to-point messaging, and a failing rank
+// failing its world instead of hanging it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <numeric>
+#include <string>
 #include <thread>
 
 #include "comm/comm.hpp"
@@ -132,6 +134,57 @@ TEST_P(SimCommRanks, BarrierOrdersPhases) {
   EXPECT_FALSE(violation.load());
 }
 
+/// The failing rank's own error type, which run_parallel must rethrow.
+class RankError : public Error {
+ public:
+  explicit RankError(const std::string& what) : Error(what) {}
+};
+
+TEST_P(SimCommRanks, AFailingRankFailsItsWorld) {
+  // The last rank throws while its peers wait for it: in an allreduce, in a
+  // receive (rank 0) or after a completed allgatherv. Every peer must
+  // unblock with PeerFailed, keep getting it from later collectives, and
+  // run_parallel must rethrow the last rank's own error.
+  const int nranks = GetParam();
+  const int last = nranks - 1;
+  const std::string message = "rank " + std::to_string(last) + " failed";
+  enum class Where { kBeforeAllreduce, kInsteadOfSend, kAfterAllgatherv };
+  for (const Where where :
+       {Where::kBeforeAllreduce, Where::kInsteadOfSend, Where::kAfterAllgatherv}) {
+    std::atomic<int> peers_failed{0};
+    try {
+      run_parallel(nranks, [&](Communicator& comm) {
+        if (where == Where::kAfterAllgatherv) {
+          EXPECT_EQ(static_cast<int>(comm.allgatherv(std::vector<gidx_t>{1}).size()),
+                    nranks);
+        }
+        if (comm.rank() == last) {
+          // Give the peers time to block first (either way they must fail).
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          throw RankError(message);
+        }
+        try {
+          if (where == Where::kInsteadOfSend && comm.rank() == 0) {
+            comm.recv_bytes(last, 5);
+          } else {
+            comm.allreduce_scalar(real_t{1}, ReduceOp::kSum);
+          }
+        } catch (const PeerFailed&) {
+          peers_failed.fetch_add(1);
+          EXPECT_THROW(comm.allreduce_scalar(real_t{1}, ReduceOp::kSum), PeerFailed);
+          EXPECT_THROW(comm.barrier(), PeerFailed);
+          throw;
+        }
+        ADD_FAILURE() << "rank " << comm.rank() << " passed a failed rank's collective";
+      });
+      ADD_FAILURE() << "run_parallel returned normally";
+    } catch (const RankError& e) {
+      EXPECT_EQ(e.what(), message);
+    }
+    EXPECT_EQ(peers_failed.load(), nranks - 1) << static_cast<int>(where);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(RankCounts, SimCommRanks, ::testing::Values(1, 2, 4, 7));
 
 /// Sum one value per rank across a simulated world while forcing the order
@@ -176,11 +229,6 @@ TEST(SimCommRankOrder, AllreduceSumIsIndependentOfArrivalOrder) {
       EXPECT_EQ(r, four_rank_order)
           << "arrival order " << order[0] << "," << order[1] << ","
           << order[2] << "," << order[3];
-}
-
-TEST(RunParallel, PropagatesExceptions) {
-  EXPECT_THROW(
-      run_parallel(1, [](Communicator&) { throw Error("rank failure"); }), Error);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for the device abstraction layer: streams (ordering, concurrency,
-// wait semantics), backends (blocked dispatch, deterministic reductions,
-// selection), per-thread workspaces and the trace recorder.
+// wait semantics, task errors), backends (blocked dispatch, deterministic
+// reductions, selection), per-thread workspaces and the trace recorder.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -47,7 +47,7 @@ TEST(StreamTest, WaitBlocksUntilAllDone) {
 TEST(StreamTest, TwoStreamsRunConcurrently) {
   // Two tasks that rendezvous: they can only complete if they truly run on
   // different threads at the same time.
-  Stream a(1), b(0);
+  Stream a, b;
   std::atomic<int> arrived{0};
   const auto rendezvous = [&arrived] {
     arrived.fetch_add(1);
@@ -63,7 +63,31 @@ TEST(StreamTest, TwoStreamsRunConcurrently) {
   a.wait();
   b.wait();
   EXPECT_EQ(arrived.load(), 2);
-  EXPECT_EQ(a.priority(), 1);
+}
+
+TEST(StreamTest, WaitRethrowsATaskErrorOnceAndLaterTasksStillRun) {
+  Stream stream;
+  int ran = 0;
+  stream.submit([] { throw Error("task failed"); });
+  stream.submit([] { throw Error("second failure"); });
+  stream.submit([&ran] { ran = 1; });
+  try {
+    stream.wait();
+    ADD_FAILURE() << "wait() swallowed the task's error";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "task failed");  // the first error wins
+  }
+  EXPECT_EQ(ran, 1);
+  EXPECT_NO_THROW(stream.wait());
+  stream.submit([&ran] { ran = 2; });
+  EXPECT_NO_THROW(stream.wait());
+  EXPECT_EQ(ran, 2);
+}
+
+TEST(StreamTest, AnUncollectedErrorDiesWithItsStream) {
+  // Nobody waits: the destructor drops the error instead of terminating.
+  Stream stream;
+  stream.submit([] { throw Error("never collected"); });
 }
 
 TEST(StreamTest, ReusableAfterWait) {

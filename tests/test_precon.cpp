@@ -5,7 +5,10 @@
 // overlapped variant must be exactly equivalent to the serial one.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <thread>
 
 #include "krylov/gmres.hpp"
 #include "precon/hsmg.hpp"
@@ -266,6 +269,79 @@ TEST(Hsmg, TraceRecordsBothTerms) {
   }
   EXPECT_TRUE(has_coarse);
   EXPECT_TRUE(has_schwarz);
+}
+
+/// Rank 0's communicator, counting the receives and allreduces it enters
+/// once armed, so that rank 1 can tell when they are pending.
+class PendingCounter final : public comm::Communicator {
+ public:
+  PendingCounter(comm::Communicator& inner, std::atomic<int>& entered)
+      : inner_(inner), entered_(entered) {}
+  void arm() { armed_ = true; }
+
+  int rank() const override { return inner_.rank(); }
+  int size() const override { return inner_.size(); }
+  void barrier() override { inner_.barrier(); }
+  void allreduce(real_t* data, usize count, comm::ReduceOp op) override {
+    enter();
+    inner_.allreduce(data, count, op);
+  }
+  void allreduce(gidx_t* data, usize count, comm::ReduceOp op) override {
+    enter();
+    inner_.allreduce(data, count, op);
+  }
+  std::vector<std::vector<std::byte>> allgatherv_bytes(
+      const std::vector<std::byte>& mine) override {
+    return inner_.allgatherv_bytes(mine);
+  }
+  void send_bytes(int dest, int tag, const void* data, usize bytes) override {
+    inner_.send_bytes(dest, tag, data, bytes);
+  }
+  std::vector<std::byte> recv_bytes(int source, int tag) override {
+    enter();
+    return inner_.recv_bytes(source, tag);
+  }
+
+ private:
+  void enter() {
+    if (armed_) entered_.fetch_add(1);
+  }
+  comm::Communicator& inner_;
+  std::atomic<int>& entered_;
+  std::atomic<bool> armed_{false};
+};
+
+TEST(Hsmg, AFailedPeerUnblocksBothOverlappedTerms) {
+  // Rank 1 fails instead of calling apply while rank 0 is inside the
+  // task-overlapped apply: its coarse task (coarse stream) and its fine term
+  // (rank thread) each wait for rank 1 in a gather-scatter receive. Both
+  // must unblock, apply must wait for the coarse task (which reads the
+  // residual) before it unwinds, and run_parallel must rethrow rank 1's error.
+  mesh::BoxMeshConfig cfg;
+  cfg.nx = cfg.ny = cfg.nz = 2;
+  const mesh::HexMesh mesh = mesh::make_box_mesh(cfg);
+  std::atomic<int> pending{0};
+  try {
+    comm::run_parallel(2, [&](comm::Communicator& world) {
+      PendingCounter counted(world, pending);
+      comm::Communicator& comm = world.rank() == 0 ? counted : world;
+      PressureProblem prob = make_problem(mesh, 4, comm);
+      HsmgPrecon hsmg(prob.fine.ctx(), prob.coarse.ctx(), OverlapMode::kTaskParallel);
+      if (comm.rank() == 1) {
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (pending.load() < 2 && std::chrono::steady_clock::now() < deadline)
+          std::this_thread::yield();
+        EXPECT_EQ(pending.load(), 2);
+        throw Error("rank 1 failed");
+      }
+      counted.arm();
+      RealVec z;
+      EXPECT_THROW(hsmg.apply(prob.rhs, z), comm::PeerFailed);
+    });
+    ADD_FAILURE() << "run_parallel returned normally";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "rank 1 failed");
+  }
 }
 
 }  // namespace

@@ -250,7 +250,7 @@ TEST(StreamStress, ManyProducersRandomStreamsAndWaits) {
   constexpr int kTasksPerProducer = 100;
   std::vector<std::unique_ptr<device::Stream>> streams;
   for (int s = 0; s < kStreams; ++s)
-    streams.push_back(std::make_unique<device::Stream>(s % 2));
+    streams.push_back(std::make_unique<device::Stream>());
   std::atomic<long> sum{0};
 
   std::vector<std::thread> producers;
@@ -306,7 +306,7 @@ TEST(StreamStress, TraceRecorderSharedAcrossStreams) {
   device::TraceRecorder trace;
   for (int round = 0; round < 5; ++round) {
     trace.start();
-    device::Stream coarse(1), fine(0);
+    device::Stream coarse, fine;
     std::atomic<int> done{0};
     for (int i = 0; i < 20; ++i) {
       coarse.submit([&] {

@@ -485,28 +485,42 @@ ParamMap acceptance_params(const std::string& dir) {
   return p;
 }
 
-/// Load the final checkpoint of every case of a campaign, keyed by case id.
+/// Load the final checkpoint of every case of a campaign, keyed by case id;
+/// `basename` picks one rank's rotation of a multi-rank case (`felis.r<k>`).
 std::map<std::string, fluid::Checkpoint> final_checkpoints(
-    const CampaignSpec& spec) {
+    const CampaignSpec& spec, const std::string& basename = "felis") {
   std::map<std::string, fluid::Checkpoint> out;
+  const std::string prefix = basename + ".";
   for (const CaseSpec& cs : spec.cases) {
     const fs::path dir = fs::path(spec.config.dir) / cs.id / "checkpoints";
     std::int64_t newest = -1;
     for (const auto& entry : fs::directory_iterator(dir)) {
       const std::string name = entry.path().filename().string();
       if (name.size() < 6 || name.substr(name.size() - 5) != ".ckpt") continue;
-      const auto dot = name.find('.');
-      newest = std::max<std::int64_t>(newest, std::stoll(name.substr(dot + 1)));
+      if (name.rfind(prefix, 0) != 0) continue;
+      newest = std::max<std::int64_t>(newest, std::stoll(name.substr(prefix.size())));
     }
     EXPECT_GE(newest, 0) << "no checkpoint for " << cs.id;
     char stamp[16];
     std::snprintf(stamp, sizeof(stamp), "%010lld",
                   static_cast<long long>(newest));
     out.emplace(cs.id, fluid::Checkpoint::load(
-                           (dir / ("felis." + std::string(stamp) + ".ckpt"))
+                           (dir / (prefix + std::string(stamp) + ".ckpt"))
                                .string()));
   }
   return out;
+}
+
+/// A resumed case's final state must be bitwise the uninterrupted one's.
+void expect_bitwise_equal(const fluid::Checkpoint& ck, const fluid::Checkpoint& ref,
+                          const std::string& label) {
+  EXPECT_EQ(ck.step, ref.step) << label;
+  EXPECT_EQ(ck.time, ref.time) << label;
+  ASSERT_EQ(ck.u.size(), ref.u.size()) << label;
+  for (usize i = 0; i < ck.u.size(); ++i) {
+    ASSERT_EQ(ck.u[i], ref.u[i]) << label << " u dof " << i;
+    ASSERT_EQ(ck.temperature[i], ref.temperature[i]) << label << " T dof " << i;
+  }
 }
 
 TEST_F(ManifestTest, KilledCampaignAutoRecoversBitwise) {
@@ -580,17 +594,7 @@ TEST_F(ManifestTest, KilledCampaignAutoRecoversBitwise) {
   // campaign — the PR 3 exact-restart guarantee, now at campaign level.
   const auto final = final_checkpoints(session2.spec());
   ASSERT_EQ(final.size(), ref_final.size());
-  for (const auto& [id, ck] : final) {
-    const fluid::Checkpoint& ref_ck = ref_final.at(id);
-    EXPECT_EQ(ck.step, ref_ck.step) << id;
-    EXPECT_EQ(ck.time, ref_ck.time) << id;
-    ASSERT_EQ(ck.u.size(), ref_ck.u.size()) << id;
-    for (usize i = 0; i < ck.u.size(); ++i) {
-      ASSERT_EQ(ck.u[i], ref_ck.u[i]) << id << " u dof " << i;
-      ASSERT_EQ(ck.temperature[i], ref_ck.temperature[i])
-          << id << " T dof " << i;
-    }
-  }
+  for (const auto& [id, ck] : final) expect_bitwise_equal(ck, ref_final.at(id), id);
 
   // Monitor-vs-manifest equivalence after the killed-and-resumed campaign:
   // the monitor's incremental fold (production transition logic fed by the
@@ -781,6 +785,70 @@ TEST_F(ManifestTest, MultiRankCaseRunsUnderTheBudget) {
     EXPECT_GT(extract_json_number(last, "profile.messages"), 0.0) << rank;
     for (const char* retired : {"\"gs.", "\"comm.", "\"krylov."})
       EXPECT_EQ(last.find(retired), std::string::npos) << rank << ": " << last;
+  }
+}
+
+TEST_F(ManifestTest, MultiRankCrashRetriesAndRecoversBitwise) {
+  // The two-rank twin of EnvFaultInjectionCrashRetriesAndRecovers: rank 0's
+  // second checkpoint write (step 4) dies. Rank 1 has written its own step 4
+  // and fails at its next exchange instead of hanging; the retry restores
+  // step 2, the newest step both ranks hold.
+  const auto two_ranks = [](const std::string& dir) {
+    ParamMap p = ParamMap::parse(R"(
+      campaign.workers = 1
+      campaign.thread_budget = 2
+      campaign.ranks = 2
+      campaign.steps = 10
+      campaign.retries = 2
+      campaign.backoff_ms = 1
+      case.Ra = 2e4
+      case.dt = 1.5e-2
+      case.perturbation = 2e-2
+      checkpoint.every = 2
+      telemetry.enabled = true
+    )");
+    p.set("campaign.dir", dir);
+    return p;
+  };
+  Scheduler ref(CampaignSpec::from_params(two_ranks(dir_ + "/ref")), make_case_runner());
+  ASSERT_TRUE(ref.run().all_done());
+
+  ParamMap params = two_ranks(dir_ + "/crash");
+  params.set("fault.mode", std::string("crash"));
+  params.set("fault.at", 2);
+  Scheduler crashed(CampaignSpec::from_params(params), make_case_runner());
+  const CampaignReport report = crashed.run();
+  ASSERT_TRUE(report.all_done());
+  EXPECT_EQ(report.retries, 1);
+  ASSERT_EQ(report.outcomes.size(), 1u);
+  EXPECT_EQ(report.outcomes[0].attempts, 2);
+
+  // The retried attempt failed with rank 0's own InjectedCrash.
+  const std::string id = crashed.spec().cases[0].id;
+  std::ifstream manifest(dir_ + "/crash/manifest.ndjson");
+  int retried = 0;
+  for (std::string line; std::getline(manifest, line);) {
+    if (line.find(R"("state":"retried")") == std::string::npos) continue;
+    ++retried;
+    EXPECT_NE(line.find("crash before renaming"), std::string::npos) << line;
+    EXPECT_NE(line.find("felis.r0.0000000004.ckpt"), std::string::npos) << line;
+  }
+  EXPECT_EQ(retried, 1);
+
+  // Each rank's stream restarts with the retry: its first step is 3.
+  for (const char* rank : {"rank0", "rank1"}) {
+    std::ifstream in(fs::path(dir_) / "crash" / id / "telemetry" / rank / "run.ndjson");
+    std::string line;
+    while (std::getline(in, line))
+      if (line.find(R"("type":"step")") != std::string::npos) break;
+    EXPECT_EQ(extract_json_number(line, "step"), 3.0) << rank << ": " << line;
+  }
+
+  for (const std::string rank : {"felis.r0", "felis.r1"}) {
+    const auto final = final_checkpoints(crashed.spec(), rank);
+    const auto ref_final = final_checkpoints(ref.spec(), rank);
+    ASSERT_EQ(final.size(), 1u);
+    expect_bitwise_equal(final.begin()->second, ref_final.begin()->second, rank);
   }
 }
 

@@ -13,7 +13,7 @@
 //   ./felis_campaign --status DIR [--watch] [--interval S] [--json]
 //     print the fleet table (per-case state/step/progress/Nu, throughput,
 //     ETA, stragglers) and write DIR/status.json + DIR/status.prom;
-//     --watch repolls every S seconds (default 2) until every case is
+//     --watch rereads them every S seconds (default 2) until every case is
 //     terminal; --json prints the status document instead of the table
 //   ./felis_campaign --export-trace DIR
 //     write DIR/campaign.trace.json, a merged Chrome trace with every case
@@ -47,6 +47,7 @@
 #include "obs/campaign_monitor.hpp"
 #include "obs/exporters.hpp"
 #include "sched/case_runner.hpp"
+#include "sched/manifest.hpp"
 #include "sched/scheduler.hpp"
 
 using namespace felis;
@@ -97,17 +98,18 @@ int corrupt_manifest(const std::string& dir, const sched::ManifestReplayError& e
   return 65;
 }
 
-/// --status / --export-trace: fold the campaign dir's journals and export.
+/// --status / --export-trace: fold the campaign dir's journals and export;
+/// --watch folds them afresh once per interval.
 int run_observer(const std::string& dir, bool watch, double interval,
                  bool json_out, bool export_trace) {
-  obs::CampaignMonitor monitor(dir);
   while (true) {
+    obs::CampaignFold fold;
     try {
-      monitor.poll();
+      fold = obs::read_campaign(dir, /*step_marks=*/export_trace);
     } catch (const sched::ManifestReplayError& e) {
       return corrupt_manifest(dir, e);
     }
-    const obs::CampaignSnapshot snap = monitor.snapshot();
+    const obs::CampaignSnapshot& snap = fold.snapshot;
     if (!snap.manifest_found) {
       std::fprintf(stderr,
                    "no campaign manifest in '%s' (expected %s/manifest.ndjson)\n",
@@ -118,7 +120,7 @@ int run_observer(const std::string& dir, bool watch, double interval,
     if (export_trace) {
       const std::string path = dir + "/campaign.trace.json";
       io::AtomicFileWriter writer(path);
-      writer.stream() << obs::campaign_trace_json(monitor);
+      writer.stream() << obs::campaign_trace_json(fold);
       writer.commit();
       std::printf("merged trace: %s\n", path.c_str());
       return 0;
@@ -129,7 +131,7 @@ int run_observer(const std::string& dir, bool watch, double interval,
     } else {
       print_fleet_table(snap);
     }
-    const obs::StatusPaths paths = obs::write_status_files(monitor, dir);
+    const obs::StatusPaths paths = obs::write_status_files(snap, dir);
     if (!json_out)
       std::printf("status: %s, %s\n", paths.json.c_str(), paths.prom.c_str());
 

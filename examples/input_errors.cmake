@@ -15,6 +15,8 @@ file(WRITE "${DIR}/big_nx.txt" "mesh.nx = 99999999999\n")
 file(WRITE "${DIR}/big_ra.txt" "case.Ra = 1e400\n")
 file(WRITE "${DIR}/slab_nx2.txt" "mesh.nx = 2\n")
 file(WRITE "${DIR}/monitor.txt" "campaign.monitor = true\n")
+file(WRITE "${DIR}/trace_cap.txt" "telemetry.max_trace_events = -1\n")
+file(WRITE "${DIR}/stagnation.txt" "telemetry.stagnation_run = -2\n")
 
 # expect(<exit code> <stderr regex> <command> [args...])
 function(expect code pattern)
@@ -32,6 +34,8 @@ expect(65 "case.Ra" "${CAMPAIGN}" "${DIR}/big_ra.txt" --dry-run)
 expect(65 "campaign.monitor.*--status" "${CAMPAIGN}" "${DIR}/monitor.txt" --dry-run)
 expect(65 "periodic x requires at least 3 elements"
        "${CAMPAIGN}" "${DIR}/slab_nx2.txt" --dry-run)
+expect(65 "telemetry.stagnation_run"
+       "${CAMPAIGN}" "${DIR}/stagnation.txt" --dry-run)
 foreach(steps abc -3 7x 0)
   expect(64 "usage: felis_campaign"
          "${CAMPAIGN}" "${DIR}/slab_nx2.txt" --dry-run --steps ${steps})
@@ -42,6 +46,8 @@ expect(65 "mesh.nx" "${QUICKSTART}" --case "${DIR}/big_nx.txt" 1)
 expect(65 "case.Ra" "${QUICKSTART}" --case "${DIR}/big_ra.txt" 1)
 expect(65 "periodic x requires at least 3 elements"
        "${QUICKSTART}" --case "${DIR}/slab_nx2.txt" 1)
+expect(65 "telemetry.max_trace_events"
+       "${QUICKSTART}" --case "${DIR}/trace_cap.txt" 1)
 expect(66 "cannot read case file" "${QUICKSTART}" --case "${DIR}/missing.txt")
 expect(64 "usage: quickstart" "${QUICKSTART}" --help)
 expect(64 "usage: quickstart" "${QUICKSTART}" 1e4 abc)

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -89,7 +90,7 @@ class BitWriter {
 
 class BitReader {
  public:
-  explicit BitReader(const std::vector<std::byte>& bytes)
+  explicit BitReader(std::span<const std::byte> bytes)
       : data_(bytes.data()), size_(bytes.size()) {}
 
   bool get_bit() {

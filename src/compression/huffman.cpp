@@ -173,7 +173,7 @@ std::vector<TableEntry> build_decode_table(
 
 }  // namespace
 
-std::vector<std::byte> huffman_encode(const std::vector<std::byte>& input) {
+std::vector<std::byte> huffman_encode(std::span<const std::byte> input) {
   std::vector<std::uint64_t> freq(kSymbols, 0);
   for (const std::byte b : input) ++freq[static_cast<usize>(b)];
   std::vector<int> lengths = build_code_lengths(freq);
@@ -207,7 +207,7 @@ std::vector<std::byte> huffman_encode(const std::vector<std::byte>& input) {
   return out.take();
 }
 
-std::vector<std::byte> huffman_decode(const std::vector<std::byte>& blob) {
+std::vector<std::byte> huffman_decode(std::span<const std::byte> blob) {
   BitReader in(blob);
   const usize count = in.get_gamma();
   // Every symbol costs at least one payload bit, so a count beyond 8 bits

@@ -9,6 +9,7 @@
 /// are stored.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -17,9 +18,9 @@ namespace felis::compression {
 
 /// Encode a byte buffer; output includes a self-describing header (code
 /// lengths + payload size). Empty input yields a minimal valid blob.
-std::vector<std::byte> huffman_encode(const std::vector<std::byte>& input);
+std::vector<std::byte> huffman_encode(std::span<const std::byte> input);
 
 /// Exact inverse of huffman_encode.
-std::vector<std::byte> huffman_decode(const std::vector<std::byte>& blob);
+std::vector<std::byte> huffman_decode(std::span<const std::byte> blob);
 
 }  // namespace felis::compression

@@ -1,6 +1,7 @@
 #include "fluid/checkpoint.hpp"
 
 #include <cstring>
+#include <span>
 
 #include "common/crc32.hpp"
 #include "compression/huffman.hpp"
@@ -27,25 +28,58 @@ enum SectionId : std::uint64_t {
   kSectionInsitu = 4,
 };
 
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  // Byte-wise append (a range insert here trips a GCC 12
-  // -Wstringop-overflow false positive on empty vectors).
+void store_u64(std::byte* at, std::uint64_t v) {
   for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
+    at[i] = static_cast<std::byte>((v >> (8 * i)) & 0xff);
 }
 
-void put_vec(std::vector<std::byte>& out, const RealVec& v) {
-  put_u64(out, v.size());
-  const auto* raw = reinterpret_cast<const std::byte*>(v.data());
-  out.insert(out.end(), raw, raw + v.size() * sizeof(real_t));
-}
+/// Sizes the section stream: encode_sections() run through it gives the
+/// exact byte count the SectionWriter's buffer is reserved to.
+struct SectionSizer {
+  usize bytes = 0;
+  void u64(std::uint64_t) { bytes += 8; }
+  void vec(const RealVec& v) { bytes += 8 + v.size() * sizeof(real_t); }
+  template <class Content>
+  void section(std::uint64_t, Content&& content) {
+    bytes += 24;
+    content();
+  }
+};
+
+/// Appends the section stream to one buffer. A section's header (id,
+/// length, CRC-32 of the content) is written first with the length and CRC
+/// zeroed, then patched once the content behind it is complete.
+struct SectionWriter {
+  std::vector<std::byte>& out;
+
+  void u64(std::uint64_t v) {
+    out.resize(out.size() + 8);
+    store_u64(out.data() + out.size() - 8, v);
+  }
+  void vec(const RealVec& v) {
+    u64(v.size());
+    const auto* raw = reinterpret_cast<const std::byte*>(v.data());
+    out.insert(out.end(), raw, raw + v.size() * sizeof(real_t));
+  }
+  template <class Content>
+  void section(std::uint64_t id, Content&& content) {
+    u64(id);
+    u64(0);
+    u64(0);
+    const usize begin = out.size();
+    content();
+    const usize len = out.size() - begin;
+    store_u64(out.data() + begin - 16, len);
+    store_u64(out.data() + begin - 8, crc32(out.data() + begin, len));
+  }
+};
 
 /// Bounds-checked cursor over an untrusted byte range. Every length read
 /// from the blob is validated against the bytes actually remaining — never
 /// by arithmetic on the attacker-controlled value alone — so a hostile
 /// length field cannot wrap a multiplication past the end of the buffer.
 struct Reader {
-  const std::vector<std::byte>& in;
+  std::span<const std::byte> in;
   const std::string& src;
   usize pos = 0;
 
@@ -77,15 +111,6 @@ struct Reader {
     return v;
   }
 
-  std::vector<std::byte> bytes(usize n, const char* what) {
-    FELIS_CHECK_MSG(n <= in.size() - pos,
-                    "checkpoint " << src << ": truncated " << what);
-    std::vector<std::byte> v(in.begin() + static_cast<std::ptrdiff_t>(pos),
-                             in.begin() + static_cast<std::ptrdiff_t>(pos + n));
-    pos += n;
-    return v;
-  }
-
   void expect_end(const char* what) {
     FELIS_CHECK_MSG(pos == in.size(), "checkpoint " << src << ": "
                                                     << in.size() - pos
@@ -94,16 +119,9 @@ struct Reader {
   }
 };
 
-void put_section(std::vector<std::byte>& out, std::uint64_t id,
-                 const std::vector<std::byte>& content) {
-  put_u64(out, id);
-  put_u64(out, content.size());
-  put_u64(out, crc32(content));
-  out.insert(out.end(), content.begin(), content.end());
-}
-
-std::vector<std::byte> take_section(Reader& r, std::uint64_t want_id,
-                                    const char* name) {
+/// The next section's content, checked against its id and CRC, as a reader
+/// over the same bytes (no copy).
+Reader take_section(Reader& r, std::uint64_t want_id, const char* name) {
   const std::uint64_t id = r.u64("section header");
   FELIS_CHECK_MSG(id == want_id, "checkpoint " << r.src << ": expected section "
                                                << name << " (id " << want_id
@@ -113,26 +131,26 @@ std::vector<std::byte> take_section(Reader& r, std::uint64_t want_id,
   FELIS_CHECK_MSG(len <= r.in.size() - r.pos,
                   "checkpoint " << r.src << ": section " << name
                                 << " length overruns the blob");
-  std::vector<std::byte> content = r.bytes(static_cast<usize>(len), name);
-  FELIS_CHECK_MSG(crc32(content) == want_crc,
+  const std::span<const std::byte> content =
+      r.in.subspan(r.pos, static_cast<usize>(len));
+  r.pos += content.size();
+  FELIS_CHECK_MSG(crc32(content.data(), content.size()) == want_crc,
                   "checkpoint " << r.src << ": section " << name
                                 << " checksum mismatch (corrupted file)");
-  return content;
+  return Reader{content, r.src};
 }
 
-std::vector<std::byte> encode_state(const Checkpoint& ck) {
-  std::vector<std::byte> out;
-  put_u64(out, static_cast<std::uint64_t>(ck.step));
-  RealVec clock{ck.time};
-  put_vec(out, clock);
+template <class Out>
+void encode_state(Out& out, const Checkpoint& ck) {
+  out.u64(static_cast<std::uint64_t>(ck.step));
+  out.vec(RealVec{ck.time});
   for (const RealVec* f :
        {&ck.u, &ck.v, &ck.w, &ck.temperature, &ck.pressure})
-    put_vec(out, *f);
+    out.vec(*f);
   for (const auto* arr : {&ck.u_lag1, &ck.u_lag2, &ck.f_lag0, &ck.f_lag1})
-    for (const RealVec& f : *arr) put_vec(out, f);
+    for (const RealVec& f : *arr) out.vec(f);
   for (const RealVec* f : {&ck.t_lag1, &ck.t_lag2, &ck.g_lag0, &ck.g_lag1})
-    put_vec(out, *f);
-  return out;
+    out.vec(*f);
 }
 
 void decode_state(Reader r, Checkpoint& ck) {
@@ -150,18 +168,17 @@ void decode_state(Reader r, Checkpoint& ck) {
   r.expect_end("state section");
 }
 
-std::vector<std::byte> encode_projection(const Checkpoint& ck) {
+template <class Out>
+void encode_projection(Out& out, const Checkpoint& ck) {
   const auto& p = ck.projection;
   FELIS_CHECK_MSG(p.basis.size() == p.a_basis.size(),
                   "checkpoint: projection basis/a_basis size mismatch");
-  std::vector<std::byte> out;
-  put_u64(out, p.present ? 1 : 0);
-  put_u64(out, p.basis.size());
+  out.u64(p.present ? 1 : 0);
+  out.u64(p.basis.size());
   for (usize k = 0; k < p.basis.size(); ++k) {
-    put_vec(out, p.basis[k]);
-    put_vec(out, p.a_basis[k]);
+    out.vec(p.basis[k]);
+    out.vec(p.a_basis[k]);
   }
-  return out;
 }
 
 void decode_projection(Reader r, Checkpoint& ck) {
@@ -177,17 +194,15 @@ void decode_projection(Reader r, Checkpoint& ck) {
   r.expect_end("projection section");
 }
 
-std::vector<std::byte> encode_stats(const Checkpoint& ck) {
+template <class Out>
+void encode_stats(Out& out, const Checkpoint& ck) {
   const StepInfo& info = ck.solver_stats.info;
-  std::vector<std::byte> out;
-  put_u64(out, ck.solver_stats.present ? 1 : 0);
-  put_u64(out, static_cast<std::uint64_t>(info.step));
-  put_u64(out, static_cast<std::uint64_t>(info.pressure_iterations));
-  put_u64(out, static_cast<std::uint64_t>(info.velocity_iterations));
-  put_u64(out, static_cast<std::uint64_t>(info.scalar_iterations));
-  put_vec(out,
-          RealVec{info.time, info.cfl, info.pressure_residual, info.divergence});
-  return out;
+  out.u64(ck.solver_stats.present ? 1 : 0);
+  out.u64(static_cast<std::uint64_t>(info.step));
+  out.u64(static_cast<std::uint64_t>(info.pressure_iterations));
+  out.u64(static_cast<std::uint64_t>(info.velocity_iterations));
+  out.u64(static_cast<std::uint64_t>(info.scalar_iterations));
+  out.vec(RealVec{info.time, info.cfl, info.pressure_residual, info.divergence});
 }
 
 void decode_stats(Reader r, Checkpoint& ck) {
@@ -207,19 +222,18 @@ void decode_stats(Reader r, Checkpoint& ck) {
   r.expect_end("stats section");
 }
 
-std::vector<std::byte> encode_insitu(const Checkpoint& ck) {
+template <class Out>
+void encode_insitu(Out& out, const Checkpoint& ck) {
   const auto& is = ck.insitu;
-  std::vector<std::byte> out;
-  put_u64(out, is.present ? 1 : 0);
-  put_u64(out, is.pushed);
-  put_u64(out, is.popped);
-  put_u64(out, is.has_pod ? 1 : 0);
-  put_u64(out, is.pod.count);
-  put_u64(out, is.pod.rows);
-  put_vec(out, is.pod.sigma);
-  put_vec(out, is.pod.modes);
-  put_vec(out, RealVec{is.pod.discarded_energy});
-  return out;
+  out.u64(is.present ? 1 : 0);
+  out.u64(is.pushed);
+  out.u64(is.popped);
+  out.u64(is.has_pod ? 1 : 0);
+  out.u64(is.pod.count);
+  out.u64(is.pod.rows);
+  out.vec(is.pod.sigma);
+  out.vec(is.pod.modes);
+  out.vec(RealVec{is.pod.discarded_energy});
 }
 
 void decode_insitu(Reader r, Checkpoint& ck) {
@@ -247,31 +261,45 @@ void decode_insitu(Reader r, Checkpoint& ck) {
   r.expect_end("insitu section");
 }
 
+/// The section stream in its fixed id order, through a sizer or a writer.
+template <class Out>
+void encode_sections(Out& out, const Checkpoint& ck) {
+  out.section(kSectionState, [&] { encode_state(out, ck); });
+  out.section(kSectionProjection, [&] { encode_projection(out, ck); });
+  out.section(kSectionStats, [&] { encode_stats(out, ck); });
+  out.section(kSectionInsitu, [&] { encode_insitu(out, ck); });
+}
+
 }  // namespace
 
 std::vector<std::byte> Checkpoint::serialize(bool lossless_compress) const {
-  std::vector<std::byte> sections;
-  put_section(sections, kSectionState, encode_state(*this));
-  put_section(sections, kSectionProjection, encode_projection(*this));
-  put_section(sections, kSectionStats, encode_stats(*this));
-  put_section(sections, kSectionInsitu, encode_insitu(*this));
-
-  std::vector<std::byte> payload;
-  if (lossless_compress)
-    payload = compression::huffman_encode(sections);
-  else
-    payload = sections;
-
+  // The section stream goes straight into the blob behind a header-sized
+  // gap, in one allocation; the header is filled in last.
+  SectionSizer size;
+  encode_sections(size, *this);
   std::vector<std::byte> blob;
-  blob.reserve(kHeaderBytes + payload.size());
-  put_u64(blob, kMagic);
-  put_u64(blob, kVersion);
-  put_u64(blob, lossless_compress ? kFlagCoded : 0);
-  put_u64(blob, kSectionCount);
-  put_u64(blob, crc32(sections));
-  put_u64(blob, crc32(payload));
-  put_u64(blob, crc32(blob.data(), kHeaderCrcOffset));
-  blob.insert(blob.end(), payload.begin(), payload.end());
+  blob.reserve(kHeaderBytes + size.bytes);
+  blob.resize(kHeaderBytes);
+  SectionWriter sections{blob};
+  encode_sections(sections, *this);
+  const std::span<const std::byte> stream =
+      std::span<const std::byte>(blob).subspan(kHeaderBytes);
+  const std::uint32_t sections_crc = crc32(stream.data(), stream.size());
+  if (lossless_compress) {
+    const std::vector<std::byte> coded = compression::huffman_encode(stream);
+    blob.resize(kHeaderBytes);
+    blob.insert(blob.end(), coded.begin(), coded.end());
+  }
+
+  std::byte* header = blob.data();
+  store_u64(header, kMagic);
+  store_u64(header + 8, kVersion);
+  store_u64(header + 16, lossless_compress ? kFlagCoded : 0);
+  store_u64(header + 24, kSectionCount);
+  store_u64(header + 32, sections_crc);
+  store_u64(header + 40, crc32(blob.data() + kHeaderBytes,
+                               blob.size() - kHeaderBytes));
+  store_u64(header + kHeaderCrcOffset, crc32(header, kHeaderCrcOffset));
   return blob;
 }
 
@@ -305,25 +333,30 @@ Checkpoint Checkpoint::deserialize(const std::vector<std::byte>& blob,
                   "checkpoint " << source << ": expected " << kSectionCount
                                 << " sections, header claims " << nsections);
 
-  const std::vector<std::byte> payload(
-      blob.begin() + static_cast<std::ptrdiff_t>(kHeaderBytes), blob.end());
-  FELIS_CHECK_MSG(crc32(payload) == stored_crc,
+  // The payload is read where it lies in the blob; only a coded payload is
+  // decoded into a buffer of its own.
+  const std::span<const std::byte> payload =
+      std::span<const std::byte>(blob).subspan(kHeaderBytes);
+  FELIS_CHECK_MSG(crc32(payload.data(), payload.size()) == stored_crc,
                   "checkpoint " << source
                                 << ": payload checksum mismatch (truncated or "
                                    "corrupted file)");
-  const std::vector<std::byte> sections =
-      (flags & kFlagCoded) ? compression::huffman_decode(payload) : payload;
-  FELIS_CHECK_MSG(crc32(sections) == payload_crc,
+  std::vector<std::byte> decoded;
+  std::span<const std::byte> sections = payload;
+  if (flags & kFlagCoded) {
+    decoded = compression::huffman_decode(payload);
+    sections = decoded;
+  }
+  FELIS_CHECK_MSG(crc32(sections.data(), sections.size()) == payload_crc,
                   "checkpoint " << source
                                 << ": decoded payload checksum mismatch");
 
   Checkpoint ck;
   Reader r{sections, source};
-  decode_state(Reader{take_section(r, kSectionState, "state"), source}, ck);
-  decode_projection(
-      Reader{take_section(r, kSectionProjection, "projection"), source}, ck);
-  decode_stats(Reader{take_section(r, kSectionStats, "stats"), source}, ck);
-  decode_insitu(Reader{take_section(r, kSectionInsitu, "insitu"), source}, ck);
+  decode_state(take_section(r, kSectionState, "state"), ck);
+  decode_projection(take_section(r, kSectionProjection, "projection"), ck);
+  decode_stats(take_section(r, kSectionStats, "stats"), ck);
+  decode_insitu(take_section(r, kSectionInsitu, "insitu"), ck);
   r.expect_end("last section");
   return ck;
 }

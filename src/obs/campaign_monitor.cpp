@@ -2,48 +2,17 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <stdexcept>
+#include <fstream>
+#include <optional>
 #include <utility>
+
+#include "sched/manifest.hpp"
 
 namespace felis::obs {
 
 namespace fs = std::filesystem;
 
 namespace {
-
-/// Scan `line` for every `"<prefix><leaf>":<number>` pair and fold it into
-/// `out`. Non-numeric values (nested histogram objects) are skipped; a line
-/// torn mid-number ends the scan. The journals are writer-controlled flat
-/// encodings, so a positional scan is exact — this is one of the two
-/// sanctioned NDJSON parsing sites (felis_lint rule raw-ndjson-read).
-void extract_prefixed_numbers(const std::string& line, const std::string& prefix,
-                              std::map<std::string, double>* out) {
-  const std::string needle = "\"" + prefix;
-  usize pos = 0;
-  while ((pos = line.find(needle, pos)) != std::string::npos) {
-    const usize key_begin = pos + 1;
-    const usize key_end = line.find('"', key_begin);
-    if (key_end == std::string::npos) return;
-    if (key_end + 1 >= line.size() || line[key_end + 1] != ':') {
-      pos = key_end + 1;
-      continue;
-    }
-    const usize val_begin = key_end + 2;
-    if (val_begin >= line.size()) return;
-    if (line[val_begin] == '{') {  // histogram object: not a flat number
-      pos = val_begin;
-      continue;
-    }
-    try {
-      usize used = 0;
-      const double v = std::stod(line.substr(val_begin), &used);
-      (*out)[line.substr(key_begin, key_end - key_begin)] = v;
-      pos = val_begin + used;
-    } catch (const std::logic_error&) {
-      return;  // torn mid-number
-    }
-  }
-}
 
 double clamp01(double v) { return std::min(1.0, std::max(0.0, v)); }
 
@@ -52,6 +21,149 @@ double clamp01(double v) { return std::min(1.0, std::max(0.0, v)); }
 constexpr double kStragglerFactor = 2.0;
 constexpr double kMinProgress = 0.02;
 constexpr usize kMaxStepMarks = 20000;  ///< per-case trace-mark cap
+constexpr usize kTailChunk = 4096;      ///< first backward read of a stream
+
+/// The manifest fields only the status view reads — header, case
+/// declarations, run timings, the clock rebase across resumes — taken from
+/// the records sched::read_manifest parses for its own fold.
+struct ManifestView {
+  CampaignSnapshot snap;                  ///< header fields, clock, retries
+  std::map<std::string, CaseView> cases;  ///< declarations and timings
+  std::vector<std::string> order;         ///< first appearance in the journal
+  std::vector<RunEvent> run_events;
+  double clock_offset = 0;  ///< rebase of the current scheduler session
+
+  CaseView& view(const std::string& id) {
+    const auto [it, added] = cases.try_emplace(id);
+    if (added) {
+      it->second.id = id;
+      order.push_back(id);  // declared, or undeclared but journalled
+    }
+    return it->second;
+  }
+
+  void apply(const sched::JsonRecord& rec) {
+    const std::string* type = rec.string("type");
+    if (type == nullptr) return;
+    if (*type == "header") {
+      if (const std::string* name = rec.string("campaign")) snap.campaign = *name;
+      snap.workers = static_cast<int>(rec.number("workers"));
+      snap.thread_budget = static_cast<int>(rec.number("thread_budget"));
+      snap.ranks = static_cast<int>(rec.number("ranks"));
+    } else if (*type == "case") {
+      const std::string* id = rec.string("case");
+      if (id == nullptr) return;
+      CaseView& v = view(*id);
+      v.threads = static_cast<int>(rec.number("threads"));
+      v.steps_planned = static_cast<std::int64_t>(rec.number("steps"));
+      v.cost_seconds = rec.number("cost_seconds");
+    } else if (*type == "resume") {
+      ++snap.resumes;
+      // Each scheduler session restarts its campaign clock at 0; rebase so
+      // the status clock stays monotone across sessions.
+      clock_offset = snap.clock_seconds;
+    } else if (*type == "run") {
+      const std::string* id = rec.string("case");
+      const std::string* state = rec.string("state");
+      if (id == nullptr || state == nullptr) return;
+      const double t = rec.number("t") + clock_offset;
+      const double wall = rec.number("wall_seconds");
+      snap.clock_seconds = std::max(snap.clock_seconds, t);
+      CaseView& v = view(*id);
+      if (*state == "queued") {
+        v.queued_t = t;
+      } else if (*state == "running") {
+        v.running_t = t;
+      } else {
+        v.finished_t = t;
+        v.wall_seconds = wall;
+        if (*state == "retried") ++snap.retry_transitions;
+      }
+      run_events.push_back(
+          {*id, *state, static_cast<int>(rec.number("attempt")), t, wall});
+    }
+  }
+};
+
+/// Case `id`'s current telemetry stream ("" when it has not started
+/// streaming): a multi-rank case streams from rank0/.
+std::string stream_path(const std::string& dir, const std::string& id) {
+  std::error_code ec;
+  const fs::path base = fs::path(dir) / id / "telemetry";
+  const fs::path single = base / "run.ndjson";
+  if (fs::is_regular_file(single, ec)) return single.string();
+  const fs::path rank0 = base / "rank0" / "run.ndjson";
+  if (fs::is_regular_file(rank0, ec)) return rank0.string();
+  return "";
+}
+
+bool is_step_record(const sched::JsonRecord& rec) {
+  const std::string* type = rec.string("type");
+  return type != nullptr && *type == "step" && rec.numbers.count("step") > 0;
+}
+
+/// The newest complete step record of the stream at `path`, read from the
+/// end in growing windows. Only newline-terminated lines count (an
+/// unterminated tail is torn or still being appended), and a line that does
+/// not parse (a torn line the writer self-healed) is passed over.
+std::optional<sched::JsonRecord> newest_step_record(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) return std::nullopt;
+  const auto size = static_cast<usize>(std::max<std::streamoff>(in.tellg(), 0));
+  for (usize want = kTailChunk;; want *= 4) {
+    const usize n = std::min(want, size);
+    std::string tail(n, '\0');
+    in.seekg(static_cast<std::streamoff>(size - n));
+    if (!in.read(tail.data(), static_cast<std::streamsize>(n)))
+      return std::nullopt;  // replaced while read: the next read sees it
+    // The window's first line is whole only when the window starts the file.
+    usize begin = 0;
+    if (n < size) {
+      begin = tail.find('\n');
+      if (begin == std::string::npos) continue;  // no whole line yet
+      ++begin;
+    }
+    std::optional<sched::JsonRecord> newest;
+    for (usize end; (end = tail.find('\n', begin)) != std::string::npos;
+         begin = end + 1) {
+      std::optional<sched::JsonRecord> rec = sched::parse_json_record(
+          std::string_view(tail).substr(begin, end - begin));
+      if (rec && is_step_record(*rec)) newest = std::move(rec);
+    }
+    if (newest || n == size) return newest;
+  }
+}
+
+/// Every complete step record's mark, in stream order (capped).
+std::vector<StepMark> read_step_marks(const std::string& path) {
+  std::vector<StepMark> marks;
+  std::ifstream in(path, std::ios::binary);
+  std::string line;
+  while (marks.size() < kMaxStepMarks && std::getline(in, line)) {
+    if (in.eof()) break;  // no '\n': torn, or racing its append
+    const std::optional<sched::JsonRecord> rec = sched::parse_json_record(line);
+    if (rec && is_step_record(*rec))
+      marks.push_back({static_cast<std::int64_t>(rec->number("step")),
+                       rec->number("wall_seconds")});
+  }
+  return marks;
+}
+
+/// The live fields of case `v` from its newest step record.
+void apply_step_record(CaseView& v, const sched::JsonRecord& rec) {
+  const sched::JsonFields& metrics = rec.object("metrics");
+  v.telemetry_found = true;
+  v.step = static_cast<std::int64_t>(rec.number("step"));
+  v.sim_time = rec.number("time");
+  v.run_wall_seconds = rec.number("wall_seconds");
+  v.cfl = metrics.number("solver.cfl");
+  v.nusselt = metrics.number("case.nu_volume");
+  v.pressure_residual = metrics.number("solver.pressure_residual");
+  v.pressure_iterations = metrics.number("solver.pressure_iterations");
+  static const std::string kFlags = "health.flags.";
+  for (const auto& [name, value] : metrics.numbers)
+    if (name.rfind(kFlags, 0) == 0) v.health_flags[name] = value;
+}
 
 }  // namespace
 
@@ -67,201 +179,30 @@ const CaseView* CampaignSnapshot::find(const std::string& id) const {
   return nullptr;
 }
 
-CampaignMonitor::CampaignMonitor(std::string dir)
-    : dir_(std::move(dir)),
-      manifest_follower_((fs::path(dir_) / "manifest.ndjson").string()) {}
+CampaignFold read_campaign(const std::string& dir, bool step_marks) {
+  // The production fold first: the per-case states ARE the resume
+  // protocol's (this may throw ManifestReplayError, like resume).
+  ManifestView view;
+  const sched::ManifestState manifest = sched::read_manifest(
+      (fs::path(dir) / "manifest.ndjson").string(),
+      [&view](const sched::JsonRecord& rec) { view.apply(rec); });
 
-void CampaignMonitor::note_clock(double t) {
-  clock_high_water_ = std::max(clock_high_water_, t);
-}
-
-std::string CampaignMonitor::telemetry_stream_path(
-    const std::string& id) const {
-  std::error_code ec;
-  const fs::path base = fs::path(dir_) / id / "telemetry";
-  const fs::path single = base / "run.ndjson";
-  if (fs::is_regular_file(single, ec)) return single.string();
-  const fs::path rank0 = base / "rank0" / "run.ndjson";
-  if (fs::is_regular_file(rank0, ec)) return rank0.string();
-  return "";
-}
-
-void CampaignMonitor::apply_manifest(const std::string& line) {
-  // The production fold first: the monitor's per-case states ARE the resume
-  // protocol's, bitwise (this may throw ManifestReplayError, like resume).
-  sched::apply_manifest_line(manifest_, line);
-
-  // Then the monitor-only fields (header, declarations, timings). Same torn
-  // guard as the fold: only trust a line that closes its object.
-  if (line.empty() || line.back() != '}') return;
-  bool has_type = false;
-  const std::string type = sched::extract_json_string(line, "type", &has_type);
-  if (!has_type) return;
-  if (type == "header") {
-    campaign_ = sched::extract_json_string(line, "campaign");
-    workers_ = static_cast<int>(sched::extract_json_number(line, "workers"));
-    thread_budget_ =
-        static_cast<int>(sched::extract_json_number(line, "thread_budget"));
-    ranks_ = static_cast<int>(sched::extract_json_number(line, "ranks"));
-  } else if (type == "case") {
-    bool ok = false;
-    const std::string id = sched::extract_json_string(line, "case", &ok);
-    if (!ok) return;
-    CaseDecl decl;
-    decl.threads = static_cast<int>(sched::extract_json_number(line, "threads"));
-    decl.steps =
-        static_cast<std::int64_t>(sched::extract_json_number(line, "steps"));
-    decl.cost_seconds = sched::extract_json_number(line, "cost_seconds");
-    if (decls_.find(id) == decls_.end()) case_order_.push_back(id);
-    decls_[id] = decl;
-  } else if (type == "resume") {
-    ++resumes_;
-    // Each scheduler session restarts its campaign clock at 0; rebase so the
-    // monitor's clock stays monotone across sessions.
-    clock_offset_ = clock_high_water_;
-  } else if (type == "run") {
-    bool ok = false;
-    const std::string id = sched::extract_json_string(line, "case", &ok);
-    if (!ok) return;
-    const std::string state = sched::extract_json_string(line, "state", &ok);
-    if (!ok) return;
-    const int attempt =
-        static_cast<int>(sched::extract_json_number(line, "attempt"));
-    const double t_abs =
-        sched::extract_json_number(line, "t") + clock_offset_;
-    const double wall = sched::extract_json_number(line, "wall_seconds");
-    note_clock(t_abs);
-    if (decls_.find(id) == decls_.end() &&
-        timing_.find(id) == timing_.end()) {
-      case_order_.push_back(id);  // undeclared but journalled: still shown
-    }
-    CaseTiming& tm = timing_[id];
-    if (state == "queued") {
-      tm.queued_t = t_abs;
-    } else if (state == "running") {
-      tm.running_t = t_abs;
-    } else {
-      tm.finished_t = t_abs;
-      tm.wall_seconds = wall;
-      if (state == "retried") ++retry_transitions_;
-    }
-    run_events_.push_back({id, state, attempt, t_abs, wall});
-  }
-}
-
-void CampaignMonitor::apply_case_stream(CaseLive& live,
-                                        const std::string& line) {
-  bool ok = false;
-  const std::string type = sched::extract_json_string(line, "type", &ok);
-  if (!ok || type != "step") return;
-  bool has_step = false;
-  const auto step = static_cast<std::int64_t>(
-      sched::extract_json_number(line, "step", &has_step));
-  if (!has_step) return;
-  live.found = true;
-  live.step = std::max(live.step, step);
-  live.sim_time = sched::extract_json_number(line, "time");
-  live.wall_seconds = sched::extract_json_number(line, "wall_seconds");
-  live.cfl = sched::extract_json_number(line, "solver.cfl");
-  live.nusselt = sched::extract_json_number(line, "case.nu_volume");
-  live.pressure_residual =
-      sched::extract_json_number(line, "solver.pressure_residual");
-  live.pressure_iterations =
-      sched::extract_json_number(line, "solver.pressure_iterations");
-  extract_prefixed_numbers(line, "health.flags.", &live.health_flags);
-  if (live.marks.size() < kMaxStepMarks)
-    live.marks.push_back({step, live.wall_seconds});
-}
-
-usize CampaignMonitor::poll_case_streams() {
-  usize consumed = 0;
-  std::vector<std::string> lines;
-  for (const std::string& id : case_order_) {
-    CaseLive& live = live_[id];
-    if (!live.follower) {
-      const std::string path = telemetry_stream_path(id);
-      if (path.empty()) continue;  // case has not started streaming yet
-      live.follower = std::make_unique<NdjsonFollower>(path);
-    }
-    lines.clear();
-    consumed += live.follower->poll(&lines);
-    if (live.follower->truncations() != live.seen_truncations) {
-      // A new attempt restarted the stream from scratch; the polled lines
-      // are entirely post-restart content, so drop the stale fold first.
-      live.seen_truncations = live.follower->truncations();
-      live.found = false;
-      live.step = 0;
-      live.sim_time = live.wall_seconds = 0;
-      live.cfl = live.nusselt = 0;
-      live.pressure_residual = live.pressure_iterations = 0;
-      live.health_flags.clear();
-      live.marks.clear();
-    }
-    for (const std::string& line : lines) apply_case_stream(live, line);
-  }
-  return consumed;
-}
-
-usize CampaignMonitor::poll() {
-  std::vector<std::string> lines;
-  if (manifest_follower_.exists()) manifest_.found = true;
-  const usize consumed = manifest_follower_.poll(&lines);
-  for (const std::string& line : lines) apply_manifest(line);
-  return consumed + poll_case_streams();
-}
-
-const std::vector<CampaignMonitor::StepMark>& CampaignMonitor::step_marks(
-    const std::string& id) const {
-  static const std::vector<StepMark> kEmpty;
-  const auto it = live_.find(id);
-  return it != live_.end() ? it->second.marks : kEmpty;
-}
-
-CampaignSnapshot CampaignMonitor::snapshot() const {
-  CampaignSnapshot snap;
-  snap.manifest_found = manifest_.found;
-  snap.campaign = campaign_;
-  snap.workers = workers_;
-  snap.thread_budget = thread_budget_;
-  snap.ranks = ranks_;
-  snap.resumes = resumes_;
-  snap.clock_seconds = clock_high_water_;
-  snap.retry_transitions = retry_transitions_;
-
-  for (const std::string& id : case_order_) {
-    CaseView v;
-    v.id = id;
-    const auto decl = decls_.find(id);
-    if (decl != decls_.end()) {
-      v.threads = decl->second.threads;
-      v.steps_planned = decl->second.steps;
-      v.cost_seconds = decl->second.cost_seconds;
-    }
-    const auto folded = manifest_.cases.find(id);
-    if (folded != manifest_.cases.end()) {
+  CampaignFold fold;
+  CampaignSnapshot& snap = fold.snapshot;
+  snap = std::move(view.snap);
+  snap.manifest_found = manifest.found;
+  for (const std::string& id : view.order) {
+    CaseView v = std::move(view.cases.at(id));
+    const auto folded = manifest.cases.find(id);
+    if (folded != manifest.cases.end()) {
       v.state = folded->second.state;
       v.attempts = folded->second.attempts;
       v.metrics = folded->second.metrics;
     }
-    const auto tm = timing_.find(id);
-    if (tm != timing_.end()) {
-      v.queued_t = tm->second.queued_t;
-      v.running_t = tm->second.running_t;
-      v.finished_t = tm->second.finished_t;
-      v.wall_seconds = tm->second.wall_seconds;
-    }
-    const auto live = live_.find(id);
-    if (live != live_.end() && live->second.found) {
-      const CaseLive& l = live->second;
-      v.telemetry_found = true;
-      v.step = l.step;
-      v.sim_time = l.sim_time;
-      v.run_wall_seconds = l.wall_seconds;
-      v.cfl = l.cfl;
-      v.nusselt = l.nusselt;
-      v.pressure_residual = l.pressure_residual;
-      v.pressure_iterations = l.pressure_iterations;
-      v.health_flags = l.health_flags;
+    const std::string stream = stream_path(dir, id);
+    if (!stream.empty()) {
+      if (const auto rec = newest_step_record(stream)) apply_step_record(v, *rec);
+      if (step_marks) fold.step_marks[id] = read_step_marks(stream);
     }
 
     if (v.state == "done") {
@@ -333,7 +274,8 @@ CampaignSnapshot CampaignMonitor::snapshot() const {
                     v.slowdown > kStragglerFactor * median;
     }
   }
-  return snap;
+  fold.run_events = std::move(view.run_events);
+  return fold;
 }
 
 }  // namespace felis::obs

@@ -188,8 +188,8 @@ std::string status_prometheus(const CampaignSnapshot& snap) {
   return os.str();
 }
 
-std::string campaign_trace_json(const CampaignMonitor& monitor) {
-  const CampaignSnapshot snap = monitor.snapshot();
+std::string campaign_trace_json(const CampaignFold& fold) {
+  const CampaignSnapshot& snap = fold.snapshot;
   std::ostringstream os;
   os << "{\"traceEvents\":[\n";
   bool first = true;
@@ -245,7 +245,7 @@ std::string campaign_trace_json(const CampaignMonitor& monitor) {
 
   std::map<std::string, double> pending_queued;
   std::map<std::string, double> pending_running;
-  for (const CampaignMonitor::RunEvent& e : monitor.run_events()) {
+  for (const RunEvent& e : fold.run_events) {
     const auto pid_it = case_pid.find(e.case_id);
     if (pid_it == case_pid.end()) continue;
     instant(1, 2, e.case_id + " -> " + e.state, "sched", e.t);
@@ -275,9 +275,11 @@ std::string campaign_trace_json(const CampaignMonitor& monitor) {
   }
 
   for (const CaseView& v : snap.cases) {
+    const auto marks = fold.step_marks.find(v.id);
+    if (marks == fold.step_marks.end()) continue;
     const int pid = case_pid[v.id];
     const double base = v.running_t >= 0 ? v.running_t : 0.0;
-    for (const CampaignMonitor::StepMark& mark : monitor.step_marks(v.id)) {
+    for (const StepMark& mark : marks->second) {
       instant(pid, 2, "step " + std::to_string(mark.step), "step",
               base + mark.wall_seconds);
     }
@@ -292,9 +294,8 @@ std::string campaign_trace_json(const CampaignMonitor& monitor) {
   return os.str();
 }
 
-StatusPaths write_status_files(const CampaignMonitor& monitor,
+StatusPaths write_status_files(const CampaignSnapshot& snap,
                                const std::string& dir) {
-  const CampaignSnapshot snap = monitor.snapshot();
   StatusPaths paths;
   paths.json = (std::filesystem::path(dir) / "status.json").string();
   paths.prom = (std::filesystem::path(dir) / "status.prom").string();

@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "perfmodel/machine.hpp"
 #include "perfmodel/workload.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace felis::sched {
 
@@ -84,11 +85,13 @@ CampaignSpec CampaignSpec::from_params(const ParamMap& params) {
                  << " threads but campaign.thread_budget is " << c.thread_budget);
     cs.steps = cs.params.get_int("case.steps", static_cast<int>(c.steps));
     FELIS_CHECK_MSG(cs.steps >= 1, "case '" << cs.id << "': steps must be >= 1");
-    // Build every case's geometry once before anything runs: a case.type
-    // the case table does not know, or a mesh its factory rejects, is a
-    // config error that would otherwise fail every attempt.
+    // Build every case's geometry and read its telemetry keys once before
+    // anything runs: a case.type the case table does not know, a mesh its
+    // factory rejects or a negative telemetry count is a config error that
+    // would otherwise fail every attempt.
     try {
       cases::resolve_case(cs.params).make_geometry(cs.params);
+      telemetry::config_from_params(cs.params);
     } catch (const Error& e) {
       throw Error("case '" + cs.id + "': " + e.what());
     }

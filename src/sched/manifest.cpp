@@ -1,6 +1,8 @@
 #include "sched/manifest.hpp"
 
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -124,122 +126,260 @@ void ManifestWriter::write_transition(
   out_->append(line);
 }
 
-std::string extract_json_string(const std::string& line, const std::string& key,
-                                bool* found) {
-  if (found) *found = false;
-  const std::string needle = "\"" + key + "\":\"";
-  const auto at = line.find(needle);
-  if (at == std::string::npos) return "";
-  std::string out;
-  for (usize i = at + needle.size(); i < line.size(); ++i) {
-    const char c = line[i];
-    if (c == '\\' && i + 1 < line.size()) {
-      out.push_back(line[++i]);  // writer only escapes \" and \\ in practice
-      continue;
-    }
-    if (c == '"') {
-      if (found) *found = true;
-      return out;
-    }
-    out.push_back(c);
-  }
-  return "";  // torn mid-value
-}
+namespace {
 
-double extract_json_number(const std::string& line, const std::string& key,
-                           bool* found) {
-  if (found) *found = false;
-  const std::string needle = "\"" + key + "\":";
-  const auto at = line.find(needle);
-  if (at == std::string::npos) return 0;
-  try {
-    const double v = std::stod(line.substr(at + needle.size()));
-    if (found) *found = true;
-    return v;
-  } catch (const std::logic_error&) {
-    return 0;
-  }
-}
+/// Recursive descent over one line, JSON's grammar (RFC 8259). Each rule
+/// returns false on the first byte that does not fit, and the caller drops
+/// the whole line.
+class LineParser {
+ public:
+  explicit LineParser(std::string_view text) : text_(text) {}
 
-std::map<std::string, double> extract_json_metrics(const std::string& line) {
-  std::map<std::string, double> metrics;
-  const std::string needle = "\"metrics\":{";
-  const auto at = line.find(needle);
-  if (at == std::string::npos) return metrics;
-  usize pos = at + needle.size();
-  // Writer-controlled flat object: "key":number pairs, no nesting.
-  while (pos < line.size() && line[pos] != '}') {
-    if (line[pos] == ',' || line[pos] != '"') {
-      ++pos;
-      continue;
-    }
-    const auto key_end = line.find('"', pos + 1);
-    if (key_end == std::string::npos) break;
-    const std::string key = line.substr(pos + 1, key_end - pos - 1);
-    if (key_end + 1 >= line.size() || line[key_end + 1] != ':') break;
-    try {
-      usize used = 0;
-      metrics[key] = std::stod(line.substr(key_end + 2), &used);
-      pos = key_end + 2 + used;
-    } catch (const std::logic_error&) {
-      break;  // torn mid-number
-    }
+  std::optional<JsonRecord> record() {
+    JsonRecord rec;
+    space();
+    if (!object(&rec, &rec.objects, 0)) return std::nullopt;
+    space();
+    if (pos_ != text_.size()) return std::nullopt;
+    return rec;
   }
-  return metrics;
-}
 
-void apply_manifest_line(ManifestState& state, const std::string& line) {
-  // A kill can tear at most the final line; a record is trustworthy only
-  // when it closes its object.
-  if (line.empty() || line.back() != '}') return;
-  bool has_type = false;
-  const std::string type = extract_json_string(line, "type", &has_type);
-  if (!has_type) return;
-  if (type == "submit") {
+ private:
+  static constexpr int kMaxDepth = 32;
+
+  bool eat(char c) {
+    if (pos_ >= text_.size() || text_[pos_] != c) return false;
+    ++pos_;
+    return true;
+  }
+  char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
+  void space() {
+    while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\t' ||
+                                   text_[pos_] == '\n' || text_[pos_] == '\r'))
+      ++pos_;
+  }
+
+  /// An object whose scalar members go to `fields` and whose object members
+  /// go to `objects`; a null target checks the members without keeping them.
+  bool object(JsonFields* fields, std::map<std::string, JsonFields>* objects,
+              int depth) {
+    if (depth > kMaxDepth || !eat('{')) return false;
+    space();
+    if (eat('}')) return true;
+    do {
+      space();
+      std::string key;
+      if (!string(&key)) return false;
+      space();
+      if (!eat(':')) return false;
+      space();
+      if (!value(key, fields, objects, depth)) return false;
+      space();
+    } while (eat(','));
+    return eat('}');
+  }
+
+  bool value(const std::string& key, JsonFields* fields,
+             std::map<std::string, JsonFields>* objects, int depth) {
+    if (peek() == '{')
+      return object(objects ? &(*objects)[key] : nullptr, nullptr, depth + 1);
+    if (peek() == '[') return array(depth + 1);
+    if (peek() == '"') {
+      std::string s;
+      if (!string(&s)) return false;
+      if (fields) fields->strings[key] = std::move(s);
+      return true;
+    }
+    if (literal("true") || literal("false") || literal("null")) return true;
+    double v = 0;
+    if (!number(&v)) return false;
+    if (fields) fields->numbers[key] = v;
+    return true;
+  }
+
+  bool array(int depth) {
+    if (depth > kMaxDepth || !eat('[')) return false;
+    space();
+    if (eat(']')) return true;
+    do {
+      space();
+      if (!value("", nullptr, nullptr, depth)) return false;
+      space();
+    } while (eat(','));
+    return eat(']');
+  }
+
+  bool literal(std::string_view word) {
+    if (text_.substr(pos_, word.size()) != word) return false;
+    pos_ += word.size();
+    return true;
+  }
+
+  bool digits() {
+    const usize begin = pos_;
+    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9')
+      ++pos_;
+    return pos_ > begin;
+  }
+
+  bool number(double* out) {
+    const usize begin = pos_;
+    eat('-');
+    if (!eat('0') && !digits()) return false;
+    if (eat('.') && !digits()) return false;
+    if (eat('e') || eat('E')) {
+      if (!eat('+')) eat('-');
+      if (!digits()) return false;
+    }
+    const char* first = text_.data() + begin;
+    const char* last = text_.data() + pos_;
+    const auto [end, ec] = std::from_chars(first, last, *out);
+    return ec == std::errc() && end == last;
+  }
+
+  bool hex4(std::uint32_t* code) {
+    if (text_.size() - pos_ < 4) return false;
+    const char* first = text_.data() + pos_;
+    pos_ += 4;
+    const auto [end, ec] = std::from_chars(first, first + 4, *code, 16);
+    return ec == std::errc() && end == first + 4;
+  }
+
+  /// The code point of a `\uXXXX` escape (the `\u` already read; a
+  /// surrogate pair takes two escapes), appended as UTF-8.
+  bool unicode(std::string* out) {
+    std::uint32_t cp = 0;
+    if (!hex4(&cp) || (cp >= 0xdc00 && cp <= 0xdfff)) return false;
+    if (cp >= 0xd800 && cp <= 0xdbff) {
+      std::uint32_t low = 0;
+      if (!eat('\\') || !eat('u') || !hex4(&low) || low < 0xdc00 ||
+          low > 0xdfff)
+        return false;
+      cp = 0x10000 + ((cp - 0xd800) << 10) + (low - 0xdc00);
+    }
+    const int extra = cp < 0x80 ? 0 : cp < 0x800 ? 1 : cp < 0x10000 ? 2 : 3;
+    static constexpr std::uint32_t kLead[] = {0x00, 0xc0, 0xe0, 0xf0};
+    out->push_back(static_cast<char>(kLead[extra] | (cp >> (6 * extra))));
+    for (int k = extra - 1; k >= 0; --k)
+      out->push_back(static_cast<char>(0x80 | ((cp >> (6 * k)) & 0x3f)));
+    return true;
+  }
+
+  bool string(std::string* out) {
+    if (!eat('"')) return false;
+    while (pos_ < text_.size()) {
+      const char c = text_[pos_++];
+      if (c == '"') return true;
+      if (static_cast<unsigned char>(c) < 0x20) return false;  // raw control
+      if (c != '\\') {
+        out->push_back(c);
+        continue;
+      }
+      if (pos_ >= text_.size()) return false;
+      switch (const char e = text_[pos_++]) {
+        case '"':
+        case '\\':
+        case '/': out->push_back(e); break;
+        case 'b': out->push_back('\b'); break;
+        case 'f': out->push_back('\f'); break;
+        case 'n': out->push_back('\n'); break;
+        case 'r': out->push_back('\r'); break;
+        case 't': out->push_back('\t'); break;
+        case 'u':
+          if (!unicode(out)) return false;
+          break;
+        default: return false;
+      }
+    }
+    return false;  // torn mid-string
+  }
+
+  std::string_view text_;
+  usize pos_ = 0;
+};
+
+/// apply_manifest_line's rules, on a parsed record.
+void apply_manifest_record(ManifestState& state, const JsonRecord& record) {
+  const std::string* type = record.string("type");
+  if (type == nullptr) return;
+  if (*type == "submit") {
     // Admission ledger of the retired campaign service mode. Its cases may
     // have been declared by submissions this build cannot replay; refuse the
     // whole manifest rather than resume a campaign it would misread.
+    const std::string* submission = record.string("submission");
     throw ManifestReplayError(
         "manifest replay: record for submission '" +
-        extract_json_string(line, "submission") +
+        (submission ? *submission : std::string()) +
         "' was written by campaign service mode, which this build no longer "
         "has");
   }
-  if (type != "run") return;
-  bool ok = false;
-  const std::string id = extract_json_string(line, "case", &ok);
-  if (!ok) return;
-  const std::string run_state = extract_json_string(line, "state", &ok);
-  if (!ok) return;
-  CaseStatus& cs = state.cases[id];
-  if (is_terminal(cs.state) && is_terminal(run_state)) {
+  if (*type != "run") return;
+  const std::string* id = record.string("case");
+  const std::string* run_state = record.string("state");
+  if (id == nullptr || run_state == nullptr) return;
+  CaseStatus& cs = state.cases[*id];
+  if (is_terminal(cs.state) && is_terminal(*run_state)) {
     // Two terminal records with no re-queue in between: a correct scheduler
     // never writes this. Last-writer-wins here would let a stale `failed`
     // re-run a completed case, or a stale `done` mask a real failure.
     throw ManifestReplayError(
-        "manifest replay: duplicate terminal record for case '" + id +
-        "' (journalled '" + cs.state + "', then '" + run_state + "')");
+        "manifest replay: duplicate terminal record for case '" + *id +
+        "' (journalled '" + cs.state + "', then '" + *run_state + "')");
   }
   if (cs.completed()) {
     // `done` is absorbing: a late queued/running/retried append from a stale
     // attempt must never resurrect a completed case into the run queue.
     return;
   }
-  cs.state = run_state;
-  bool has_attempt = false;
-  const int attempt =
-      static_cast<int>(extract_json_number(line, "attempt", &has_attempt));
-  if (has_attempt && attempt > cs.attempts) cs.attempts = attempt;
-  if (run_state == "done") cs.metrics = extract_json_metrics(line);
+  cs.state = *run_state;
+  const int attempt = static_cast<int>(record.number("attempt"));
+  if (attempt > cs.attempts) cs.attempts = attempt;
+  if (cs.state == "done") cs.metrics = record.object("metrics").numbers;
 }
 
-ManifestState read_manifest(const std::string& path) {
+}  // namespace
+
+const std::string* JsonFields::string(const std::string& key) const {
+  const auto it = strings.find(key);
+  return it != strings.end() ? &it->second : nullptr;
+}
+
+double JsonFields::number(const std::string& key) const {
+  const auto it = numbers.find(key);
+  return it != numbers.end() ? it->second : 0.0;
+}
+
+const JsonFields& JsonRecord::object(const std::string& key) const {
+  static const JsonFields kNone;
+  const auto it = objects.find(key);
+  return it != objects.end() ? it->second : kNone;
+}
+
+std::optional<JsonRecord> parse_json_record(std::string_view line) {
+  return LineParser(line).record();
+}
+
+void apply_manifest_line(ManifestState& state, const std::string& line) {
+  // A kill can tear at most the final line; a record is trusted only when
+  // the whole line is one closed object.
+  if (const std::optional<JsonRecord> record = parse_json_record(line))
+    apply_manifest_record(state, *record);
+}
+
+ManifestState read_manifest(
+    const std::string& path,
+    const std::function<void(const JsonRecord&)>& observe) {
   ManifestState state;
   std::ifstream in(path);
   if (!in.good()) return state;  // fresh campaign: no manifest yet
   state.found = true;
   std::string line;
-  while (std::getline(in, line)) apply_manifest_line(state, line);
+  while (std::getline(in, line)) {
+    const std::optional<JsonRecord> record = parse_json_record(line);
+    if (!record) continue;
+    apply_manifest_record(state, *record);
+    if (observe) observe(*record);
+  }
   return state;
 }
 

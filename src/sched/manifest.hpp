@@ -24,13 +24,17 @@
 /// folds one journal line into a replay state — so the production writer and
 /// reader share one implementation with the explicit-state model checker
 /// (src/verify/manifest_model.*), which explores crash/torn-tail/duplicate
-/// faults over exactly this code.
+/// faults over exactly this code. parse_json_record() is the one reader of
+/// a journal line, for the manifest and the per-case telemetry streams alike.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/error.hpp"
 #include "sched/sweep.hpp"
@@ -106,9 +110,38 @@ struct ManifestState {
   bool found = false;  ///< manifest file existed
 };
 
-/// Pure replay transition: fold one journal line into `state`. Torn lines
-/// (no closing '}' or a value cut mid-record), blank lines and header, case
-/// and resume records are ignored — a kill can tear at most the final line.
+/// The members of one JSON object: strings and numbers by key. Literals
+/// (true, false, null) and arrays are checked but not kept.
+struct JsonFields {
+  std::map<std::string, std::string> strings;
+  std::map<std::string, double> numbers;
+
+  /// The string member `key`, or nullptr when there is none.
+  const std::string* string(const std::string& key) const;
+  /// The number member `key`, or 0 when there is none.
+  double number(const std::string& key) const;
+};
+
+/// One journal record: the top-level members plus, for each object member
+/// (`metrics`, `metadata`, `overrides`), that object's own members. Objects
+/// nested deeper (a telemetry histogram inside `metrics`) are checked but
+/// not kept.
+struct JsonRecord : JsonFields {
+  std::map<std::string, JsonFields> objects;
+
+  /// The object member `key` (empty when there is none).
+  const JsonFields& object(const std::string& key) const;
+};
+
+/// The one reader of a journal line: the record when the whole line is one
+/// JSON object, else nullopt — a line torn anywhere short of its final `}`
+/// never parses. Decodes every escape telemetry::json_escape writes and the
+/// rest of JSON's (`\/`, `\b`, `\f`, any `\uXXXX`, kept as UTF-8).
+std::optional<JsonRecord> parse_json_record(std::string_view line);
+
+/// Pure replay transition: fold one journal line into `state`. Lines that do
+/// not parse (torn by a kill, or blank) and header, case and resume records
+/// are ignored — a kill can tear at most the final line.
 /// Rules:
 ///  * `done` is absorbing: queued/running/retried records for a completed
 ///    case are stale late appends and are ignored, never applied;
@@ -120,17 +153,12 @@ struct ManifestState {
 ///  * everything else is last-writer-wins, as before.
 void apply_manifest_line(ManifestState& state, const std::string& line);
 
-ManifestState read_manifest(const std::string& path);
-
-/// Minimal extractors for the manifest's own (writer-controlled) JSON lines;
-/// shared with tests. Empty optional when the key is absent or the line is
-/// torn mid-value.
-std::string extract_json_string(const std::string& line, const std::string& key,
-                                bool* found = nullptr);
-double extract_json_number(const std::string& line, const std::string& key,
-                           bool* found = nullptr);
-/// Parse the flat `"metrics":{...}` object of a run record (empty when
-/// absent or torn).
-std::map<std::string, double> extract_json_metrics(const std::string& line);
+/// Fold the manifest at `path` whole, line by line through the same rules
+/// as apply_manifest_line. `observe`, when set, sees every parsed record
+/// right after the fold applied it, so a reader that wants more than the
+/// per-case states (the campaign status view) folds the same parse.
+ManifestState read_manifest(
+    const std::string& path,
+    const std::function<void(const JsonRecord&)>& observe = {});
 
 }  // namespace felis::sched

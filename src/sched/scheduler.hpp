@@ -23,9 +23,10 @@
 ///    and cancels active runs; in-flight checkpoints stay durable and the
 ///    manifest records the interrupted runs as `retried` for the next resume.
 ///
-/// The manifest is the scheduler's only journal: obs::CampaignMonitor folds
-/// it (plus each case's telemetry stream) into the live fleet view, queue
-/// shape and threads in flight included.
+/// The manifest is the scheduler's only journal: obs::read_campaign folds it
+/// (plus the newest record of each case's telemetry stream) into the fleet
+/// view, queue shape and threads in flight included, from scratch on every
+/// read.
 #pragma once
 
 #include <atomic>

@@ -8,6 +8,16 @@
 
 namespace felis::telemetry {
 
+namespace {
+
+// Iteration spike: more than kSpikeFactor times the trailing mean and at
+// least kSpikeMargin iterations above it, over a kWindow-step window.
+constexpr double kSpikeFactor = 3.0;
+constexpr int kSpikeMargin = 8;
+constexpr usize kWindow = 16;
+
+}  // namespace
+
 RunHealth::RunHealth(HealthConfig config, MetricsRegistry* metrics)
     : config_(config), metrics_(metrics) {}
 
@@ -16,7 +26,7 @@ void RunHealth::count(const char* metric_name) {
   if (metrics_) {
     // Per-class counter plus the aggregate: each detection increments its
     // health.flags.<class> exactly once, so downstream consumers (step
-    // records, the campaign monitor) get a machine-readable anomaly
+    // records, the campaign status fold) get a machine-readable anomaly
     // breakdown without parsing log lines.
     metrics_->add(metric_name, 1);
     metrics_->add("health.anomalies", 1);
@@ -26,7 +36,7 @@ void RunHealth::count(const char* metric_name) {
 void RunHealth::on_step(const StepSample& sample) {
   detect_anomalies(sample);
   window_.push_back(sample);
-  while (window_.size() > config_.window) window_.pop_front();
+  while (window_.size() > kWindow) window_.pop_front();
   make_digest(sample);
   if (config_.heartbeat > 0 && sample.step % config_.heartbeat == 0)
     FELIS_LOG_INFO(digest_);
@@ -39,8 +49,7 @@ void RunHealth::detect_anomalies(const StepSample& sample) {
     double mean = 0;
     for (const StepSample& s : window_) mean += s.pressure_iterations;
     mean /= static_cast<double>(window_.size());
-    const double threshold = std::max(config_.spike_factor * mean,
-                                      mean + config_.spike_margin);
+    const double threshold = std::max(kSpikeFactor * mean, mean + kSpikeMargin);
     if (sample.pressure_iterations > threshold) {
       count("health.flags.iteration_spike");
       FELIS_LOG_WARN("health: pressure iteration spike at step ", sample.step,

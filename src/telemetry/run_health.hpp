@@ -5,7 +5,8 @@
 /// Long RBC campaigns die slowly before they die loudly: GMRES iteration
 /// counts creep up, the pressure residual stops improving, checkpoint writes
 /// start retrying. RunHealth watches the per-step samples the Telemetry
-/// context feeds it, keeps a short trailing window, and
+/// context feeds it, keeps a 16-step trailing window (an iteration spike is
+/// more than 3x the window's mean and at least 8 iterations above it), and
 ///  * emits a one-line heartbeat digest (step rate, iterations, residuals,
 ///    Nusselt number, workspace-arena high water) at info level every
 ///    `heartbeat` steps;
@@ -16,7 +17,7 @@
 ///    residual_stagnation, checkpoint_retry) plus the `health.anomalies`
 ///    aggregate, exactly once per detection, so the NDJSON stream records
 ///    when and how a run went sideways in machine-readable form (the
-///    campaign monitor rolls these up fleet-wide).
+///    campaign status fold rolls these up fleet-wide).
 #pragma once
 
 #include <cstdint>
@@ -30,9 +31,6 @@ namespace felis::telemetry {
 
 struct HealthConfig {
   std::int64_t heartbeat = 10;   ///< digest every N steps (0 disables)
-  double spike_factor = 3.0;     ///< iteration spike: > factor × trailing mean
-  int spike_margin = 8;          ///< ... and at least this many iterations above
-  usize window = 16;             ///< trailing window length (steps)
   usize stagnation_run = 6;      ///< consecutive non-improving residuals
 };
 

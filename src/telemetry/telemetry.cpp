@@ -5,11 +5,27 @@
 #include <filesystem>
 #include <sstream>
 
+#include "common/error.hpp"
 #include "common/logger.hpp"
 #include "io/atomic_file.hpp"
 #include "io/durable_append.hpp"
 
 namespace felis::telemetry {
+
+namespace {
+
+/// A `telemetry.*` count. A negative value would wrap to 2^64 - 1 (no trace
+/// cap, a stagnation run that never trips), so it is an error naming the key.
+usize count_param(const ParamMap& params, const std::string& key,
+                  usize fallback) {
+  const int v = params.get_int(key, static_cast<int>(fallback));
+  if (v < 0)
+    throw Error("parameter '" + key + "' must be >= 0, got " +
+                std::to_string(v));
+  return static_cast<usize>(v);
+}
+
+}  // namespace
 
 TelemetryConfig config_from_params(const ParamMap& params) {
   TelemetryConfig cfg;
@@ -19,16 +35,12 @@ TelemetryConfig config_from_params(const ParamMap& params) {
                                 static_cast<int>(cfg.interval));
   if (cfg.interval < 1) cfg.interval = 1;
   cfg.trace = params.get_bool("telemetry.trace", cfg.trace);
-  cfg.max_trace_events = static_cast<usize>(params.get_int(
-      "telemetry.max_trace_events", static_cast<int>(cfg.max_trace_events)));
+  cfg.max_trace_events =
+      count_param(params, "telemetry.max_trace_events", cfg.max_trace_events);
   cfg.health.heartbeat =
       params.get_int("telemetry.heartbeat", static_cast<int>(cfg.health.heartbeat));
-  cfg.health.spike_factor =
-      params.get_real("telemetry.spike_factor", cfg.health.spike_factor);
-  cfg.health.spike_margin =
-      params.get_int("telemetry.spike_margin", cfg.health.spike_margin);
-  cfg.health.stagnation_run = static_cast<usize>(params.get_int(
-      "telemetry.stagnation_run", static_cast<int>(cfg.health.stagnation_run)));
+  cfg.health.stagnation_run =
+      count_param(params, "telemetry.stagnation_run", cfg.health.stagnation_run);
   return cfg;
 }
 

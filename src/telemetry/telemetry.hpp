@@ -45,8 +45,9 @@ struct TelemetryConfig {
 };
 
 /// Read the `telemetry.*` keys that shape an open channel (dir, basename,
-/// interval, heartbeat, trace, max_trace_events, spike_factor, spike_margin,
-/// stagnation_run) with the defaults above.
+/// interval, heartbeat, trace, max_trace_events, stagnation_run) with the
+/// defaults above. A negative max_trace_events or stagnation_run throws a
+/// felis::Error naming the key.
 TelemetryConfig config_from_params(const ParamMap& params);
 
 /// Wall-clock stopwatch on the telemetry clock. Lives here so instrumented

@@ -20,7 +20,7 @@ const char* status_name(int status) {
 }
 
 /// Deterministic stand-in metric so the model exercises the real metrics
-/// round trip (format_run_record → extract_json_metrics) per case.
+/// round trip (format_run_record → parse_json_record) per case.
 double nu_of(int i) { return 2.0 + i; }
 
 }  // namespace
@@ -95,18 +95,17 @@ ManifestModel::State ManifestModel::crash_and_resume(
   }
 
   // Re-seed exactly as Scheduler::run() does and cross-check the replay
-  // against the model's ground truth of which done records became durable.
-  // The check is one-directional on purpose: a durable done record MUST be
-  // recovered (else a completed case re-runs), and a recovered completion
-  // MUST trace back to a done record that was at least written (possibly as
-  // the torn final line — a torn line whose surviving prefix still parses
-  // identically is benign extra recovery, not a violation).
-  const long last_written = static_cast<long>(surviving.size()) - 1;
+  // against the model's ground truth of which done records became durable:
+  // replay recovers a completion exactly when its done record is durable. A
+  // durable done record lost would re-run a completed case; a torn final
+  // line never parses (the record parser needs the whole object, so even a
+  // done record cut just before its final `}`, where the metrics object has
+  // closed, is torn), so a recovered completion without a durable record is
+  // invented.
   for (usize i = 0; i < s.cases.size(); ++i) {
     const std::string id = case_id(static_cast<int>(i));
     const long done_idx = s.cases[i].done_journal_idx;
     const bool done_durable = done_idx >= 0 && done_idx <= last_complete;
-    const bool done_written = done_idx >= 0 && done_idx <= last_written;
     const auto it = ms.cases.find(id);
     const bool replay_done = it != ms.cases.end() && it->second.completed();
     if (done_durable && !replay_done) {
@@ -114,9 +113,9 @@ ManifestModel::State ManifestModel::crash_and_resume(
                        "' lost on replay: the completed case would re-run";
       return next;
     }
-    if (replay_done && !done_written) {
+    if (replay_done && !done_durable) {
       next.violation = "replay invented a completion for '" + id +
-                       "' with no done record in the journal";
+                       "' with no durable done record in the journal";
       return next;
     }
     CaseRt& rt = next.cases[i];
@@ -126,14 +125,12 @@ ManifestModel::State ManifestModel::crash_and_resume(
       rt.status = 2;
       rt.attempt = s.cases[i].attempt;
       rt.done_journal_idx = s.cases[i].done_journal_idx;
-      if (done_durable) {
-        const auto nu = it->second.metrics.find("Nu");
-        if (nu == it->second.metrics.end() ||
-            nu->second != nu_of(static_cast<int>(i))) {
-          next.violation =
-              "replay lost or corrupted the done metrics of '" + id + "'";
-          return next;
-        }
+      const auto nu = it->second.metrics.find("Nu");
+      if (nu == it->second.metrics.end() ||
+          nu->second != nu_of(static_cast<int>(i))) {
+        next.violation =
+            "replay lost or corrupted the done metrics of '" + id + "'";
+        return next;
       }
     } else {
       const int prior = it != ms.cases.end() ? it->second.attempts : 0;

@@ -1,10 +1,10 @@
-// Tests for campaign observability: the crash-tolerant NDJSON tail reader
-// (newline-keyed completion, torn tails withheld and delivered exactly once,
-// mid-write races, truncation resets), the CampaignMonitor fold (manifest
+// Tests for campaign observability: the stateless status fold (manifest
 // equivalence with sched::read_manifest including torn tails, clock rebase
-// across resume sessions, telemetry roll-up, health flags, perfmodel ETA and
-// normalized straggler detection, queue shape from the manifest alone), and
-// the three exporters (status JSON, Prometheus text, merged Chrome trace).
+// across resume sessions, telemetry roll-up from the newest complete step
+// record of each stream, streams replaced by a retried attempt, health
+// flags, perfmodel ETA and normalized straggler detection, queue shape from
+// the manifest alone), and the three exporters (status JSON, Prometheus
+// text, merged Chrome trace).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -20,7 +21,6 @@
 
 #include "obs/campaign_monitor.hpp"
 #include "obs/exporters.hpp"
-#include "obs/ndjson_follower.hpp"
 #include "sched/campaign.hpp"
 #include "sched/manifest.hpp"
 #include "test_paths.hpp"
@@ -101,90 +101,24 @@ class ObsTest : public ::testing::Test {
   }
 
   std::string manifest_path() const { return dir_ + "/manifest.ndjson"; }
+  std::string stream_path(const std::string& id) const {
+    return dir_ + "/" + id + "/telemetry/run.ndjson";
+  }
+
+  /// Every `"name":"step N"` instant of a merged trace, in file order.
+  static std::vector<std::int64_t> trace_steps(const std::string& trace) {
+    std::vector<std::int64_t> steps;
+    const std::string needle = R"("name":"step )";
+    for (usize at = trace.find(needle); at != std::string::npos;
+         at = trace.find(needle, at + 1))
+      steps.push_back(std::stoll(trace.substr(at + needle.size())));
+    return steps;
+  }
 
   std::string dir_;
 };
 
-// ---- NdjsonFollower ------------------------------------------------------
-
-TEST_F(ObsTest, FollowerDeliversOnlyNewlineTerminatedLines) {
-  const std::string path = dir_ + "/j.ndjson";
-  append_raw(path, "alpha\nbet");  // second record torn mid-append
-
-  NdjsonFollower follower(path);
-  std::vector<std::string> lines;
-  EXPECT_EQ(follower.poll(&lines), 1u);
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_EQ(lines[0], "alpha");
-  EXPECT_EQ(follower.offset(), 6u);  // "alpha\n"; the torn tail is unconsumed
-
-  // Re-polling the unchanged file re-examines the tail, still withholds it.
-  EXPECT_EQ(follower.poll(&lines), 0u);
-
-  // The writer completes the record: delivered exactly once, no duplicate.
-  append_raw(path, "a\ngamma\n");
-  lines.clear();
-  EXPECT_EQ(follower.poll(&lines), 2u);
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(lines[0], "beta");
-  EXPECT_EQ(lines[1], "gamma");
-  EXPECT_EQ(follower.offset(), fs::file_size(path));
-}
-
-TEST_F(ObsTest, FollowerToleratesMissingFileUntilItAppears) {
-  const std::string path = dir_ + "/late.ndjson";
-  NdjsonFollower follower(path);
-  std::vector<std::string> lines;
-  EXPECT_FALSE(follower.exists());
-  EXPECT_EQ(follower.poll(&lines), 0u);  // missing journal is not an error
-  EXPECT_EQ(follower.truncations(), 0);
-
-  append_raw(path, "first\n");
-  EXPECT_TRUE(follower.exists());
-  EXPECT_EQ(follower.poll(&lines), 1u);
-  EXPECT_EQ(lines[0], "first");
-}
-
-TEST_F(ObsTest, FollowerRestartsWhenTheFileShrinks) {
-  const std::string path = dir_ + "/replaced.ndjson";
-  append_raw(path, "old-1\nold-2\n");
-  NdjsonFollower follower(path);
-  std::vector<std::string> lines;
-  EXPECT_EQ(follower.poll(&lines), 2u);
-
-  // A new attempt truncates the stream and starts over (Telemetry removes
-  // its run.ndjson at construction); the follower must re-deliver from 0.
-  fs::remove(path);
-  append_raw(path, "new\n");
-  lines.clear();
-  EXPECT_EQ(follower.poll(&lines), 1u);
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_EQ(lines[0], "new");
-  EXPECT_EQ(follower.truncations(), 1);
-  EXPECT_EQ(follower.offset(), 4u);
-}
-
-TEST_F(ObsTest, FollowerMidWriteRaceNeverSplitsARecord) {
-  const std::string path = dir_ + "/race.ndjson";
-  append_raw(path, "{\"complete\":1}\n");
-  NdjsonFollower follower(path);
-  std::vector<std::string> lines;
-  EXPECT_EQ(follower.poll(&lines), 1u);
-
-  // Poll lands mid-append: half a record, no newline yet — nothing delivered.
-  append_raw(path, "{\"half\":");
-  lines.clear();
-  EXPECT_EQ(follower.poll(&lines), 0u);
-  EXPECT_TRUE(lines.empty());
-
-  // The write finishes; the record arrives intact, in one piece.
-  append_raw(path, "2}\n");
-  EXPECT_EQ(follower.poll(&lines), 1u);
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_EQ(lines[0], "{\"half\":2}");
-}
-
-// ---- CampaignMonitor: manifest fold --------------------------------------
+// ---- status fold: manifest ---------------------------------------------
 
 TEST_F(ObsTest, MonitorFoldMatchesReadManifestIncludingTornTail) {
   const sched::CampaignSpec spec = make_spec(2);
@@ -201,19 +135,17 @@ TEST_F(ObsTest, MonitorFoldMatchesReadManifestIncludingTornTail) {
   // A kill tears the final record mid-value: both readers must skip it.
   append_raw(manifest_path(), R"({"type":"run","case":"b","state":"fail)");
 
-  CampaignMonitor monitor(dir_);
-  monitor.poll();
+  const CampaignSnapshot snap = read_campaign(dir_).snapshot;
   const sched::ManifestState fresh = sched::read_manifest(manifest_path());
-  ASSERT_EQ(monitor.manifest_state().cases.size(), fresh.cases.size());
+  ASSERT_EQ(snap.cases.size(), fresh.cases.size());
   for (const auto& [id, status] : fresh.cases) {
-    const auto it = monitor.manifest_state().cases.find(id);
-    ASSERT_NE(it, monitor.manifest_state().cases.end()) << id;
-    EXPECT_EQ(it->second.state, status.state) << id;
-    EXPECT_EQ(it->second.attempts, status.attempts) << id;
-    EXPECT_EQ(it->second.metrics, status.metrics) << id;
+    const CaseView* view = snap.find(id);
+    ASSERT_NE(view, nullptr) << id;
+    EXPECT_EQ(view->state, status.state) << id;
+    EXPECT_EQ(view->attempts, status.attempts) << id;
+    EXPECT_EQ(view->metrics, status.metrics) << id;
   }
 
-  const CampaignSnapshot snap = monitor.snapshot();
   EXPECT_TRUE(snap.manifest_found);
   EXPECT_EQ(snap.campaign, "obs_campaign");
   EXPECT_EQ(snap.workers, 2);
@@ -227,12 +159,11 @@ TEST_F(ObsTest, MonitorFoldMatchesReadManifestIncludingTornTail) {
   EXPECT_DOUBLE_EQ(snap.find("a")->wall_seconds, 1.9);
   EXPECT_DOUBLE_EQ(snap.find("a")->progress, 1.0);
 
-  // The writer's self-heal terminates the torn line; the follower then
-  // delivers it complete-but-malformed and the fold ignores it, exactly like
-  // read_manifest does after a resume.
+  // The writer's self-heal terminates the torn line; it is then a complete
+  // but malformed line, which the fold ignores exactly like read_manifest
+  // does after a resume.
   append_raw(manifest_path(), "\n");
-  monitor.poll();
-  EXPECT_EQ(monitor.manifest_state().cases.at("b").state, "queued");
+  EXPECT_EQ(read_campaign(dir_).snapshot.find("b")->state, "queued");
 }
 
 TEST_F(ObsTest, MonitorRebasesTheCampaignClockAcrossResumes) {
@@ -255,9 +186,8 @@ TEST_F(ObsTest, MonitorRebasesTheCampaignClockAcrossResumes) {
     writer.write_transition("b", "done", 1, 3.0, 2.0);
   }
 
-  CampaignMonitor monitor(dir_);
-  monitor.poll();
-  const CampaignSnapshot snap = monitor.snapshot();
+  const CampaignFold fold = read_campaign(dir_);
+  const CampaignSnapshot& snap = fold.snapshot;
   EXPECT_EQ(snap.resumes, 1);
   EXPECT_TRUE(snap.complete());
   // Session 2's t=3 lands at 10+3 on the rebased clock; monotone throughout.
@@ -265,32 +195,29 @@ TEST_F(ObsTest, MonitorRebasesTheCampaignClockAcrossResumes) {
   ASSERT_NE(snap.find("b"), nullptr);
   EXPECT_DOUBLE_EQ(snap.find("b")->running_t, 11.0);
   EXPECT_DOUBLE_EQ(snap.find("b")->finished_t, 13.0);
-  const auto& events = monitor.run_events();
+  const auto& events = fold.run_events;
   for (usize i = 1; i < events.size(); ++i)
     EXPECT_GE(events[i].t, events[i - 1].t) << "clock went backwards at " << i;
 }
 
-TEST_F(ObsTest, MonitorPollsIncrementallyWhileTheCampaignRuns) {
+TEST_F(ObsTest, MonitorFollowsTheCampaignWhileItRuns) {
   const sched::CampaignSpec spec = make_spec(1);
   sched::ManifestWriter writer(manifest_path());
   writer.write_header(spec);
   writer.write_case(spec.cases[0]);
   writer.write_transition("a", "queued", 1, 0.0, 0);
 
-  CampaignMonitor monitor(dir_);
-  EXPECT_GT(monitor.poll(), 0u);
-  EXPECT_EQ(monitor.snapshot().queued, 1);
+  EXPECT_TRUE(read_campaign(dir_).snapshot.manifest_found);
+  EXPECT_EQ(read_campaign(dir_).snapshot.queued, 1);
 
   writer.write_transition("a", "running", 1, 0.2, 0);
-  monitor.poll();
-  EXPECT_EQ(monitor.snapshot().running, 1);
+  EXPECT_EQ(read_campaign(dir_).snapshot.running, 1);
 
   write_case_stream("a", {step_record(4, 0.4, 1.5,
                                       {{"case.nu_volume", 16.0},
                                        {"solver.cfl", 0.42},
                                        {"solver.pressure_iterations", 12}})});
-  monitor.poll();
-  CampaignSnapshot snap = monitor.snapshot();
+  CampaignSnapshot snap = read_campaign(dir_).snapshot;
   ASSERT_NE(snap.find("a"), nullptr);
   EXPECT_TRUE(snap.find("a")->telemetry_found);
   EXPECT_EQ(snap.find("a")->step, 4);
@@ -299,8 +226,7 @@ TEST_F(ObsTest, MonitorPollsIncrementallyWhileTheCampaignRuns) {
   EXPECT_DOUBLE_EQ(snap.find("a")->progress, 0.4);
 
   writer.write_transition("a", "done", 1, 2.0, 1.8);
-  monitor.poll();
-  snap = monitor.snapshot();
+  snap = read_campaign(dir_).snapshot;
   EXPECT_TRUE(snap.complete());
   EXPECT_DOUBLE_EQ(snap.eta_seconds, 0.0);
 }
@@ -315,10 +241,8 @@ TEST_F(ObsTest, MonitorDropsStaleTelemetryWhenAnAttemptRestartsTheStream) {
   write_case_stream("a", {step_record(8, 0.8, 3.0,
                                       {{"health.flags.iteration_spike", 2}})});
 
-  CampaignMonitor monitor(dir_);
-  monitor.poll();
-  EXPECT_EQ(monitor.snapshot().find("a")->step, 8);
-  EXPECT_DOUBLE_EQ(monitor.snapshot().anomalies, 2.0);
+  EXPECT_EQ(read_campaign(dir_).snapshot.find("a")->step, 8);
+  EXPECT_DOUBLE_EQ(read_campaign(dir_).snapshot.anomalies, 2.0);
 
   // Attempt 2 truncates run.ndjson and starts over from step 1: the fold
   // must forget attempt 1's high-water step and health flags.
@@ -326,13 +250,84 @@ TEST_F(ObsTest, MonitorDropsStaleTelemetryWhenAnAttemptRestartsTheStream) {
   writer.write_transition("a", "queued", 2, 1.0, 0);
   writer.write_transition("a", "running", 2, 1.1, 0);
   write_case_stream("a", {step_record(1, 0.1, 0.5, {})}, /*truncate=*/true);
-  monitor.poll();
-  const CampaignSnapshot snap = monitor.snapshot();
+  const CampaignSnapshot snap = read_campaign(dir_).snapshot;
   EXPECT_EQ(snap.find("a")->step, 1);
   EXPECT_TRUE(snap.find("a")->health_flags.empty());
   EXPECT_DOUBLE_EQ(snap.anomalies, 0.0);
   EXPECT_EQ(snap.retry_transitions, 1);
   EXPECT_EQ(snap.find("a")->attempts, 2);
+}
+
+TEST_F(ObsTest, AStreamReplacedByALongerOneShowsOnlyTheNewAttempt) {
+  // Attempt 1 streams steps 1-30 and dies; the retry restores step 20 and
+  // replaces run.ndjson with a longer stream, steps 21-55, between two
+  // status reads. The second read shows exactly the new attempt.
+  const sched::CampaignSpec spec = make_spec(1, 10, 60);
+  sched::ManifestWriter writer(manifest_path());
+  writer.write_header(spec);
+  writer.write_case(spec.cases[0]);
+  writer.write_transition("a", "queued", 1, 0.0, 0);
+  writer.write_transition("a", "running", 1, 0.1, 0);
+  const auto steps = [](std::int64_t first, std::int64_t last) {
+    std::vector<std::string> records;
+    for (std::int64_t s = first; s <= last; ++s)
+      records.push_back(step_record(s, 0.01 * static_cast<double>(s),
+                                    0.1 * static_cast<double>(s),
+                                    {{"case.nu_volume", 1.0 + static_cast<double>(s)}}));
+    return records;
+  };
+  write_case_stream("a", steps(1, 30));
+  const CampaignFold first = read_campaign(dir_, /*step_marks=*/true);
+  EXPECT_EQ(first.step_marks.at("a").size(), 30u);
+  EXPECT_EQ(first.snapshot.find("a")->step, 30);
+
+  writer.write_transition("a", "retried", 1, 1.0, 0.9);
+  writer.write_transition("a", "queued", 2, 1.0, 0);
+  writer.write_transition("a", "running", 2, 1.1, 0);
+  write_case_stream("a", steps(21, 55), /*truncate=*/true);
+  const CampaignFold second = read_campaign(dir_, /*step_marks=*/true);
+  std::vector<std::int64_t> want(35);
+  std::iota(want.begin(), want.end(), 21);
+  std::vector<std::int64_t> marks;
+  for (const StepMark& m : second.step_marks.at("a")) marks.push_back(m.step);
+  EXPECT_EQ(marks, want);
+  EXPECT_EQ(trace_steps(campaign_trace_json(second)), want);
+  EXPECT_EQ(second.snapshot.find("a")->step, 55);
+  EXPECT_DOUBLE_EQ(second.snapshot.find("a")->nusselt, 56.0);
+}
+
+TEST_F(ObsTest, StreamTailReadFindsTheNewestCompleteStepRecord) {
+  const sched::CampaignSpec spec = make_spec(3, 10, 100);
+  sched::ManifestWriter writer(manifest_path());
+  writer.write_header(spec);
+  for (const auto& c : spec.cases) writer.write_case(c);
+  for (const char* id : {"a", "b", "c"}) {
+    writer.write_transition(id, "queued", 1, 0.0, 0);
+    writer.write_transition(id, "running", 1, 0.1, 0);
+  }
+  // a: an unterminated final record (torn, or racing its append) after a
+  // newest complete record; both are longer than the first backward read.
+  std::map<std::string, double> wide{{"case.nu_volume", 7.5}};
+  for (int i = 0; i < 400; ++i) wide["solver.extra_" + std::to_string(i)] = i;
+  write_case_stream("a", {step_record(1, 0.1, 0.1, {{"case.nu_volume", 1.0}}),
+                          step_record(2, 0.2, 0.2, wide)});
+  append_raw(stream_path("a"), step_record(3, 0.3, 0.3, wide));
+  // b: the newest line is a torn record the writer's self-heal terminated.
+  const std::string torn = step_record(6, 0.6, 0.6, {{"case.nu_volume", 9.0}});
+  write_case_stream("b", {step_record(5, 0.5, 0.5, {{"case.nu_volume", 4.0}})});
+  append_raw(stream_path("b"), torn.substr(0, torn.size() / 2) + "\n");
+  // c: header only (the attempt has not finished a step yet).
+  write_case_stream("c", {});
+
+  const CampaignSnapshot snap = read_campaign(dir_).snapshot;
+  EXPECT_TRUE(snap.find("a")->telemetry_found);
+  EXPECT_EQ(snap.find("a")->step, 2);
+  EXPECT_DOUBLE_EQ(snap.find("a")->nusselt, 7.5);
+  EXPECT_TRUE(snap.find("b")->telemetry_found);
+  EXPECT_EQ(snap.find("b")->step, 5);
+  EXPECT_DOUBLE_EQ(snap.find("b")->nusselt, 4.0);
+  EXPECT_FALSE(snap.find("c")->telemetry_found);
+  EXPECT_EQ(snap.find("c")->step, 0);
 }
 
 TEST_F(ObsTest, MonitorRaisesReplayErrorOnProtocolViolations) {
@@ -346,8 +341,7 @@ TEST_F(ObsTest, MonitorRaisesReplayErrorOnProtocolViolations) {
     writer.write_transition("a", "done", 1, 1.0, 0.9);
     writer.write_transition("a", "failed", 1, 1.1, 1.0);  // duplicate terminal
   }
-  CampaignMonitor monitor(dir_);
-  EXPECT_THROW(monitor.poll(), sched::ManifestReplayError);
+  EXPECT_THROW(read_campaign(dir_), sched::ManifestReplayError);
 
   // A manifest written by the retired campaign service mode: its `submit`
   // admission records are refused by name, never folded.
@@ -362,11 +356,10 @@ TEST_F(ObsTest, MonitorRaisesReplayErrorOnProtocolViolations) {
              R"("priority":9,"decision":"rejected","cases":0,)"
              R"("cost_seconds":0,"t":0.2})"
              "\n");
-  CampaignMonitor old_monitor(old_dir);
-  EXPECT_THROW(old_monitor.poll(), sched::ManifestReplayError);
+  EXPECT_THROW(read_campaign(old_dir), sched::ManifestReplayError);
 }
 
-// ---- CampaignMonitor: derived signals ------------------------------------
+// ---- status fold: derived signals ---------------------------------------
 
 TEST_F(ObsTest, MonitorPricesEtaFromRetiredCostAndFlagsStragglers) {
   const sched::CampaignSpec spec = make_spec(4);  // a b c d, 10s cost each
@@ -387,9 +380,7 @@ TEST_F(ObsTest, MonitorPricesEtaFromRetiredCostAndFlagsStragglers) {
   writer.write_transition("d", "running", 1, 0.5, 0);
   write_case_stream("d", {step_record(5, 0.5, 50.0, {})});
 
-  CampaignMonitor monitor(dir_);
-  monitor.poll();
-  const CampaignSnapshot snap = monitor.snapshot();
+  const CampaignSnapshot snap = read_campaign(dir_).snapshot;
 
   EXPECT_DOUBLE_EQ(snap.total_cost_seconds, 40.0);
   EXPECT_DOUBLE_EQ(snap.done_cost_seconds, 30.0);
@@ -423,9 +414,7 @@ TEST_F(ObsTest, MonitorSumsHealthFlagsAcrossTheFleet) {
                                       {{"health.flags.iteration_spike", 1},
                                        {"health.anomalies", 1}})});
 
-  CampaignMonitor monitor(dir_);
-  monitor.poll();
-  const CampaignSnapshot snap = monitor.snapshot();
+  const CampaignSnapshot snap = read_campaign(dir_).snapshot;
   EXPECT_DOUBLE_EQ(snap.health_flags.at("health.flags.iteration_spike"), 3.0);
   EXPECT_DOUBLE_EQ(snap.health_flags.at("health.flags.checkpoint_retry"), 1.0);
   EXPECT_DOUBLE_EQ(snap.anomalies, 4.0);
@@ -444,13 +433,10 @@ TEST_F(ObsTest, MonitorDerivesThreadsInFlightFromTheManifestAlone) {
     writer.write_transition(id, "running", 1, 0.1, 0);
   }
 
-  CampaignMonitor monitor(dir_);
-  monitor.poll();
-  EXPECT_EQ(monitor.snapshot().threads_in_flight, 3);
+  EXPECT_EQ(read_campaign(dir_).snapshot.threads_in_flight, 3);
 
   writer.write_transition("b", "done", 1, 1.0, 0.9);
-  monitor.poll();
-  const CampaignSnapshot snap = monitor.snapshot();
+  const CampaignSnapshot snap = read_campaign(dir_).snapshot;
   EXPECT_EQ(snap.threads_in_flight, 1);
   EXPECT_EQ(snap.running, 1);
   EXPECT_EQ(snap.done, 1);
@@ -465,17 +451,11 @@ TEST_F(ObsTest, MonitorDerivesThreadsInFlightFromTheManifestAlone) {
              R"({"type":"sched","t":99,"metrics":{"sched.queue_depth":3,)"
              R"("sched.workers_busy":2,"sched.threads_in_flight":3}})"
              "\n");
-  monitor.poll();
-  EXPECT_EQ(status_json(monitor.snapshot()), before);
-  CampaignMonitor fresh(dir_);
-  fresh.poll();
-  EXPECT_EQ(status_json(fresh.snapshot()), before);
+  EXPECT_EQ(status_json(read_campaign(dir_).snapshot), before);
 }
 
 TEST_F(ObsTest, MonitorOnAnEmptyDirectoryReportsNothingFound) {
-  CampaignMonitor monitor(dir_);
-  EXPECT_EQ(monitor.poll(), 0u);
-  const CampaignSnapshot snap = monitor.snapshot();
+  const CampaignSnapshot snap = read_campaign(dir_).snapshot;
   EXPECT_FALSE(snap.manifest_found);
   EXPECT_TRUE(snap.cases.empty());
   EXPECT_FALSE(snap.complete());
@@ -506,9 +486,7 @@ class ExporterTest : public ObsTest {
 
 TEST_F(ExporterTest, StatusJsonCarriesTheSchemaAndEveryCase) {
   build_campaign();
-  CampaignMonitor monitor(dir_);
-  monitor.poll();
-  const std::string json = status_json(monitor.snapshot());
+  const std::string json = status_json(read_campaign(dir_).snapshot);
 
   for (const char* needle :
        {"\"type\": \"campaign_status\"", "\"schema\": \"felis-campaign-status-2\"",
@@ -531,9 +509,7 @@ TEST_F(ExporterTest, StatusJsonCarriesTheSchemaAndEveryCase) {
 
 TEST_F(ExporterTest, PrometheusTextExposesFleetAndPerCaseSamples) {
   build_campaign();
-  CampaignMonitor monitor(dir_);
-  monitor.poll();
-  const std::string prom = status_prometheus(monitor.snapshot());
+  const std::string prom = status_prometheus(read_campaign(dir_).snapshot);
 
   for (const char* needle :
        {"felis_campaign_info{campaign=\"obs_campaign\"} 1",
@@ -550,9 +526,8 @@ TEST_F(ExporterTest, PrometheusTextExposesFleetAndPerCaseSamples) {
 
 TEST_F(ExporterTest, MergedTraceLaysOutSchedulerAndCaseTracks) {
   build_campaign();
-  CampaignMonitor monitor(dir_);
-  monitor.poll();
-  const std::string trace = campaign_trace_json(monitor);
+  const std::string trace =
+      campaign_trace_json(read_campaign(dir_, /*step_marks=*/true));
 
   for (const char* needle :
        {"\"traceEvents\"", "\"merged\":\"campaign\"",
@@ -580,11 +555,10 @@ TEST_F(ExporterTest, ConcurrentStatusWritersShareNoTemporaryFile) {
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&] {
-      CampaignMonitor monitor(dir_);
-      monitor.poll();
+      const CampaignSnapshot snap = read_campaign(dir_).snapshot;
       for (int r = 0; r < kRounds; ++r) {
         try {
-          write_status_files(monitor, dir_);
+          write_status_files(snap, dir_);
         } catch (const std::exception&) {
           failures.fetch_add(1);
         }
@@ -607,9 +581,8 @@ TEST_F(ExporterTest, ConcurrentStatusWritersShareNoTemporaryFile) {
 
 TEST_F(ExporterTest, WriteStatusFilesCommitsBothArtifacts) {
   build_campaign();
-  CampaignMonitor monitor(dir_);
-  monitor.poll();
-  const StatusPaths paths = write_status_files(monitor, dir_);
+  const StatusPaths paths =
+      write_status_files(read_campaign(dir_).snapshot, dir_);
   EXPECT_TRUE(fs::is_regular_file(paths.json));
   EXPECT_TRUE(fs::is_regular_file(paths.prom));
   EXPECT_GT(fs::file_size(paths.json), 0u);

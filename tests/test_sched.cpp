@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -226,6 +227,51 @@ TEST_F(ManifestTest, TornFinalLineIsIgnoredNotFatal) {
   ASSERT_TRUE(state.found);
   EXPECT_TRUE(state.cases.at("a").completed()) << "torn line overrode state";
   EXPECT_FALSE(read_manifest(dir_ + "/absent.ndjson").found);
+}
+
+TEST(ManifestRecord, DetailRoundTripsEveryEscape) {
+  // Every escape telemetry::json_escape writes: quote, backslash, newline,
+  // tab, carriage return, and \u00XX for any other control character.
+  const std::string detail = "line1\nline2\t\"q\" back\\slash\r bell\x01\x1f end";
+  const std::string line =
+      format_run_record("case \"x\"", "failed", 2, 1.5, 0.25, detail);
+  const std::optional<JsonRecord> rec = parse_json_record(line);
+  ASSERT_TRUE(rec.has_value()) << line;
+  ASSERT_NE(rec->string("detail"), nullptr) << line;
+  EXPECT_EQ(*rec->string("detail"), detail) << line;
+  ASSERT_NE(rec->string("case"), nullptr) << line;
+  EXPECT_EQ(*rec->string("case"), "case \"x\"") << line;
+  EXPECT_EQ(rec->number("attempt"), 2.0);
+  EXPECT_EQ(rec->number("t"), 1.5);
+}
+
+TEST(ManifestRecord, OnlyAWholeObjectParses) {
+  // An object member keeps its own members; a histogram one level further
+  // down is checked, not kept.
+  const std::string step =
+      R"({"type":"step","step":7,"metrics":{"solver.cfl":0.25,)"
+      R"("t.h":{"last":1,"count":2}},"metadata":{"backend":"serial"},)"
+      R"("ok":true,"none":null,"list":[1,"a",{"b":[]}]})";
+  const std::optional<JsonRecord> rec = parse_json_record(step);
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_EQ(rec->number("step"), 7.0);
+  EXPECT_EQ(rec->object("metrics").number("solver.cfl"), 0.25);
+  EXPECT_EQ(rec->object("metrics").numbers.count("t.h"), 0u);
+  ASSERT_NE(rec->object("metadata").string("backend"), nullptr);
+  EXPECT_EQ(*rec->object("metadata").string("backend"), "serial");
+  // \u escapes decode to UTF-8, a surrogate pair to one code point.
+  const auto text = parse_json_record(R"({"s":"\u00e9\u20ac\ud83d\ude00\/"})");
+  ASSERT_TRUE(text.has_value());
+  EXPECT_EQ(*text->string("s"), "\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80/");
+  // Every strict prefix of a record is torn, and so is anything around it.
+  for (usize cut = 0; cut < step.size(); ++cut)
+    EXPECT_FALSE(parse_json_record(step.substr(0, cut)).has_value()) << cut;
+  for (const char* bad :
+       {"", " ", "{} {}", R"({"a":1} x)", R"({"a":01})", R"({"a":1.})",
+        R"({"a":"\x"})", R"({"a":"\ud800"})", "[1]", R"({"a":1,})",
+        "{\"a\":\"raw\ttab\"}"})
+    EXPECT_FALSE(parse_json_record(bad).has_value()) << bad;
+  EXPECT_TRUE(parse_json_record(" {\"a\" : -1.5e+2 } ").has_value());
 }
 
 // ---- scheduler (fake runners: no physics, pure orchestration) ------------
@@ -573,12 +619,9 @@ TEST_F(ManifestTest, KilledCampaignAutoRecoversBitwise) {
     f.put(byte);
   }
 
-  // A monitor attached between the kill and the resume sees the session-1
-  // journal; keeping it polling across session 2 must land on the same fold
-  // as a fresh whole-file read (the incremental-tail equivalence contract).
-  obs::CampaignMonitor monitor(dir);
-  monitor.poll();
-  EXPECT_EQ(monitor.manifest_state().cases.at(victim).state, "failed");
+  // A status read between the kill and the resume sees the session-1
+  // journal.
+  EXPECT_EQ(obs::read_campaign(dir).snapshot.find(victim)->state, "failed");
 
   // Session 2: fresh scheduler over the same manifest. Completed cases are
   // skipped; the failed case re-queues, restores from the newest *valid*
@@ -596,22 +639,14 @@ TEST_F(ManifestTest, KilledCampaignAutoRecoversBitwise) {
   ASSERT_EQ(final.size(), ref_final.size());
   for (const auto& [id, ck] : final) expect_bitwise_equal(ck, ref_final.at(id), id);
 
-  // Monitor-vs-manifest equivalence after the killed-and-resumed campaign:
-  // the monitor's incremental fold (production transition logic fed by the
-  // follower) is bitwise-equal to a fresh read_manifest fold, and the
-  // snapshot's per-case states/attempts/metrics reproduce it exactly.
-  monitor.poll();
+  // Status-vs-manifest equivalence after the killed-and-resumed campaign:
+  // the status fold's per-case states/attempts/metrics reproduce a fresh
+  // read_manifest fold exactly.
   const ManifestState fresh = read_manifest(dir + "/manifest.ndjson");
-  const ManifestState& folded = monitor.manifest_state();
-  ASSERT_TRUE(folded.found);
-  ASSERT_EQ(folded.cases.size(), fresh.cases.size());
-  const obs::CampaignSnapshot snap = monitor.snapshot();
+  const obs::CampaignSnapshot snap = obs::read_campaign(dir).snapshot;
+  ASSERT_TRUE(snap.manifest_found);
+  ASSERT_EQ(snap.cases.size(), fresh.cases.size());
   for (const auto& [id, ref_case] : fresh.cases) {
-    const auto it = folded.cases.find(id);
-    ASSERT_NE(it, folded.cases.end()) << id;
-    EXPECT_EQ(it->second.state, ref_case.state) << id;
-    EXPECT_EQ(it->second.attempts, ref_case.attempts) << id;
-    EXPECT_EQ(it->second.metrics, ref_case.metrics) << id;
     const obs::CaseView* view = snap.find(id);
     ASSERT_NE(view, nullptr) << id;
     EXPECT_EQ(view->state, ref_case.state) << id;
@@ -629,6 +664,32 @@ std::string last_record(const fs::path& ndjson) {
   for (std::string line; std::getline(in, line);)
     if (!line.empty()) last = line;
   return last;
+}
+
+/// A telemetry record's top-level number `key` (0 when the line does not
+/// parse), read through the journal parser.
+double number_of(const std::string& line, const std::string& key) {
+  const std::optional<JsonRecord> rec = parse_json_record(line);
+  return rec ? rec->number(key) : 0.0;
+}
+
+/// A step record's metric `name`; nullopt when the line does not parse or
+/// carries no such metric.
+std::optional<double> metric_of(const std::string& line,
+                                const std::string& name) {
+  const std::optional<JsonRecord> rec = parse_json_record(line);
+  if (!rec) return std::nullopt;
+  const auto& numbers = rec->object("metrics").numbers;
+  const auto it = numbers.find(name);
+  if (it == numbers.end()) return std::nullopt;
+  return it->second;
+}
+
+/// A telemetry header's metadata value ("" when absent).
+std::string metadata_of(const std::string& header, const std::string& key) {
+  const std::optional<JsonRecord> rec = parse_json_record(header);
+  const std::string* value = rec ? rec->object("metadata").string(key) : nullptr;
+  return value ? *value : "";
 }
 
 TEST_F(ManifestTest, CaseTelemetryCountsItsOwnCheckpointWrites) {
@@ -662,20 +723,19 @@ TEST_F(ManifestTest, CaseTelemetryCountsItsOwnCheckpointWrites) {
         fs::path(serial_spec.config.dir) / cs.id / "telemetry" / "run.ndjson");
     for (const char* name : {"profile.flops", "profile.bytes", "profile.messages",
                              "profile.message_bytes", "profile.reductions"}) {
-      bool found = false;
-      const double count = extract_json_number(last, name, &found);
-      EXPECT_TRUE(found) << cs.id << " lacks " << name;
-      EXPECT_EQ(count, extract_json_number(alone, name)) << cs.id << " " << name;
+      const std::optional<double> count = metric_of(last, name);
+      EXPECT_TRUE(count.has_value()) << cs.id << " lacks " << name;
+      EXPECT_EQ(count, metric_of(alone, name)) << cs.id << " " << name;
     }
     // The header names the team the case actually ran on: the one thread
     // its rank is charged, so the process-default family at one thread.
-    EXPECT_EQ(extract_json_string(header, "backend"),
+    EXPECT_EQ(metadata_of(header, "backend"),
               device::select_backend(ParamMap(), 1).name())
         << cs.id << ": " << header;
-    EXPECT_EQ(extract_json_string(header, "threads"), "1") << cs.id << ": " << header;
+    EXPECT_EQ(metadata_of(header, "threads"), "1") << cs.id << ": " << header;
     ASSERT_NE(last.find(R"("type":"step","step":10)"), std::string::npos)
         << cs.id << ": " << last;
-    EXPECT_EQ(extract_json_number(last, "checkpoint.writes"), 2.0) << cs.id;
+    EXPECT_EQ(metric_of(last, "checkpoint.writes"), 2.0) << cs.id;
     // Summary rows: name,kind,value,count,sum,min,max.
     std::map<std::string, std::vector<std::string>> summary;
     {
@@ -717,10 +777,10 @@ TEST_F(ManifestTest, EachCaseRunsOnItsOwnBackend) {
     std::string header;
     std::ifstream in(fs::path(dir_) / cs.id / "telemetry" / "run.ndjson");
     std::getline(in, header);
-    EXPECT_EQ(extract_json_string(header, "backend"),
+    EXPECT_EQ(metadata_of(header, "backend"),
               cs.params.get_string("device.backend"))
         << cs.id << ": " << header;
-    EXPECT_EQ(extract_json_string(header, "threads"), "1") << cs.id << ": " << header;
+    EXPECT_EQ(metadata_of(header, "threads"), "1") << cs.id << ": " << header;
   }
   ASSERT_EQ(report.outcomes.size(), 2u);
   const auto& a = report.outcomes[0].result.metrics;
@@ -782,7 +842,7 @@ TEST_F(ManifestTest, MultiRankCaseRunsUnderTheBudget) {
   for (const char* rank : {"rank0", "rank1"}) {
     const std::string last = last_record(fs::path(dir_) / spec.cases[0].id /
                                          "telemetry" / rank / "run.ndjson");
-    EXPECT_GT(extract_json_number(last, "profile.messages"), 0.0) << rank;
+    EXPECT_GT(metric_of(last, "profile.messages").value_or(0.0), 0.0) << rank;
     for (const char* retired : {"\"gs.", "\"comm.", "\"krylov."})
       EXPECT_EQ(last.find(retired), std::string::npos) << rank << ": " << last;
   }
@@ -841,7 +901,7 @@ TEST_F(ManifestTest, MultiRankCrashRetriesAndRecoversBitwise) {
     std::string line;
     while (std::getline(in, line))
       if (line.find(R"("type":"step")") != std::string::npos) break;
-    EXPECT_EQ(extract_json_number(line, "step"), 3.0) << rank << ": " << line;
+    EXPECT_EQ(number_of(line, "step"), 3.0) << rank << ": " << line;
   }
 
   for (const std::string rank : {"felis.r0", "felis.r1"}) {
@@ -919,8 +979,8 @@ TEST_F(ManifestTest, DrainedCaseResumesBitwiseIdentical) {
       }
     }
   }
-  EXPECT_EQ(extract_json_string(header, "attempt"), "2") << header;
-  EXPECT_EQ(extract_json_number(first_step, "step"),
+  EXPECT_EQ(metadata_of(header, "attempt"), "2") << header;
+  EXPECT_EQ(number_of(first_step, "step"),
             static_cast<double>(drained_step + 1))
       << first_step;
 

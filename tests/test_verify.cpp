@@ -154,8 +154,13 @@ TEST(ManifestReplay, DoneIsAbsorbingForStaleNonTerminalRecords) {
 
 TEST(ManifestReplay, TornLinesAreIgnored) {
   const std::string full = sched::format_run_record("a", "done", 1, 0.5, 0.4);
+  // With metrics, the prefix that lacks only the record's final `}` ends in
+  // the metrics object's `}`: still torn.
+  const std::string with_metrics =
+      sched::format_run_record("a", "done", 1, 0.5, 0.4, "", {{"Nu", 2.5}});
   sched::ManifestState state;
-  for (const std::string& line : {full, std::string(kServiceSubmitRecord)})
+  for (const std::string& line :
+       {full, with_metrics, std::string(kServiceSubmitRecord)})
     for (usize cut = 0; cut < line.size(); ++cut)
       sched::apply_manifest_line(state, line.substr(0, cut));
   EXPECT_TRUE(state.cases.empty() || !state.cases.count("a") ||

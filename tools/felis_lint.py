@@ -64,12 +64,13 @@ Rules
                       src/sched/).
   raw-ndjson-read     Library code must not parse manifest/telemetry NDJSON
                       by hand: calls to sched::apply_manifest_line or the
-                      sched::extract_json_* scanners are confined to the
+                      sched::parse_json_record parser are confined to the
                       protocol owner (src/sched/manifest.*), the campaign
-                      monitor (src/obs/) and the model checker (src/verify/,
-                      which drives the production fold by design). Ad-hoc
-                      folds elsewhere drift from the torn-tail and
-                      duplicate-terminal semantics the checker verifies.
+                      status fold (src/obs/) and the model checker
+                      (src/verify/, which drives the production fold by
+                      design). Ad-hoc folds elsewhere drift from the
+                      torn-tail and duplicate-terminal semantics the
+                      checker verifies.
   raw-tensor-call     Library code outside src/field/ must not call the
                       tensor-product kernels (apply_axis0/1/2, grad_ref,
                       interp3) directly: direct calls pin the scalar reference
@@ -144,9 +145,10 @@ THREAD_EXEMPT_DIRS = (
 # deliberately excluded — they white-box the plugins.
 CASE_PLUGIN_DIRS = ("src", "examples")
 CASE_PLUGIN_EXEMPT_PREFIX = "src/case/"
-# NDJSON protocol readers: the manifest owner defines the fold, the campaign
-# monitor consumes it, and the model checker exercises it by design. Everyone
-# else gets read_manifest() / obs::CampaignMonitor.
+# NDJSON protocol readers: the manifest owner defines the fold and the record
+# parser, the campaign status fold consumes them, and the model checker
+# exercises the fold by design. Everyone else gets read_manifest() /
+# obs::read_campaign().
 NDJSON_READ_EXEMPT_PREFIXES = ("src/obs/", "src/verify/")
 NDJSON_READ_EXEMPT = {
     os.path.join("src", "sched", "manifest.hpp"),
@@ -190,12 +192,11 @@ RAW_RENAME_FSYNC_RE = re.compile(
     r"\b(?:std|fs)\s*::\s*rename\s*\(|"
     r"(?<![\w.:])(?:rename|fsync)\s*\(|"
     r"(?<![\w.])::\s*(?:rename|fsync)\s*\(")
-# A raw NDJSON-protocol read: the fold entry point or a positional scanner,
+# A raw NDJSON-protocol read: the fold entry point or the record parser,
 # qualified or not. read_manifest() (the sanctioned whole-file fold) does not
 # match.
 RAW_NDJSON_READ_RE = re.compile(
-    r"\b(?:sched\s*::\s*)?(apply_manifest_line|extract_json_string|"
-    r"extract_json_number|extract_json_metrics)\s*\(")
+    r"\b(?:sched\s*::\s*)?(apply_manifest_line|parse_json_record)\s*\(")
 # A direct tensor-kernel call: the kernel name immediately followed by an
 # argument list. Shaped-kernel names (apply_axis_order<0, 8>, grad_order<8>)
 # do not match — the suffix sits between the name and `(` — and neither do
@@ -555,7 +556,7 @@ def check_raw_ndjson_read(root):
                     relpath, lineno, "raw-ndjson-read",
                     f"raw NDJSON protocol read ({m.group(1)}) outside the "
                     "sanctioned fold sites; use sched::read_manifest or "
-                    "obs::CampaignMonitor"))
+                    "obs::read_campaign"))
     return out
 
 
@@ -725,18 +726,17 @@ SEEDED = {
     "src/bad/raw_ndjson.cpp": (
         "raw-ndjson-read",
         "#include <string>\nvoid f(const std::string& line) {\n"
-        "  bool ok = false;\n"
-        "  auto s = sched::extract_json_string(line, \"state\", &ok);\n"
-        "  (void)s;\n}\n"),
-    "src/obs/monitor_site.cpp": (
-        None,  # the campaign monitor is a sanctioned fold site
+        "  auto rec = sched::parse_json_record(line);\n"
+        "  (void)rec;\n}\n"),
+    "src/obs/status_site.cpp": (
+        None,  # the campaign status fold is a sanctioned fold site
         "#include <string>\nvoid g(const std::string& line) {\n"
         "  sched::apply_manifest_line(state, line);\n"
-        "  auto t = sched::extract_json_number(line, \"t\");\n  (void)t;\n}\n"),
+        "  auto rec = sched::parse_json_record(line);\n  (void)rec;\n}\n"),
     "src/sched/manifest.cpp": (
-        None,  # the protocol owner defines and uses the scanners
+        None,  # the protocol owner defines and uses the parser
         "#include <string>\nvoid h(const std::string& line) {\n"
-        "  auto m = extract_json_metrics(line);\n  (void)m;\n}\n"),
+        "  auto rec = parse_json_record(line);\n  (void)rec;\n}\n"),
     "src/good/manifest_consumer.cpp": (
         None,  # whole-file folds go through read_manifest
         "#include <string>\nvoid r(const std::string& path) {\n"

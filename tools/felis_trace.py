@@ -13,7 +13,7 @@ A felis run with `telemetry.enabled = true` produces
 
 The NDJSON stream uses crash-safe appends: every fsync'd prefix is a valid
 record stream, and a crash can leave at most one torn final line. Like the
-in-tree follower (src/obs/ndjson_follower.*), this tool treats a line as
+in-tree status fold (src/obs/campaign_monitor.*), this tool treats a line as
 complete only once its trailing newline is on disk: an unterminated final
 line is skipped (with a note) even when it happens to parse as JSON. A
 missing stream file is a named error, never a traceback.
@@ -49,7 +49,7 @@ Usage
       numbers. Prints the per-case final states (exit 1 on violations).
       With a `felis_campaign --status` document, also require that its
       per-case states, state counts and threads_in_flight equal this fold
-      of the same manifest (the C++ monitor folds it independently).
+      of the same manifest (the C++ status fold reads it independently).
 """
 
 import argparse
@@ -86,7 +86,7 @@ class CheckError(Exception):
 
 
 def read_journal_lines(path):
-    """Read a crash-safe NDJSON journal the way NdjsonFollower does: a line
+    """Read a crash-safe NDJSON journal the way the C++ readers do: a line
     is complete only once its trailing newline is on disk, so an
     unterminated final line is a torn tail and is withheld regardless of
     whether it happens to parse. Returns (lines, torn_tail); raises a named

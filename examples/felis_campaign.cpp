@@ -12,7 +12,7 @@
 // they only read the crash-safe journals, skipping torn tails):
 //   ./felis_campaign --status DIR [--watch] [--interval S] [--json]
 //     print the fleet table (per-case state/step/progress/Nu, throughput,
-//     ETA, stragglers) and write DIR/status.json + DIR/status.prom;
+//     ETA, stragglers) and write DIR/status.json;
 //     --watch rereads them every S seconds (default 2) until every case is
 //     terminal; --json prints the status document instead of the table
 //   ./felis_campaign --export-trace DIR
@@ -131,9 +131,8 @@ int run_observer(const std::string& dir, bool watch, double interval,
     } else {
       print_fleet_table(snap);
     }
-    const obs::StatusPaths paths = obs::write_status_files(snap, dir);
-    if (!json_out)
-      std::printf("status: %s, %s\n", paths.json.c_str(), paths.prom.c_str());
+    const std::string path = obs::write_status_json(snap, dir);
+    if (!json_out) std::printf("status: %s\n", path.c_str());
 
     bool all_terminal = !snap.cases.empty();
     for (const obs::CaseView& v : snap.cases)

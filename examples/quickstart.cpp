@@ -124,7 +124,6 @@ int run(const std::vector<std::string>& args) {
     std::printf("telemetry: %lld step records -> %s\n",
                 static_cast<long long>(telemetry->records_written()),
                 telemetry->ndjson_path().c_str());
-    std::printf("telemetry: summary -> %s\n", telemetry->summary_path().c_str());
     if (telemetry->config().trace)
       std::printf("telemetry: trace -> %s (load in Perfetto / chrome://tracing)\n",
                   telemetry->trace_path().c_str());

@@ -14,14 +14,14 @@ fluid::StepInfo Case::step() {
   telemetry::Telemetry* tel = solver_.telemetry();
   if (tel == nullptr) return solver_.step();
 
-  tel->begin_step(solver_.step_count() + 1);
+  tel->begin_step();
   const fluid::StepInfo info = solver_.step();
-  // Physical observables are charged only on sampled steps: they cost extra
+  // Physical observables are recorded only on sampled steps: they cost extra
   // reductions but never touch solver state, so the fields stay bitwise
   // identical with telemetry on or off.
   if (tel->sampling_due(info.step)) {
-    telemetry::MetricsRegistry& m = tel->metrics();
-    for (const auto& [name, value] : observables()) m.set("case." + name, value);
+    std::map<std::string, double>& recorded = tel->record().observables;
+    for (const auto& [name, value] : observables()) recorded[name] = value;
   }
   tel->end_step(info.step, info.time);
   return info;

@@ -9,7 +9,7 @@
 ///
 ///  * initial conditions    — set_initial_conditions() seeds the fields;
 ///  * time stepping         — step() advances the case's FlowSolver and,
-///    when telemetry is attached to it, brackets the step and charges the
+///    when telemetry is attached to it, brackets the step and records the
 ///    physical `case.*` observables on sampled steps (bitwise identical
 ///    fields with telemetry on or off);
 ///  * observables           — a name→value map of the case's physical
@@ -36,7 +36,7 @@
 namespace felis::cases {
 
 /// Physical diagnostics by name. std::map keeps the iteration order stable,
-/// so telemetry streams and CSV summaries are deterministic.
+/// so telemetry streams and summary tables are deterministic.
 using Observables = std::map<std::string, real_t>;
 
 class Case {
@@ -68,8 +68,8 @@ class Case {
 
   /// Advance one solver step. With telemetry attached to the solver
   /// (FlowSolver::attach_telemetry) this brackets the step
-  /// (begin_step/end_step) and charges `case.<observable>` gauges on sampled
-  /// steps.
+  /// (begin_step/end_step) and sets the step record's `case.<observable>`
+  /// values on sampled steps.
   fluid::StepInfo step();
 
   /// Checkpoint closure: the complete FlowSolver state (fields, histories,

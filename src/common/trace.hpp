@@ -1,5 +1,6 @@
 /// \file trace.hpp
-/// \brief One run's interval recorder, the data behind Fig. 2's timeline.
+/// \brief One run's interval recorder, the data behind Fig. 2's timeline,
+/// and the stopwatch for durations outside any run's trace.
 ///
 /// Every interval of a run lands here, on one clock and under one cap:
 /// stream intervals from the preconditioners (tracks 0 = fine, 1 = coarse;
@@ -62,6 +63,21 @@ class TraceRecorder {
   usize max_events_;
   usize dropped_ = 0;
   std::vector<TraceEvent> events_;
+};
+
+/// Seconds since construction on the recorder's steady clock. For durations
+/// that belong to no run's trace: a checkpoint write, a scheduler session,
+/// one case attempt. felis_lint's raw-clock rule keeps every other clock read
+/// in library code to this file and the Profiler.
+class Stopwatch {
+ public:
+  double seconds() const {
+    return std::chrono::duration<double>(TraceRecorder::Clock::now() - start_)
+        .count();
+  }
+
+ private:
+  TraceRecorder::Clock::time_point start_ = TraceRecorder::Clock::now();
 };
 
 }  // namespace felis

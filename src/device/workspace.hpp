@@ -47,8 +47,8 @@ class Workspace {
 
   /// Bytes of buffer capacity currently held across *all* threads' arenas,
   /// and the process-lifetime high-water mark. Grows monotonically (arenas
-  /// cache buffers until thread exit); the telemetry layer samples these into
-  /// the `device.arena_*` gauges each step.
+  /// cache buffers until thread exit); the flow solver copies these into the
+  /// telemetry step record's `device.arena_*` values each step.
   static usize process_bytes() {
     return process_bytes_.load(std::memory_order_relaxed);
   }

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <thread>
 
+#include "common/trace.hpp"
 #include "fluid/checkpoint_policy.hpp"
 #include "io/atomic_file.hpp"
 #include "telemetry/telemetry.hpp"
@@ -47,7 +48,7 @@ bool CheckpointManager::due(std::int64_t step) const {
 }
 
 std::string CheckpointManager::write(const Checkpoint& ck) {
-  const telemetry::Stopwatch watch;
+  const Stopwatch watch;
   fs::create_directories(config_.directory);
   const std::string path = path_for_step(ck.step);
   const std::vector<std::byte> blob = ck.serialize(config_.compress);
@@ -66,12 +67,12 @@ std::string CheckpointManager::write(const Checkpoint& ck) {
     }
   }
   if (telemetry_ != nullptr) {
-    telemetry::MetricsRegistry& m = telemetry_->metrics();
-    m.add("checkpoint.writes", 1);
-    m.add("checkpoint.bytes", static_cast<double>(blob.size()));
-    m.observe("checkpoint.write_seconds", watch.seconds());
+    telemetry::StepRecord& r = telemetry_->record();
+    ++r.checkpoint_writes;
+    r.checkpoint_bytes += static_cast<std::int64_t>(blob.size());
+    r.checkpoint_write_seconds.observe(watch.seconds());
     if (retries > 0) {
-      m.add("checkpoint.retries", retries);
+      r.checkpoint_retries += retries;
       telemetry_->health().flag_checkpoint_retries(retries, path);
     }
   }

@@ -36,9 +36,9 @@ struct CheckpointConfig {
 
 class CheckpointManager {
  public:
-  /// `telemetry` receives the checkpoint.* metrics; null leaves writes
-  /// uncharged. Each run passes its own, so concurrent runs in one process
-  /// each count their own writes.
+  /// `telemetry`'s step record counts the checkpoint.* values; null leaves
+  /// writes uncounted. Each run passes its own, so concurrent runs in one
+  /// process each count their own writes.
   explicit CheckpointManager(CheckpointConfig config,
                              io::FaultInjector* fault = nullptr,
                              telemetry::Telemetry* telemetry = nullptr);

@@ -401,34 +401,26 @@ StepInfo FlowSolver::step() {
   info.time = time_;
   last_info_ = info;
 
-  // Telemetry charging is read-only with respect to solver state, so the
+  // Telemetry recording is read-only with respect to solver state, so the
   // simulated fields are bitwise identical with telemetry on or off.
   if (telemetry_ != nullptr) {
-    telemetry::MetricsRegistry& m = telemetry_->metrics();
-    m.set("solver.cfl", info.cfl);
-    m.set("solver.dt", dt);
-    m.set("solver.time", time_);
-    m.set("solver.pressure_iterations", info.pressure_iterations);
-    m.set("solver.velocity_iterations", info.velocity_iterations);
-    m.set("solver.scalar_iterations", info.scalar_iterations);
-    m.set("solver.pressure_residual", info.pressure_residual);
-    m.set("solver.divergence", info.divergence);
-    m.set("solver.projection_basis",
-          pressure_projection_
-              ? static_cast<double>(pressure_projection_->basis_size())
-              : 0.0);
+    telemetry::StepRecord& r = telemetry_->record();
+    r.cfl = info.cfl;
+    r.dt = dt;
+    r.time = time_;
+    r.pressure_iterations = info.pressure_iterations;
+    r.velocity_iterations = info.velocity_iterations;
+    r.scalar_iterations = info.scalar_iterations;
+    r.pressure_residual = info.pressure_residual;
+    r.divergence = info.divergence;
+    r.projection_basis =
+        pressure_projection_ ? pressure_projection_->basis_size() : 0;
     // This rank's own work since its setup was built (the Fig. 4 and
     // perfmodel counts), charged by every layer through the Context.
-    const OpCounters work = fine_.prof->root().inclusive_counters();
-    m.set("profile.flops", work.flops);
-    m.set("profile.bytes", work.bytes);
-    m.set("profile.messages", work.messages);
-    m.set("profile.message_bytes", work.msg_bytes);
-    m.set("profile.reductions", work.reductions);
-    m.set("device.arena_bytes",
-          static_cast<double>(device::Workspace::process_bytes()));
-    m.set("device.arena_high_water",
-          static_cast<double>(device::Workspace::process_high_water()));
+    r.profile = fine_.prof->root().inclusive_counters();
+    r.arena_bytes = static_cast<double>(device::Workspace::process_bytes());
+    r.arena_high_water =
+        static_cast<double>(device::Workspace::process_high_water());
   }
   return info;
 }

@@ -124,10 +124,10 @@ class FlowSolver {
   const operators::Context& context() const { return fine_; }
 
   /// The run's telemetry (null = off), the one attach for the solver and its
-  /// case: step() charges the solver.* and profile.* metrics into it,
-  /// Case::step the case.* observables, and a traced run records the
-  /// profiler's regions and the preconditioner's stream intervals into its
-  /// recorder. `telemetry` must outlive this solver or be detached first.
+  /// case: step() sets the solver.*, profile.* and device.* values of its
+  /// step record, Case::step the case.* observables, and a traced run
+  /// records the profiler's regions and the preconditioner's stream
+  /// intervals into its recorder. `telemetry` must outlive this solver or be detached first.
   void attach_telemetry(telemetry::Telemetry* telemetry);
   telemetry::Telemetry* telemetry() const { return telemetry_; }
 

@@ -1,6 +1,7 @@
 #include "obs/campaign_monitor.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -95,6 +96,19 @@ std::string stream_path(const std::string& dir, const std::string& id) {
   const fs::path rank0 = base / "rank0" / "run.ndjson";
   if (fs::is_regular_file(rank0, ec)) return rank0.string();
   return "";
+}
+
+/// True when the header of the stream at `path` names an attempt older than
+/// `attempts`, the manifest's newest: that stream is a failed attempt's,
+/// which the retry will redo. A header that names no attempt is current.
+bool stale_stream(const std::string& path, int attempts) {
+  std::ifstream in(path, std::ios::binary);
+  std::string line;
+  std::getline(in, line);
+  const std::optional<sched::JsonRecord> header = sched::parse_json_record(line);
+  const std::string* attempt =
+      header ? header->object("metadata").string("attempt") : nullptr;
+  return attempt != nullptr && std::atoi(attempt->c_str()) < attempts;
 }
 
 bool is_step_record(const sched::JsonRecord& rec) {
@@ -200,7 +214,7 @@ CampaignFold read_campaign(const std::string& dir, bool step_marks) {
       v.metrics = folded->second.metrics;
     }
     const std::string stream = stream_path(dir, id);
-    if (!stream.empty()) {
+    if (!stream.empty() && !stale_stream(stream, v.attempts)) {
       if (const auto rec = newest_step_record(stream)) apply_step_record(v, *rec);
       if (step_marks) fold.step_marks[id] = read_step_marks(stream);
     }

@@ -13,13 +13,17 @@
 ///                                        protocol's fold; the header, case
 ///                                        declarations and run timings come
 ///                                        from the same parsed records;
-///   <dir>/<case>/telemetry/run.ndjson    each case's per-step metrics
+///   <dir>/<case>/telemetry/run.ndjson    each case's per-step record
 ///                                        stream of its current attempt
 ///                                        (rank0/ fallback for multi-rank
 ///                                        cases): step, simulated time, Nu,
 ///                                        residuals, health flags — read from
 ///                                        the end back to the newest complete
-///                                        step record.
+///                                        step record. A stream whose header
+///                                        names an attempt older than the
+///                                        manifest's is a failed attempt's
+///                                        and is passed over until the retry
+///                                        replaces it.
 ///
 /// The queue shape comes from the same manifest fold: queued and running
 /// counts are the folded states, and threads in flight is the declared
@@ -29,8 +33,9 @@
 /// (only newline-terminated records count; a record racing its append is
 /// passed over), on a *crashed* one (a torn tail never parses, exactly as
 /// on resume) and across attempts that replace a stream. A status read costs
-/// the manifest plus at most the newest record of each stream, the same at
-/// step 60 as at step 10^6; only the merged trace reads streams whole.
+/// the manifest plus each stream's header line and at most its newest
+/// record, the same at step 60 as at step 10^6; only the merged trace reads
+/// streams whole.
 /// Campaign-clock timestamps are rebased monotone across resume sessions so
 /// throughput, ETA and the merged trace stay meaningful after kills.
 ///

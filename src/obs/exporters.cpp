@@ -36,20 +36,6 @@ void emit_flat_map(std::ostringstream& os,
   os << '}';
 }
 
-/// Prometheus label values: escape backslash, double quote and newline.
-std::string prom_label(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '\\' || c == '"') out.push_back('\\');
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
 std::int64_t usec(double seconds) {
   const double us = seconds * 1e6;
   return us > 0 ? static_cast<std::int64_t>(std::llround(us)) : 0;
@@ -117,74 +103,6 @@ std::string status_json(const CampaignSnapshot& snap) {
     os << "}";
   }
   os << "\n  ]\n}\n";
-  return os.str();
-}
-
-std::string status_prometheus(const CampaignSnapshot& snap) {
-  std::ostringstream os;
-  os << "# HELP felis_campaign_info Campaign identity (value is always 1).\n"
-     << "# TYPE felis_campaign_info gauge\n"
-     << "felis_campaign_info{campaign=\"" << prom_label(snap.campaign)
-     << "\"} 1\n";
-  os << "# HELP felis_campaign_cases Cases by folded manifest state.\n"
-     << "# TYPE felis_campaign_cases gauge\n";
-  const std::map<std::string, int> counts = {
-      {"declared", snap.declared}, {"queued", snap.queued},
-      {"running", snap.running},   {"done", snap.done},
-      {"failed", snap.failed},     {"retried", snap.retried}};
-  for (const auto& [state, n] : counts)
-    os << "felis_campaign_cases{state=\"" << state << "\"} " << n << "\n";
-  os << "# TYPE felis_campaign_retry_transitions_total counter\n"
-     << "felis_campaign_retry_transitions_total " << snap.retry_transitions
-     << "\n";
-  os << "# TYPE felis_campaign_threads_in_flight gauge\n"
-     << "felis_campaign_threads_in_flight " << snap.threads_in_flight << "\n";
-  os << "# TYPE felis_campaign_resumes_total counter\n"
-     << "felis_campaign_resumes_total " << snap.resumes << "\n";
-  os << "# TYPE felis_campaign_clock_seconds gauge\n"
-     << "felis_campaign_clock_seconds " << num(snap.clock_seconds) << "\n";
-  os << "# HELP felis_campaign_completed_fraction Cost-weighted campaign "
-        "progress in [0,1].\n"
-     << "# TYPE felis_campaign_completed_fraction gauge\n"
-     << "felis_campaign_completed_fraction " << num(snap.completed_fraction)
-     << "\n";
-  os << "# TYPE felis_campaign_cost_rate gauge\n"
-     << "felis_campaign_cost_rate " << num(snap.cost_rate) << "\n";
-  os << "# HELP felis_campaign_eta_seconds Perfmodel-costed time to "
-        "completion (-1 = unknown).\n"
-     << "# TYPE felis_campaign_eta_seconds gauge\n"
-     << "felis_campaign_eta_seconds " << num(snap.eta_seconds) << "\n";
-  os << "# TYPE felis_campaign_anomalies_total counter\n"
-     << "felis_campaign_anomalies_total " << num(snap.anomalies) << "\n";
-  os << "# HELP felis_campaign_health_flags Anomaly detections by class "
-        "(summed over cases).\n"
-     << "# TYPE felis_campaign_health_flags counter\n";
-  for (const auto& [flag, n] : snap.health_flags) {
-    static constexpr const char* kPrefix = "health.flags.";
-    const std::string leaf = flag.rfind(kPrefix, 0) == 0
-                                 ? flag.substr(std::string(kPrefix).size())
-                                 : flag;
-    os << "felis_campaign_health_flags{class=\"" << prom_label(leaf) << "\"} "
-       << num(n) << "\n";
-  }
-  os << "# TYPE felis_campaign_case_progress gauge\n";
-  for (const CaseView& v : snap.cases)
-    os << "felis_campaign_case_progress{case=\"" << prom_label(v.id) << "\"} "
-       << num(v.progress) << "\n";
-  os << "# TYPE felis_campaign_case_step gauge\n";
-  for (const CaseView& v : snap.cases)
-    os << "felis_campaign_case_step{case=\"" << prom_label(v.id) << "\"} "
-       << v.step << "\n";
-  os << "# TYPE felis_campaign_case_attempts gauge\n";
-  for (const CaseView& v : snap.cases)
-    os << "felis_campaign_case_attempts{case=\"" << prom_label(v.id) << "\"} "
-       << v.attempts << "\n";
-  os << "# HELP felis_campaign_case_straggler 1 when the case runs slower "
-        "than the fleet's normalized median by the straggler factor.\n"
-     << "# TYPE felis_campaign_case_straggler gauge\n";
-  for (const CaseView& v : snap.cases)
-    os << "felis_campaign_case_straggler{case=\"" << prom_label(v.id)
-       << "\"} " << (v.straggler ? 1 : 0) << "\n";
   return os.str();
 }
 
@@ -294,22 +212,13 @@ std::string campaign_trace_json(const CampaignFold& fold) {
   return os.str();
 }
 
-StatusPaths write_status_files(const CampaignSnapshot& snap,
-                               const std::string& dir) {
-  StatusPaths paths;
-  paths.json = (std::filesystem::path(dir) / "status.json").string();
-  paths.prom = (std::filesystem::path(dir) / "status.prom").string();
-  {
-    io::AtomicFileWriter writer(paths.json);
-    writer.stream() << status_json(snap);
-    writer.commit();
-  }
-  {
-    io::AtomicFileWriter writer(paths.prom);
-    writer.stream() << status_prometheus(snap);
-    writer.commit();
-  }
-  return paths;
+std::string write_status_json(const CampaignSnapshot& snap,
+                              const std::string& dir) {
+  const std::string path = (std::filesystem::path(dir) / "status.json").string();
+  io::AtomicFileWriter writer(path);
+  writer.stream() << status_json(snap);
+  writer.commit();
+  return path;
 }
 
 }  // namespace felis::obs

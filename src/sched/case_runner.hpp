@@ -16,7 +16,7 @@
 /// RunContext::run_dir():
 ///
 ///   <campaign.dir>/<case id>/checkpoints/   rotation (per rank: felis.r<k>)
-///   <campaign.dir>/<case id>/telemetry/     NDJSON/CSV/trace (multi-rank:
+///   <campaign.dir>/<case id>/telemetry/     NDJSON/trace (multi-rank:
 ///                                           one rank<r>/ per rank)
 ///
 /// Fault tolerance contract: every attempt first restores the newest valid

@@ -12,9 +12,9 @@
 
 #include "common/error.hpp"
 #include "common/logger.hpp"
+#include "common/trace.hpp"
 #include "io/fault_injector.hpp"
 #include "sched/manifest.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace felis::sched {
 
@@ -101,7 +101,7 @@ CampaignReport Scheduler::run() {
   bool done = false;
   std::vector<std::exception_ptr> worker_errors;
 
-  const telemetry::Stopwatch watch;
+  const Stopwatch watch;
   const auto clock = [&watch] { return watch.seconds(); };
 
   // ---- seed the queue from the spec and the previous session's journal ----
@@ -247,7 +247,7 @@ CampaignReport Scheduler::run() {
       lock.unlock();
 
       std::filesystem::create_directories(run->ctx.run_dir_);
-      const telemetry::Stopwatch run_watch;
+      const Stopwatch run_watch;
       RunResult result;
       try {
         result = runner_(cs, run->ctx);

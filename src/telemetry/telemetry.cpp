@@ -47,7 +47,7 @@ TelemetryConfig config_from_params(const ParamMap& params) {
 namespace {
 
 /// Shortest representation that round-trips a double; JSON has no Inf/NaN,
-/// so non-finite values (an empty histogram's min/max) serialize as 0.
+/// so non-finite values serialize as 0.
 std::string json_number(double v) {
   if (!std::isfinite(v)) return "0";
   char buf[32];
@@ -60,11 +60,6 @@ std::string json_number(double v) {
   return back == v ? short_buf : buf;
 }
 
-double gauge_value(const MetricsRegistry& metrics, const char* name) {
-  const Metric* m = metrics.find(name);
-  return m ? m->value() : 0.0;
-}
-
 }  // namespace
 
 Telemetry::Telemetry(TelemetryConfig config,
@@ -72,32 +67,10 @@ Telemetry::Telemetry(TelemetryConfig config,
     : config_(std::move(config)),
       metadata_(std::move(metadata)),
       trace_(config_.max_trace_events),
-      health_(std::make_unique<RunHealth>(config_.health, &metrics_)) {
-  // Pre-register the fields every step record must carry (acceptance: a
-  // record always contains iteration counts, residuals, Nu, CFL, checkpoint
-  // stats — even on a step where a subsystem charged nothing).
-  for (const char* g : {"solver.cfl", "solver.dt", "solver.time",
-                        "solver.pressure_iterations",
-                        "solver.velocity_iterations",
-                        "solver.scalar_iterations", "solver.pressure_residual",
-                        "solver.divergence", "solver.projection_basis",
-                        "case.nu_plate", "case.nu_volume"}) {
-    metrics_.gauge(g);
-  }
-  for (const char* c : {"checkpoint.writes", "checkpoint.retries",
-                        "checkpoint.bytes", "health.anomalies",
-                        "health.flags.iteration_spike",
-                        "health.flags.residual_stagnation",
-                        "health.flags.checkpoint_retry"}) {
-    metrics_.counter(c);
-  }
-  metrics_.histogram("checkpoint.write_seconds");
-  metrics_.histogram("telemetry.step_seconds");
-
+      health_(config_.health, record_) {
   std::filesystem::create_directories(config_.dir);
   ndjson_path_ = config_.dir + "/" + config_.basename + ".ndjson";
   trace_path_ = config_.dir + "/" + config_.basename + ".trace.json";
-  summary_path_ = config_.dir + "/" + config_.basename + ".summary.csv";
   // Truncate a stale stream from a previous run before appending.
   { std::error_code ec; std::filesystem::remove(ndjson_path_, ec); }
   ndjson_ = std::make_unique<io::DurableAppendWriter>(ndjson_path_);
@@ -109,7 +82,7 @@ Telemetry::~Telemetry() {
     finalize();
   } catch (...) {
     // Destructor must not throw; the NDJSON stream is fsync'd per record, so
-    // at worst the summary/trace files are missing.
+    // at worst the trace file is missing.
   }
 }
 
@@ -117,42 +90,23 @@ bool Telemetry::sampling_due(std::int64_t step) const {
   return step % config_.interval == 0;
 }
 
-void Telemetry::begin_step(std::int64_t step) {
-  (void)step;
-  step_watch_ = std::make_unique<Stopwatch>();
-}
+void Telemetry::begin_step() { step_begin_ = trace_.now(); }
 
 void Telemetry::end_step(std::int64_t step, double sim_time) {
   if (finalized_) return;
-  const double step_seconds = step_watch_ ? step_watch_->seconds() : 0.0;
-  step_watch_.reset();
-  metrics_.observe("telemetry.step_seconds", step_seconds);
+  const double t = trace_.now();
+  record_.step = step;
+  record_.wall_seconds = t;
+  record_.step_seconds.observe(t - step_begin_);
 
-  if (config_.trace) {
-    const double t = now();
-    trace_.record(kStepTrack, "step " + std::to_string(step), t, t);
-  }
+  if (config_.trace) trace_.record(kStepTrack, "step " + std::to_string(step), t, t);
 
-  feed_health(step, step_seconds);
+  health_.on_step();
 
   if (sampling_due(step)) {
-    ndjson_->append(step_record(step, sim_time, step_seconds));
+    ndjson_->append(step_record(sim_time));
     ++records_written_;
   }
-}
-
-void Telemetry::feed_health(std::int64_t step, double step_seconds) {
-  StepSample sample;
-  sample.step = step;
-  sample.wall_seconds = now();
-  sample.step_seconds = step_seconds;
-  sample.cfl = gauge_value(metrics_, "solver.cfl");
-  sample.pressure_iterations =
-      static_cast<int>(gauge_value(metrics_, "solver.pressure_iterations"));
-  sample.pressure_residual = gauge_value(metrics_, "solver.pressure_residual");
-  sample.nusselt = gauge_value(metrics_, "case.nu_volume");
-  sample.arena_bytes = gauge_value(metrics_, "device.arena_high_water");
-  health_->on_step(sample);
 }
 
 void Telemetry::write_header_record() {
@@ -169,45 +123,57 @@ void Telemetry::write_header_record() {
   ndjson_->append(os.str());
 }
 
-std::string Telemetry::step_record(std::int64_t step, double sim_time,
-                                   double step_seconds) const {
+std::string Telemetry::step_record(double sim_time) const {
+  const StepRecord& r = record_;
   std::ostringstream os;
-  os << R"({"type":"step","step":)" << step << R"(,"time":)"
-     << json_number(sim_time) << R"(,"wall_seconds":)" << json_number(now())
-     << R"(,"step_seconds":)" << json_number(step_seconds) << R"(,"metrics":{)";
+  os << R"({"type":"step","step":)" << r.step << R"(,"time":)"
+     << json_number(sim_time) << R"(,"wall_seconds":)"
+     << json_number(r.wall_seconds) << R"(,"step_seconds":)"
+     << json_number(r.step_seconds.last) << R"(,"metrics":{)";
   bool first = true;
-  for (const MetricRow& row : metrics_.snapshot()) {
+  const auto key = [&os, &first](const std::string& name) -> std::ostream& {
     if (!first) os << ',';
     first = false;
-    os << '"' << json_escape(row.name) << R"(":)";
-    if (row.kind == MetricKind::kHistogram) {
-      os << R"({"last":)" << json_number(row.value) << R"(,"count":)"
-         << json_number(row.count) << R"(,"sum":)" << json_number(row.sum)
-         << R"(,"min":)" << json_number(row.count > 0 ? row.min : 0)
-         << R"(,"max":)" << json_number(row.count > 0 ? row.max : 0) << '}';
-    } else {
-      os << json_number(row.value);
-    }
-  }
+    return os << '"' << json_escape(name) << R"(":)";
+  };
+  const auto number = [&key](const std::string& name, double v) {
+    key(name) << json_number(v);
+  };
+  const auto summary = [&key](const std::string& name, const RunningSummary& s) {
+    key(name) << R"({"last":)" << json_number(s.last) << R"(,"count":)"
+              << json_number(static_cast<double>(s.count)) << R"(,"sum":)"
+              << json_number(s.sum) << R"(,"min":)" << json_number(s.min)
+              << R"(,"max":)" << json_number(s.max) << '}';
+  };
+  // Sorted by name, so readers and diffs see one stable order.
+  for (const auto& [name, value] : r.observables) number("case." + name, value);
+  number("checkpoint.bytes", r.checkpoint_bytes);
+  number("checkpoint.retries", r.checkpoint_retries);
+  summary("checkpoint.write_seconds", r.checkpoint_write_seconds);
+  number("checkpoint.writes", r.checkpoint_writes);
+  number("device.arena_bytes", r.arena_bytes);
+  number("device.arena_high_water", r.arena_high_water);
+  number("health.anomalies", r.anomalies);
+  number("health.flags.checkpoint_retry", r.checkpoint_retry_flags);
+  number("health.flags.iteration_spike", r.iteration_spikes);
+  number("health.flags.residual_stagnation", r.residual_stagnations);
+  number("profile.bytes", r.profile.bytes);
+  number("profile.flops", r.profile.flops);
+  number("profile.message_bytes", r.profile.msg_bytes);
+  number("profile.messages", r.profile.messages);
+  number("profile.reductions", r.profile.reductions);
+  number("solver.cfl", r.cfl);
+  number("solver.divergence", r.divergence);
+  number("solver.dt", r.dt);
+  number("solver.pressure_iterations", r.pressure_iterations);
+  number("solver.pressure_residual", r.pressure_residual);
+  number("solver.projection_basis", r.projection_basis);
+  number("solver.scalar_iterations", r.scalar_iterations);
+  number("solver.time", r.time);
+  number("solver.velocity_iterations", r.velocity_iterations);
+  summary("telemetry.step_seconds", r.step_seconds);
   os << "}}";
   return os.str();
-}
-
-void Telemetry::write_summary_csv() const {
-  io::AtomicFileWriter writer(summary_path_);
-  std::ostream& os = writer.stream();
-  for (const auto& [key, value] : metadata_) {
-    os << "# " << key << " = " << value << '\n';
-  }
-  os << "name,kind,value,count,sum,min,max\n";
-  for (const MetricRow& row : metrics_.snapshot()) {
-    os << row.name << ',' << metric_kind_name(row.kind) << ','
-       << json_number(row.value) << ',' << json_number(row.count) << ','
-       << json_number(row.sum) << ','
-       << json_number(row.count > 0 ? row.min : 0) << ','
-       << json_number(row.count > 0 ? row.max : 0) << '\n';
-  }
-  writer.commit();
 }
 
 void Telemetry::write_chrome_trace() const {
@@ -223,10 +189,9 @@ void Telemetry::finalize() {
   if (finalized_) return;
   finalized_ = true;
   ndjson_->sync();
-  write_summary_csv();
   if (config_.trace) write_chrome_trace();
   FELIS_LOG_INFO("telemetry: ", records_written_, " step records -> ",
-                 ndjson_path_, "; summary -> ", summary_path_,
+                 ndjson_path_,
                  config_.trace ? "; trace -> " + trace_path_ : std::string());
 }
 

@@ -1,10 +1,10 @@
 // Tests for campaign observability: the stateless status fold (manifest
 // equivalence with sched::read_manifest including torn tails, clock rebase
 // across resume sessions, telemetry roll-up from the newest complete step
-// record of each stream, streams replaced by a retried attempt, health
-// flags, perfmodel ETA and normalized straggler detection, queue shape from
-// the manifest alone), and the three exporters (status JSON, Prometheus
-// text, merged Chrome trace).
+// record of each stream, streams replaced by a retried attempt, a failed
+// attempt's stream passed over, health flags, perfmodel ETA and normalized
+// straggler detection, queue shape from the manifest alone), and the two
+// exporters (status JSON, merged Chrome trace).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -66,17 +66,21 @@ class ObsTest : public ::testing::Test {
   }
 
   /// Start case `id`'s telemetry stream (header + steps), like a run attempt.
+  /// With `attempt` > 0 the header names it, as the case runner's does.
   void write_case_stream(const std::string& id,
                          const std::vector<std::string>& records,
-                         bool truncate = false) {
+                         bool truncate = false, int attempt = 0) {
     const fs::path tdir = fs::path(dir_) / id / "telemetry";
     fs::create_directories(tdir);
     const std::string path = (tdir / "run.ndjson").string();
     if (truncate) fs::remove(path);
     std::ofstream os(path, std::ios::binary | std::ios::app);
     if (truncate || !fs::exists(path) || fs::file_size(path) == 0) {
-      os << R"({"type":"header","schema":1,"interval":1,"metadata":{}})"
-         << '\n';
+      const std::string metadata =
+          attempt > 0 ? R"({"attempt":")" + std::to_string(attempt) + R"("})"
+                      : "{}";
+      os << R"({"type":"header","schema":1,"interval":1,"metadata":)"
+         << metadata << "}\n";
     }
     for (const std::string& r : records) os << r << '\n';
   }
@@ -296,6 +300,57 @@ TEST_F(ObsTest, AStreamReplacedByALongerOneShowsOnlyTheNewAttempt) {
   EXPECT_DOUBLE_EQ(second.snapshot.find("a")->nusselt, 56.0);
 }
 
+TEST_F(ObsTest, AFailedAttemptsStreamShowsNothingUntilTheRetryReplacesIt) {
+  // Attempt 1 of case a streams steps 1-16 and crashes; the manifest is cut
+  // right after the retry queues attempt 2. The stream's header still names
+  // attempt 1, so its steps are work the retry will redo: the fold shows no
+  // live fields, no progress and no step marks for a until attempt 2
+  // replaces the stream.
+  const sched::CampaignSpec spec = make_spec(2, 10, 24);
+  sched::ManifestWriter writer(manifest_path());
+  writer.write_header(spec);
+  for (const auto& c : spec.cases) writer.write_case(c);
+  writer.write_transition("b", "queued", 1, 0.0, 0);
+  writer.write_transition("b", "running", 1, 0.1, 0);
+  writer.write_transition("b", "done", 1, 0.9, 0.8);
+  writer.write_transition("a", "queued", 1, 0.0, 0);
+  writer.write_transition("a", "running", 1, 0.1, 0);
+  std::vector<std::string> attempt1;
+  for (std::int64_t s = 1; s <= 16; ++s)
+    attempt1.push_back(step_record(s, 0.01 * static_cast<double>(s), 0.1,
+                                   {{"health.flags.iteration_spike", 1}}));
+  write_case_stream("a", attempt1, /*truncate=*/false, /*attempt=*/1);
+  writer.write_transition("a", "retried", 1, 1.0, 0.9);
+  writer.write_transition("a", "queued", 2, 1.0, 0);
+
+  const CampaignFold stale = read_campaign(dir_, /*step_marks=*/true);
+  const CaseView& a = *stale.snapshot.find("a");
+  EXPECT_EQ(a.state, "queued");
+  EXPECT_EQ(a.attempts, 2);
+  EXPECT_FALSE(a.telemetry_found);
+  EXPECT_EQ(a.step, 0);
+  EXPECT_DOUBLE_EQ(a.progress, 0.0);
+  EXPECT_TRUE(a.health_flags.empty());
+  EXPECT_DOUBLE_EQ(stale.snapshot.anomalies, 0.0);
+  // Only b's retired cost counts: half of the two equal-cost cases.
+  EXPECT_DOUBLE_EQ(stale.snapshot.completed_fraction, 0.5);
+  EXPECT_EQ(stale.step_marks.count("a"), 0u);
+  EXPECT_TRUE(trace_steps(campaign_trace_json(stale)).empty());
+
+  // Attempt 2 restores step 8 and replaces the stream: the fold reads it.
+  writer.write_transition("a", "running", 2, 1.1, 0);
+  write_case_stream("a",
+                    {step_record(9, 0.09, 0.2, {}), step_record(10, 0.1, 0.3, {})},
+                    /*truncate=*/true, /*attempt=*/2);
+  const CampaignFold fresh = read_campaign(dir_, /*step_marks=*/true);
+  const CaseView& retried = *fresh.snapshot.find("a");
+  EXPECT_TRUE(retried.telemetry_found);
+  EXPECT_EQ(retried.step, 10);
+  EXPECT_DOUBLE_EQ(retried.progress, 10.0 / 24.0);
+  EXPECT_EQ(trace_steps(campaign_trace_json(fresh)),
+            (std::vector<std::int64_t>{9, 10}));
+}
+
 TEST_F(ObsTest, StreamTailReadFindsTheNewestCompleteStepRecord) {
   const sched::CampaignSpec spec = make_spec(3, 10, 100);
   sched::ManifestWriter writer(manifest_path());
@@ -507,23 +562,6 @@ TEST_F(ExporterTest, StatusJsonCarriesTheSchemaAndEveryCase) {
             std::count(json.begin(), json.end(), ']'));
 }
 
-TEST_F(ExporterTest, PrometheusTextExposesFleetAndPerCaseSamples) {
-  build_campaign();
-  const std::string prom = status_prometheus(read_campaign(dir_).snapshot);
-
-  for (const char* needle :
-       {"felis_campaign_info{campaign=\"obs_campaign\"} 1",
-        "felis_campaign_cases{state=\"done\"} 1",
-        "felis_campaign_cases{state=\"running\"} 1",
-        "felis_campaign_threads_in_flight 1",
-        "felis_campaign_completed_fraction",
-        "felis_campaign_health_flags{class=\"iteration_spike\"} 1",
-        "felis_campaign_case_progress{case=\"a\"} 1",
-        "felis_campaign_case_straggler{case=\"b\"} 0"}) {
-    EXPECT_NE(prom.find(needle), std::string::npos) << "missing: " << needle;
-  }
-}
-
 TEST_F(ExporterTest, MergedTraceLaysOutSchedulerAndCaseTracks) {
   build_campaign();
   const std::string trace =
@@ -545,9 +583,9 @@ TEST_F(ExporterTest, MergedTraceLaysOutSchedulerAndCaseTracks) {
 }
 
 TEST_F(ExporterTest, ConcurrentStatusWritersShareNoTemporaryFile) {
-  // Two `felis_campaign --status` runs on one directory write the same two
-  // files at once. Each writer must stage through its own temporary file:
-  // no throw, a complete status.json, and nothing left behind.
+  // Two `felis_campaign --status` runs on one directory write the same file
+  // at once. Each writer must stage through its own temporary file: no
+  // throw, a complete status.json, and nothing left behind.
   build_campaign();
   constexpr int kWriters = 4;
   constexpr int kRounds = 20;
@@ -558,7 +596,7 @@ TEST_F(ExporterTest, ConcurrentStatusWritersShareNoTemporaryFile) {
       const CampaignSnapshot snap = read_campaign(dir_).snapshot;
       for (int r = 0; r < kRounds; ++r) {
         try {
-          write_status_files(snap, dir_);
+          write_status_json(snap, dir_);
         } catch (const std::exception&) {
           failures.fetch_add(1);
         }
@@ -577,16 +615,6 @@ TEST_F(ExporterTest, ConcurrentStatusWritersShareNoTemporaryFile) {
     const std::string name = entry.path().filename().string();
     EXPECT_EQ(name.find(".tmp"), std::string::npos) << "left over: " << name;
   }
-}
-
-TEST_F(ExporterTest, WriteStatusFilesCommitsBothArtifacts) {
-  build_campaign();
-  const StatusPaths paths =
-      write_status_files(read_campaign(dir_).snapshot, dir_);
-  EXPECT_TRUE(fs::is_regular_file(paths.json));
-  EXPECT_TRUE(fs::is_regular_file(paths.prom));
-  EXPECT_GT(fs::file_size(paths.json), 0u);
-  EXPECT_GT(fs::file_size(paths.prom), 0u);
 }
 
 }  // namespace

@@ -32,7 +32,6 @@
 #include "mesh/hex_mesh.hpp"
 #include "mesh/partition.hpp"
 #include "precon/hsmg.hpp"
-#include "telemetry/metrics.hpp"
 
 namespace felis {
 namespace {
@@ -580,63 +579,6 @@ TEST(InsituStress, CloseRacesWithPushAndPop) {
     producer.join();
     EXPECT_TRUE(stream.closed());
   }
-}
-
-// ---- telemetry metrics registry ---------------------------------------------
-
-TEST(TelemetryStress, RegistryCreationRacesWithRecordingAndSnapshots) {
-  // The registry's contract: creation (map shape) is mutex-guarded and
-  // idempotent, recording on existing metrics is lock-free, and snapshots may
-  // be taken while both are in flight. Hammer all three concurrently: every
-  // thread find-or-creates the same names while charging them, and a reader
-  // thread snapshots throughout. Totals must be exact at the end.
-  telemetry::MetricsRegistry registry;
-  constexpr int kThreads = 4;
-  constexpr int kRounds = 2000;
-  std::atomic<bool> done{false};
-  std::thread reader([&] {
-    std::mt19937 rng(99u);
-    while (!done.load()) {
-      const auto rows = registry.snapshot();
-      ASSERT_LE(rows.size(), 10u);  // 8 counters + histogram + gauge
-      for (usize i = 1; i < rows.size(); ++i)
-        ASSERT_LT(rows[i - 1].name, rows[i].name);  // sorted, no torn map
-      (void)registry.find("stress.h");
-      jitter(rng);
-    }
-  });
-  std::vector<std::thread> chargers;
-  for (int t = 0; t < kThreads; ++t) {
-    chargers.emplace_back([&, t] {
-      std::mt19937 rng(static_cast<unsigned>(t) * 97u + 13u);
-      for (int i = 0; i < kRounds; ++i) {
-        registry.add("stress.c" + std::to_string(i % 8), 1.0);
-        registry.observe("stress.h", static_cast<double>(i % 100));
-        registry.set("stress.g", static_cast<double>(t));
-        if (i % 64 == 0) jitter(rng);
-      }
-    });
-  }
-  for (auto& t : chargers) t.join();
-  done.store(true);
-  reader.join();
-
-  double total = 0;
-  for (int c = 0; c < 8; ++c) {
-    const telemetry::Metric* m = registry.find("stress.c" + std::to_string(c));
-    ASSERT_NE(m, nullptr);
-    total += m->value();
-  }
-  EXPECT_DOUBLE_EQ(total, static_cast<double>(kThreads) * kRounds);
-  const telemetry::Metric* h = registry.find("stress.h");
-  ASSERT_NE(h, nullptr);
-  EXPECT_DOUBLE_EQ(h->count(), static_cast<double>(kThreads) * kRounds);
-  EXPECT_DOUBLE_EQ(h->min(), 0.0);
-  EXPECT_DOUBLE_EQ(h->max(), 99.0);
-  const telemetry::Metric* g = registry.find("stress.g");
-  ASSERT_NE(g, nullptr);
-  EXPECT_GE(g->value(), 0.0);  // last writer wins: some thread's id
-  EXPECT_LT(g->value(), kThreads);
 }
 
 // ---- debug-configuration assertion semantics --------------------------------

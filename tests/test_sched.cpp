@@ -711,11 +711,14 @@ TEST_F(ManifestTest, CaseTelemetryCountsItsOwnCheckpointWrites) {
   Scheduler one_worker(serial_spec, make_case_runner());
   ASSERT_TRUE(one_worker.run().all_done());
 
+  // The status fold reads each case's live fields under the names the step
+  // record's serializer writes them.
+  const obs::CampaignSnapshot snap = obs::read_campaign(dir_).snapshot;
   for (const CaseSpec& cs : spec.cases) {
     const fs::path tel = fs::path(dir_) / cs.id / "telemetry";
     // 10 steps with checkpoint.every = 4: the writes at steps 4 and 8 land
     // before the step-10 record; the sealing write at step 10 comes after
-    // it and shows up in the summary written at finalize.
+    // it and reaches no artifact.
     std::string header;
     std::getline(std::ifstream(tel / "run.ndjson"), header);
     const std::string last = last_record(tel / "run.ndjson");
@@ -736,21 +739,24 @@ TEST_F(ManifestTest, CaseTelemetryCountsItsOwnCheckpointWrites) {
     ASSERT_NE(last.find(R"("type":"step","step":10)"), std::string::npos)
         << cs.id << ": " << last;
     EXPECT_EQ(metric_of(last, "checkpoint.writes"), 2.0) << cs.id;
-    // Summary rows: name,kind,value,count,sum,min,max.
-    std::map<std::string, std::vector<std::string>> summary;
-    {
-      std::ifstream in(tel / "run.summary.csv");
-      for (std::string line; std::getline(in, line);) {
-        std::vector<std::string> fields;
-        std::stringstream row(line);
-        for (std::string f; std::getline(row, f, ',');) fields.push_back(f);
-        if (fields.size() == 7) summary[fields[0]] = fields;
-      }
-    }
-    ASSERT_EQ(summary.count("checkpoint.writes"), 1u) << cs.id;
-    ASSERT_EQ(summary.count("checkpoint.write_seconds"), 1u) << cs.id;
-    EXPECT_EQ(summary["checkpoint.writes"][2], "3") << cs.id;
-    EXPECT_EQ(summary["checkpoint.write_seconds"][3], "3") << cs.id;
+
+    const obs::CaseView* v = snap.find(cs.id);
+    ASSERT_NE(v, nullptr) << cs.id;
+    ASSERT_TRUE(v->telemetry_found) << cs.id;
+    EXPECT_EQ(v->nusselt, metric_of(last, "case.nu_volume")) << cs.id;
+    EXPECT_EQ(v->cfl, metric_of(last, "solver.cfl")) << cs.id;
+    EXPECT_EQ(v->pressure_iterations,
+              metric_of(last, "solver.pressure_iterations"))
+        << cs.id;
+    EXPECT_EQ(v->pressure_residual, metric_of(last, "solver.pressure_residual"))
+        << cs.id;
+    std::vector<std::string> flags;
+    for (const auto& [name, count] : v->health_flags) flags.push_back(name);
+    EXPECT_EQ(flags, (std::vector<std::string>{
+                         "health.flags.checkpoint_retry",
+                         "health.flags.iteration_spike",
+                         "health.flags.residual_stagnation"}))
+        << cs.id;
   }
 }
 

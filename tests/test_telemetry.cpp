@@ -1,23 +1,20 @@
-// Tests for the unified telemetry layer: the metrics registry (kinds,
-// find-or-create, lock-free recording), the run-health watchdog, the
-// disabled-path contract (an inert object), and the end-to-end artifact
+// Tests for the unified telemetry layer: the run-health watchdog over the
+// step record, the channel's configuration keys, and the end-to-end artifact
 // contract — a short RBC run with telemetry on must stream one NDJSON record
-// per sampled step, write a well-formed Chrome trace under the one trace cap
-// and a CSV summary, and leave the simulated fields bitwise identical to a
-// telemetry-off twin.
+// per sampled step with the step record's exact key list, write a
+// well-formed Chrome trace under the one trace cap, and leave the simulated
+// fields bitwise identical to a telemetry-off twin.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "case/rbc.hpp"
 #include "device/backend.hpp"
 #include "operators/setup.hpp"
 #include "precon/coarse.hpp"
-#include "telemetry/metrics.hpp"
 #include "telemetry/run_health.hpp"
 #include "telemetry/telemetry.hpp"
 #include "test_paths.hpp"
@@ -27,159 +24,74 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// ---- metrics registry -------------------------------------------------------
-
-TEST(Metrics, KindsRecordTheirSemantics) {
-  telemetry::MetricsRegistry registry;
-  telemetry::Metric& c = registry.counter("gs.applies");
-  c.add(2);
-  c.add(3);
-  EXPECT_EQ(c.kind(), telemetry::MetricKind::kCounter);
-  EXPECT_DOUBLE_EQ(c.value(), 5.0);
-  EXPECT_DOUBLE_EQ(c.count(), 2.0);
-
-  telemetry::Metric& g = registry.gauge("solver.cfl");
-  g.set(0.4);
-  g.set(0.7);
-  EXPECT_DOUBLE_EQ(g.value(), 0.7);  // last writer wins
-
-  telemetry::Metric& h = registry.histogram("checkpoint.write_seconds");
-  h.observe(2.0);
-  h.observe(0.5);
-  h.observe(1.0);
-  EXPECT_DOUBLE_EQ(h.value(), 1.0);  // last sample
-  EXPECT_DOUBLE_EQ(h.count(), 3.0);
-  EXPECT_DOUBLE_EQ(h.sum(), 3.5);
-  EXPECT_DOUBLE_EQ(h.min(), 0.5);
-  EXPECT_DOUBLE_EQ(h.max(), 2.0);
-
-  EXPECT_STREQ(telemetry::metric_kind_name(telemetry::MetricKind::kCounter),
-               "counter");
-  EXPECT_STREQ(telemetry::metric_kind_name(telemetry::MetricKind::kGauge),
-               "gauge");
-  EXPECT_STREQ(telemetry::metric_kind_name(telemetry::MetricKind::kHistogram),
-               "histogram");
-}
-
-TEST(Metrics, FindOrCreateIsIdempotentAndFindNeverCreates) {
-  telemetry::MetricsRegistry registry;
-  telemetry::Metric& a = registry.counter("comm.allreduces");
-  telemetry::Metric& b = registry.counter("comm.allreduces");
-  EXPECT_EQ(&a, &b);  // handles are stable, hot callers may cache them
-  EXPECT_EQ(registry.find("comm.allreduces"), &a);
-  EXPECT_EQ(registry.find("never.registered"), nullptr);
-  EXPECT_EQ(registry.size(), 1u);
-
-  registry.add("krylov.cg_iterations", 12);  // name-based find-or-create
-  EXPECT_EQ(registry.size(), 2u);
-  EXPECT_DOUBLE_EQ(registry.find("krylov.cg_iterations")->value(), 12.0);
-}
-
-TEST(Metrics, SnapshotIsSortedAndCompleted) {
-  telemetry::MetricsRegistry registry;
-  registry.set("solver.cfl", 0.3);
-  registry.add("gs.applies", 4);
-  registry.observe("telemetry.step_seconds", 0.01);
-  const std::vector<telemetry::MetricRow> rows = registry.snapshot();
-  ASSERT_EQ(rows.size(), 3u);
-  EXPECT_EQ(rows[0].name, "gs.applies");
-  EXPECT_EQ(rows[1].name, "solver.cfl");
-  EXPECT_EQ(rows[2].name, "telemetry.step_seconds");
-  EXPECT_EQ(rows[2].kind, telemetry::MetricKind::kHistogram);
-  EXPECT_DOUBLE_EQ(rows[2].min, 0.01);
-  EXPECT_DOUBLE_EQ(rows[2].max, 0.01);
-}
-
-TEST(Metrics, ConcurrentChargingLosesNothing) {
-  telemetry::MetricsRegistry registry;
-  telemetry::Metric& counter = registry.counter("stress.counter");
-  telemetry::Metric& hist = registry.histogram("stress.hist");
-  constexpr int kThreads = 4;
-  constexpr int kReps = 10000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kReps; ++i) {
-        counter.add(1);
-        hist.observe(static_cast<double>(i % 100));
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_DOUBLE_EQ(counter.value(), kThreads * kReps);
-  EXPECT_DOUBLE_EQ(hist.count(), kThreads * kReps);
-  EXPECT_DOUBLE_EQ(hist.min(), 0.0);
-  EXPECT_DOUBLE_EQ(hist.max(), 99.0);
-}
-
 // ---- run health -------------------------------------------------------------
 
-telemetry::StepSample health_sample(std::int64_t step, int p_it,
-                                    double residual) {
-  telemetry::StepSample s;
-  s.step = step;
-  s.wall_seconds = 0.05 * static_cast<double>(step);
-  s.step_seconds = 0.05;
-  s.cfl = 0.4;
-  s.pressure_iterations = p_it;
-  s.pressure_residual = residual;
-  return s;
-}
+/// A RunHealth over its own step record, fed one step at a time the way
+/// Telemetry::end_step feeds it.
+struct HealthProbe {
+  explicit HealthProbe(telemetry::HealthConfig config)
+      : health(config, record) {}
+
+  void step(std::int64_t step, int p_it, double residual) {
+    record.step = step;
+    record.wall_seconds = 0.05 * static_cast<double>(step);
+    record.cfl = 0.4;
+    record.pressure_iterations = p_it;
+    record.pressure_residual = residual;
+    health.on_step();
+  }
+
+  telemetry::StepRecord record;
+  telemetry::RunHealth health;
+};
 
 TEST(RunHealth, FlagsIterationSpikes) {
   telemetry::HealthConfig config;
   config.heartbeat = 0;  // keep the log quiet
-  telemetry::MetricsRegistry metrics;
-  telemetry::RunHealth health(config, &metrics);
+  HealthProbe probe(config);
+  const telemetry::StepRecord& record = probe.record;
   // Improving residuals so stagnation never trips; steady 5-iteration solves.
   for (std::int64_t s = 1; s <= 5; ++s)
-    health.on_step(health_sample(s, 5, 1e-6 / static_cast<double>(s)));
-  EXPECT_EQ(health.anomaly_count(), 0);
+    probe.step(s, 5, 1e-6 / static_cast<double>(s));
+  EXPECT_EQ(record.anomalies, 0);
   // 40 iterations against a trailing mean of 5: above both the 3x factor and
   // the +8 margin.
-  health.on_step(health_sample(6, 40, 1e-8));
-  EXPECT_EQ(health.anomaly_count(), 1);
-  const telemetry::Metric* m = metrics.find("health.flags.iteration_spike");
-  ASSERT_NE(m, nullptr);
-  EXPECT_DOUBLE_EQ(m->value(), 1.0);
+  probe.step(6, 40, 1e-8);
+  EXPECT_EQ(record.anomalies, 1);
+  EXPECT_EQ(record.iteration_spikes, 1);
   // Exactly once per detection: a second spike is a second increment.
-  health.on_step(health_sample(7, 60, 1e-8));
-  EXPECT_DOUBLE_EQ(m->value(), 2.0);
-  const telemetry::Metric* agg = metrics.find("health.anomalies");
-  ASSERT_NE(agg, nullptr);
-  EXPECT_DOUBLE_EQ(agg->value(), 2.0);
+  probe.step(7, 60, 1e-8);
+  EXPECT_EQ(record.iteration_spikes, 2);
+  EXPECT_EQ(record.anomalies, 2);
 }
 
 TEST(RunHealth, FlagsResidualStagnation) {
   telemetry::HealthConfig config;
   config.heartbeat = 0;
   config.stagnation_run = 3;
-  telemetry::MetricsRegistry metrics;
-  telemetry::RunHealth health(config, &metrics);
+  HealthProbe probe(config);
+  const telemetry::StepRecord& record = probe.record;
   // Constant residual: steps 2..4 are non-improving, tripping at run 3.
-  for (std::int64_t s = 1; s <= 4; ++s)
-    health.on_step(health_sample(s, 5, 1e-6));
-  EXPECT_EQ(health.anomaly_count(), 1);
-  const telemetry::Metric* m = metrics.find("health.flags.residual_stagnation");
-  ASSERT_NE(m, nullptr);
-  EXPECT_DOUBLE_EQ(m->value(), 1.0);
-  // Continued stagnation within the same run does not re-flag: the counter
+  for (std::int64_t s = 1; s <= 4; ++s) probe.step(s, 5, 1e-6);
+  EXPECT_EQ(record.anomalies, 1);
+  EXPECT_EQ(record.residual_stagnations, 1);
+  // Continued stagnation within the same run does not re-flag: the count
   // records detections, not stagnant steps.
-  health.on_step(health_sample(5, 5, 1e-6));
-  EXPECT_EQ(health.anomaly_count(), 1);
-  EXPECT_DOUBLE_EQ(m->value(), 1.0);
+  probe.step(5, 5, 1e-6);
+  EXPECT_EQ(record.anomalies, 1);
+  EXPECT_EQ(record.residual_stagnations, 1);
   // An improving step resets the run; no immediate second flag.
-  health.on_step(health_sample(6, 5, 1e-9));
-  EXPECT_EQ(health.anomaly_count(), 1);
+  probe.step(6, 5, 1e-9);
+  EXPECT_EQ(record.anomalies, 1);
 }
 
 TEST(RunHealth, DigestSummarizesTheLastStep) {
   telemetry::HealthConfig config;
   config.heartbeat = 0;
-  telemetry::RunHealth health(config);  // no registry: metrics are optional
-  EXPECT_TRUE(health.last_digest().empty());
-  health.on_step(health_sample(3, 7, 2.5e-7));
-  const std::string& digest = health.last_digest();
+  HealthProbe probe(config);
+  EXPECT_TRUE(probe.health.last_digest().empty());
+  probe.step(3, 7, 2.5e-7);
+  const std::string& digest = probe.health.last_digest();
   EXPECT_NE(digest.find("health: step 3"), std::string::npos);
   EXPECT_NE(digest.find("p_it 7"), std::string::npos);
 }
@@ -187,17 +99,15 @@ TEST(RunHealth, DigestSummarizesTheLastStep) {
 TEST(RunHealth, CheckpointRetriesCountAsAnomalies) {
   telemetry::HealthConfig config;
   config.heartbeat = 0;
-  telemetry::MetricsRegistry metrics;
-  telemetry::RunHealth health(config, &metrics);
-  health.flag_checkpoint_retries(2, "ckpt/step42.felis");
-  EXPECT_EQ(health.anomaly_count(), 1);
-  const telemetry::Metric* m = metrics.find("health.flags.checkpoint_retry");
-  ASSERT_NE(m, nullptr);
-  EXPECT_DOUBLE_EQ(m->value(), 1.0);
+  HealthProbe probe(config);
+  const telemetry::StepRecord& record = probe.record;
+  probe.health.flag_checkpoint_retries(2, "ckpt/step42.felis");
+  EXPECT_EQ(record.anomalies, 1);
+  EXPECT_EQ(record.checkpoint_retry_flags, 1);
   // One detection per degraded write, however many retries it burned.
-  health.flag_checkpoint_retries(3, "ckpt/step43.felis");
-  EXPECT_DOUBLE_EQ(m->value(), 2.0);
-  EXPECT_EQ(health.anomaly_count(), 2);
+  probe.health.flag_checkpoint_retries(3, "ckpt/step43.felis");
+  EXPECT_EQ(record.checkpoint_retry_flags, 2);
+  EXPECT_EQ(record.anomalies, 2);
 }
 
 TEST(Telemetry, ConfigFromParamsReadsTelemetryKeys) {
@@ -227,6 +137,26 @@ std::vector<std::string> read_lines(const std::string& path) {
   std::string line;
   while (std::getline(in, line)) lines.push_back(line);
   return lines;
+}
+
+/// The keys of a step record's `metrics` object, in stream order. Values
+/// are numbers or flat `{...}` summaries; names carry no escapes.
+std::vector<std::string> metric_keys(const std::string& line) {
+  std::vector<std::string> keys;
+  const std::string open = R"("metrics":{)";
+  usize at = line.find(open);
+  if (at == std::string::npos) return keys;
+  for (at += open.size(); at < line.size() && line[at] == '"'; ++at) {
+    const usize end = line.find('"', at + 1);
+    if (end == std::string::npos) break;
+    keys.push_back(line.substr(at + 1, end - at - 1));
+    usize value = end + 2;  // past the closing quote and the colon
+    if (value < line.size() && line[value] == '{') value = line.find('}', value);
+    at = value < line.size() ? line.find_first_of(",}", value + 1)
+                             : std::string::npos;
+    if (at == std::string::npos || line[at] == '}') break;
+  }
+  return keys;
 }
 
 void expect_bitwise(const RealVec& a, const RealVec& b, const char* what) {
@@ -303,21 +233,26 @@ TEST_F(TelemetryRbc, ThreeStepRunStreamsOneRecordPerStep) {
   EXPECT_EQ(lines[0].rfind(R"({"type":"header","schema":1)", 0), 0u);
   EXPECT_NE(lines[0].find(R"("backend":"serial")"), std::string::npos);
   EXPECT_NE(lines[0].find(R"("degree":"5")"), std::string::npos);
-  // Every step record carries the acceptance metric set.
+  // Every step record carries the same 29 metrics in one order: sorted by
+  // name, the case's observables first and each summary before the count
+  // that sorts after it.
+  const std::vector<std::string> keys = {
+      "case.kinetic_energy", "case.nu_plate", "case.nu_volume",
+      "case.temperature_mean", "checkpoint.bytes", "checkpoint.retries",
+      "checkpoint.write_seconds", "checkpoint.writes", "device.arena_bytes",
+      "device.arena_high_water", "health.anomalies",
+      "health.flags.checkpoint_retry", "health.flags.iteration_spike",
+      "health.flags.residual_stagnation", "profile.bytes", "profile.flops",
+      "profile.message_bytes", "profile.messages", "profile.reductions",
+      "solver.cfl", "solver.divergence", "solver.dt",
+      "solver.pressure_iterations", "solver.pressure_residual",
+      "solver.projection_basis", "solver.scalar_iterations", "solver.time",
+      "solver.velocity_iterations", "telemetry.step_seconds"};
   for (int s = 1; s <= 3; ++s) {
     const std::string& line = lines[static_cast<usize>(s)];
     EXPECT_NE(line.find(R"("type":"step","step":)" + std::to_string(s)),
               std::string::npos);
-    for (const char* name :
-         {"solver.cfl", "solver.pressure_iterations",
-          "solver.velocity_iterations", "solver.pressure_residual",
-          "case.nu_volume", "checkpoint.writes", "checkpoint.retries",
-          "profile.flops", "telemetry.step_seconds", "health.anomalies",
-          "health.flags.iteration_spike", "health.flags.residual_stagnation",
-          "health.flags.checkpoint_retry"}) {
-      EXPECT_NE(line.find('"' + std::string(name) + '"'), std::string::npos)
-          << "step " << s << " record lacks " << name;
-    }
+    EXPECT_EQ(metric_keys(line), keys) << "step " << s << ": " << line;
   }
 
   // The Chrome trace merges profiler regions and step marks on one timeline.
@@ -330,17 +265,6 @@ TEST_F(TelemetryRbc, ThreeStepRunStreamsOneRecordPerStep) {
   EXPECT_NE(joined.find(R"("cat":"step")"), std::string::npos);
   EXPECT_NE(joined.find(R"("otherData")"), std::string::npos);
 
-  // The CSV summary opens with the metadata comments then the column header.
-  const std::vector<std::string> csv = read_lines(tel.summary_path());
-  ASSERT_GE(csv.size(), 4u);
-  EXPECT_EQ(csv[0].rfind("# ", 0), 0u);
-  bool saw_columns = false, saw_cfl = false;
-  for (const std::string& l : csv) {
-    if (l == "name,kind,value,count,sum,min,max") saw_columns = true;
-    if (l.rfind("solver.cfl,gauge,", 0) == 0) saw_cfl = true;
-  }
-  EXPECT_TRUE(saw_columns);
-  EXPECT_TRUE(saw_cfl);
 }
 
 TEST_F(TelemetryRbc, TraceCapKeepsTheFirstEventsAndCountsTheRest) {

@@ -43,10 +43,10 @@ Rules
   raw-clock           Library code (src/) must not read the clock directly
                       (steady_clock::now() and friends). Ad-hoc timing drifts
                       off the run's trace clock and never reaches the
-                      merged trace; time regions with Profiler and ad-hoc
-                      durations with telemetry::Stopwatch. Exempt: the clock
-                      owners themselves (common/profiler, common/trace
-                      and src/telemetry/).
+                      merged trace; time regions with Profiler, intervals
+                      with the run's TraceRecorder and other durations with
+                      felis::Stopwatch (common/trace.hpp). Exempt: the clock
+                      owners themselves (common/profiler and common/trace).
   case-registry       Scenario plugins are private to src/case/: outside it
                       (src/ and examples/), no file may include a plugin
                       header (case/rbc.hpp, case/ihc.hpp, ...) or name a
@@ -122,16 +122,14 @@ RENAME_FSYNC_EXEMPT = {
     os.path.join("src", "io", "durable_append.hpp"),
     os.path.join("src", "io", "durable_append.cpp"),
 }
-# Sanctioned clock owners: the profiler (region timing), the run's trace
-# recorder (the clock every interval lands on), and the telemetry layer that
-# reads it.
+# Sanctioned clock owners: the profiler (region timing) and the run's trace
+# recorder (the clock every interval lands on, and the Stopwatch beside it).
 CLOCK_EXEMPT = {
     os.path.join("src", "common", "profiler.hpp"),
     os.path.join("src", "common", "profiler.cpp"),
     os.path.join("src", "common", "trace.hpp"),
     os.path.join("src", "common", "trace.cpp"),
 }
-CLOCK_EXEMPT_DIRS = (os.path.join("src", "telemetry"),)
 # Sanctioned thread owners: the device backends (worker pools), the
 # threads-as-ranks communicator, the in-situ consumer, and the campaign
 # scheduler (whose whole job is budgeted thread accounting).
@@ -478,10 +476,9 @@ def check_raw_rename_fsync(root):
 def check_raw_clock(root):
     out = []
     exempt = {p.replace(os.sep, "/") for p in CLOCK_EXEMPT}
-    exempt_dirs = tuple(d.replace(os.sep, "/") + "/" for d in CLOCK_EXEMPT_DIRS)
     for path in iter_files(root, (LIBRARY_DIR,), {".hpp", ".cpp"}):
         relpath = rel(root, path)
-        if relpath in exempt or relpath.startswith(exempt_dirs):
+        if relpath in exempt:
             continue
         code = strip_comments_and_strings(open(path, encoding="utf-8").read())
         for lineno, line in enumerate(code.splitlines(), 1):
@@ -489,8 +486,8 @@ def check_raw_clock(root):
                 out.append(Violation(
                     relpath, lineno, "raw-clock",
                     "direct clock read in library code; time regions with "
-                    "Profiler (records into the run's trace) or ad-hoc "
-                    "durations with telemetry::Stopwatch"))
+                    "Profiler (records into the run's trace) or other "
+                    "durations with felis::Stopwatch (common/trace.hpp)"))
     return out
 
 
@@ -686,7 +683,7 @@ SEEDED = {
         "  auto t0 = std::chrono::steady_clock::now();\n"
         "  (void)t0;\n}\n"),
     "src/telemetry/clock_owner.cpp": (
-        None,  # the telemetry layer is a sanctioned clock owner
+        "raw-clock",  # the telemetry layer times on its recorder's clock
         "#include <chrono>\nvoid e() {\n"
         "  auto t0 = std::chrono::steady_clock::now();\n"
         "  (void)t0;\n}\n"),

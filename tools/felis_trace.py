@@ -4,12 +4,11 @@
 A felis run with `telemetry.enabled = true` produces
   <dir>/<basename>.ndjson       one JSON record per line: a `header` record
                                 (schema + run metadata) followed by `step`
-                                records with the full metric snapshot;
+                                records carrying the rank's step record;
   <dir>/<basename>.trace.json   a Chrome trace_event file of the run's one
                                 TraceRecorder: Profiler regions and stream
                                 intervals on one clock, with step
-                                boundaries as instant events;
-  <dir>/<basename>.summary.csv  final metric summary (kind/value/count/...).
+                                boundaries as instant events.
 
 The NDJSON stream uses crash-safe appends: every fsync'd prefix is a valid
 record stream, and a crash can leave at most one torn final line. Like the
@@ -56,7 +55,7 @@ import argparse
 import json
 import sys
 
-# Fields every step record's metric snapshot must contain (the acceptance
+# Fields every step record's `metrics` object must contain (the acceptance
 # contract of the telemetry layer: iteration counts, residuals, Nu, CFL and
 # checkpoint statistics are always present, even when zero).
 REQUIRED_METRICS = (

@@ -2,11 +2,14 @@
 //
 // Part A — measured on this machine from the real solver's Profiler tree
 // (laptop-scale run; communication is cheap here, so pressure's share is
-// smaller than at scale).
+// smaller than at scale), and each phase's measured counters beside the
+// workload model's at the window's measured iteration counts.
 // Part B — modelled at the paper's operating point (16,384 GCDs on LUMI,
 // 108M elements): pressure dominates with >85% of the step, exactly the
 // paper's pie chart.
 #include <cstdio>
+#include <map>
+#include <string>
 
 #include "bench_utils.hpp"
 #include "perfmodel/scaling.hpp"
@@ -22,7 +25,21 @@ int main() {
   const auto run = bench::make_rbc_run(comm, 1e5, 6, 1.5e-2);
   for (int i = 0; i < 8; ++i) run->sim->step();  // transient (order ramp)
   run->fine.prof->reset();
-  for (int i = 0; i < 20; ++i) run->sim->step();
+  // The model's charged counts for the same steps, priced one step at a time
+  // (GMRES's Gram–Schmidt grows with the step's iteration count).
+  PartitionStats part;
+  part.local_elements = run->fine.lmesh.num_elements();
+  std::map<std::string, OpCounters> model;
+  for (int i = 0; i < 20; ++i) {
+    const fluid::StepInfo info = run->sim->step();
+    SolverCounts counts;
+    counts.pressure_iterations = info.pressure_iterations;
+    counts.velocity_iterations = info.velocity_iterations;
+    counts.scalar_iterations = info.scalar_iterations;
+    for (const auto& [name, phase] :
+         estimate_step_workload(part, run->fine.space.degree, counts))
+      model[name] += phase.charged;
+  }
   const RegionNode* step = run->fine.prof->find("step");
   std::printf("A) measured on this machine (single rank, %d elements, N=6, "
               "20 steps):\n",
@@ -37,6 +54,40 @@ int main() {
   const double other = total - run->fine.prof->find("step")->child_seconds();
   std::printf("   %-12s %7.2f ms   %5.1f%%\n", "other", 1e3 * other / 20,
               100 * other / total);
+
+  // Measured counters per phase ("other" is the step outside the three
+  // solves) against the model's; the coarse grid is part of pressure.
+  const auto measured = [&run](const char* path) {
+    return run->fine.prof->find(path)->inclusive_counters();
+  };
+  OpCounters measured_other = measured("step");
+  for (const char* solve : {"step/pressure", "step/velocity", "step/scalar"}) {
+    const OpCounters c = measured(solve);
+    measured_other.flops -= c.flops;
+    measured_other.bytes -= c.bytes;
+    measured_other.reductions -= c.reductions;
+  }
+  const struct {
+    const char* phase;
+    OpCounters real, modelled;
+  } rows[] = {
+      {"pressure", measured("step/pressure"),
+       model["pressure"] + model["pressure_coarse"]},
+      {"velocity", measured("step/velocity"), model["velocity"]},
+      {"scalar", measured("step/scalar"), model["temperature"]},
+      {"other", measured_other, model["other"]},
+  };
+  std::printf("\n   %-12s %-27s%-27s%s\n", "per step",
+              "MFLOP meas / model (ratio)", "MB meas / model (ratio)",
+              "reductions meas / model");
+  for (const auto& r : rows)
+    std::printf("   %-12s %7.2f / %7.2f (%4.2f)   %7.2f / %7.2f (%4.2f)   "
+                "%5.1f / %5.1f (%4.2f)\n",
+                r.phase, 1e-6 * r.real.flops / 20, 1e-6 * r.modelled.flops / 20,
+                r.modelled.flops / r.real.flops, 1e-6 * r.real.bytes / 20,
+                1e-6 * r.modelled.bytes / 20, r.modelled.bytes / r.real.bytes,
+                r.real.reductions / 20, r.modelled.reductions / 20,
+                r.modelled.reductions / r.real.reductions);
 
   // ---- Part B: modelled at the paper's scale ------------------------------
   std::printf("\nB) modelled at 16,384 GCDs on LUMI (paper's Fig. 4 "

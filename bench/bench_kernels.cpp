@@ -6,8 +6,9 @@
 // Besides the normal console table, the binary writes BENCH_kernels.json —
 // one record per run with {kernel, degree, backend, threads, ns_per_iter,
 // GF/s, GB/s} — so CI and the perfmodel can consume the sweep without
-// scraping stdout. The flop/byte counts are analytic kernel models, not
-// hardware counters.
+// scraping stdout. The flop/byte counts are the kernels' declarations in
+// field/kernel_cost.hpp — the counts their Profiler charges and the perfmodel
+// read — not hardware counters.
 //
 // Thread-count encoding in the benchmark args: 0 = SerialBackend, k > 0 =
 // OpenMpBackend(k). A benchmark named BM_AxHelmholtz/5/2 is degree 5 on the
@@ -19,11 +20,13 @@
 #include <string>
 #include <vector>
 
+#include "field/kernel_cost.hpp"
 #include "operators/ops.hpp"
 #include "operators/setup.hpp"
 #include "precon/fdm.hpp"
 
 using namespace felis;
+namespace cost = felis::field::cost;
 
 namespace {
 
@@ -60,16 +63,16 @@ struct KernelFixture {
   }
 };
 
-/// Tag the run with the backend/thread info the JSON collector picks up.
-void annotate(benchmark::State& state, double flops_per_iter,
-              double bytes_per_iter) {
+/// Tag the run with the backend/thread info the JSON collector picks up, and
+/// with the rates of one iteration's declared counts.
+void annotate(benchmark::State& state, const OpCounters& per_iter) {
   state.counters["threads"] = static_cast<double>(state.range(1));
-  if (flops_per_iter > 0)
+  if (per_iter.flops > 0)
     state.counters["GF/s"] = benchmark::Counter(
-        flops_per_iter * 1e-9, benchmark::Counter::kIsIterationInvariantRate);
-  if (bytes_per_iter > 0)
+        per_iter.flops * 1e-9, benchmark::Counter::kIsIterationInvariantRate);
+  if (per_iter.bytes > 0)
     state.counters["GB/s"] = benchmark::Counter(
-        bytes_per_iter * 1e-9, benchmark::Counter::kIsIterationInvariantRate);
+        per_iter.bytes * 1e-9, benchmark::Counter::kIsIterationInvariantRate);
 }
 
 void sweep(benchmark::internal::Benchmark* b, std::initializer_list<int> degrees) {
@@ -88,11 +91,7 @@ void BM_AxHelmholtz(benchmark::State& state) {
     operators::ax_helmholtz(ctx, f.u, f.out, 1.0, 0.5);
     benchmark::DoNotOptimize(f.out.data());
   }
-  const double n = static_cast<double>(state.range(0)) + 1;
-  const double nelem = static_cast<double>(ctx.num_elements());
-  const double npe = std::pow(n, 3);
-  annotate(state, nelem * (12 * std::pow(n, 4) + 18 * npe),
-           nelem * 9 * npe * sizeof(real_t));  // u, out, 6 metrics, mass
+  annotate(state, cost::ax_helmholtz(ctx.space->n, ctx.num_elements(), true));
 }
 BENCHMARK(BM_AxHelmholtz)->Apply([](benchmark::internal::Benchmark* b) {
   sweep(b, {3, 5, 7, 9});
@@ -110,18 +109,13 @@ void BM_AxHelmholtzRef(benchmark::State& state) {
     operators::ax_helmholtz(ctx, f.u, f.out, 1.0, 0.5);
     benchmark::DoNotOptimize(f.out.data());
   }
-  const double n = static_cast<double>(state.range(0)) + 1;
-  const double nelem = static_cast<double>(ctx.num_elements());
-  const double npe = std::pow(n, 3);
-  annotate(state, nelem * (12 * std::pow(n, 4) + 18 * npe),
-           nelem * 9 * npe * sizeof(real_t));
+  annotate(state, cost::ax_helmholtz(ctx.space->n, ctx.num_elements(), true));
 }
 BENCHMARK(BM_AxHelmholtzRef)->Apply([](benchmark::internal::Benchmark* b) {
   sweep(b, {3, 5, 7, 9});
 });
 
-/// Advector::apply on a fixed velocity, flops as executed per element
-/// (field::advector_apply_flops).
+/// Advector::apply on a fixed velocity.
 void dealiased_advection(benchmark::State& state, bool reference) {
   KernelFixture f(static_cast<int>(state.range(0)),
                   static_cast<int>(state.range(1)));
@@ -134,11 +128,8 @@ void dealiased_advection(benchmark::State& state, bool reference) {
     adv.apply(f.u, f.out, 1.0);
     benchmark::DoNotOptimize(f.out.data());
   }
-  const double n = static_cast<double>(state.range(0)) + 1;
-  const double m = field::dealias_points(static_cast<int>(n));
-  const double nelem = static_cast<double>(ctx.num_elements());
-  annotate(state, nelem * field::advector_apply_flops(n, m),
-           nelem * (2 * std::pow(n, 3) + 4 * std::pow(m, 3)) * sizeof(real_t));
+  annotate(state, cost::advector_apply(ctx.space->n, ctx.space->nd,
+                                       ctx.num_elements()));
 }
 
 void BM_DealiasedAdvection(benchmark::State& state) {
@@ -167,11 +158,7 @@ void BM_FdmSchwarz(benchmark::State& state) {
     fdm.apply(f.u, f.out);
     benchmark::DoNotOptimize(f.out.data());
   }
-  const double n = static_cast<double>(state.range(0)) + 1;
-  const double nelem = static_cast<double>(ctx.num_elements());
-  // Six tensor sweeps (S and Sᵀ per direction) plus the diagonal scale.
-  annotate(state, nelem * (12 * std::pow(n, 4) + 2 * std::pow(n, 3)),
-           nelem * (3 * std::pow(n, 3) + 6 * n * n) * sizeof(real_t));
+  annotate(state, cost::fdm_apply(ctx.space->n, ctx.num_elements()));
 }
 BENCHMARK(BM_FdmSchwarz)->Apply([](benchmark::internal::Benchmark* b) {
   sweep(b, {3, 5, 7});
@@ -186,6 +173,10 @@ void BM_GatherScatter(benchmark::State& state) {
   // inf, so later iterations time denormal/inf arithmetic instead of the
   // kernel. Restore from a pristine copy outside the timed region.
   const RealVec pristine = f.u;
+  // The local phase's declared counts depend on which dofs the mesh shares:
+  // one untimed apply charges them to a Profiler.
+  Profiler counted;
+  ctx.gs->apply(f.u, gs::GsOp::kAdd, &counted);
   for (auto _ : state) {
     state.PauseTiming();
     f.u = pristine;
@@ -193,8 +184,7 @@ void BM_GatherScatter(benchmark::State& state) {
     ctx.gs->apply(f.u, gs::GsOp::kAdd);
     benchmark::DoNotOptimize(f.u.data());
   }
-  annotate(state, 0,
-           4.0 * static_cast<double>(ctx.num_dofs()) * sizeof(real_t));
+  annotate(state, counted.root().counters);
 }
 BENCHMARK(BM_GatherScatter)->Apply([](benchmark::internal::Benchmark* b) {
   sweep(b, {3, 7});
@@ -209,10 +199,7 @@ void BM_Grad(benchmark::State& state) {
     operators::grad(ctx, f.u, dx, dy, dz);
     benchmark::DoNotOptimize(dx.data());
   }
-  const double n = static_cast<double>(state.range(0)) + 1;
-  const double nelem = static_cast<double>(ctx.num_elements());
-  annotate(state, nelem * (6 * std::pow(n, 4) + 15 * std::pow(n, 3)),
-           nelem * 13 * std::pow(n, 3) * sizeof(real_t));
+  annotate(state, cost::grad(ctx.space->n, ctx.num_elements()));
 }
 BENCHMARK(BM_Grad)->Apply([](benchmark::internal::Benchmark* b) {
   sweep(b, {5, 7});

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "bench_utils.hpp"
+#include "field/kernel_cost.hpp"
 #include "perfmodel/machine.hpp"
 
 using namespace felis;
@@ -40,10 +41,11 @@ int main() {
   std::printf("  LUMI GCD:  %.3f B/flop   Leonardo A100: %.3f B/flop\n",
               lumi.device.mem_bandwidth / lumi.device.peak_flops,
               leo.device.mem_bandwidth / leo.device.peak_flops);
+  const OpCounters ax = field::cost::ax_helmholtz(8, 1, true);
   std::printf("  SEM ax kernel at N=7 streams ~%.2f B/flop -> memory bound on "
               "both devices,\n  matching the paper's emphasis on high-"
               "bandwidth architectures (S8.2).\n",
-              9.0 * 8 / (12.0 * 8 + 18));
+              ax.bytes / ax.flops);
   std::printf("\nAllreduce latency (8 B, model): ");
   for (const int p : {1024, 4096, 16384})
     std::printf("P=%d: %.0f us   ", p, lumi.allreduce_time(p, 8) * 1e6);

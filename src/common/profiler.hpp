@@ -10,9 +10,11 @@
 ///
 /// A `Profiler` instance is owned by one solver instance (one simulated rank).
 /// The region stack (push/pop/scope), reset() and report() are used from that
-/// rank's thread only; the counter-charging calls (add_flops/add_bytes/...)
-/// are atomic so kernels dispatched onto a device backend, or a solve shared
-/// between overlapped threads, may charge the current region concurrently.
+/// rank's thread only; the counter-charging calls (add/add_message/
+/// add_reduction) are atomic so kernels dispatched onto a device backend, or
+/// a solve shared between overlapped threads, may charge the current region
+/// concurrently. A kernel's compute charge is its declaration in
+/// field/kernel_cost.hpp, passed to add().
 #pragma once
 
 #include <atomic>
@@ -35,13 +37,25 @@ struct OpCounters {
   double msg_bytes = 0;   ///< bytes sent in point-to-point messages
   double reductions = 0;  ///< global reductions (allreduce) participated in
 
-  OpCounters& operator+=(const OpCounters& o) {
+  constexpr OpCounters& operator+=(const OpCounters& o) {
     flops += o.flops;
     bytes += o.bytes;
     messages += o.messages;
     msg_bytes += o.msg_bytes;
     reductions += o.reductions;
     return *this;
+  }
+  friend constexpr OpCounters operator+(OpCounters a, const OpCounters& b) {
+    return a += b;
+  }
+  /// Every member scaled: `count` calls of one kernel.
+  friend constexpr OpCounters operator*(OpCounters a, double count) {
+    a.flops *= count;
+    a.bytes *= count;
+    a.messages *= count;
+    a.msg_bytes *= count;
+    a.reductions *= count;
+    return a;
   }
 };
 
@@ -87,13 +101,8 @@ class Profiler {
   ScopedRegion scope(const std::string& name) { return ScopedRegion(*this, name); }
 
   /// Charge counters to the *current* region (thread-safe; see file comment).
-  void add_flops(double n) { charge(current_->counters.flops, n); }
-  void add_bytes(double n) { charge(current_->counters.bytes, n); }
-  void add_message(double bytes) {
-    charge(current_->counters.messages, 1);
-    charge(current_->counters.msg_bytes, bytes);
-  }
-  void add_reduction() { charge(current_->counters.reductions, 1); }
+  /// add() skips zero members, so a declared charge costs one atomic add per
+  /// counter it moves.
   void add(const OpCounters& c) {
     OpCounters& dst = current_->counters;
     charge(dst.flops, c.flops);
@@ -102,6 +111,11 @@ class Profiler {
     charge(dst.msg_bytes, c.msg_bytes);
     charge(dst.reductions, c.reductions);
   }
+  void add_message(double bytes) {
+    charge(current_->counters.messages, 1);
+    charge(current_->counters.msg_bytes, bytes);
+  }
+  void add_reduction() { charge(current_->counters.reductions, 1); }
 
   /// Reset all accumulated times/counters but keep the tree shape.
   void reset();
@@ -123,7 +137,8 @@ class Profiler {
 
  private:
   static void charge(double& counter, double n) {
-    std::atomic_ref<double>(counter).fetch_add(n, std::memory_order_relaxed);
+    if (n != 0)
+      std::atomic_ref<double>(counter).fetch_add(n, std::memory_order_relaxed);
   }
 
   using Clock = std::chrono::steady_clock;

@@ -393,6 +393,7 @@ StepInfo FlowSolver::step() {
           return acc;
         });
     fine_.comm->allreduce(&s, 1, comm::ReduceOp::kSum);
+    prof->add_reduction();
     info.divergence = std::sqrt(s);
   }
 

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "device/workspace.hpp"
+#include "field/kernel_cost.hpp"
 
 namespace felis::gs {
 
@@ -75,6 +76,13 @@ GatherScatter::GatherScatter(const std::vector<gidx_t>& node_ids,
     if (dof_start_[u + 1] - dof_start_[u] > 1) active_[u] = true;
   for (const auto& pos : shared_pos_)
     for (const lidx_t p : pos) active_[static_cast<usize>(p)] = true;
+  double active_ids = 0, active_dofs = 0;
+  for (usize u = 0; u < active_.size(); ++u) {
+    if (!active_[u]) continue;
+    active_ids += 1;
+    active_dofs += dof_start_[u + 1] - dof_start_[u];
+  }
+  local_cost_ = field::cost::gather_scatter_local(active_dofs, active_ids);
 }
 
 usize GatherScatter::send_doubles_per_apply() const {
@@ -142,7 +150,7 @@ void GatherScatter::apply(RealVec& field, GsOp op, Profiler* prof) const {
             field[static_cast<usize>(dofs_[static_cast<usize>(i)])] = val[u];
         }
       });
-  if (prof) prof->add_bytes(2.0 * static_cast<double>(num_dofs_ * sizeof(real_t)));
+  if (prof) prof->add(local_cost_);
 }
 
 const RealVec& GatherScatter::inverse_multiplicity() const {

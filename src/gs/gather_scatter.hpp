@@ -84,6 +84,7 @@ class GatherScatter {
   std::vector<int> neighbors_;
   std::vector<std::vector<lidx_t>> shared_pos_;
 
+  OpCounters local_cost_;     ///< one apply's local gather and scatter
   mutable RealVec inv_mult_;  // lazily built
 };
 

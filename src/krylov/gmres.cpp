@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "field/kernel_cost.hpp"
+
 namespace felis::krylov {
 
 SolveStats GmresSolver::solve(LinearOperator& op, Preconditioner& precon,
@@ -79,7 +81,9 @@ SolveStats GmresSolver::solve(LinearOperator& op, Preconditioner& precon,
               });
         }
         ctx_.comm->allreduce(dots.data(), dots.size(), comm::ReduceOp::kSum);
-        if (ctx_.prof) ctx_.prof->add_reduction();
+        if (ctx_.prof)
+          ctx_.prof->add(field::cost::gmres_batched_dots(
+              static_cast<double>(nd), static_cast<double>(dots.size())));
         for (int j = 0; j <= k; ++j) {
           h[static_cast<usize>(k)][static_cast<usize>(j)] = dots[static_cast<usize>(j)];
           operators::vec_axpy(dev, -dots[static_cast<usize>(j)],

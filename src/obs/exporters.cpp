@@ -21,7 +21,10 @@ std::string num(double v) {
 }
 
 std::string quoted(const std::string& s) {
-  return "\"" + telemetry::json_escape(s) + "\"";
+  std::string out = "\"";
+  out += telemetry::json_escape(s);
+  out += '"';
+  return out;
 }
 
 void emit_flat_map(std::ostringstream& os,

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "device/workspace.hpp"
+#include "field/kernel_cost.hpp"
 
 namespace felis::operators {
 
@@ -32,11 +33,7 @@ real_t glsc3(const Context& ctx, const RealVec& x, const RealVec& y,
       },
       kDofGrain);
   ctx.comm->allreduce(&s, 1, comm::ReduceOp::kSum);
-  if (ctx.prof) {
-    ctx.prof->add_flops(3.0 * static_cast<double>(x.size()));
-    ctx.prof->add_bytes(3.0 * static_cast<double>(x.size() * sizeof(real_t)));
-    ctx.prof->add_reduction();
-  }
+  if (ctx.prof) ctx.prof->add(field::cost::glsc3(static_cast<double>(x.size())));
   return s;
 }
 
@@ -60,7 +57,8 @@ void remove_mean(const Context& ctx, RealVec& x) {
       },
       kDofGrain);
   ctx.comm->allreduce(sums, 2, comm::ReduceOp::kSum);
-  if (ctx.prof) ctx.prof->add_reduction();
+  if (ctx.prof)
+    ctx.prof->add(field::cost::remove_mean(static_cast<double>(x.size())));
   vec_shift(ctx.dev(), -sums[0] / sums[1], x);
 }
 
@@ -78,7 +76,9 @@ void remove_null_component(const Context& ctx, RealVec& b) {
       },
       kDofGrain);
   ctx.comm->allreduce(sums, 2, comm::ReduceOp::kSum);
-  if (ctx.prof) ctx.prof->add_reduction();
+  if (ctx.prof)
+    ctx.prof->add(
+        field::cost::remove_null_component(static_cast<double>(b.size())));
   vec_shift(ctx.dev(), -sums[0] / sums[1], b);
 }
 
@@ -135,13 +135,7 @@ void ax_helmholtz(const Context& ctx, const RealVec& u, RealVec& out, real_t h1,
           }
         }
       });
-  if (ctx.prof) {
-    // 6 tensor contractions of 2n⁴ flops each + ~18n³ pointwise per element.
-    const double flops = static_cast<double>(nelem) *
-                         (12.0 * std::pow(n, 4) + 18.0 * std::pow(n, 3));
-    ctx.prof->add_flops(flops);
-    ctx.prof->add_bytes(10.0 * static_cast<double>(ctx.num_dofs() * sizeof(real_t)));
-  }
+  if (ctx.prof) ctx.prof->add(field::cost::ax_helmholtz(n, nelem, h2 != 0.0));
 }
 
 void grad(const Context& ctx, const RealVec& u, RealVec& dudx, RealVec& dudy,
@@ -173,9 +167,7 @@ void grad(const Context& ctx, const RealVec& u, RealVec& dudx, RealVec& dudy,
           }
         }
       });
-  if (ctx.prof)
-    ctx.prof->add_flops(static_cast<double>(ctx.num_elements()) *
-                        (6.0 * std::pow(n, 4) + 15.0 * std::pow(n, 3)));
+  if (ctx.prof) ctx.prof->add(field::cost::grad(n, ctx.num_elements()));
 }
 
 void div_weak(const Context& ctx, const RealVec& ux, const RealVec& uy,
@@ -222,9 +214,7 @@ void div_weak(const Context& ctx, const RealVec& ux, const RealVec& uy,
           for (lidx_t q = 0; q < npe; ++q) oe[q] += tmp[static_cast<usize>(q)];
         }
       });
-  if (ctx.prof)
-    ctx.prof->add_flops(static_cast<double>(ctx.num_elements()) *
-                        (6.0 * std::pow(n, 4) + 24.0 * std::pow(n, 3)));
+  if (ctx.prof) ctx.prof->add(field::cost::div_weak(n, ctx.num_elements()));
 }
 
 void div_strong(const Context& ctx, const RealVec& ux, const RealVec& uy,
@@ -289,7 +279,8 @@ RealVec diag_helmholtz(const Context& ctx, real_t h1, real_t h2) {
               }
         }
       });
-  ctx.gs->apply(diag, gs::GsOp::kAdd);
+  if (ctx.prof) ctx.prof->add(field::cost::diag_helmholtz(n, ctx.num_elements()));
+  ctx.gs->apply(diag, gs::GsOp::kAdd, ctx.prof);
   return diag;
 }
 
@@ -342,6 +333,7 @@ real_t cfl(const Context& ctx, const RealVec& ux, const RealVec& uy,
       /*grain=*/1);
   real_t global = std::max(worst, real_t{0}) * dt;
   ctx.comm->allreduce(&global, 1, comm::ReduceOp::kMax);
+  if (ctx.prof) ctx.prof->add(field::cost::cfl(n, ctx.num_elements()));
   return global;
 }
 
@@ -394,8 +386,7 @@ void Advector::set_velocity(const RealVec& cx, const RealVec& cy,
         }
       });
   if (ctx_.prof)
-    ctx_.prof->add_flops(static_cast<double>(ctx_.num_elements()) *
-                         field::advector_set_velocity_flops(sp.n, sp.nd));
+    ctx_.prof->add(field::cost::advector_set_velocity(n, m, ctx_.num_elements()));
 }
 
 void Advector::apply(const RealVec& u, RealVec& out, real_t sign) const {
@@ -453,8 +444,7 @@ void Advector::apply(const RealVec& u, RealVec& out, real_t sign) const {
         }
       });
   if (ctx_.prof)
-    ctx_.prof->add_flops(static_cast<double>(ctx_.num_elements()) *
-                         field::advector_apply_flops(n, m));
+    ctx_.prof->add(field::cost::advector_apply(n, m, ctx_.num_elements()));
 }
 
 // ---- backend-dispatched vector kernels --------------------------------------

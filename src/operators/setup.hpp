@@ -17,6 +17,9 @@ struct RankSetup {
   field::Space space;
   field::Coef coef;
   std::unique_ptr<gs::GatherScatter> gs;
+  /// The rank's Profiler (make_rank_setup builds one). Null in the coarse
+  /// companion setup: CoarseSolver charges the coarse grid's work to the
+  /// fine setup's Profiler.
   std::unique_ptr<Profiler> prof;
   comm::Communicator* comm = nullptr;
   device::Backend* backend = nullptr;  ///< null = process default

@@ -1,194 +1,184 @@
 #include "perfmodel/workload.hpp"
 
-#include <cmath>
-
+#include "field/kernel_cost.hpp"
 #include "field/space.hpp"
 
 namespace felis::perfmodel {
 
-namespace {
+namespace cost = field::cost;
 
-constexpr double kReal = sizeof(real_t);
-
-/// Footprints of the individual kernels, per element, matching the
-/// instrumentation formulas in operators/ops.cpp and precon/fdm.cpp.
-struct KernelShapes {
-  double n, npe, m, nd3;
-  explicit KernelShapes(int degree) {
-    n = degree + 1;
-    npe = n * n * n;
-    m = field::dealias_points(degree + 1);
-    nd3 = m * m * m;
-  }
-  double ax_flops() const { return 12 * npe * n + 18 * npe; }
-  double ax_bytes() const { return 9 * npe * kReal; }
-  double grad_flops() const { return 6 * npe * n + 15 * npe; }
-  double grad_bytes() const { return 13 * npe * kReal; }
-  double divw_flops() const { return 6 * npe * n + 24 * npe; }
-  double divw_bytes() const { return 14 * npe * kReal; }
-  double fdm_flops() const { return 12 * npe * n; }
-  double fdm_bytes() const { return 5 * npe * kReal; }
-  double adv_set_flops() const {
-    return field::advector_set_velocity_flops(n, m);
-  }
-  double adv_set_bytes() const { return (3 * npe + 13 * nd3) * kReal; }
-  double adv_apply_flops() const { return field::advector_apply_flops(n, m); }
-  double adv_apply_bytes() const { return (2 * npe + 6 * nd3) * kReal; }
-  /// Pointwise pass over `fields` field-sized arrays.
-  double pw_bytes(double fields) const { return fields * npe * kReal; }
-};
-
-}  // namespace
+/// Mean residual-projection basis over its restart cycle of 8 vectors.
+constexpr double kProjectionBasis = 4;
 
 StepWorkload estimate_step_workload(const PartitionStats& part, int degree,
                                     const SolverCounts& counts) {
-  const KernelShapes k(degree);
+  const double n = degree + 1;
+  const double m = field::dealias_points(degree + 1);
   const double e = part.local_elements;
-
-  // One fine gather-scatter: local gather/scatter passes + halo messages.
-  const auto fine_gs = [&](PhaseCost& c) {
-    c.bytes += 2 * e * k.npe * kReal;
-    c.launches += 2;
-    c.messages += part.neighbors;
-    c.message_bytes += part.shared_nodes * kReal;
+  const double dofs = e * n * n * n;
+  const double coarse_dofs = e * 8;
+  // `calls` BLAS-1 passes over the field touching `words` arrays.
+  const auto pass = [dofs](PhaseCost& c, double words, double flops,
+                           double calls = 1) {
+    c.add_passes(cost::vector_pass(dofs, words, flops), calls);
   };
-  // One global dot product (weighted): 3 array reads + allreduce.
-  const auto dot = [&](PhaseCost& c) {
-    c.flops += 3 * e * k.npe;
-    c.bytes += 3 * e * k.npe * kReal;
-    c.launches += 1;
-    c.reductions += 1;
+
+  // One gather–scatter: the declared local phase plus the halo messages.
+  const auto exchange = [&](PhaseCost& c, double degree_n, double shared_nodes,
+                            double calls = 1) {
+    OpCounters gs = cost::gather_scatter_conforming(degree_n, e);
+    gs.messages = part.neighbors;
+    gs.msg_bytes = shared_nodes * cost::kWord;
+    c.add(gs, 2, calls);
+  };
+  const auto fine_gs = [&](PhaseCost& c, double calls = 1) {
+    exchange(c, n, part.shared_nodes, calls);
+  };
+  // A Helmholtz operator apply: ax plus its assembly.
+  const auto helmholtz = [&](PhaseCost& c, bool mass_term, double calls = 1) {
+    c.add(cost::ax_helmholtz(n, e, mass_term), 1, calls);
+    fine_gs(c, calls);
+  };
+  // A Jacobi-PCG solve of `iterations` iterations (krylov::CgSolver): the
+  // residual, the first preconditioned residual, then per iteration the
+  // operator, three dots, two axpys, the preconditioner and the update.
+  const auto cg = [&](PhaseCost& c, double iterations) {
+    helmholtz(c, true);
+    pass(c, 3, 1);                   // r = b − A x
+    c.add(cost::glsc3(dofs), 1, 2);  // ‖r‖, <r,z>
+    pass(c, 3, 1);                   // z = r/d
+    pass(c, 2, 0);                   // p = z
+    helmholtz(c, true, iterations);
+    c.add(cost::glsc3(dofs), 1, 3 * iterations);
+    pass(c, 3, 2, 3 * iterations);  // axpy ×2, xpay
+    pass(c, 3, 1, iterations);      // z = r/d
   };
 
   StepWorkload load;
 
-  // ---- forcing / explicit terms (the "other" slice of Fig. 4) ------------
+  // ---- step outside the solves: CFL, forcing, extrapolation, divergence ----
   {
     PhaseCost c;
-    // Dealiased advection: set_velocity + 4 applies (u, v, w, T).
-    c.flops += e * (k.adv_set_flops() + 4 * k.adv_apply_flops());
-    c.bytes += e * (k.adv_set_bytes() + 4 * k.adv_apply_bytes());
-    c.launches += 4 + 4 * 13;
-    // Weak→strong conversions: 4 gather-scatters + pointwise scaling.
-    for (int i = 0; i < 4; ++i) fine_gs(c);
-    c.bytes += e * k.pw_bytes(8);
-    // ũ assembly (order-3 sums over 4 fields) and CFL + divergence checks.
-    c.bytes += e * k.pw_bytes(4 * 7);
-    c.flops += e * k.npe * 40;
-    c.launches += 10;
-    c.reductions += 2;  // CFL max + divergence norm
+    c.add(cost::cfl(n, e), 1);
+    // Dealiased advection: set_velocity, then u, v, w and T into zeroed
+    // weak forcings, with the buoyancy term on w.
+    c.add(cost::advector_set_velocity(n, m, e), 1);
+    c.add(cost::advector_apply(n, m, e), 1, 4);
+    pass(c, 1, 0, 4);
+    pass(c, 4, 3);
+    // Weak → strong: assemble and scale by the inverse mass, four fields.
+    fine_gs(c, 4);
+    pass(c, 3, 1, 4);
+    // ũ and T̃: zeroed, then three extrapolation terms of 5 flops each.
+    pass(c, 1, 0, 4);
+    pass(c, 4, 5, 12);
+    // Diagnostics: div_strong (three grads, a copy, two adds) and its norm,
+    // whose reduction the solver charges.
+    c.add(cost::grad(n, e), 1, 3);
+    pass(c, 2, 0);
+    pass(c, 3, 1, 2);
+    pass(c, 3, 4);
+    c.add(cost::counts(0, 0, 1), 0);
     load["other"] = c;
   }
 
   // ---- pressure: GMRES + hybrid Schwarz multigrid -------------------------
   {
-    PhaseCost c;
-    // RHS: div_weak + gs + mean removals.
-    c.flops += e * k.divw_flops();
-    c.bytes += e * k.divw_bytes();
-    c.launches += 4;
-    fine_gs(c);
-    c.reductions += 2;
     const double ip = counts.pressure_iterations;
-    // Per GMRES iteration: operator, preconditioner, orthogonalization.
-    PhaseCost iter;
-    // Operator: ax + gs.
-    iter.flops += e * k.ax_flops();
-    iter.bytes += e * k.ax_bytes();
-    iter.launches += 4;
-    fine_gs(iter);
-    // Preconditioner, fine term: FDM + gs + weighting.
-    iter.flops += e * k.fdm_flops();
-    iter.bytes += e * k.fdm_bytes() + e * k.pw_bytes(2);
-    iter.launches += 8;
-    fine_gs(iter);
-    // Preconditioner, coarse term: restrict, fixed-iteration PCG on the
-    // vertex grid (8 dofs/element before assembly), prolong.
-    iter.flops += e * (2 * 8 * k.n * 3);      // tensor transfers
-    iter.bytes += e * (k.npe + 16) * kReal * 2;
-    iter.launches += 6;
-    // (The coarse-grid PCG itself is tracked as its own phase,
-    // "pressure_coarse", so the overlap of §5.3 can be modelled — see
-    // scaling.cpp.)
-    // Batched classical Gram–Schmidt: the ~ip/2 basis dots stream 2 arrays
-    // each but fuse into ONE reduction; plus the norm reduction.
-    const double basis = ip / 2 + 1;
-    iter.flops += basis * 3 * e * k.npe;
-    iter.bytes += basis * e * k.pw_bytes(2)   // dots
-                  + basis * e * k.pw_bytes(2);  // subtraction updates
-    iter.launches += 2 * basis;
-    iter.reductions += 2;
-    c += iter.scaled(ip);
-    // Residual-projection pre/post: ~basis_size dots + 1 operator apply.
-    PhaseCost proj;
-    for (int d = 0; d < 8; ++d) dot(proj);
-    proj.flops += e * k.ax_flops();
-    proj.bytes += e * k.ax_bytes() + e * k.pw_bytes(16);
-    proj.launches += 12;
-    fine_gs(proj);
-    c += proj;
+    PhaseCost c;
+    // RHS: div_weak, its assembly, the 1/dt scale and the null component.
+    c.add(cost::div_weak(n, e), 1);
+    fine_gs(c);
+    pass(c, 2, 1);
+    c.add(cost::remove_null_component(dofs), 2);
+    // Residual projection before (basis dots, two axpys each) and after the
+    // solve (sum, one operator apply, A-orthonormalization, two norms).
+    c.add(cost::glsc3(dofs), 1, kProjectionBasis);
+    pass(c, 3, 2, 2 * kProjectionBasis);
+    pass(c, 1, 0);
+    pass(c, 2, 0, 2);
+    pass(c, 3, 1);
+    c.add(cost::remove_null_component(dofs), 2);
+    helmholtz(c, false);
+    c.add(cost::glsc3(dofs), 1, kProjectionBasis);
+    pass(c, 3, 2, 2 * kProjectionBasis);
+    c.add(cost::glsc3(dofs), 1, 2);
+    pass(c, 2, 1, 2);
+    c.add(cost::remove_mean(dofs), 2);
+    // GMRES, one restart cycle: the initial residual and its norm, then per
+    // iteration the preconditioner, the operator, the null component, the
+    // batched Gram–Schmidt (on average (ip+1)/2 basis vectors, one axpy
+    // each), the norm and the scaled new basis vector; finally the update
+    // Σ y_j z_j and the mean removal.
+    c.add((cost::remove_null_component(dofs) + cost::remove_mean(dofs)) * 2, 6);
+    helmholtz(c, false);
+    pass(c, 3, 1);
+    pass(c, 2, 1);
+    c.add(cost::glsc3(dofs), 1);
+    // Preconditioner, fine term: FDM, assembly, weighting; then z = zf + zc.
+    c.add(cost::fdm_apply(n, e), 3, ip);
+    fine_gs(c, ip);
+    pass(c, 3, 1, 2 * ip);
+    pass(c, 2, 0, ip);
+    helmholtz(c, false, ip);
+    c.add(cost::remove_null_component(dofs), 2, ip);
+    c.add(cost::gmres_batched_dots(dofs, (ip + 1) / 2), 1, ip);
+    pass(c, 3, 2, ip * (ip + 1) / 2);
+    c.add(cost::glsc3(dofs), 1, ip);
+    pass(c, 2, 1, ip);
+    pass(c, 3, 2, ip);  // back-substitution update
     load["pressure"] = c;
 
-    // Coarse-grid solve: ~10 Jacobi-PCG iterations on the vertex grid per
-    // GMRES iteration — tiny kernels (launch-latency bound) and two global
-    // reductions per iteration (latency bound at scale). This is the part
-    // the task-parallel preconditioner hides (§5.3, Fig. 2).
+    // Coarse term of each preconditioner apply (CoarseSolver::solve): the
+    // restriction and its assembly, the null component, a fixed-iteration
+    // Jacobi-PCG on the vertex grid, the null component and the
+    // prolongation. Tiny kernels and three reductions per iteration: the
+    // latency-bound part the task-parallel preconditioner hides (§5.3,
+    // Fig. 2), kept as its own phase so scaling.cpp can overlap it.
+    const double ic = counts.coarse_iterations;
+    const auto coarse_pass = [&](PhaseCost& c2, double words, double flops,
+                                 double calls) {
+      c2.add_passes(cost::vector_pass(coarse_dofs, words, flops), calls * ip);
+    };
     PhaseCost coarse;
-    const double ce_dofs = e * 8;
-    coarse.flops += counts.coarse_iterations * ce_dofs * 60;
-    coarse.bytes += counts.coarse_iterations * ce_dofs * 10 * kReal;
-    coarse.launches += counts.coarse_iterations * 6.0;
-    coarse.reductions += counts.coarse_iterations * 2.0 + 2;
-    coarse.messages += (counts.coarse_iterations + 1) * part.neighbors;
-    coarse.message_bytes +=
-        (counts.coarse_iterations + 1) * part.coarse_shared_nodes * kReal;
-    load["pressure_coarse"] = coarse.scaled(ip);
+    coarse.add(cost::coarse_restrict(n, e), 3, ip);
+    coarse.add(cost::remove_null_component(coarse_dofs), 2, 2 * ip);
+    coarse_pass(coarse, 1, 0, 1);
+    coarse.add(cost::ax_helmholtz(2, e, false), 1, (ic + 1) * ip);
+    exchange(coarse, 2, part.coarse_shared_nodes, (ic + 2) * ip);
+    coarse_pass(coarse, 3, 1, 2);
+    coarse_pass(coarse, 2, 0, 1);
+    coarse.add(cost::glsc3(coarse_dofs), 1, (2 + 3 * ic) * ip);
+    coarse_pass(coarse, 3, 2, 3 * ic);
+    coarse_pass(coarse, 3, 1, ic);
+    coarse.add(cost::coarse_prolong(n, e), 3, ip);
+    load["pressure_coarse"] = coarse;
   }
 
-  // ---- velocity: correction + 3 CG solves ---------------------------------
+  // ---- velocity: pressure gradient, then 3 Helmholtz CG solves ------------
   {
     PhaseCost c;
-    // ∇p + RHS assembly for 3 components + 3 gather-scatters.
-    c.flops += e * k.grad_flops();
-    c.bytes += e * k.grad_bytes() + e * k.pw_bytes(9);
-    c.launches += 8;
-    for (int i = 0; i < 3; ++i) fine_gs(c);
-    PhaseCost iter;
-    iter.flops += e * k.ax_flops();
-    iter.bytes += e * k.ax_bytes() + e * k.pw_bytes(6);
-    iter.launches += 8;
-    fine_gs(iter);
-    {
-      PhaseCost dc;
-      dot(dc);
-      iter += dc.scaled(3);  // <p,Ap>, <r,z>, convergence norm
-    }
-    c += iter.scaled(counts.velocity_iterations);
+    c.add(cost::grad(n, e), 1);
+    // Per component: RHS B(ũ/dt − ∂p), its assembly, the history copies.
+    pass(c, 4, 3, 3);
+    pass(c, 2, 0, 6);
+    fine_gs(c, 3);
+    for (int k = 0; k < 3; ++k) cg(c, counts.velocity_iterations / 3);
     load["velocity"] = c;
   }
 
-  // ---- temperature: 1 CG solve --------------------------------------------
+  // ---- temperature: 1 CG solve with Dirichlet lifting ---------------------
   {
     PhaseCost c;
-    c.bytes += e * k.pw_bytes(6);
-    c.launches += 4;
+    pass(c, 3, 2);  // RHS B T̃/dt
     fine_gs(c);
-    // Lifting: one extra operator apply.
-    c.flops += e * k.ax_flops();
-    c.bytes += e * k.ax_bytes();
-    c.launches += 4;
-    fine_gs(c);
-    PhaseCost iter;
-    iter.flops += e * k.ax_flops();
-    iter.bytes += e * k.ax_bytes() + e * k.pw_bytes(6);
-    iter.launches += 8;
-    fine_gs(iter);
-    {
-      PhaseCost dc;
-      dot(dc);
-      iter += dc.scaled(3);
-    }
-    c += iter.scaled(counts.scalar_iterations);
+    helmholtz(c, true);  // A T_bc
+    // rhs −= A T_bc, history and warm-start copies, the homogeneous start,
+    // and T = T_h + T_bc after the solve.
+    pass(c, 3, 2, 2);
+    pass(c, 2, 0, 4);
+    pass(c, 3, 1);
+    cg(c, counts.scalar_iterations);
     load["temperature"] = c;
   }
 
@@ -203,7 +193,7 @@ double phase_time(const Machine& machine, const PhaseCost& phase, int ranks) {
   // Halo exchanges: per message latency + bandwidth (messages to distinct
   // neighbours leave in sequence from one NIC queue).
   t += phase.messages * machine.network.latency +
-       phase.message_bytes / machine.network.bandwidth;
+       phase.msg_bytes / machine.network.bandwidth;
   if (phase.messages > 0) t += machine.network.gpu_sync_overhead;
   // Global reductions.
   t += phase.reductions * machine.allreduce_time(ranks, sizeof(real_t));

@@ -7,45 +7,38 @@
 /// step. These are derived from the discretization parameters (local element
 /// count, polynomial degree), the measured Krylov iteration counts of real
 /// felis runs, and the analytic partition statistics of the production mesh.
-/// The kernel footprints mirror operators/ops.cpp's instrumentation
-/// formulas, so a real run's Profiler counters validate the model (see
-/// tests/test_perfmodel.cpp).
+/// Every kernel the solver charges is priced by the same declaration its
+/// Profiler charge reads (field/kernel_cost.hpp), so a real run's counters
+/// validate the model phase by phase (PhaseCost::charged,
+/// tests/test_perfmodel.cpp). The model adds what the solver does not charge:
+/// the BLAS-1 passes (field::cost::vector_pass) and the kernel launches.
 #pragma once
 
 #include <map>
 #include <string>
 
+#include "common/profiler.hpp"
 #include "perfmodel/machine.hpp"
 
 namespace felis::perfmodel {
 
 /// Aggregated cost of one solver phase per time step (one rank).
-struct PhaseCost {
-  double flops = 0;
-  double bytes = 0;        ///< field + metric traffic (device memory)
-  double launches = 0;     ///< kernel launches (host latency)
-  double messages = 0;     ///< point-to-point halo messages
-  double message_bytes = 0;
-  double reductions = 0;   ///< global allreduces (Krylov dot products)
+struct PhaseCost : OpCounters {
+  double launches = 0;  ///< kernel launches (host latency)
+  /// The declared kernels' share of the counts above: what a real run's
+  /// Profiler records for this phase. The rest is BLAS-1 passes.
+  OpCounters charged;
 
-  PhaseCost& operator+=(const PhaseCost& o) {
-    flops += o.flops;
-    bytes += o.bytes;
-    launches += o.launches;
-    messages += o.messages;
-    message_bytes += o.message_bytes;
-    reductions += o.reductions;
-    return *this;
+  /// `calls` calls of a declared kernel of `launches_per` launches each.
+  void add(const OpCounters& kernel, double launches_per, double calls = 1) {
+    OpCounters::operator+=(kernel * calls);
+    charged += kernel * calls;
+    launches += launches_per * calls;
   }
-  PhaseCost scaled(double f) const {
-    PhaseCost c = *this;
-    c.flops *= f;
-    c.bytes *= f;
-    c.launches *= f;
-    c.messages *= f;
-    c.message_bytes *= f;
-    c.reductions *= f;
-    return c;
+  /// `calls` BLAS-1 passes of one launch each.
+  void add_passes(const OpCounters& pass, double calls = 1) {
+    OpCounters::operator+=(pass * calls);
+    launches += calls;
   }
 };
 

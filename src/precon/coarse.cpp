@@ -1,9 +1,19 @@
 #include "precon/coarse.hpp"
 
 #include "device/workspace.hpp"
+#include "field/kernel_cost.hpp"
 #include "quadrature/basis.hpp"
 
 namespace felis::precon {
+
+namespace {
+/// The coarse context charging `prof`: the coarse grid's work is part of the
+/// fine solve that calls it.
+operators::Context charging(operators::Context coarse, Profiler* prof) {
+  coarse.prof = prof;
+  return coarse;
+}
+}  // namespace
 
 operators::RankSetup make_coarse_setup(const mesh::HexMesh& global_mesh,
                                        comm::Communicator& comm,
@@ -17,7 +27,6 @@ operators::RankSetup make_coarse_setup(const mesh::HexMesh& global_mesh,
   // task-overlapped preconditioner and must use its own message stream.
   s.gs = std::make_unique<gs::GatherScatter>(s.lmesh, comm, /*channel=*/1,
                                              backend);
-  s.prof = std::make_unique<Profiler>();
   s.comm = &comm;
   s.backend = backend;
   return s;
@@ -25,7 +34,10 @@ operators::RankSetup make_coarse_setup(const mesh::HexMesh& global_mesh,
 
 CoarseSolver::CoarseSolver(const operators::Context& fine,
                            const operators::Context& coarse, int iterations)
-    : fine_(fine), coarse_(coarse), iterations_(iterations), cg_(coarse) {
+    : fine_(fine),
+      coarse_(charging(coarse, fine.prof)),
+      iterations_(iterations),
+      cg_(coarse_) {
   FELIS_CHECK_MSG(fine_.num_elements() == coarse_.num_elements(),
                   "fine/coarse partitions disagree");
   FELIS_CHECK(coarse_.space->degree == 1);
@@ -80,6 +92,8 @@ void CoarseSolver::restrict_residual(const RealVec& r_fine,
           kern.axis2(jt_, t2.data(), r_coarse.data() + base_c, 2, 2);
         }
       });
+  if (fine_.prof)
+    fine_.prof->add(field::cost::coarse_restrict(n, fine_.num_elements()));
   coarse_.gs->apply(r_coarse, gs::GsOp::kAdd, coarse_.prof);
 }
 
@@ -103,6 +117,8 @@ void CoarseSolver::prolong(const RealVec& z_coarse, RealVec& z_fine) const {
           kern.axis2(j_, t2.data(), z_fine.data() + base_f, n, n);
         }
       });
+  if (fine_.prof)
+    fine_.prof->add(field::cost::coarse_prolong(n, fine_.num_elements()));
 }
 
 void CoarseSolver::solve(const RealVec& r_fine, RealVec& z_fine) {

@@ -10,6 +10,11 @@
 /// degree-N GLL basis and the degree-1 (vertex) basis on the same mesh, with
 /// inverse-multiplicity weighting so interface residuals are partitioned,
 /// not double counted.
+///
+/// The coarse grid charges the fine context's Profiler (the rank's): its
+/// transfers, CG kernels, reductions and messages land in whatever region
+/// the caller has open (step/pressure/coarse, or step/pressure/overlapped in
+/// the task-parallel preconditioner).
 #pragma once
 
 #include <memory>
@@ -22,7 +27,8 @@ namespace felis::precon {
 class CoarseSolver {
  public:
   /// `fine` and `coarse` must describe the same elements in the same order
-  /// (same partition); `iterations` is the fixed PCG count.
+  /// (same partition); `iterations` is the fixed PCG count. Work is charged
+  /// to `fine.prof`; `coarse.prof` is not read.
   CoarseSolver(const operators::Context& fine, const operators::Context& coarse,
                int iterations = 10);
 
@@ -48,7 +54,8 @@ class CoarseSolver {
 };
 
 /// Build the degree-1 companion setup for a fine setup over the same global
-/// mesh (same RCB partition — partitioning is degree-independent).
+/// mesh (same RCB partition — partitioning is degree-independent). It has no
+/// Profiler of its own: CoarseSolver charges the fine setup's.
 /// `backend`: compute backend for the coarse contexts/GS; null = process
 /// default. Pass the same backend as the fine setup.
 operators::RankSetup make_coarse_setup(const mesh::HexMesh& global_mesh,

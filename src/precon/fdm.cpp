@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "device/workspace.hpp"
+#include "field/kernel_cost.hpp"
 #include "linalg/decomp.hpp"
 
 namespace felis::precon {
@@ -170,9 +171,7 @@ void FdmSolver::apply(const RealVec& r, RealVec& z) const {
     kern.axis2(st, t1.data(), z.data() + base, n, n);
   }
   });
-  if (ctx_.prof)
-    ctx_.prof->add_flops(static_cast<double>(ctx_.num_elements()) * 12.0 *
-                         std::pow(n, 4));
+  if (ctx_.prof) ctx_.prof->add(field::cost::fdm_apply(n, ctx_.num_elements()));
 }
 
 }  // namespace felis::precon

@@ -30,7 +30,9 @@ ManifestModel::ManifestModel(ManifestModelOptions opt) : opt_(std::move(opt)) {
 }
 
 std::string ManifestModel::case_id(int i) const {
-  return "c" + std::to_string(i);
+  std::string id = "c";
+  id += std::to_string(i);
+  return id;
 }
 
 int ManifestModel::threads_of(int i) const {

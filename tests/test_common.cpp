@@ -110,8 +110,10 @@ TEST(Profiler, CountersChargeCurrentRegionAndAggregate) {
   Profiler prof;
   {
     auto a = prof.scope("ax");
-    prof.add_flops(100);
-    prof.add_bytes(800);
+    OpCounters kernel;
+    kernel.flops = 100;
+    kernel.bytes = 800;
+    prof.add(kernel);
     {
       auto g = prof.scope("gs");
       prof.add_message(64);
@@ -122,6 +124,8 @@ TEST(Profiler, CountersChargeCurrentRegionAndAggregate) {
   const RegionNode* ax = prof.find("ax");
   ASSERT_NE(ax, nullptr);
   EXPECT_DOUBLE_EQ(ax->counters.flops, 100);
+  EXPECT_DOUBLE_EQ(ax->counters.bytes, 800);
+  EXPECT_DOUBLE_EQ(ax->counters.reductions, 0);
   const OpCounters inc = ax->inclusive_counters();
   EXPECT_DOUBLE_EQ(inc.messages, 2);
   EXPECT_DOUBLE_EQ(inc.msg_bytes, 96);
@@ -132,7 +136,9 @@ TEST(Profiler, ResetClearsValuesKeepsShape) {
   Profiler prof;
   {
     auto a = prof.scope("x");
-    prof.add_flops(5);
+    OpCounters kernel;
+    kernel.flops = 5;
+    prof.add(kernel);
   }
   prof.reset();
   const RegionNode* x = prof.find("x");
@@ -158,7 +164,7 @@ TEST(Profiler, PopWithoutPushThrows) {
 }
 
 TEST(Profiler, ConcurrentCounterChargingLosesNothing) {
-  // The add_* calls are the documented thread-safe subset: kernels dispatched
+  // The add calls are the documented thread-safe subset: kernels dispatched
   // onto a backend charge the current region concurrently. Totals must be
   // exact.
   Profiler prof;
@@ -170,8 +176,10 @@ TEST(Profiler, ConcurrentCounterChargingLosesNothing) {
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&prof] {
         for (int i = 0; i < kReps; ++i) {
-          prof.add_flops(2);
-          prof.add_bytes(16);
+          OpCounters kernel;
+          kernel.flops = 2;
+          kernel.bytes = 16;
+          prof.add(kernel);
           prof.add_message(8);
           prof.add_reduction();
         }

@@ -8,10 +8,13 @@
 #include <random>
 #include <string>
 
+#include "field/kernel_cost.hpp"
 #include "fluid/flow_solver.hpp"
+#include "krylov/gmres.hpp"
 #include "operators/ops.hpp"
 #include "operators/setup.hpp"
 #include "precon/coarse.hpp"
+#include "precon/fdm.hpp"
 
 namespace felis::operators {
 namespace {
@@ -310,39 +313,213 @@ TEST(AdvectorTest, EnergyConservationPeriodicBox) {
   EXPECT_LT(std::abs(energy), 1e-8 * std::max(scale, real_t(1)));
 }
 
-TEST(AdvectorTest, ChargesTheFlopsItExecutes) {
-  // One set_velocity plus one apply charge the per-element counts of the
-  // sweeps and products they run (n GLL, m = ⌈3n/2⌉ Gauss points).
-  const struct {
-    int degree;
-    double set_velocity, apply;
-  } cases[] = {
-      // n = 4, m = 6: 3·(2·6·64 + 2·36·16 + 2·216·4) + 21·216;
-      //               6·6·64 + 8·36·16 + 8·216·4 + 5·216 + 2·64.
-      {3, 15480, 15032},
-      // n = 8, m = 12: the counts behind the bench_kernels annotation.
-      {7, 211392, 230848},
-  };
-  mesh::BoxMeshConfig cfg;
-  cfg.nx = cfg.ny = cfg.nz = 2;
+/// One rank's kernels on a fully periodic 3×3×3 box: every element face is
+/// shared, so the gather–scatter's active dofs and ids are exactly
+/// field::cost::gather_scatter_conforming's.
+struct KernelBench {
   comm::SelfComm comm;
-  for (const auto& c : cases) {
-    const auto setup = make_rank_setup(make_box_mesh(cfg), c.degree, comm, true);
-    const Context ctx = setup.ctx();
-    const double elements = ctx.num_elements();
-    EXPECT_EQ(field::advector_set_velocity_flops(ctx.space->n, ctx.space->nd),
-              c.set_velocity);
-    EXPECT_EQ(field::advector_apply_flops(ctx.space->n, ctx.space->nd), c.apply);
-    Advector adv(ctx);
-    const RealVec one(ctx.num_dofs(), 1.0);
-    RealVec out(ctx.num_dofs(), 0.0);
-    setup.prof->reset();
-    adv.set_velocity(one, one, one);
-    EXPECT_EQ(setup.prof->root().inclusive_counters().flops,
-              elements * c.set_velocity);
-    adv.apply(one, out, 1.0);
-    EXPECT_EQ(setup.prof->root().inclusive_counters().flops,
-              elements * (c.set_velocity + c.apply));
+  mesh::HexMesh mesh;
+  RankSetup fine, coarse;
+  RealVec a, b, c, out, dx, dy, dz, coarse_vec;
+
+  explicit KernelBench(int degree) {
+    mesh::BoxMeshConfig cfg;
+    cfg.nx = cfg.ny = cfg.nz = 3;
+    cfg.periodic_x = cfg.periodic_y = cfg.periodic_z = true;
+    mesh = make_box_mesh(cfg);
+    fine = make_rank_setup(mesh, degree, comm, true);
+    coarse = precon::make_coarse_setup(mesh, comm);
+    const Context ctx = fine.ctx();
+    a = continuous_random_field(ctx, 1);
+    b = continuous_random_field(ctx, 2);
+    c = continuous_random_field(ctx, 3);
+    for (RealVec* v : {&out, &dx, &dy, &dz}) v->assign(ctx.num_dofs(), 0.0);
+    coarse_vec.assign(coarse.ctx().num_dofs(), 1.0);
+  }
+};
+
+TEST(KernelCost, EachKernelChargesItsDeclaration) {
+  namespace cost = field::cost;
+  // Per element, in flops and 8-byte words, at n = 4 (m = 6) and n = 8
+  // (m = 12), derived from each kernel's loops under kernel_cost.hpp's
+  // convention; dof-wise kernels sweep n³ points per element.
+  struct Row {
+    const char* kernel;
+    double flops[2];
+    double words[2];
+    double reductions;
+    OpCounters (*declared)(double n, double m);
+    /// Runs the kernel once; returns what else the call charges.
+    OpCounters (*run)(KernelBench&);
+  };
+  const Row rows[] = {
+      // x·y·w: 2 multiplies + 1 add, three arrays read: 3n³ each.
+      {"glsc3", {192, 1536}, {192, 1536}, 1,
+       [](double n, double) { return cost::glsc3(n * n * n); },
+       [](KernelBench& k) {
+         (void)glsc3(k.fine.ctx(), k.a, k.b, k.c);
+         return OpCounters{};
+       }},
+      // mass·w, Σ·x, Σ (4) + shift (1); mass, w, x read + x updated: 5n³.
+      {"remove_mean", {320, 2560}, {320, 2560}, 1,
+       [](double n, double) { return cost::remove_mean(n * n * n); },
+       [](KernelBench& k) {
+         remove_mean(k.fine.ctx(), k.a);
+         return OpCounters{};
+       }},
+      // Σ b·w, Σ w (3) + shift (1); b, w read + b updated: 4n³.
+      {"remove_null_component", {256, 2048}, {256, 2048}, 1,
+       [](double n, double) { return cost::remove_null_component(n * n * n); },
+       [](KernelBench& k) {
+         remove_null_component(k.fine.ctx(), k.a);
+         return OpCounters{};
+       }},
+      // Six n×n sweeps 12n⁴, metric products 15n³, scaled sum 5n³; u and
+      // six metrics read, out written: 8n³.
+      {"ax_helmholtz", {4352, 59392}, {512, 4096}, 0,
+       [](double n, double) { return cost::ax_helmholtz(n, 1, false); },
+       [](KernelBench& k) {
+         ax_helmholtz(k.fine.ctx(), k.a, k.out, 1.0, 0.0);
+         return OpCounters{};
+       }},
+      // With h2 ≠ 0: + h2·B·u (3n³) and the mass read.
+      {"ax_helmholtz+mass", {4544, 60928}, {576, 4608}, 0,
+       [](double n, double) { return cost::ax_helmholtz(n, 1, true); },
+       [](KernelBench& k) {
+         ax_helmholtz(k.fine.ctx(), k.a, k.out, 1.0, 0.5);
+         return OpCounters{};
+       }},
+      // Three n×n sweeps 6n⁴, three components of 5 flops; u and nine drdx
+      // read, three components written: 13n³.
+      {"grad", {2496, 32256}, {832, 6656}, 0,
+       [](double n, double) { return cost::grad(n, 1); },
+       [](KernelBench& k) {
+         grad(k.fine.ctx(), k.a, k.dx, k.dy, k.dz);
+         return OpCounters{};
+       }},
+      // Fluxes 18n³, mass scaling 3n³, three sweeps 6n⁴, sum 2n³; three
+      // components, nine drdx and mass read, out written: 14n³.
+      {"div_weak", {3008, 36352}, {896, 7168}, 0,
+       [](double n, double) { return cost::div_weak(n, 1); },
+       [](KernelBench& k) {
+         div_weak(k.fine.ctx(), k.a, k.b, k.c, k.out);
+         return OpCounters{};
+       }},
+      // Three n-term D² sums 6n⁴, cross terms 12n³, h1·v + h2·B 3n³; six
+      // metrics and mass read, diagonal written: 8n³. Assembled by a
+      // gather–scatter.
+      {"diag_helmholtz", {2496, 32256}, {512, 4096}, 0,
+       [](double n, double) { return cost::diag_helmholtz(n, 1); },
+       [](KernelBench& k) {
+         (void)diag_helmholtz(k.fine.ctx(), 1.0, 0.5);
+         return cost::gather_scatter_conforming(k.fine.space.n,
+                                                k.fine.ctx().num_elements());
+       }},
+      // Per axis 3 multiply-adds and |u|/Δr + sum: 24n³; velocity and nine
+      // drdx read: 12n³.
+      {"cfl", {1536, 12288}, {768, 6144}, 1,
+       [](double n, double) { return cost::cfl(n, 1); },
+       [](KernelBench& k) {
+         (void)cfl(k.fine.ctx(), k.a, k.b, k.c, 0.1);
+         return OpCounters{};
+       }},
+      // 3·(2mn³ + 2m²n² + 2m³n) + 21m³; three components, wjac and nine
+      // drdx on the Gauss grid read, three fluxes written: 3n³ + 13m³.
+      {"advector_set_velocity", {15480, 211392}, {3000, 24000}, 0,
+       [](double n, double m) { return cost::advector_set_velocity(n, m, 1); },
+       [](KernelBench& k) {
+         Advector adv(k.fine.ctx());
+         adv.set_velocity(k.a, k.b, k.c);
+         return OpCounters{};
+       }},
+      // 6mn³ + 8m²n² + 8m³n + 5m³ + 2n³; u and three fluxes read, out
+      // updated: 3n³ + 3m³. (set_velocity's charge is removed first.)
+      {"advector_apply", {15032, 230848}, {840, 6720}, 0,
+       [](double n, double m) { return cost::advector_apply(n, m, 1); },
+       [](KernelBench& k) {
+         Advector adv(k.fine.ctx());
+         adv.set_velocity(k.a, k.b, k.c);
+         adv.apply(k.a, k.out, 1.0);
+         const field::Space& sp = k.fine.space;
+         return cost::advector_set_velocity(sp.n, sp.nd,
+                                            k.fine.ctx().num_elements());
+       }},
+      // Two transforms of three n×n sweeps 12n⁴, λ sum and divide 3n³; r
+      // read, z written, six n×n matrices and three λ vectors: 2n³+6n²+3n.
+      {"fdm_apply", {3264, 50688}, {236, 1432}, 0,
+       [](double n, double) { return cost::fdm_apply(n, 1); },
+       [](KernelBench& k) {
+         const precon::FdmSolver fdm(k.fine.ctx());
+         k.fine.prof->reset();
+         fdm.apply(k.a, k.out);
+         return OpCounters{};
+       }},
+      // Surface nodes n³ − (n−2)³ active, 3(n−2)² + 3(n−2) + 1 ids:
+      // dofs − ids combines; every dof read and written, every id's partial
+      // written and read: 2·dofs + 2·ids.
+      {"gather_scatter_local", {37, 169}, {150, 846}, 0,
+       [](double n, double) { return cost::gather_scatter_conforming(n, 1); },
+       [](KernelBench& k) {
+         k.fine.gs->apply(k.a, gs::GsOp::kAdd, k.fine.prof.get());
+         return OpCounters{};
+       }},
+      // Weighting n³, Jᵀ sweeps 4n³ + 8n² + 16n; r and w read, 8 vertex
+      // values written: 2n³ + 8. Assembled by the coarse gather–scatter.
+      {"coarse_restrict", {512, 3200}, {136, 1032}, 0,
+       [](double n, double) { return cost::coarse_restrict(n, 1); },
+       [](KernelBench& k) {
+         const precon::CoarseSolver solver(k.fine.ctx(), k.coarse.ctx());
+         k.fine.prof->reset();
+         solver.restrict_residual(k.a, k.coarse_vec);
+         return cost::gather_scatter_conforming(2, k.fine.ctx().num_elements());
+       }},
+      // J sweeps 16n + 8n² + 4n³; 8 vertex values read, n³ written.
+      {"coarse_prolong", {448, 2688}, {72, 520}, 0,
+       [](double n, double) { return cost::coarse_prolong(n, 1); },
+       [](KernelBench& k) {
+         const precon::CoarseSolver solver(k.fine.ctx(), k.coarse.ctx());
+         k.fine.prof->reset();
+         solver.prolong(k.coarse_vec, k.out);
+         return OpCounters{};
+       }},
+      // One basis vector: w·v·weight, 3n³ flops and words. One GMRES
+      // iteration also applies the operator twice and takes two norms.
+      {"gmres_batched_dots", {192, 1536}, {192, 1536}, 1,
+       [](double n, double) { return cost::gmres_batched_dots(n * n * n, 1); },
+       [](KernelBench& k) {
+         const Context ctx = k.fine.ctx();
+         krylov::HelmholtzOperator op(ctx, 1.0, 0.0, {});
+         krylov::JacobiPrecon jacobi(diag_helmholtz(ctx, 1.0, 0.0));
+         k.fine.prof->reset();
+         const krylov::GmresSolver gmres(ctx);
+         (void)gmres.solve(op, jacobi, k.a, k.out, {0.0, 0.0, 1}, false);
+         const double e = ctx.num_elements(), n = k.fine.space.n;
+         return (cost::ax_helmholtz(n, e, false) +
+                 cost::gather_scatter_conforming(n, e) +
+                 cost::glsc3(e * n * n * n)) *
+                2;
+       }},
+  };
+  for (const int degree : {3, 7}) {
+    KernelBench bench(degree);
+    const double n = bench.fine.space.n, m = bench.fine.space.nd;
+    const double elements = bench.fine.ctx().num_elements();
+    const usize d = degree == 3 ? 0 : 1;
+    for (const Row& row : rows) {
+      SCOPED_TRACE(std::string(row.kernel) + " at degree " +
+                   std::to_string(degree));
+      const OpCounters declared = row.declared(n, m);
+      EXPECT_EQ(declared.flops, row.flops[d]);
+      EXPECT_EQ(declared.bytes, row.words[d] * sizeof(real_t));
+      EXPECT_EQ(declared.reductions, row.reductions);
+      bench.fine.prof->reset();
+      const OpCounters also = row.run(bench);
+      const OpCounters charged = bench.fine.prof->root().inclusive_counters();
+      EXPECT_EQ(charged.flops - also.flops, elements * row.flops[d]);
+      EXPECT_EQ(charged.bytes - also.bytes,
+                elements * row.words[d] * sizeof(real_t));
+      EXPECT_EQ(charged.reductions - also.reductions, row.reductions);
+    }
   }
 }
 

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "case/rbc.hpp"
 #include "gs/gather_scatter.hpp"
@@ -94,48 +96,75 @@ TEST(ProductionMeshStats, AnalyticPartitionMatchesRealMesh) {
 }
 
 TEST(Workload, CountersMatchRealSolverInstrumentation) {
-  // Run a real RBC step, then compare the model's flop estimate for the same
-  // (elements, degree, measured iterations) against the Profiler counters.
+  // Run real RBC steps, then compare the model's per-phase flops and bytes
+  // for the same (elements, degree, measured iterations) against the
+  // Profiler tree. Both price every charged kernel from one declaration
+  // (field/kernel_cost.hpp); the band covers what only one side counts:
+  // the model's BLAS-1 passes and its fixed projection basis, restart-free
+  // GMRES and full-length coarse CG, against the solver's actual control
+  // flow.
   mesh::BoxMeshConfig cfg;
   cfg.nx = cfg.ny = cfg.nz = 3;
   cfg.lx = cfg.ly = 2.0;
   cfg.periodic_x = cfg.periodic_y = true;
   const mesh::HexMesh mesh = make_box_mesh(cfg);
-  const int degree = 5;
   comm::SelfComm comm;
-  auto fine = operators::make_rank_setup(mesh, degree, comm, true);
-  auto coarse = precon::make_coarse_setup(mesh, comm);
-  rbc::RbcConfig rc;
-  rc.rayleigh = 1e5;
-  rc.dt = 0.01;
-  rc.perturbation_lx = 2.0;
-  rc.perturbation_ly = 2.0;
-  rc.flow.velocity_walls = {mesh::FaceTag::kBottom, mesh::FaceTag::kTop};
-  rbc::RbcSimulation sim(fine.ctx(), coarse.ctx(), rc);
-  sim.set_initial_conditions();
-  sim.step();  // warmup (startup order ramp, preconditioner setup)
-  fine.prof->reset();
-  const fluid::StepInfo info = sim.step();
+  device::SerialBackend serial;
+  for (const int degree : {3, 5, 7}) {
+    SCOPED_TRACE("degree " + std::to_string(degree));
+    auto fine = operators::make_rank_setup(mesh, degree, comm, true, true,
+                                           &serial);
+    auto coarse = precon::make_coarse_setup(mesh, comm, &serial);
+    rbc::RbcConfig rc;
+    rc.rayleigh = 1e5;
+    rc.dt = 0.01;
+    rc.perturbation_lx = 2.0;
+    rc.perturbation_ly = 2.0;
+    rc.flow.velocity_walls = {mesh::FaceTag::kBottom, mesh::FaceTag::kTop};
+    rbc::RbcSimulation sim(fine.ctx(), coarse.ctx(), rc);
+    sim.set_initial_conditions();
+    for (int i = 0; i < 3; ++i) sim.step();  // startup order ramp
+    fine.prof->reset();
+    const fluid::StepInfo info = sim.step();
 
-  const double measured_flops = fine.prof->find("step")->inclusive_counters().flops;
+    const Profiler& prof = *fine.prof;
+    const auto measured = [&prof](const char* path) {
+      return prof.find(path)->inclusive_counters();
+    };
+    OpCounters other = measured("step");
+    for (const char* solve : {"step/pressure", "step/velocity", "step/scalar"}) {
+      const OpCounters c = measured(solve);
+      other.flops -= c.flops;
+      other.bytes -= c.bytes;
+    }
 
-  SolverCounts counts;
-  counts.pressure_iterations = info.pressure_iterations;
-  counts.velocity_iterations = info.velocity_iterations;
-  counts.scalar_iterations = info.scalar_iterations;
-  PartitionStats part;
-  part.local_elements = mesh.num_elements();
-  part.neighbors = 0;
-  part.shared_nodes = 0;
-  part.coarse_shared_nodes = 0;
-  const StepWorkload load = estimate_step_workload(part, degree, counts);
-  double model_flops = 0;
-  for (const auto& [name, phase] : load) model_flops += phase.flops;
+    SolverCounts counts;
+    counts.pressure_iterations = info.pressure_iterations;
+    counts.velocity_iterations = info.velocity_iterations;
+    counts.scalar_iterations = info.scalar_iterations;
+    PartitionStats part;
+    part.local_elements = mesh.num_elements();
+    const StepWorkload load = estimate_step_workload(part, degree, counts);
+    const auto charged = [&load](const char* phase) {
+      return load.at(phase).charged;
+    };
 
-  // The model mirrors the instrumentation formulas; agreement to ~2× covers
-  // the deliberately-simplified pieces (coarse grid, pointwise passes).
-  EXPECT_GT(model_flops, measured_flops * 0.5);
-  EXPECT_LT(model_flops, measured_flops * 2.0);
+    const std::pair<const char*, std::pair<OpCounters, OpCounters>> phases[] = {
+        {"other", {charged("other"), other}},
+        {"pressure",
+         {charged("pressure") + charged("pressure_coarse"), measured("step/pressure")}},
+        {"velocity", {charged("velocity"), measured("step/velocity")}},
+        {"temperature", {charged("temperature"), measured("step/scalar")}},
+    };
+    for (const auto& [name, pair] : phases) {
+      const auto& [model, real] = pair;
+      SCOPED_TRACE(name);
+      EXPECT_GT(model.flops, 0.67 * real.flops);
+      EXPECT_LT(model.flops, 1.5 * real.flops);
+      EXPECT_GT(model.bytes, 0.67 * real.bytes);
+      EXPECT_LT(model.bytes, 1.5 * real.bytes);
+    }
+  }
 }
 
 TEST(EventSim, SerialChainSumsAndLaunchGapsCount) {
@@ -242,7 +271,9 @@ TEST(StrongScaling, PressureDominatesAtScale) {
   const double pressure = pred.phase_seconds.at("pressure");
   EXPECT_GT(pressure / pred.total, 0.6);
   for (const auto& [name, t] : pred.phase_seconds)
-    if (name != "pressure") EXPECT_LT(t, pressure) << name;
+    if (name != "pressure") {
+      EXPECT_LT(t, pressure) << name;
+    }
 }
 
 }  // namespace

@@ -231,11 +231,29 @@ TEST_P(HsmgRanks, OverlappedVariantMatchesSerialExactly) {
     HsmgPrecon serial(fctx, prob.coarse.ctx(), OverlapMode::kSerial);
     HsmgPrecon overlapped(fctx, prob.coarse.ctx(), OverlapMode::kTaskParallel);
     RealVec z1, z2;
+    Profiler& prof = *prob.fine.prof;
+    prof.reset();
     serial.apply(prob.rhs, z1);
+    const OpCounters by_serial = prof.root().inclusive_counters();
+    prof.reset();
     overlapped.apply(prob.rhs, z2);
+    const OpCounters by_overlapped = prof.root().inclusive_counters();
     ASSERT_EQ(z1.size(), z2.size());
     for (usize i = 0; i < z1.size(); ++i)
       ASSERT_NEAR(z1[i], z2[i], 1e-13) << "dof " << i;
+    // Both modes charge the same work to the rank's Profiler, the coarse
+    // grid's included: its CG's reductions (the fine term reduces nothing)
+    // and, across ranks, its messages beyond the fine term's one exchange.
+    EXPECT_EQ(by_serial.flops, by_overlapped.flops);
+    EXPECT_EQ(by_serial.bytes, by_overlapped.bytes);
+    EXPECT_EQ(by_serial.messages, by_overlapped.messages);
+    EXPECT_EQ(by_serial.msg_bytes, by_overlapped.msg_bytes);
+    EXPECT_EQ(by_serial.reductions, by_overlapped.reductions);
+    EXPECT_GT(by_serial.reductions, 0.0);
+    if (nranks > 1) {
+      EXPECT_GT(by_serial.messages,
+                static_cast<double>(prob.fine.gs->num_neighbors()));
+    }
   });
 }
 

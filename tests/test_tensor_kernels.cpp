@@ -182,12 +182,17 @@ TEST(TensorVariants, RectangularOpsBitwise) {
     const std::vector<AxisSlot> slots =
         axis_slots(field::TensorKernels::for_order(n));
     const int dealias = field::dealias_points(n);
+    const auto shape = [](int rows, int cols) {
+      std::string s = "/";
+      s += std::to_string(rows);
+      s += 'x';
+      s += std::to_string(cols);
+      return s;
+    };
     for (const int m : {2, dealias, n + 3})
-      expect_chain_bitwise(rng, slots, m, n,
-                           "/" + std::to_string(m) + "x" + std::to_string(n));
+      expect_chain_bitwise(rng, slots, m, n, shape(m, n));
     for (const int m : {dealias, 2})
-      expect_chain_bitwise(rng, slots, n, m,
-                           "/" + std::to_string(n) + "x" + std::to_string(m));
+      expect_chain_bitwise(rng, slots, n, m, shape(n, m));
   }
 }
 

@@ -17,7 +17,7 @@ std::unique_ptr<CaseSetup> build_case(const CaseInfo& info,
                                            setup->geometry.degree, comm,
                                            /*dealias=*/true,
                                            /*three_halves_rule=*/true, backend);
-  setup->coarse = precon::make_coarse_setup(setup->geometry.mesh, comm, backend);
+  setup->coarse = precon::make_coarse_setup(setup->geometry.mesh, comm);
 
   if (channel != nullptr && params.get_bool("telemetry.enabled", false)) {
     telemetry::TelemetryConfig tc = telemetry::config_from_params(params);

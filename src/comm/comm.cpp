@@ -1,11 +1,14 @@
 #include "comm/comm.hpp"
 
 #include <array>
+#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <exception>
 #include <mutex>
 #include <thread>
+
+#include "common/trace.hpp"
 
 // Locking discipline
 // ------------------
@@ -21,8 +24,19 @@
 // i.e. has finished reading bank g % 2. The generation counter also keeps a
 // rank that wakes late from counting toward the next rendezvous' quorum.
 //
-// All cross-rank happens-before edges therefore flow through the mutex,
-// which both TSan and the C++ memory model recognise.
+// A waiter first polls, as MPI's shared-memory transport does: for up to
+// kPollWindow it spins on an atomic counter outside the mutex (the
+// generation, or its mailbox's post count), yielding the core every
+// kPollsPerYield polls; only then does it take the mutex and sleep on the
+// condition variable. The counters are written only under the mutex, with
+// release stores, and the poll reads them with acquire loads: that edge
+// carries every slot or message written under the mutex before the store to
+// the poller, beside the mutex's own edges (TSan and the C++ memory model
+// recognise both). Sleepers are counted under the mutex, and the last
+// arriver or the sender notifies only when one is asleep; a waiter that
+// takes the mutex after the store sees the new count and never sleeps, so
+// no wake-up is lost. A failure is seen by a waiter once its poll window
+// has run out, in the condition-variable wait.
 namespace felis::comm {
 
 void SelfComm::send_bytes(int dest, int tag, const void* data, usize bytes) {
@@ -47,6 +61,29 @@ std::vector<std::byte> SelfComm::recv_bytes(int source, int tag) {
 
 namespace {
 
+/// How long a waiter spins before it sleeps. Measured on a 4-vCPU KVM host
+/// (DESIGN.md §7): a 2-rank lockstep allreduce takes 0.7–1.2 µs with any
+/// window from 10 to 200 µs against 7.3–7.7 µs with none, and a ping-pong
+/// round trip 1.3–2.2 against 14–16 µs. 50 µs keeps that on waits behind a
+/// peer that is a few tens of µs late, while a wait for a peer that is
+/// milliseconds behind sleeps after burning at most this window.
+constexpr double kPollWindow = 50e-6;
+/// Polls between yields of the core (and clock reads).
+constexpr int kPollsPerYield = 32;
+
+/// Spin until `ready()` or until the poll window has passed; true if ready.
+template <typename Ready>
+bool poll(Ready ready) {
+  const Stopwatch clock;
+  for (int polls = 1;; ++polls) {
+    if (ready()) return true;
+    if (polls % kPollsPerYield == 0) {
+      if (clock.seconds() > kPollWindow) return false;
+      std::this_thread::yield();
+    }
+  }
+}
+
 /// Shared state for one simulated world of R ranks.
 class SimWorld {
  public:
@@ -67,18 +104,26 @@ class SimWorld {
   const Bank& rendezvous(int rank, const void* data, usize bytes) {
     std::unique_lock<std::mutex> lock(mutex_);
     throw_if_failed();
-    const std::int64_t gen = generation_;
+    const std::int64_t gen = generation_.load(std::memory_order_relaxed);
     Bank& bank = banks_[static_cast<usize>(gen % 2)];
     const auto* mine = static_cast<const std::byte*>(data);
     bank[static_cast<usize>(rank)].assign(mine, mine + bytes);
     if (++arrived_ == nranks_) {
       arrived_ = 0;
-      ++generation_;
-      cv_.notify_all();
-    } else {
-      cv_.wait(lock, [&] { return generation_ != gen || error_; });
-      if (generation_ == gen) throw_if_failed();  // woken by a failure
+      generation_.store(gen + 1, std::memory_order_release);
+      if (sleepers_ > 0) cv_.notify_all();
+      return bank;
     }
+    lock.unlock();
+    const auto moved_on = [&] {
+      return generation_.load(std::memory_order_acquire) != gen;
+    };
+    if (poll(moved_on)) return bank;
+    lock.lock();
+    ++sleepers_;
+    cv_.wait(lock, [&] { return moved_on() || error_; });
+    --sleepers_;
+    if (!moved_on()) throw_if_failed();  // woken by a failure
     return bank;
   }
 
@@ -108,7 +153,9 @@ class SimWorld {
     if (bytes) std::memcpy(blob.data(), data, bytes);
     const std::lock_guard<std::mutex> lock(mutex_);
     box.messages.push_back({source, tag, std::move(blob)});
-    box.cv.notify_all();
+    box.posted.store(box.posted.load(std::memory_order_relaxed) + 1,
+                     std::memory_order_release);
+    if (box.sleepers > 0) box.cv.notify_all();
   }
 
   /// A message that has arrived is delivered even after a failure; only a
@@ -126,7 +173,18 @@ class SimWorld {
         }
       }
       throw_if_failed();
-      box.cv.wait(lock);
+      // Wait for the next post to this mailbox, then look again.
+      const std::uint64_t seen = box.posted.load(std::memory_order_relaxed);
+      const auto posted = [&] {
+        return box.posted.load(std::memory_order_acquire) != seen;
+      };
+      lock.unlock();
+      const bool arrived = poll(posted);
+      lock.lock();
+      if (arrived) continue;
+      ++box.sleepers;
+      box.cv.wait(lock, [&] { return posted() || error_; });
+      --box.sleepers;
     }
   }
 
@@ -151,6 +209,8 @@ class SimWorld {
   struct Mailbox {
     std::condition_variable cv;
     std::deque<Message> messages;
+    std::atomic<std::uint64_t> posted{0};  ///< messages ever sent here
+    int sleepers = 0;                      ///< receivers asleep on cv
   };
 
   void throw_if_failed() const {
@@ -162,7 +222,8 @@ class SimWorld {
   std::vector<Mailbox> mailboxes_;
   std::condition_variable cv_;  ///< rendezvous
   int arrived_ = 0;
-  std::int64_t generation_ = 0;
+  int sleepers_ = 0;  ///< ranks asleep on cv_
+  std::atomic<std::int64_t> generation_{0};
   std::array<Bank, 2> banks_;
   std::exception_ptr error_;  ///< the first error a rank threw
 };

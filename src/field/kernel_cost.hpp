@@ -182,20 +182,25 @@ constexpr OpCounters vector_pass(double dofs, double words, double flops) {
 
 // ---- gather–scatter (gs/gather_scatter.cpp) ---------------------------------
 
-/// The local gather and scatter over `ids` active ids holding `dofs` dofs:
-/// one combine per duplicate (dofs − ids); the gather reads every dof and
-/// writes one partial per id, the scatter reads it back and writes every dof.
-constexpr OpCounters gather_scatter_local(double dofs, double ids) {
-  return counts(dofs - ids, 2 * dofs + 2 * ids);
+/// The local gather and scatter over `ids` active ids holding `dofs` dofs,
+/// `shared` of those ids also held by another rank: one combine per
+/// duplicate (dofs − ids); every dof is read and written once, and each
+/// shared id's partial is written by the gather and read back for the
+/// scatter (the rank-local ids combine in registers).
+constexpr OpCounters gather_scatter_local(double dofs, double ids,
+                                          double shared) {
+  return counts(dofs - ids, 2 * dofs + 2 * shared);
 }
 
 /// The same on a conforming hex mesh whose element faces are all shared, for
 /// the model: every surface node of an element is active, and each id is
-/// shared by 2 (face), 4 (edge) or 8 (vertex) elements.
-constexpr OpCounters gather_scatter_conforming(double n, double e) {
+/// shared by 2 (face), 4 (edge) or 8 (vertex) elements; `shared` of the ids
+/// lie on the rank's boundary.
+constexpr OpCounters gather_scatter_conforming(double n, double e,
+                                               double shared) {
   const double inner = n - 2;
   return gather_scatter_local(e * (n * n * n - inner * inner * inner),
-                              e * (3 * inner * inner + 3 * inner + 1));
+                              e * (3 * inner * inner + 3 * inner + 1), shared);
 }
 
 }  // namespace felis::field::cost

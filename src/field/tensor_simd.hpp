@@ -25,7 +25,9 @@
 ///  * n×n — `ax_helmholtz`, `grad`, `div_weak`, FDM, the modal transform;
 ///  * m×n and n×m — the dealiased `Advector` and `interp3`;
 ///  * 2×n and n×2 — the coarse-grid restriction and prolongation;
-/// and every other shape to the reference kernel.
+/// and every other shape to the reference kernel. The degree-1 coarse grid
+/// (n = 2) has its own row: its 2×2 sweeps are the coarse CG's
+/// `ax_helmholtz`, which runs ~10 times per preconditioner apply.
 ///
 /// operators::Context carries the table into every hot-path caller
 /// (felis-lint's `raw-tensor-call` rule keeps direct apply_axis* calls out of
@@ -246,8 +248,9 @@ struct TensorKernels {
   }
 
   /// The table for n nodes per direction (degree + 1), a pure function of n:
-  /// at n = 4, 6, 8, 10, 12 every slot is the order-N router above; at any
-  /// other n every slot is the reference kernel (DESIGN.md §13).
+  /// at n = 2 (the coarse grid), 4, 6, 8, 10, 12 every slot is the order-N
+  /// router above; at any other n every slot is the reference kernel
+  /// (DESIGN.md §13).
   static TensorKernels for_order(int n);
 };
 
@@ -261,6 +264,7 @@ TensorKernels order_kernels() {
 
 inline TensorKernels TensorKernels::for_order(int n) {
   switch (n) {
+    case 2: return detail::order_kernels<2>();
     case 4: return detail::order_kernels<4>();
     case 6: return detail::order_kernels<6>();
     case 8: return detail::order_kernels<8>();

@@ -8,10 +8,16 @@
 /// in two phases, one for the local and one for the shared elements between
 /// different MPI ranks." (§6)
 ///
-/// felis implements exactly this: a rank-local gather over nodes duplicated
-/// within the rank, a neighbour exchange of partial results for nodes shared
-/// across ranks (canonically ordered by global id so both sides agree), and
-/// a scatter writing the combined value back to every duplicate.
+/// felis implements exactly this, over two index lists built once:
+///  * rank-local groups (an id duplicated within the rank and on no other
+///    rank) are gathered and scattered in one pass over their dofs;
+///  * shared groups (an id some other rank also holds) are gathered into a
+///    partial per group, exchanged with the neighbours (canonically ordered
+///    by global id so both sides agree), combined and scattered back.
+/// Ids held by one dof and no other rank are in neither list. Every group
+/// combines its dofs in ascending-id sort order, then (shared groups) the
+/// neighbours' partials in ascending rank order, so the result is the same
+/// bits on any backend and at any thread count.
 ///
 /// The operator also reports its communication footprint (neighbour count,
 /// doubles exchanged), which feeds the strong-scaling performance model.
@@ -68,19 +74,27 @@ class GatherScatter {
     return backend_ != nullptr ? *backend_ : device::default_backend();
   }
 
+  /// Dofs of group g are dofs[start[g] .. start[g+1]), in sort order.
+  struct Groups {
+    std::vector<lidx_t> start{0};
+    std::vector<lidx_t> dofs;
+    lidx_t size() const { return static_cast<lidx_t>(start.size()) - 1; }
+  };
+
+  /// apply() with the op resolved to `combine`.
+  template <typename Combine>
+  void apply_op(RealVec& field, Combine combine, Profiler* prof) const;
+
   comm::Communicator& comm_;
   device::Backend* backend_ = nullptr;  ///< null = process default
   usize num_dofs_ = 0;
   int tag_ = 0;
-  std::vector<bool> active_;  ///< unique ids needing gather/scatter work
 
-  // Unique ids needing work (duplicated locally and/or shared across ranks),
-  // CSR-style: dofs of unique id u are dofs_[dof_start_[u] .. dof_start_[u+1]).
-  std::vector<lidx_t> dof_start_;
-  std::vector<lidx_t> dofs_;
+  Groups local_;   ///< ids duplicated on this rank only
+  Groups shared_;  ///< ids another rank also holds, by ascending global id
 
   // Shared-node exchange: for neighbour i, shared_pos_[i] lists indices into
-  // the unique-id arrays, ordered by ascending global id on both sides.
+  // shared_, ordered by ascending global id on both sides.
   std::vector<int> neighbors_;
   std::vector<std::vector<lidx_t>> shared_pos_;
 

@@ -29,7 +29,8 @@ PreconSchedule build_precon_schedule(const Machine& machine, double elements,
   // multiplicity weighting.
   const double transform = run(cost::fdm_transform(n, elements));
   const double diagonal = run(cost::fdm_diagonal(n, elements));
-  const double gs_half = run(cost::gather_scatter_conforming(n, elements) * 0.5);
+  const double gs_half =
+      run(cost::gather_scatter_conforming(n, elements, part.shared_nodes) * 0.5);
   const double halo_wait = halo(part.shared_nodes);
   const double weight = run(cost::vector_pass(dofs, 3, 1));
 
@@ -38,7 +39,8 @@ PreconSchedule build_precon_schedule(const Machine& machine, double elements,
   const double restriction = run(cost::coarse_restrict(n, elements));
   const double prolongation = run(cost::coarse_prolong(n, elements));
   const double coarse_ax = run(cost::ax_helmholtz(2, elements, false));
-  const double coarse_gs = run(cost::gather_scatter_conforming(2, elements));
+  const double coarse_gs = run(
+      cost::gather_scatter_conforming(2, elements, part.coarse_shared_nodes));
   const double coarse_dot = run(cost::glsc3(coarse_dofs));
   const double coarse_axpy = run(cost::vector_pass(coarse_dofs, 3, 2));
   const double coarse_jacobi = run(cost::vector_pass(coarse_dofs, 3, 1));

@@ -24,9 +24,11 @@ StepWorkload estimate_step_workload(const PartitionStats& part, int degree,
   };
 
   // One gather–scatter: the declared local phase plus the halo messages.
+  // The doubles sent stand in for the shared ids (an id on two neighbours'
+  // interfaces counts twice).
   const auto exchange = [&](PhaseCost& c, double degree_n, double shared_nodes,
                             double calls = 1) {
-    OpCounters gs = cost::gather_scatter_conforming(degree_n, e);
+    OpCounters gs = cost::gather_scatter_conforming(degree_n, e, shared_nodes);
     gs.messages = part.neighbors;
     gs.msg_bytes = shared_nodes * cost::kWord;
     c.add(gs, 2, calls);

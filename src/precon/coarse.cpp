@@ -16,8 +16,8 @@ operators::Context charging(operators::Context coarse, Profiler* prof) {
 }  // namespace
 
 operators::RankSetup make_coarse_setup(const mesh::HexMesh& global_mesh,
-                                       comm::Communicator& comm,
-                                       device::Backend* backend) {
+                                       comm::Communicator& comm) {
+  static device::SerialBackend serial;
   operators::RankSetup s;
   auto locals = mesh::distribute_mesh(global_mesh, 1, comm.size());
   s.lmesh = std::move(locals[static_cast<usize>(comm.rank())]);
@@ -26,10 +26,17 @@ operators::RankSetup make_coarse_setup(const mesh::HexMesh& global_mesh,
   // Channel 1: the coarse GS runs concurrently with the fine GS inside the
   // task-overlapped preconditioner and must use its own message stream.
   s.gs = std::make_unique<gs::GatherScatter>(s.lmesh, comm, /*channel=*/1,
-                                             backend);
+                                             &serial);
   s.comm = &comm;
-  s.backend = backend;
+  s.backend = &serial;
+  s.kernels = field::TensorKernels::for_order(s.space.n);
   return s;
+}
+
+operators::RankSetup make_coarse_setup(const mesh::HexMesh& global_mesh,
+                                       comm::Communicator& comm,
+                                       device::Backend* /*backend*/) {
+  return make_coarse_setup(global_mesh, comm);
 }
 
 CoarseSolver::CoarseSolver(const operators::Context& fine,
@@ -74,7 +81,7 @@ void CoarseSolver::restrict_residual(const RealVec& r_fine,
   const field::TensorKernels& kern = fine_.kern();
   const RealVec& w = fine_.gs->inverse_multiplicity();
   r_coarse.assign(coarse_.num_dofs(), 0.0);
-  fine_.dev().parallel_for_blocked(
+  coarse_.dev().parallel_for_blocked(
       fine_.num_elements(), /*grain=*/0, [&](lidx_t e0, lidx_t e1, int /*worker*/) {
         device::WorkspaceFrame scratch;
         RealVec& rw = scratch.vec(static_cast<usize>(npe_f));
@@ -102,7 +109,7 @@ void CoarseSolver::prolong(const RealVec& z_coarse, RealVec& z_fine) const {
   const lidx_t npe_f = fine_.space->nodes_per_element();
   const field::TensorKernels& kern = fine_.kern();
   z_fine.resize(fine_.num_dofs());
-  fine_.dev().parallel_for_blocked(
+  coarse_.dev().parallel_for_blocked(
       fine_.num_elements(), /*grain=*/0, [&](lidx_t e0, lidx_t e1, int /*worker*/) {
         device::WorkspaceFrame scratch;
         RealVec& t1 = scratch.vec(static_cast<usize>(n) * 4);

@@ -9,7 +9,10 @@
 /// Restriction/prolongation are the tensor-product transfers between the
 /// degree-N GLL basis and the degree-1 (vertex) basis on the same mesh, with
 /// inverse-multiplicity weighting so interface residuals are partitioned,
-/// not double counted.
+/// not double counted. They sweep the fine elements but run on the coarse
+/// context's backend (serial, see make_coarse_setup) like the rest of the
+/// solve: in the task-overlapped preconditioner they run on the coarse
+/// stream's thread while the Schwarz smoother holds the fine backend's team.
 ///
 /// The coarse grid charges the fine context's Profiler (the rank's): its
 /// transfers, CG kernels, reductions and messages land in whatever region
@@ -55,11 +58,18 @@ class CoarseSolver {
 
 /// Build the degree-1 companion setup for a fine setup over the same global
 /// mesh (same RCB partition — partitioning is degree-independent). It has no
-/// Profiler of its own: CoarseSolver charges the fine setup's.
-/// `backend`: compute backend for the coarse contexts/GS; null = process
-/// default. Pass the same backend as the fine setup.
+/// Profiler of its own: CoarseSolver charges the fine setup's. It carries the
+/// n = 2 kernel table and always runs on the serial backend, whatever the
+/// fine setup's: at 8 dofs per element its loops are too short to pay for
+/// waking a team (DESIGN.md §13). Serial and OpenMP are bitwise equal, so
+/// this changes no result.
+operators::RankSetup make_coarse_setup(const mesh::HexMesh& global_mesh,
+                                       comm::Communicator& comm);
+
+/// The same; `backend` is ignored. Kept only for felis_bench's call, which
+/// still passes the fine setup's backend.
 operators::RankSetup make_coarse_setup(const mesh::HexMesh& global_mesh,
                                        comm::Communicator& comm,
-                                       device::Backend* backend = nullptr);
+                                       device::Backend* backend);
 
 }  // namespace felis::precon

@@ -132,8 +132,8 @@ TEST_P(BackendEquivalence, DotsAndCflBitwise) {
 TEST_P(BackendEquivalence, FullRbcStepBitwise) {
   // End-to-end: pressure GMRES + HSMG, velocity/temperature CG, advection,
   // forcing — a few full time steps must be bit-identical across backends.
-  auto cs_setup = precon::make_coarse_setup(mesh_, comm_, &serial_);
-  auto cp_setup = precon::make_coarse_setup(mesh_, comm_, &omp_);
+  auto cs_setup = precon::make_coarse_setup(mesh_, comm_);
+  auto cp_setup = precon::make_coarse_setup(mesh_, comm_);
   rbc::RbcConfig config;
   config.rayleigh = 1e4;
   config.dt = 2e-2;

@@ -187,6 +187,59 @@ TEST_P(SimCommRanks, AFailingRankFailsItsWorld) {
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, SimCommRanks, ::testing::Values(1, 2, 4, 7));
 
+// A waiter polls for a bounded window, then sleeps on a condition variable.
+// A peer that arrives long after the window must still complete the
+// collective and the receive with the right values (the sleeping path).
+TEST(SimCommWaits, ALatePeerCompletesTheBlockingPath) {
+  run_parallel(2, [&](Communicator& comm) {
+    const bool late = comm.rank() == 1;
+    for (int round = 0; round < 3; ++round) {
+      if (late) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      const real_t sum =
+          comm.allreduce_scalar(real_t(comm.rank() + 1 + round), ReduceOp::kSum);
+      EXPECT_EQ(sum, 3.0 + 2 * round) << "round " << round;
+      if (late) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        comm.send_vec(0, 9, std::vector<real_t>{1.5 * round, -2.0});
+      } else {
+        EXPECT_EQ(comm.recv_vec<real_t>(1, 9),
+                  (std::vector<real_t>{1.5 * round, -2.0}))
+            << "round " << round;
+      }
+    }
+  });
+}
+
+// A peer that throws while the other rank polls (right after that rank
+// enters the allreduce or the receive) makes it raise PeerFailed.
+TEST(SimCommWaits, APeerThatThrowsDuringThePollFailsTheWaiter) {
+  for (const bool in_recv : {false, true}) {
+    std::atomic<bool> waiting{false};
+    std::atomic<int> peers_failed{0};
+    EXPECT_THROW(
+        run_parallel(2, [&](Communicator& comm) {
+          if (comm.rank() == 1) {
+            while (!waiting.load()) std::this_thread::yield();
+            throw RankError("rank 1 failed");
+          }
+          try {
+            waiting.store(true);
+            if (in_recv)
+              comm.recv_bytes(1, 3);
+            else
+              comm.allreduce_scalar(real_t{1}, ReduceOp::kSum);
+          } catch (const PeerFailed&) {
+            peers_failed.fetch_add(1);
+            throw;
+          }
+          ADD_FAILURE() << "rank 0 passed a failed rank's "
+                        << (in_recv ? "receive" : "allreduce");
+        }),
+        RankError);
+    EXPECT_EQ(peers_failed.load(), 1) << (in_recv ? "receive" : "allreduce");
+  }
+}
+
 /// Sum one value per rank across a simulated world while forcing the order
 /// in which ranks reach the allreduce: the rank at position k of `arrival`
 /// sleeps k * 40 ms first. Returns every rank's result.

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <map>
+#include <sstream>
 
 #include "comm/comm.hpp"
+#include "device/backend.hpp"
 #include "gs/gather_scatter.hpp"
 #include "mesh/hex_mesh.hpp"
 #include "mesh/partition.hpp"
@@ -195,6 +198,81 @@ TEST_P(GatherScatterParallel, MaskPropagationWithMinOp) {
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, GatherScatterParallel,
                          ::testing::Values(1, 2, 4, 8));
+
+/// FNV-1a over raw bytes, as test_case_registry's digests: any changed bit
+/// of any value changes the hash.
+std::uint64_t fnv1a(const RealVec& v) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(v.data());
+  std::uint64_t h = 14695981039346656037ull;
+  for (usize i = 0; i < v.size() * sizeof(real_t); ++i) {
+    h ^= bytes[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// Bitwise pins of every rank's output: a 3×3×3 box at N = 3 on 1, 2 and 4
+// ranks, each op, on the serial backend and a 2-thread OpenMP team (which
+// must agree bit for bit). The hashes were recorded from the walk over every
+// unique id that the two index lists replaced, so they hold the combine
+// order fixed: a group's dofs in ascending-id sort order, then its
+// neighbours' partials in ascending rank order.
+TEST(GatherScatterBitwise, EveryRankOutputIsPinned) {
+  struct Pin {
+    int ranks;
+    GsOp op;
+    std::uint64_t hash[4];  ///< per rank
+  };
+  const Pin pins[] = {
+      {1, GsOp::kAdd, {0xd4bf08b1f5d8a0baull}},
+      {1, GsOp::kMin, {0x2444ba536aed0852ull}},
+      {1, GsOp::kMax, {0xd5cfc6155e76f1baull}},
+      {2, GsOp::kAdd, {0xbbfee4065652aae6ull, 0x83a9013a892e2fedull}},
+      {2, GsOp::kMin, {0x13945a74e4d5a5c8ull, 0x8703c096531d17ffull}},
+      {2, GsOp::kMax, {0x7389a142a03f049cull, 0x885210bbbb2f5707ull}},
+      {4, GsOp::kAdd,
+       {0xd67872297e718015ull, 0xca6561d8e59243d1ull, 0x07fae1d40adc0c72ull,
+        0xdfcb96f0095daa42ull}},
+      {4, GsOp::kMin,
+       {0xdd9381074e5544a7ull, 0x312d14649bffc12aull, 0x837c32930bcc60dcull,
+        0xcc6acd62c7650e76ull}},
+      {4, GsOp::kMax,
+       {0x818dfd38630b7bbeull, 0x775595551b7ead53ull, 0xac866160fc912617ull,
+        0xdcef63a407e87e51ull}},
+  };
+  mesh::BoxMeshConfig cfg;
+  cfg.nx = cfg.ny = cfg.nz = 3;
+  const int N = 3;
+  const mesh::HexMesh mesh = make_box_mesh(cfg);
+  const usize npe = static_cast<usize>((N + 1) * (N + 1) * (N + 1));
+  // One value per global occurrence (element gid, node), whatever the split.
+  const RealVec global = test_field(27 * npe);
+  device::SerialBackend serial;
+  device::OpenMpBackend openmp(2);
+  for (device::Backend* backend : {static_cast<device::Backend*>(&serial),
+                                   static_cast<device::Backend*>(&openmp)}) {
+    for (const Pin& pin : pins) {
+      const auto locals = mesh::distribute_mesh(mesh, N, pin.ranks);
+      comm::run_parallel(pin.ranks, [&](comm::Communicator& comm) {
+        const int r = comm.rank();
+        const mesh::LocalMesh& lm = locals[static_cast<usize>(r)];
+        const GatherScatter gs(lm, comm, 0, backend);
+        RealVec f(static_cast<usize>(lm.num_local_dofs()));
+        for (usize e = 0; e < static_cast<usize>(lm.num_elements()); ++e)
+          for (usize q = 0; q < npe; ++q)
+            f[e * npe + q] =
+                global[static_cast<usize>(lm.element_gids[e]) * npe + q];
+        gs.apply(f, pin.op);
+        std::ostringstream got;
+        got << std::hex << "0x" << fnv1a(f) << "ull";
+        EXPECT_EQ(fnv1a(f), pin.hash[r])
+            << backend->name() << ", " << pin.ranks << " ranks, op "
+            << static_cast<int>(pin.op) << ", rank " << r << ": got "
+            << got.str();
+      });
+    }
+  }
+}
 
 TEST(GatherScatterStats, NeighborAndVolumeAccounting) {
   mesh::BoxMeshConfig cfg;

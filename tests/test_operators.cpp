@@ -315,7 +315,8 @@ TEST(AdvectorTest, EnergyConservationPeriodicBox) {
 
 /// One rank's kernels on a fully periodic 3×3×3 box: every element face is
 /// shared, so the gather–scatter's active dofs and ids are exactly
-/// field::cost::gather_scatter_conforming's.
+/// field::cost::gather_scatter_conforming's, with no id shared with another
+/// rank.
 struct KernelBench {
   comm::SelfComm comm;
   mesh::HexMesh mesh;
@@ -412,8 +413,8 @@ TEST(KernelCost, EachKernelChargesItsDeclaration) {
        [](double n, double) { return cost::diag_helmholtz(n, 1); },
        [](KernelBench& k) {
          (void)diag_helmholtz(k.fine.ctx(), 1.0, 0.5);
-         return cost::gather_scatter_conforming(k.fine.space.n,
-                                                k.fine.ctx().num_elements());
+         return cost::gather_scatter_conforming(
+             k.fine.space.n, k.fine.ctx().num_elements(), 0);
        }},
       // Per axis 3 multiply-adds and |u|/Δr + sum: 24n³; velocity and nine
       // drdx read: 12n³.
@@ -455,10 +456,10 @@ TEST(KernelCost, EachKernelChargesItsDeclaration) {
          return OpCounters{};
        }},
       // Surface nodes n³ − (n−2)³ active, 3(n−2)² + 3(n−2) + 1 ids:
-      // dofs − ids combines; every dof read and written, every id's partial
-      // written and read: 2·dofs + 2·ids.
-      {"gather_scatter_local", {37, 169}, {150, 846}, 0,
-       [](double n, double) { return cost::gather_scatter_conforming(n, 1); },
+      // dofs − ids combines; every dof read and written: 2·dofs. One rank
+      // shares no id, so no partial is written and read back.
+      {"gather_scatter_local", {37, 169}, {112, 592}, 0,
+       [](double n, double) { return cost::gather_scatter_conforming(n, 1, 0); },
        [](KernelBench& k) {
          k.fine.gs->apply(k.a, gs::GsOp::kAdd, k.fine.prof.get());
          return OpCounters{};
@@ -471,7 +472,8 @@ TEST(KernelCost, EachKernelChargesItsDeclaration) {
          const precon::CoarseSolver solver(k.fine.ctx(), k.coarse.ctx());
          k.fine.prof->reset();
          solver.restrict_residual(k.a, k.coarse_vec);
-         return cost::gather_scatter_conforming(2, k.fine.ctx().num_elements());
+         return cost::gather_scatter_conforming(
+             2, k.fine.ctx().num_elements(), 0);
        }},
       // J sweeps 16n + 8n² + 4n³; 8 vertex values read, n³ written.
       {"coarse_prolong", {448, 2688}, {72, 520}, 0,
@@ -495,7 +497,7 @@ TEST(KernelCost, EachKernelChargesItsDeclaration) {
          (void)gmres.solve(op, jacobi, k.a, k.out, {0.0, 0.0, 1}, false);
          const double e = ctx.num_elements(), n = k.fine.space.n;
          return (cost::ax_helmholtz(n, e, false) +
-                 cost::gather_scatter_conforming(n, e) +
+                 cost::gather_scatter_conforming(n, e, 0) +
                  cost::glsc3(e * n * n * n)) *
                 2;
        }},

@@ -114,7 +114,7 @@ TEST(Workload, CountersMatchRealSolverInstrumentation) {
     SCOPED_TRACE("degree " + std::to_string(degree));
     auto fine = operators::make_rank_setup(mesh, degree, comm, true, true,
                                            &serial);
-    auto coarse = precon::make_coarse_setup(mesh, comm, &serial);
+    auto coarse = precon::make_coarse_setup(mesh, comm);
     rbc::RbcConfig rc;
     rc.rayleigh = 1e5;
     rc.dt = 0.01;

@@ -336,14 +336,14 @@ TEST(OverlapStress, TaskParallelHsmgMatchesSerialUnderRepetition) {
   cfg.nx = cfg.ny = cfg.nz = 2;
   const mesh::HexMesh mesh = mesh::make_box_mesh(cfg);
   // The OpenMP backend inside the overlapped preconditioner is the hardest
-  // concurrency case in the code: two parallel teams (coarse CG on the stream
-  // thread, fine smoother on the rank thread) dispatch chunks at once, each
-  // pulling scratch from its own OS-thread workspace.
+  // concurrency case in the code: the fine smoother dispatches chunks on the
+  // team from the rank thread while the coarse solve runs serially on the
+  // stream thread, each pulling scratch from its own OS-thread workspace.
   device::OpenMpBackend omp(2);
   comm::run_parallel(kRanks, [&](comm::Communicator& comm) {
     auto fine =
         operators::make_rank_setup(mesh, /*degree=*/4, comm, false, true, &omp);
-    auto coarse = precon::make_coarse_setup(mesh, comm, &omp);
+    auto coarse = precon::make_coarse_setup(mesh, comm);
     const operators::Context fctx = fine.ctx();
     const operators::Context cctx = coarse.ctx();
     RealVec r(fctx.num_dofs());

@@ -204,7 +204,7 @@ class TelemetryRbc : public ::testing::Test {
     comm::SelfComm comm;
     device::SerialBackend backend;
     auto fine = operators::make_rank_setup(mesh, 5, comm, true, true, &backend);
-    auto coarse = precon::make_coarse_setup(mesh, comm, &backend);
+    auto coarse = precon::make_coarse_setup(mesh, comm);
     rbc::RbcSimulation sim(fine.ctx(), coarse.ctx(), case_config());
     sim.solver().attach_telemetry(tel);
     sim.set_initial_conditions();

@@ -63,7 +63,8 @@ field::TensorKernels order_row() {
 
 TEST(TensorKernelTable, ForOrderIsThePinnedTable) {
   using field::TensorKernels;
-  const std::map<int, TensorKernels> fixed = {{4, order_row<4>()},
+  const std::map<int, TensorKernels> fixed = {{2, order_row<2>()},
+                                              {4, order_row<4>()},
                                               {6, order_row<6>()},
                                               {8, order_row<8>()},
                                               {10, order_row<10>()},
@@ -96,6 +97,12 @@ TEST(TensorKernelTable, ForOrderIsThePinnedTable) {
         operators::make_rank_setup(mesh, 3, comm, false, true, backend);
     expect_table(setup.kernels, fixed.at(4), "rank setup on " + backend->name());
   }
+
+  // The degree-1 coarse setup carries the n = 2 row, on the serial backend.
+  const operators::RankSetup coarse = precon::make_coarse_setup(mesh, comm);
+  expect_table(coarse.kernels, fixed.at(2), "coarse setup");
+  ASSERT_NE(coarse.backend, nullptr);
+  EXPECT_EQ(coarse.backend->name(), "serial");
 }
 
 // ---- variant equivalence ----------------------------------------------------
@@ -254,8 +261,9 @@ TEST(TensorVariants, AdvectorBitwiseVsReference) {
 // Full 3-step RBC solve, per-order table vs reference kernels, bitwise: the
 // end-to-end form of the kernel-identity contract, at degree 3 (n = 4),
 // degree 5 (n = 6) and the orders of the cyl_n7 and slab_n9 benchmark
-// workloads, degree 7 (n = 8) and degree 9 (n = 10). Whatever the table
-// routes, the physics must not change by a single bit.
+// workloads, degree 7 (n = 8) and degree 9 (n = 10), with the coarse grid's
+// n = 2 row against the reference too. Whatever the table routes, the
+// physics must not change by a single bit.
 TEST(TensorDispatch, FullRbcSolveBitwiseVsReference) {
   mesh::BoxMeshConfig cfg;
   cfg.nx = cfg.ny = cfg.nz = 3;
@@ -271,11 +279,11 @@ TEST(TensorDispatch, FullRbcSolveBitwiseVsReference) {
     operators::RankSetup tabled =
         operators::make_rank_setup(mesh, degree, comm, true, true, &backend);
     operators::RankSetup tabled_coarse =
-        precon::make_coarse_setup(mesh, comm, &backend);
+        precon::make_coarse_setup(mesh, comm);
     operators::RankSetup plain =
         operators::make_rank_setup(mesh, degree, comm, true, true, &backend);
     operators::RankSetup plain_coarse =
-        precon::make_coarse_setup(mesh, comm, &backend);
+        precon::make_coarse_setup(mesh, comm);
     plain.kernels = field::TensorKernels::reference();
     plain_coarse.kernels = field::TensorKernels::reference();
 

@@ -5,28 +5,34 @@
 //
 //   ./compression_insitu [Ra] [steps] [snapshot_every]
 //
-// Exit code (felis_campaign's): 64 usage (an Ra that is not a finite number,
-// a step or snapshot count that is not a positive integer, a snapshot
-// interval longer than the run), 65 any felis::Error.
+// Exit code (felis_campaign's): 64 usage (also a snapshot interval longer
+// than the run), 65 any felis::Error.
 #include <cstdio>
 
 #include "case/registry.hpp"
 #include "compression/compressor.hpp"
-#include "example_args.hpp"
 #include "insitu/async_pod.hpp"
 
 using namespace felis;
 
 namespace {
 
-int run(real_t rayleigh, int steps, int every) {
+const Param<real_t> kRayleigh{"Ra", kPositive, "Rayleigh number"};
+const Param<int> kSteps{"steps", 1, "time steps to run"};
+const Param<int> kEvery{"snapshot_every", 1, "steps between snapshots"};
+const CommandLine kCli{"compression_insitu", {}, {&kRayleigh, &kSteps, &kEvery}};
+
+int run(const ParamMap& args) {
+  const real_t rayleigh = kRayleigh.get(args, 1e5);
+  const int steps = kSteps.get(args, 300), every = kEvery.get(args, 10);
+  if (every > steps) throw UsageError("snapshot_every exceeds steps");
   // The periodic-slab RBC case from the case table, at degree 6 (snapshots
   // with enough modal content to make the spectral compressor interesting).
   ParamMap params;
-  params.set("case.type", "rbc");
-  params.set("case.Ra", rayleigh);
-  params.set("case.dt", 1.5e-2);
-  params.set("mesh.degree", 6);
+  params.set(cases::kType.name, "rbc");
+  params.set(cases::kRa.name, rayleigh);
+  params.set(cases::kDt.name, 1.5e-2);
+  params.set(cases::kDegree.name, 6);
   comm::SelfComm comm;
   const std::unique_ptr<cases::CaseSetup> setup =
       cases::build_case(cases::resolve_case(params), params, comm);
@@ -91,18 +97,8 @@ int run(real_t rayleigh, int steps, int every) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  double values[3] = {1e5, 300, 10};  // Ra, steps, snapshot_every
-  if (!examples::parse_args(argc, argv, {false, true, true}, values) ||
-      values[2] > values[1]) {
-    std::fprintf(stderr, "usage: compression_insitu [Ra] [steps] "
-                         "[snapshot_every]\n");
-    return 64;
-  }
-  try {
-    return run(values[0], static_cast<int>(values[1]),
-               static_cast<int>(values[2]));
-  } catch (const Error& e) {
-    std::fprintf(stderr, "compression_insitu: %s\n", e.what());
-    return 65;
-  }
+  std::string message;
+  const int rc = kCli.main(argc, argv, run, message);
+  std::fputs(message.c_str(), stderr);
+  return rc;
 }

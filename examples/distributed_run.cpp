@@ -14,8 +14,7 @@
 // one-rank run) — ranks are threads of one process, so each needs its own
 // channel directory or their records would interleave in a single stream.
 //
-// Exit code (felis_campaign's): 64 usage (an unknown argument, a rank or
-// step count that is not a positive integer), 65 any felis::Error.
+// Exit code (felis_campaign's): 64 usage, 65 any felis::Error.
 #include <algorithm>
 #include <cstdio>
 #include <mutex>
@@ -23,23 +22,29 @@
 
 #include "case/registry.hpp"
 #include "device/backend.hpp"
-#include "example_args.hpp"
 
 using namespace felis;
 
 namespace {
 
-int run(int nranks, int steps, const std::string& telemetry_dir) {
+const Param<int> kRanks{"ranks", 1, "simulated ranks (threads)"};
+const Param<int> kSteps{"steps", 1, "time steps to run"};
+const Param<std::string> kTelemetryDir{"telemetry-dir", "rank telemetry under DIR"};
+const CommandLine kCli{"distributed_run", {}, {&kRanks, &kSteps, &kTelemetryDir}};
+
+int run(const ParamMap& args) {
+  const int nranks = kRanks.get(args, 4), steps = kSteps.get(args, 60);
+  const std::string telemetry_dir = kTelemetryDir.get(args, "");
   // The cylindrical cell from the case table (slender-ish: Γ = D/H = 0.5).
   // Every rank resolves the same params, so every rank builds the same
   // global mesh.
   ParamMap params;
-  params.set("case.type", "rbc_cyl");
-  params.set("case.Ra", 5e4);
-  params.set("case.dt", 1.5e-2);
-  params.set("case.aspect", 0.5);
-  params.set("mesh.nz", 8);
-  params.set("telemetry.enabled", !telemetry_dir.empty());
+  params.set(cases::kType.name, "rbc_cyl");
+  params.set(cases::kRa.name, 5e4);
+  params.set(cases::kDt.name, 1.5e-2);
+  params.set(cases::kAspect.name, 0.5);
+  params.set(cases::kNz.name, 8);
+  params.set(cases::kTelemetryEnabled.name, !telemetry_dir.empty());
   const cases::CaseInfo& info = cases::resolve_case(params);
   const cases::TelemetryChannel channel{telemetry_dir,
                                         {{"program", "distributed_run"}}};
@@ -99,18 +104,8 @@ int run(int nranks, int steps, const std::string& telemetry_dir) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  double counts[2] = {4, 60};  // ranks, steps: positive integers
-  if (argc > 4 ||  // the telemetry directory is the one non-numeric argument
-      !examples::parse_args(std::min(argc, 3), argv, {true, true}, counts)) {
-    std::fprintf(stderr, "usage: distributed_run [ranks] [steps] "
-                         "[telemetry-dir]\n");
-    return 64;
-  }
-  try {
-    return run(static_cast<int>(counts[0]), static_cast<int>(counts[1]),
-               argc > 3 ? argv[3] : "");
-  } catch (const Error& e) {
-    std::fprintf(stderr, "distributed_run: %s\n", e.what());
-    return 65;
-  }
+  std::string message;
+  const int rc = kCli.main(argc, argv, run, message);
+  std::fputs(message.c_str(), stderr);
+  return rc;
 }

@@ -2,22 +2,16 @@
 // scheduler — sweep expansion, cost-ordered queue, bounded worker pool,
 // crash-safe manifest, automatic retry-from-checkpoint, SIGINT drain.
 //
-//   ./felis_campaign campaign.txt [options]
-//     --dry-run            expand + order the queue, print it, run nothing
-//     --steps N            override every case's step count (smoke runs)
-//     --dir PATH           override campaign.dir
-//     --list-cases         print the builtin case types and exit
-//
-// Observer modes (work on a running, finished, or crashed campaign dir —
-// they only read the crash-safe journals, skipping torn tails):
+//   ./felis_campaign campaign.txt [--dry-run] [--steps N] [--dir PATH]
 //   ./felis_campaign --status DIR [--watch] [--interval S] [--json]
-//     print the fleet table (per-case state/step/progress/Nu, throughput,
-//     ETA, stragglers) and write DIR/status.json;
-//     --watch rereads them every S seconds (default 2) until every case is
-//     terminal; --json prints the status document instead of the table
 //   ./felis_campaign --export-trace DIR
-//     write DIR/campaign.trace.json, a merged Chrome trace with every case
-//     on its own track (validate: tools/felis_trace.py --check)
+//
+// The observer modes work on a running, finished or crashed campaign dir
+// (they only read the crash-safe journals, skipping torn tails): --status
+// prints the fleet table (per-case state/step/progress/Nu, throughput, ETA,
+// stragglers) and writes DIR/status.json, --export-trace writes
+// DIR/campaign.trace.json, a merged Chrome trace with every case on its own
+// track (validate: tools/felis_trace.py --check).
 //
 // The campaign file is an ordinary key = value ParamMap with sweep.* axes;
 // `case.type` (sweepable: `sweep.type = rbc,rbc2d,ihc`) selects each case's
@@ -30,19 +24,16 @@
 // Re-running the same command resumes from <campaign.dir>/manifest.ndjson:
 // completed cases are skipped, interrupted ones restart from their newest
 // valid checkpoint. Exit code: 0 all done, 1 failures, 2 drained (SIGINT),
-// 64 usage, 65 bad campaign spec or a manifest the replay rules reject, 66
-// missing input.
+// 64 usage, 65 bad campaign spec (e.g. an undeclared or out-of-range key) or
+// a manifest the replay rules reject, 66 missing input.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <thread>
 
 #include "case/registry.hpp"
-#include "common/error.hpp"
 #include "device/backend.hpp"
-#include "example_args.hpp"
 #include "io/atomic_file.hpp"
 #include "obs/campaign_monitor.hpp"
 #include "obs/exporters.hpp"
@@ -51,16 +42,23 @@
 #include "sched/scheduler.hpp"
 
 using namespace felis;
-using examples::parse_number;
 
 namespace {
 
-constexpr const char* kUsage =
-    "usage: felis_campaign <campaign.txt> [--dry-run] [--steps N] "
-    "[--dir PATH]\n"
-    "       felis_campaign --list-cases\n"
-    "       felis_campaign --status DIR [--watch] [--interval S] [--json]\n"
-    "       felis_campaign --export-trace DIR\n";
+const Param<std::string> kCampaignFile{"campaign.txt", "key = value lines, sweep.* axes"};
+const Param<bool> kDryRun{"--dry-run", "print the ordered queue, run nothing"};
+const Param<int> kStepsArg{"--steps", 1, "every case's step count"};
+const Param<std::string> kDirArg{"--dir", "override campaign.dir"};
+const Param<bool> kListCases{"--list-cases", "print the builtin cases and exit"};
+const Param<std::string> kStatus{"--status", "print the fleet table of DIR"};
+const Param<bool> kWatch{"--watch", "with --status: reread until every case ends"};
+const Param<real_t> kInterval{"--interval", kPositive, "seconds between rereads (2)"};
+const Param<bool> kJson{"--json", "with --status: print the status document"};
+const Param<std::string> kExportTrace{"--export-trace", "write the merged trace of DIR"};
+const CommandLine kCli{"felis_campaign",
+                       {&kDryRun, &kStepsArg, &kDirArg, &kListCases, &kStatus,
+                        &kWatch, &kInterval, &kJson, &kExportTrace},
+                       {&kCampaignFile}};
 
 void print_fleet_table(const obs::CampaignSnapshot& snap) {
   std::printf("campaign '%s': %d worker(s), thread budget %d, %d resume(s), "
@@ -144,67 +142,23 @@ int run_observer(const std::string& dir, bool watch, double interval,
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::string campaign_file;
-  std::string dir_override;
-  std::string status_dir;
-  std::string trace_dir;
-  bool dry_run = false;
-  bool watch = false;
-  bool json_out = false;
-  double interval = 2.0;
-  int steps_override = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--list-cases") == 0) {
-      std::printf("registered cases (case.type / sweep.type):\n");
-      for (const cases::CaseInfo& info : cases::builtin_cases())
-        std::printf("  %-10s %s\n", info.type.c_str(),
-                    info.description.c_str());
-      return 0;
-    } else if (std::strcmp(argv[i], "--dry-run") == 0) {
-      dry_run = true;
-    } else if (std::strcmp(argv[i], "--steps") == 0 && i + 1 < argc) {
-      double steps = 0;
-      if (!parse_number(argv[++i], true, steps)) {
-        std::fputs(kUsage, stderr);
-        return 64;
-      }
-      steps_override = static_cast<int>(steps);
-    } else if (std::strcmp(argv[i], "--dir") == 0 && i + 1 < argc) {
-      dir_override = argv[++i];
-    } else if (std::strcmp(argv[i], "--status") == 0 && i + 1 < argc) {
-      status_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--export-trace") == 0 && i + 1 < argc) {
-      trace_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--watch") == 0) {
-      watch = true;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json_out = true;
-    } else if (std::strcmp(argv[i], "--interval") == 0 && i + 1 < argc) {
-      if (!parse_number(argv[++i], false, interval) || interval <= 0) {
-        std::fputs(kUsage, stderr);
-        return 64;
-      }
-    } else if (campaign_file.empty() && argv[i][0] != '-') {
-      campaign_file = argv[i];
-    } else {
-      std::fprintf(stderr,
-                   "unknown argument '%s' (valid: <campaign.txt>, --dry-run, "
-                   "--steps, --dir, --list-cases, --status, "
-                   "--watch, --interval, --json, --export-trace)\n",
-                   argv[i]);
-      return 64;
-    }
+int run(const ParamMap& args) {
+  if (kListCases.get(args, false)) {
+    std::printf("registered cases (case.type / sweep.type):\n");
+    for (const cases::CaseInfo& info : cases::builtin_cases())
+      std::printf("  %-10s %s\n", info.type.c_str(), info.description.c_str());
+    return 0;
   }
-
+  const std::string status_dir = kStatus.get(args, "");
+  const std::string trace_dir = kExportTrace.get(args, "");
   if (!status_dir.empty() || !trace_dir.empty())
-    return run_observer(trace_dir.empty() ? status_dir : trace_dir, watch,
-                        interval, json_out, !trace_dir.empty());
+    return run_observer(trace_dir.empty() ? status_dir : trace_dir,
+                        kWatch.get(args, false), kInterval.get(args, 2.0),
+                        kJson.get(args, false), !trace_dir.empty());
 
+  const std::string campaign_file = kCampaignFile.get(args, "");
   if (campaign_file.empty()) {
-    std::fputs(kUsage, stderr);
+    std::fputs(kCli.usage().c_str(), stderr);
     return 64;
   }
 
@@ -220,16 +174,17 @@ int main(int argc, char** argv) {
   sched::CampaignSpec spec;
   try {
     ParamMap params = ParamMap::parse(ss.str());
-    if (!dir_override.empty()) params.set("campaign.dir", dir_override);
-    if (steps_override > 0)
-      params.set("campaign.steps", steps_override);
+    if (kDirArg.in(args))
+      params.set(sched::kCampaignDir.name, kDirArg.get(args, ""));
+    if (kStepsArg.in(args))
+      params.set(sched::kSteps.name, kStepsArg.get(args, 0));
     spec = sched::CampaignSpec::from_params(params);
   } catch (const Error& e) {
     std::fprintf(stderr, "bad campaign spec: %s\n", e.what());
     return 65;
   }
-  if (steps_override > 0)
-    for (sched::CaseSpec& cs : spec.cases) cs.steps = steps_override;
+  if (kStepsArg.in(args))
+    for (sched::CaseSpec& cs : spec.cases) cs.steps = kStepsArg.get(args, 0);
 
   // Validate every case's backend upfront (from_params already resolved
   // each case.type and built its mesh): a typo'd device.backend is a config
@@ -259,7 +214,7 @@ int main(int argc, char** argv) {
                 static_cast<long long>(cs.steps), cs.cost_seconds,
                 overrides.c_str());
   }
-  if (dry_run) return 0;
+  if (kDryRun.get(args, false)) return 0;
 
   sched::Scheduler scheduler(std::move(spec),
                              sched::make_case_runner());
@@ -293,4 +248,13 @@ int main(int argc, char** argv) {
   if (report.failed > 0) return 1;
   if (report.drained > 0) return 2;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  std::string message;
+  const int rc = kCli.main(argc, argv, run, message);
+  std::fputs(message.c_str(), stderr);
+  return rc;
 }

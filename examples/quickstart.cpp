@@ -6,70 +6,64 @@
 // is the periodic-slab RBC case at Ra = 10⁴ (mildly supercritical).
 //
 //   ./quickstart [Ra] [steps]
-//   ./quickstart --case my_case.txt [steps]   (key = value file: case.*,
-//                                              mesh.*, fluid.*, telemetry.*)
+//   ./quickstart --case my_case.txt [steps]   (key = value file: any key of
+//                                              cases::kCaseParams)
 //   ./quickstart --list-cases                 (print the builtin cases)
 //
-// Exit code (felis_campaign's): 64 usage (an unknown argument, an Ra that
-// does not parse, a step count that is not a positive integer), 65 any
-// felis::Error (e.g. an out-of-range case key), 66 an unreadable case file.
+// Exit code (felis_campaign's): 64 usage, 65 any felis::Error (e.g. an
+// undeclared or out-of-range case key), 66 an unreadable case file.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "case/registry.hpp"
 #include "device/backend.hpp"
-#include "example_args.hpp"
 
 using namespace felis;
-using examples::parse_number;
 
 namespace {
 
-int run(const std::vector<std::string>& args) {
-  ParamMap params;
-  if (args == std::vector<std::string>{"--list-cases"}) {
+const Param<std::string> kCaseFile{"--case", "case file; the one positional is steps"};
+const Param<bool> kListCases{"--list-cases", "print the builtin cases and exit"};
+const Param<real_t> kRayleigh{"Ra", kPositive, "Rayleigh number of the rbc case"};
+const Param<int> kSteps{"steps", 1, "time steps to run"};
+const CommandLine kCli{"quickstart", {&kCaseFile, &kListCases}, {&kRayleigh, &kSteps},
+                       &kCaseFile};
+
+int run(const ParamMap& args) {
+  if (kListCases.get(args, false)) {
     std::printf("registered cases (case.type):\n");
     for (const cases::CaseInfo& info : cases::builtin_cases())
       std::printf("  %-10s %s\n", info.type.c_str(), info.description.c_str());
     return 0;
   }
-  const bool from_file = !args.empty() && args[0] == "--case";
-  const usize steps_at = from_file ? 2 : 1;  // position of the step count
-  double ra = 0, count = 100;
-  if (args.size() > steps_at + 1 || (from_file && args.size() < 2) ||
-      (!from_file && !args.empty() && !parse_number(args[0], false, ra)) ||
-      (args.size() > steps_at && !parse_number(args[steps_at], true, count))) {
-    std::fprintf(stderr, "usage: quickstart [Ra] [steps] | --case FILE [steps] "
-                         "| --list-cases\n");
-    return 64;
-  }
-  if (from_file) {
-    std::ifstream in(args[1]);
+  ParamMap file;
+  if (kCaseFile.in(args)) {
+    const std::string path = kCaseFile.get(args, "");
+    std::ifstream in(path);
     if (!in.good()) {
       std::fprintf(stderr, "quickstart: cannot read case file '%s'\n",
-                   args[1].c_str());
+                   path.c_str());
       return 66;
     }
     std::stringstream ss;
     ss << in.rdbuf();
-    params = ParamMap::parse(ss.str());
-  } else if (!args.empty()) {
-    params.set("case.Ra", ra);
+    file = ParamMap::parse(ss.str());
+    check_params(file, cases::kCaseParams);
   }
-  const int steps = static_cast<int>(count);
+  const int steps = kSteps.get(args, 100);
 
-  // 1. Scenario: resolve case.type against the case table. Unknown types get
-  //    a message naming every builtin case.
-  params.set("case.Ra", params.get_real("case.Ra", 1e4));
-  params.set("case.dt", params.get_real("case.dt", 2e-2));
-  const cases::CaseInfo& info = cases::resolve_case(params);
-  // Historical quickstart default: degree-5 elements for the slab case
-  // (the other types keep their own defaults).
-  if (info.type == "rbc" && !params.has("mesh.degree"))
-    params.set("mesh.degree", 5);
+  // 1. Scenario: resolve case.type against the case table (unknown types
+  //    get a message naming every builtin case). Quickstart's own keys
+  //    (Ra 1e4, dt 2e-2, degree-5 elements on the rbc slab) lie under the
+  //    case file's.
+  const cases::CaseInfo& info = cases::resolve_case(file);
+  ParamMap params;
+  params.set(cases::kRa.name, kRayleigh.get(args, 1e4));
+  params.set(cases::kDt.name, 2e-2);
+  if (info.type == "rbc") params.set(cases::kDegree.name, 5);
+  for (const auto& [key, value] : file.entries()) params.set(key, value);
 
   // 2. Discretization and case: the table's factories build the mesh
   //    from the mesh.* keys and own boundary conditions, forcing and physics
@@ -82,8 +76,8 @@ int run(const std::vector<std::string>& args) {
   const cases::TelemetryChannel channel{
       telemetry::config_from_params(params).dir,
       {{"program", "quickstart"},
-       {"Ra", params.get_string("case.Ra", "default")},
-       {"dt", params.get_string("case.dt", "default")}}};
+       {"Ra", params.get_string(cases::kRa.name, "")},
+       {"dt", params.get_string(cases::kDt.name, "")}}};
   const std::unique_ptr<cases::CaseSetup> setup = cases::build_case(
       info, params, comm, &device::select_backend(params), &channel);
   cases::Case& sim = *setup->sim;
@@ -134,10 +128,8 @@ int run(const std::vector<std::string>& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(std::vector<std::string>(argv + 1, argv + argc));
-  } catch (const Error& e) {
-    std::fprintf(stderr, "quickstart: %s\n", e.what());
-    return 65;
-  }
+  std::string message;
+  const int rc = kCli.main(argc, argv, run, message);
+  std::fputs(message.c_str(), stderr);
+  return rc;
 }

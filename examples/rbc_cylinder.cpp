@@ -7,9 +7,7 @@
 //
 //   ./rbc_cylinder [Ra] [steps] [aspect D/H]
 //
-// Exit code (felis_campaign's): 64 usage (an Ra or aspect that is not a
-// finite number, a step count that is not a positive integer), 65 any
-// felis::Error.
+// Exit code (felis_campaign's): 64 usage, 65 any felis::Error.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -17,12 +15,16 @@
 #include <vector>
 
 #include "case/registry.hpp"
-#include "example_args.hpp"
 #include "io/field_io.hpp"
 
 using namespace felis;
 
 namespace {
+
+const Param<real_t> kRayleigh{"Ra", kPositive, "Rayleigh number"};
+const Param<int> kSteps{"steps", 1, "time steps to run"};
+const Param<real_t> kAspectArg{"aspect", kPositive, "cell diameter / height"};
+const CommandLine kCli{"rbc_cylinder", {}, {&kRayleigh, &kSteps, &kAspectArg}};
 
 /// Sample a field on a horizontal plane z = z0 over an nx×ny grid covering
 /// the cylinder's bounding square (NaN outside the cell → rendered blank).
@@ -93,16 +95,19 @@ void ascii_render(const Slice& s, const char* title) {
   }
 }
 
-int run(real_t rayleigh, int steps, real_t aspect) {
+int run(const ParamMap& args) {
+  const real_t rayleigh = kRayleigh.get(args, 1e5);
+  const real_t aspect = kAspectArg.get(args, 1.0);
+  const int steps = kSteps.get(args, 400);
   // The cylinder case from the case table (paper geometry, Pr = 1); the
   // factory owns the o-grid mesh and boundary conditions.
   ParamMap params;
-  params.set("case.type", "rbc_cyl");
-  params.set("case.Ra", rayleigh);
-  params.set("case.dt", 1.5e-2);
-  params.set("case.aspect", aspect);
-  params.set("case.perturbation", 2e-2);
-  params.set("mesh.degree", 5);
+  params.set(cases::kType.name, "rbc_cyl");
+  params.set(cases::kRa.name, rayleigh);
+  params.set(cases::kDt.name, 1.5e-2);
+  params.set(cases::kAspect.name, aspect);
+  params.set(cases::kPerturbation.name, 2e-2);
+  params.set(cases::kDegree.name, 5);
   comm::SelfComm comm;
   const std::unique_ptr<cases::CaseSetup> setup =
       cases::build_case(cases::resolve_case(params), params, comm);
@@ -159,15 +164,8 @@ int run(real_t rayleigh, int steps, real_t aspect) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  double values[3] = {1e5, 400, 1.0};  // Ra, steps, aspect D/H
-  if (!examples::parse_args(argc, argv, {false, true, false}, values)) {
-    std::fprintf(stderr, "usage: rbc_cylinder [Ra] [steps] [aspect D/H]\n");
-    return 64;
-  }
-  try {
-    return run(values[0], static_cast<int>(values[1]), values[2]);
-  } catch (const Error& e) {
-    std::fprintf(stderr, "rbc_cylinder: %s\n", e.what());
-    return 65;
-  }
+  std::string message;
+  const int rc = kCli.main(argc, argv, run, message);
+  std::fputs(message.c_str(), stderr);
+  return rc;
 }

@@ -4,7 +4,7 @@
 ///
 /// A row is data: the type's mesh defaults, its physics class and its config
 /// defaults (rbc2d's y-invariant seed is row data only, not a case key). The
-/// case keys themselves are read once, by rbc::config_from_params. Mesh defaults
+/// case keys are declared once, in registry.hpp. Mesh defaults
 /// mirror the campaign runner's historical ones (periodic 3×3×3 box of
 /// extent 2×2×1, degree 4) so existing campaign files keep their exact
 /// meaning; each type overrides only what its physics needs.
@@ -29,16 +29,16 @@ struct BoxDefaults {
 GeometryFactory slab(BoxDefaults d) {
   return [d](const ParamMap& params) {
     mesh::BoxMeshConfig box;
-    box.nx = params.get_int("mesh.nx", d.nx);
-    box.ny = params.get_int("mesh.ny", d.ny);
-    box.nz = params.get_int("mesh.nz", d.nz);
-    box.lx = params.get_real("mesh.lx", d.lx);
-    box.ly = params.get_real("mesh.ly", d.ly);
-    box.lz = params.get_real("mesh.lz", d.lz);
+    box.nx = kNx.get(params, d.nx);
+    box.ny = kNy.get(params, d.ny);
+    box.nz = kNz.get(params, d.nz);
+    box.lx = kLx.get(params, d.lx);
+    box.ly = kLy.get(params, d.ly);
+    box.lz = kLz.get(params, d.lz);
     box.periodic_x = box.periodic_y = true;
     Geometry geo;
     geo.mesh = mesh::make_box_mesh(box);
-    geo.degree = params.get_int("mesh.degree", d.degree);
+    geo.degree = kDegree.get(params, d.degree);
     geo.lx = box.lx;
     geo.ly = box.ly;
     geo.lz = box.lz;
@@ -49,14 +49,14 @@ GeometryFactory slab(BoxDefaults d) {
 /// Cylindrical cell of unit height from the mesh.* keys and case.aspect.
 Geometry cylinder(const ParamMap& params) {
   mesh::CylinderMeshConfig cyl;
-  cyl.nc = params.get_int("mesh.nc", 2);
-  cyl.nr = params.get_int("mesh.nr", 2);
-  cyl.nz = params.get_int("mesh.nz", 6);
+  cyl.nc = kNc.get(params, 2);
+  cyl.nr = kNr.get(params, 2);
+  cyl.nz = kNz.get(params, 6);
   cyl.height = 1.0;
-  cyl.radius = 0.5 * params.get_real("case.aspect", 1.0) * cyl.height;
+  cyl.radius = 0.5 * kAspect.get(params, 1.0) * cyl.height;
   Geometry geo;
   geo.mesh = mesh::make_cylinder_mesh(cyl);
-  geo.degree = params.get_int("mesh.degree", 4);
+  geo.degree = kDegree.get(params, 4);
   geo.lx = geo.ly = 2.0 * cyl.radius;
   geo.lz = cyl.height;
   return geo;
@@ -73,14 +73,15 @@ CaseInfo row(const char* type, const char* description,
                            const operators::Context& coarse,
                            const Geometry& geo,
                            const ParamMap& p) -> std::unique_ptr<Case> {
-            rbc::RbcConfig config = rbc::config_from_params(p, defaults);
             // Perturbation wavelengths default to the domain extents: on a
             // periodic slab they must (the seed is otherwise discontinuous
             // across the seam), in an enclosed cell any O(diameter) value
             // seeds fine.
-            if (!p.has("case.perturbation_lx")) config.perturbation_lx = geo.lx;
-            if (!p.has("case.perturbation_ly")) config.perturbation_ly = geo.ly;
-            return std::make_unique<Sim>(fine, coarse, config, geo.lz, type);
+            rbc::RbcConfig config = defaults;
+            config.perturbation_lx = geo.lx;
+            config.perturbation_ly = geo.ly;
+            return std::make_unique<Sim>(
+                fine, coarse, rbc::config_from_params(p, config), geo.lz, type);
           }};
 }
 
@@ -117,7 +118,7 @@ std::span<const CaseInfo> builtin_cases() {
 }
 
 const CaseInfo& resolve_case(const ParamMap& params) {
-  const std::string type = params.get_string("case.type", "rbc");
+  const std::string type = kType.get(params, "rbc");
   const std::span<const CaseInfo> table = builtin_cases();
   const auto it = std::find_if(table.begin(), table.end(),
                                [&](const CaseInfo& c) { return c.type == type; });

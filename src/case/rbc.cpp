@@ -4,21 +4,22 @@
 #include <cmath>
 #include <random>
 
+#include "case/registry.hpp"
+
 namespace felis::rbc {
 
 RbcConfig config_from_params(const ParamMap& params, RbcConfig defaults) {
+  using namespace cases;
   RbcConfig config = std::move(defaults);
-  config.rayleigh = params.get_real("case.Ra", config.rayleigh);
-  config.prandtl = params.get_real("case.Pr", config.prandtl);
-  config.dt = params.get_real("case.dt", config.dt);
-  config.rossby = params.get_real("case.Ro", config.rossby);
-  config.perturbation = params.get_real("case.perturbation", config.perturbation);
-  config.perturbation_lx =
-      params.get_real("case.perturbation_lx", config.perturbation_lx);
-  config.perturbation_ly =
-      params.get_real("case.perturbation_ly", config.perturbation_ly);
+  config.rayleigh = kRa.get(params, config.rayleigh);
+  config.prandtl = kPr.get(params, config.prandtl);
+  config.dt = kDt.get(params, config.dt);
+  config.rossby = kRo.get(params, config.rossby);
+  config.perturbation = kPerturbation.get(params, config.perturbation);
+  config.perturbation_lx = kPerturbLx.get(params, config.perturbation_lx);
+  config.perturbation_ly = kPerturbLy.get(params, config.perturbation_ly);
   config.seed = static_cast<unsigned>(
-      params.get_int("case.seed", static_cast<int>(config.seed)));
+      kSeed.get(params, static_cast<int>(config.seed)));
   fluid::apply_flow_params(params, config.flow);
   return config;
 }

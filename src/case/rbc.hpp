@@ -105,11 +105,9 @@ class RbcSimulation : public cases::Case {
 };
 
 /// Build an RbcConfig from a parsed case file (see ParamMap::parse): the one
-/// reader of the case.* physics keys. Keys: case.Ra, case.Pr, case.dt,
-/// case.Ro, case.perturbation, case.seed, case.perturbation_lx/_ly and the
-/// fluid.* solver keys (see fluid::apply_flow_params). Missing keys keep
-/// their value in `defaults`, which also carry the row-only y_invariant; the
-/// checkpoint.* keys belong to the host's CheckpointManager.
+/// reader of the case.* physics keys (declared in registry.hpp) and, through
+/// fluid::apply_flow_params, of the fluid.* solver keys. Missing keys keep
+/// their value in `defaults`, which also carry the row-only y_invariant.
 RbcConfig config_from_params(const ParamMap& params, RbcConfig defaults = {});
 
 /// Free-fall viscosity √(Pr/Ra) and diffusivity 1/√(Ra·Pr).

@@ -19,7 +19,7 @@ std::unique_ptr<CaseSetup> build_case(const CaseInfo& info,
                                            /*three_halves_rule=*/true, backend);
   setup->coarse = precon::make_coarse_setup(setup->geometry.mesh, comm);
 
-  if (channel != nullptr && params.get_bool("telemetry.enabled", false)) {
+  if (channel != nullptr && kTelemetryEnabled.get(params, false)) {
     telemetry::TelemetryConfig tc = telemetry::config_from_params(params);
     std::filesystem::path dir = channel->dir;
     if (comm.size() > 1) dir /= "rank" + std::to_string(comm.rank());

@@ -22,6 +22,7 @@
 
 #include "case/case.hpp"
 #include "common/params.hpp"
+#include "device/backend.hpp"
 #include "mesh/hex_mesh.hpp"
 #include "operators/setup.hpp"
 #include "telemetry/telemetry.hpp"
@@ -36,6 +37,40 @@ struct Geometry {
   int degree = 4;  ///< polynomial degree of the fine space
   real_t lx = 1, ly = 1, lz = 1;  ///< bounding extents (lz = plate gap)
 };
+
+/// The case layer's keys: resolve_case reads kType, the table's geometry
+/// factories the mesh keys and kAspect, every row's rbc::config_from_params the
+/// physics keys, build_case kTelemetryEnabled. Absent, a key takes its row's default.
+inline constexpr Param<std::string> kType{"case.type", "builtin case (default rbc)"};
+inline constexpr Param<real_t> kRa{"case.Ra", kPositive, "Rayleigh number"};
+inline constexpr Param<real_t> kPr{"case.Pr", kPositive, "Prandtl number"};
+inline constexpr Param<real_t> kDt{"case.dt", kPositive, "time step"};
+inline constexpr Param<real_t> kRo{"case.Ro", 0, "Rossby number (0 = no rotation)"};
+inline constexpr Param<real_t> kPerturbation{"case.perturbation", 0, "amplitude"};
+inline constexpr Param<real_t> kPerturbLx{"case.perturbation_lx", kPositive, "x period"};
+inline constexpr Param<real_t> kPerturbLy{"case.perturbation_ly", kPositive, "y period"};
+inline constexpr Param<int> kSeed{"case.seed", 0, "seed of the perturbation"};
+inline constexpr Param<real_t> kAspect{"case.aspect", kPositive, "cylinder D/H"};
+inline constexpr Param<int> kNx{"mesh.nx", 1, "slab elements in x"};
+inline constexpr Param<int> kNy{"mesh.ny", 1, "slab elements in y"};
+inline constexpr Param<int> kNz{"mesh.nz", 1, "element layers in z"};
+inline constexpr Param<real_t> kLx{"mesh.lx", kPositive, "slab extent in x"};
+inline constexpr Param<real_t> kLy{"mesh.ly", kPositive, "slab extent in y"};
+inline constexpr Param<real_t> kLz{"mesh.lz", kPositive, "slab plate gap"};
+inline constexpr Param<int> kNc{"mesh.nc", 1, "cylinder core elements per side"};
+inline constexpr Param<int> kNr{"mesh.nr", 1, "cylinder o-grid ring layers"};
+inline constexpr Param<int> kDegree{"mesh.degree", 1, "polynomial degree"};
+inline constexpr Param<bool> kTelemetryEnabled{"telemetry.enabled", "open telemetry"};
+inline constexpr const ParamDecl* kCaseKeys[] = {
+    &kType, &kRa, &kPr, &kDt, &kRo, &kPerturbation, &kPerturbLx, &kPerturbLy, &kSeed,
+    &kAspect, &kNx, &kNy, &kNz, &kLx, &kLy, &kLz, &kNc, &kNr, &kDegree,
+    &kTelemetryEnabled};
+
+/// Every key a case file may hold: the case layer's and those each of its
+/// readers declares.
+inline constexpr ParamList kCaseParams[] = {
+    kCaseKeys, fluid::kFlowParams, fluid::kCheckpointParams, telemetry::kTelemetryParams,
+    device::kBackendParams, io::kFaultParams};
 
 /// Build the global mesh from the mesh.* keys of the case file.
 using GeometryFactory = std::function<Geometry(const ParamMap& params)>;
@@ -55,8 +90,8 @@ struct CaseInfo {
 /// The builtin case types, sorted by type: one constant row each.
 std::span<const CaseInfo> builtin_cases();
 
-/// Resolve `case.type` (default "rbc") against the table. An unknown type
-/// throws felis::Error naming it and every builtin type.
+/// Resolve kType (default "rbc") against the table. An unknown type throws
+/// felis::Error naming it and every builtin type.
 const CaseInfo& resolve_case(const ParamMap& params);
 
 /// Where a rank's telemetry goes, as its host names it: the output

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <iomanip>
 #include <sstream>
 #include <stdexcept>
-
-#include "common/error.hpp"
+#include <utility>
 
 namespace felis {
 
@@ -15,6 +15,17 @@ std::string trim(const std::string& s) {
   auto end = s.find_last_not_of(" \t\r\n");
   if (begin == std::string::npos) return "";
   return s.substr(begin, end - begin + 1);
+}
+
+/// "[min, max]"; a bound at kPositive or at the largest real reads "(0" or "inf)".
+std::string range_of(const ParamDecl& d) {
+  std::ostringstream os;
+  os.precision(10);
+  if (d.min == kPositive) os << "(0, ";
+  else os << "[" << d.min << ", ";
+  if (d.max == std::numeric_limits<double>::max()) os << "inf)";
+  else os << d.max << "]";
+  return os.str();
 }
 }  // namespace
 
@@ -65,66 +76,145 @@ void ParamMap::set(const std::string& key, bool value) {
 
 bool ParamMap::has(const std::string& key) const { return map_.count(key) > 0; }
 
-std::optional<std::string> ParamMap::lookup(const std::string& key) const {
-  const auto it = map_.find(key);
-  if (it == map_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::string ParamMap::get_string(const std::string& key) const {
-  const auto v = lookup(key);
-  FELIS_CHECK_MSG(v.has_value(), "missing parameter '" << key << "'");
-  return *v;
-}
-
-real_t ParamMap::get_real(const std::string& key) const {
-  const std::string s = get_string(key);
-  try {
-    usize pos = 0;
-    const real_t v = std::stod(s, &pos);
-    FELIS_CHECK_MSG(pos == s.size(), "trailing junk in real parameter '" << key << "'");
-    return v;
-  } catch (const std::invalid_argument&) {
-    throw Error("parameter '" + key + "' is not a real number: " + s);
-  } catch (const std::out_of_range&) {
-    throw Error("parameter '" + key + "' is out of range: " + s);
-  }
-}
-
-int ParamMap::get_int(const std::string& key) const {
-  const std::string s = get_string(key);
-  try {
-    usize pos = 0;
-    const int v = std::stoi(s, &pos);
-    FELIS_CHECK_MSG(pos == s.size(), "trailing junk in int parameter '" << key << "'");
-    return v;
-  } catch (const std::invalid_argument&) {
-    throw Error("parameter '" + key + "' is not an integer: " + s);
-  } catch (const std::out_of_range&) {
-    throw Error("parameter '" + key + "' is out of range: " + s);
-  }
-}
-
-bool ParamMap::get_bool(const std::string& key) const {
-  std::string s = get_string(key);
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  if (s == "true" || s == "1" || s == "yes" || s == "on") return true;
-  if (s == "false" || s == "0" || s == "no" || s == "off") return false;
-  throw Error("parameter '" + key + "' is not a boolean: " + s);
-}
-
 std::string ParamMap::get_string(const std::string& key, const std::string& def) const {
-  return has(key) ? get_string(key) : def;
+  const auto it = map_.find(key);
+  return it != map_.end() ? it->second : def;
 }
-real_t ParamMap::get_real(const std::string& key, real_t def) const {
-  return has(key) ? get_real(key) : def;
+
+template <class T>
+T parse_value(const std::string& key, std::string text) {
+  if constexpr (std::is_same_v<T, bool>) {
+    std::transform(text.begin(), text.end(), text.begin(),
+                   [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
+    if (text == "true" || text == "1" || text == "yes" || text == "on") return true;
+    if (text == "false" || text == "0" || text == "no" || text == "off") return false;
+    throw Error("parameter '" + key + "' is not a boolean: " + text);
+  } else {
+    usize pos = 0;
+    T v{};
+    try {
+      if constexpr (std::is_same_v<T, int>) v = std::stoi(text, &pos);
+      else v = std::stod(text, &pos);
+    } catch (const std::out_of_range&) {
+      throw Error("parameter '" + key + "' is out of range: " + text);
+    } catch (const std::invalid_argument&) {
+    }
+    if (pos == 0 || pos != text.size())
+      throw Error("parameter '" + key + "' is not " +
+                  (std::is_same_v<T, int> ? "an integer: " : "a real number: ") + text);
+    return v;
+  }
 }
-int ParamMap::get_int(const std::string& key, int def) const {
-  return has(key) ? get_int(key) : def;
+template int parse_value<int>(const std::string&, std::string);
+template real_t parse_value<real_t>(const std::string&, std::string);
+template bool parse_value<bool>(const std::string&, std::string);
+
+void ParamDecl::check(const std::string& text) const {
+  if (type == ParamType::kRemoved)
+    throw Error(std::string("parameter '") + name + "' was removed: " + doc);
+  if (type == ParamType::kBool) parse_value<bool>(name, text);
+  if (type != ParamType::kInt && type != ParamType::kReal) return;
+  const double v = type == ParamType::kInt ? parse_value<int>(name, text)
+                                           : parse_value<real_t>(name, text);
+  if (v >= min && v <= max) return;  // NaN fails here too
+  throw Error(std::string("parameter '") + name + "' = " + text +
+              " is outside its range " + range_of(*this));
 }
-bool ParamMap::get_bool(const std::string& key, bool def) const {
-  return has(key) ? get_bool(key) : def;
+
+const ParamDecl& find_param(const std::string& key, std::span<const ParamList> lists) {
+  std::vector<const ParamDecl*> decls;
+  for (const ParamList list : lists) decls.insert(decls.end(), list.begin(), list.end());
+  for (const ParamDecl* d : decls) {
+    const std::string_view name = d->name, stem = name.substr(0, name.size() - 1);
+    if (key == name ||
+        (name.ends_with(".*") && key.size() > stem.size() && key.starts_with(stem)))
+      return *d;
+  }
+  std::string nearest;
+  usize best = 3;  // suggest nothing further than edit distance 2
+  for (const ParamDecl* d : decls) {
+    const std::string_view name = d->name;
+    std::vector<usize> row(name.size() + 1);  // Levenshtein, one row at a time
+    for (usize j = 0; j <= name.size(); ++j) row[j] = j;
+    for (usize i = 1; i <= key.size(); ++i) {
+      usize diag = std::exchange(row[0], i);
+      for (usize j = 1; j <= name.size(); ++j)
+        diag = std::exchange(row[j], std::min({row[j] + 1, row[j - 1] + 1,
+                                               diag + (key[i - 1] != name[j - 1])}));
+    }
+    if (d->type != ParamType::kRemoved && row.back() < best)
+      best = row.back(), nearest = name;
+  }
+  throw Error("undeclared key '" + key + "'" +
+              (nearest.empty() ? "" : " (did you mean '" + nearest + "'?)"));
+}
+
+void check_params(const ParamMap& params, std::span<const ParamList> lists) {
+  for (const auto& [key, value] : params.entries()) find_param(key, lists).check(value);
+}
+
+ParamMap CommandLine::parse(int argc, const char* const* argv) const try {
+  ParamMap args;
+  const auto take = [&args](const ParamDecl& d, const std::string& value) {
+    d.check(value);
+    args.set(d.name, value);
+  };
+  const auto unknown = [this](const std::string& arg) {
+    std::string valid;
+    for (const ParamDecl* d : positionals) valid += ", <" + std::string(d->name) + ">";
+    for (const ParamDecl* d : options) valid += ", " + std::string(d->name);
+    return Error("unknown argument '" + arg + "' (valid: " + valid.substr(2) + ")");
+  };
+  std::vector<std::string> loose;  // the positional arguments, in order
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const auto option = std::find_if(options.begin(), options.end(),
+                                     [&](const ParamDecl* d) { return arg == d->name; });
+    if (arg.empty() || arg[0] != '-') loose.push_back(arg);
+    else if (option == options.end()) throw unknown(arg);
+    else if ((*option)->type == ParamType::kBool) take(**option, "true");
+    else if (i + 1 < argc) take(**option, argv[++i]);
+    else throw Error("option '" + arg + "' needs a value");
+  }
+  usize slot = replaces_first != nullptr && args.has(replaces_first->name) ? 1 : 0;
+  for (const std::string& arg : loose) {
+    if (slot >= positionals.size()) throw unknown(arg);
+    take(*positionals[slot++], arg);
+  }
+  return args;
+} catch (const Error& e) {
+  throw UsageError(e.what());
+}
+
+std::string CommandLine::usage() const {
+  std::ostringstream os;
+  os << "usage: " << program;
+  for (const ParamDecl* d : positionals) os << " [" << d->name << "]";
+  os << (options.empty() ? "\n" : " [options]\n");
+  for (const auto* list : {&positionals, &options})
+    for (const ParamDecl* d : *list) {
+      const bool valued = list == &options && d->type != ParamType::kBool;
+      os << "  " << std::left << std::setw(26)
+         << d->name + std::string(valued ? " <value>" : "") << d->doc;
+      if (d->type == ParamType::kInt || d->type == ParamType::kReal)
+        os << " " << range_of(*d);
+      os << "\n";
+    }
+  return os.str();
+}
+
+int CommandLine::main(int argc, const char* const* argv,
+                      const std::function<int(const ParamMap&)>& run,
+                      std::string& message) const {
+  try {
+    return run(parse(argc, argv));
+  } catch (const UsageError& e) {
+    message = std::string(e.what()) + "\n" + usage();
+    return 64;
+  } catch (const Error& e) {
+    message = std::string(program) + ": " + e.what() + "\n";
+    return 65;
+  }
 }
 
 }  // namespace felis

@@ -262,10 +262,7 @@ std::string process_family() {
 }  // namespace
 
 Backend& select_backend(const ParamMap& params, int threads) {
-  Backend& backend =
-      resolve(params.has("device.backend") ? params.get_string("device.backend")
-                                           : process_family(),
-              threads);
+  Backend& backend = resolve(kBackend.get(params, process_family()), threads);
   log_choice(backend);
   return backend;
 }

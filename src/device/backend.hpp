@@ -26,11 +26,8 @@
 #include <functional>
 #include <string>
 
+#include "common/params.hpp"
 #include "common/types.hpp"
-
-namespace felis {
-class ParamMap;
-}  // namespace felis
 
 namespace felis::device {
 
@@ -125,12 +122,16 @@ class OpenMpBackend final : public Backend {
 /// count, otherwise the hardware concurrency. Read once per process.
 int process_threads();
 
-/// The backend family "device.backend" names (serial|openmp|auto), with a
-/// team of exactly `threads` workers; without the key, the process default
-/// family (FELIS_BACKEND, else auto). `serial` ignores the count, `auto` is
-/// openmp only when threads > 1. Throws felis::Error for threads < 1 and for
-/// an unknown family. Instances live for the whole process, one per (family,
-/// team size), so contexts may keep plain pointers to them.
+/// The backend family of a case, read by select_backend.
+inline constexpr Param<std::string> kBackend{"device.backend", "serial | openmp | auto"};
+inline constexpr const ParamDecl* kBackendParams[] = {&kBackend};
+
+/// The backend family kBackend names, with a team of exactly `threads`
+/// workers; without the key, the process default family (FELIS_BACKEND, else
+/// auto). `serial` ignores the count, `auto` is openmp only when threads > 1.
+/// Throws felis::Error for threads < 1 and for an unknown family. Instances
+/// live for the whole process, one per (family, team size), so contexts may
+/// keep plain pointers to them.
 Backend& select_backend(const ParamMap& params, int threads);
 
 /// The whole process team: select_backend(params, process_threads()).

@@ -24,16 +24,12 @@ CheckpointManager::CheckpointManager(CheckpointConfig config,
 }
 
 CheckpointConfig CheckpointManager::config_from_params(const ParamMap& params) {
-  CheckpointConfig def;
   CheckpointConfig c;
-  c.directory = params.get_string("checkpoint.dir", def.directory);
-  c.basename = params.get_string("checkpoint.basename", def.basename);
-  c.keep = params.get_int("checkpoint.keep", def.keep);
-  c.every = params.get_int("checkpoint.every", static_cast<int>(def.every));
-  c.compress = params.get_bool("checkpoint.compress", def.compress);
-  c.max_retries = params.get_int("checkpoint.retries", def.max_retries);
-  c.retry_backoff_ms =
-      params.get_int("checkpoint.backoff_ms", def.retry_backoff_ms);
+  c.basename = kCheckpointBasename.get(params, c.basename);
+  c.keep = kCheckpointKeep.get(params, c.keep);
+  c.every = kCheckpointEvery.get(params, static_cast<int>(c.every));
+  c.max_retries = kCheckpointRetries.get(params, c.max_retries);
+  c.retry_backoff_ms = kCheckpointBackoffMs.get(params, c.retry_backoff_ms);
   return c;
 }
 
@@ -51,7 +47,7 @@ std::string CheckpointManager::write(const Checkpoint& ck) {
   const Stopwatch watch;
   fs::create_directories(config_.directory);
   const std::string path = path_for_step(ck.step);
-  const std::vector<std::byte> blob = ck.serialize(config_.compress);
+  const std::vector<std::byte> blob = ck.serialize();
   int retries = 0;
   for (int attempt = 0;; ++attempt) {
     try {

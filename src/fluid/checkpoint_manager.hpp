@@ -29,10 +29,19 @@ struct CheckpointConfig {
   std::string basename = "felis";
   int keep = 3;              ///< rotation depth (older checkpoints pruned)
   std::int64_t every = 0;    ///< checkpoint every N steps (0 = manual only)
-  bool compress = true;      ///< entropy-code the payload (lossless)
   int max_retries = 3;       ///< extra attempts after a transient failure
   int retry_backoff_ms = 10; ///< first backoff; doubles per retry
 };
+
+/// The checkpoint.* keys of a case file, read by config_from_params.
+inline constexpr Param<std::string> kCheckpointBasename{"checkpoint.basename", "stem"};
+inline constexpr Param<int> kCheckpointKeep{"checkpoint.keep", 1, "rotation depth"};
+inline constexpr Param<int> kCheckpointEvery{"checkpoint.every", 0, "period (0 = never)"};
+inline constexpr Param<int> kCheckpointRetries{"checkpoint.retries", 0, "write retries"};
+inline constexpr Param<int> kCheckpointBackoffMs{"checkpoint.backoff_ms", 0, "backoff"};
+inline constexpr const ParamDecl* kCheckpointParams[] = {
+    &kCheckpointBasename, &kCheckpointKeep, &kCheckpointEvery, &kCheckpointRetries,
+    &kCheckpointBackoffMs};
 
 class CheckpointManager {
  public:
@@ -43,8 +52,8 @@ class CheckpointManager {
                              io::FaultInjector* fault = nullptr,
                              telemetry::Telemetry* telemetry = nullptr);
 
-  /// Read checkpoint.* keys (dir, basename, keep, every, compress, retries,
-  /// backoff_ms) with defaults from CheckpointConfig.
+  /// Read the checkpoint.* keys below over the CheckpointConfig defaults. The
+  /// directory is the host's: every caller places its own rotation.
   static CheckpointConfig config_from_params(const ParamMap& params);
 
   /// Durably write `ck` as `<dir>/<basename>.<step>.ckpt`, retrying

@@ -427,22 +427,19 @@ StepInfo FlowSolver::step() {
 }
 
 void apply_flow_params(const ParamMap& params, FlowConfig& config) {
-  config.max_order = params.get_int("fluid.max_order", config.max_order);
+  config.max_order = kMaxOrder.get(params, config.max_order);
   config.overlap =
-      params.get_bool("fluid.overlap",
-                      config.overlap == precon::OverlapMode::kTaskParallel)
+      kOverlap.get(params, config.overlap == precon::OverlapMode::kTaskParallel)
           ? precon::OverlapMode::kTaskParallel
           : precon::OverlapMode::kSerial;
-  config.use_projection =
-      params.get_bool("fluid.use_projection", config.use_projection);
+  config.use_projection = kProjection.get(params, config.use_projection);
   config.pressure_control.abs_tol =
-      params.get_real("fluid.pressure_tol", config.pressure_control.abs_tol);
+      kPressureTol.get(params, config.pressure_control.abs_tol);
   config.velocity_control.abs_tol =
-      params.get_real("fluid.velocity_tol", config.velocity_control.abs_tol);
-  config.gmres_restart =
-      params.get_int("fluid.gmres_restart", config.gmres_restart);
+      kVelocityTol.get(params, config.velocity_control.abs_tol);
+  config.gmres_restart = kGmresRestart.get(params, config.gmres_restart);
   config.coarse_iterations =
-      params.get_int("fluid.coarse_iterations", config.coarse_iterations);
+      kCoarseIterations.get(params, config.coarse_iterations);
 }
 
 }  // namespace felis::fluid

@@ -226,12 +226,23 @@ class FlowSolver {
   std::unique_ptr<krylov::ResidualProjection> pressure_projection_;
 };
 
-/// Apply the solver-tuning keys of a parsed case file onto `config`:
-///   fluid.max_order, fluid.overlap (bool), fluid.use_projection,
-///   fluid.pressure_tol, fluid.velocity_tol, fluid.gmres_restart,
-///   fluid.coarse_iterations.
-/// Missing keys keep their current values, so cases can layer their own
-/// defaults first. Physics keys (ν, κ, buoyancy, dt) are owned by the case.
+/// The solver-tuning keys of a case file, read by apply_flow_params (orders
+/// 1-3: the BDF/EXT schemes of time_scheme.hpp).
+inline constexpr Param<int> kMaxOrder{"fluid.max_order", 1, 3, "BDF/EXT order"};
+inline constexpr Param<bool> kOverlap{"fluid.overlap", "overlap the coarse solve"};
+inline constexpr Param<bool> kProjection{"fluid.use_projection", "pressure projection"};
+inline constexpr Param<real_t> kPressureTol{"fluid.pressure_tol", 0, "abs tolerance"};
+inline constexpr Param<real_t> kVelocityTol{"fluid.velocity_tol", 0, "abs tolerance"};
+inline constexpr Param<int> kGmresRestart{"fluid.gmres_restart", 1, "GMRES restart"};
+inline constexpr Param<int> kCoarseIterations{"fluid.coarse_iterations", 1,
+                                              "coarse-grid CG iterations per apply"};
+inline constexpr const ParamDecl* kFlowParams[] = {
+    &kMaxOrder, &kOverlap, &kProjection, &kPressureTol, &kVelocityTol, &kGmresRestart,
+    &kCoarseIterations};
+
+/// Apply the fluid.* keys of a parsed case file onto `config`. Missing keys
+/// keep their current values, so cases can layer their own defaults first.
+/// Physics keys (ν, κ, buoyancy, dt) are owned by the case.
 void apply_flow_params(const ParamMap& params, FlowConfig& config);
 
 }  // namespace felis::fluid

@@ -20,24 +20,28 @@ FaultInjector::Mode parse_mode(const std::string& s) {
 }
 }  // namespace
 
-FaultInjector::Config FaultInjector::config_from_params(
-    const ParamMap& params, const std::string& prefix) {
+FaultInjector::Config FaultInjector::config_from_params(const ParamMap& params) {
   Config c;
-  c.mode = parse_mode(params.get_string(prefix + "mode", "none"));
-  c.at = params.get_int(prefix + "at", c.at);
-  c.count = params.get_int(prefix + "count", c.count);
-  const int offset = params.get_int(prefix + "offset", 0);
-  FELIS_CHECK_MSG(c.at >= 1, "fault injector: 'at' is 1-based, got " << c.at);
-  FELIS_CHECK_MSG(c.count >= 0, "fault injector: negative 'count'");
-  FELIS_CHECK_MSG(offset >= 0, "fault injector: negative 'offset'");
-  c.offset = static_cast<usize>(offset);
+  c.mode = parse_mode(kFaultMode.get(params, "none"));
+  c.at = kFaultAt.get(params, c.at);
+  c.count = kFaultCount.get(params, c.count);
+  c.offset = static_cast<usize>(kFaultOffset.get(params, 0));
   return c;
 }
 
 std::optional<FaultInjector::Config> FaultInjector::config_from_env() {
   const char* env = std::getenv("FELIS_FAULT_INJECT");
   if (env == nullptr || *env == '\0') return std::nullopt;
-  return config_from_params(ParamMap::parse(env), "");
+  const ParamMap bare = ParamMap::parse(env);
+  ParamMap params;
+  for (const auto& [key, value] : bare.entries()) params.set("fault." + key, value);
+  const ParamList keys[] = {kFaultParams};
+  try {
+    check_params(params, keys);
+  } catch (const Error& e) {
+    throw Error(std::string("FELIS_FAULT_INJECT: ") + e.what());
+  }
+  return config_from_params(params);
 }
 
 FaultInjector::Mode FaultInjector::next_write_action() {

@@ -6,8 +6,8 @@
 /// FaultInjector reproduces those failures deterministically inside
 /// io::atomic_write_file so every recovery branch is exercised by tests
 /// instead of discovered at Ra = 1e15. Configure it programmatically, from a
-/// ParamMap (fault.mode / fault.at / fault.count / fault.offset), or from the
-/// FELIS_FAULT_INJECT environment variable, e.g.
+/// case file's fault.* keys (declared below), or from the FELIS_FAULT_INJECT
+/// environment variable, which spells the same keys bare, e.g.
 /// `FELIS_FAULT_INJECT="mode=corrupt; at=2; offset=64"`.
 #pragma once
 
@@ -27,6 +27,15 @@ class InjectedCrash : public Error {
  public:
   explicit InjectedCrash(const std::string& what) : Error(what) {}
 };
+
+/// The fault.* keys, read by FaultInjector::config_from_params.
+inline constexpr Param<std::string> kFaultMode{
+    "fault.mode", "none | fail-write | truncate | corrupt | crash"};
+inline constexpr Param<int> kFaultAt{"fault.at", 1, "first faulty write"};
+inline constexpr Param<int> kFaultCount{"fault.count", 0, "faulty writes"};
+inline constexpr Param<int> kFaultOffset{"fault.offset", 0, "truncation / flipped byte"};
+inline constexpr const ParamDecl* kFaultParams[] = {&kFaultMode, &kFaultAt, &kFaultCount,
+                                                    &kFaultOffset};
 
 class FaultInjector {
  public:
@@ -48,11 +57,11 @@ class FaultInjector {
   FaultInjector() = default;
   explicit FaultInjector(Config config) : config_(config) {}
 
-  /// Read `<prefix>mode` / `<prefix>at` / `<prefix>count` / `<prefix>offset`.
-  static Config config_from_params(const ParamMap& params,
-                                   const std::string& prefix = "fault.");
+  /// Read the fault.* keys over the Config defaults.
+  static Config config_from_params(const ParamMap& params);
   /// Parse FELIS_FAULT_INJECT ("mode=...; at=...; count=...; offset=...");
-  /// empty optional when the variable is unset or blank.
+  /// empty optional when the variable is unset or blank. A key that is not
+  /// one of the four throws felis::Error naming it.
   static std::optional<Config> config_from_env();
 
   /// Called by the atomic-write helper once per write attempt; returns the

@@ -8,7 +8,6 @@
 #include "common/error.hpp"
 #include "perfmodel/machine.hpp"
 #include "perfmodel/workload.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace felis::sched {
 
@@ -16,11 +15,11 @@ double estimate_case_seconds(const ParamMap& case_params, int ranks,
                              std::int64_t steps) {
   // The rbc slab's mesh defaults: rbc2d and rbc_cyl are priced as that slab
   // unless their mesh.* keys are set (ROADMAP item 3).
-  const double nx = case_params.get_int("mesh.nx", 3);
-  const double ny = case_params.get_int("mesh.ny", 3);
-  const double nz = case_params.get_int("mesh.nz", 3);
-  const int degree = case_params.get_int("mesh.degree", 4);
-  const double ra = case_params.get_real("case.Ra", 1e5);
+  const double nx = cases::kNx.get(case_params, 3);
+  const double ny = cases::kNy.get(case_params, 3);
+  const double nz = cases::kNz.get(case_params, 3);
+  const int degree = cases::kDegree.get(case_params, 4);
+  const double ra = cases::kRa.get(case_params, 1e5);
   const double elements = nx * ny * nz;
 
   // Slab partition statistics, mesh_stats-style: each rank owns a contiguous
@@ -51,50 +50,53 @@ double estimate_case_seconds(const ParamMap& case_params, int ranks,
 }
 
 CampaignSpec CampaignSpec::from_params(const ParamMap& params) {
+  std::vector<ParamList> decls(std::begin(cases::kCaseParams),
+                               std::end(cases::kCaseParams));
+  decls.push_back(kCampaignParams);
+  for (const auto& [key, value] : params.entries()) {
+    if (!key.starts_with("sweep.")) {
+      find_param(key, decls).check(value);
+      continue;
+    }
+    try {
+      find_param(sweep_target_key(key), decls);
+    } catch (const Error& e) {
+      throw Error("sweep axis '" + key + "': " + e.what());
+    }
+  }
+
   CampaignSpec spec;
   CampaignConfig& c = spec.config;
-  c.name = params.get_string("campaign.name", c.name);
-  c.dir = params.get_string("campaign.dir", c.dir);
-  c.workers = params.get_int("campaign.workers", c.workers);
-  c.thread_budget = params.get_int("campaign.thread_budget", c.thread_budget);
-  c.ranks = params.get_int("campaign.ranks", c.ranks);
-  c.steps = params.get_int("campaign.steps", static_cast<int>(c.steps));
-  c.max_retries = params.get_int("campaign.retries", c.max_retries);
-  c.retry_backoff_ms = params.get_int("campaign.backoff_ms", c.retry_backoff_ms);
-  c.watchdog_seconds =
-      params.get_real("campaign.watchdog_seconds", c.watchdog_seconds);
-  // ParamMap ignores unknown keys, so a file written for the retired
-  // scheduler metrics journal would otherwise run without comment.
-  if (params.has("campaign.monitor"))
-    throw Error("parameter 'campaign.monitor' was removed: the manifest is the "
-                "one campaign journal, read by felis_campaign --status DIR");
-  FELIS_CHECK_MSG(c.workers >= 1, "campaign.workers must be >= 1");
-  FELIS_CHECK_MSG(c.thread_budget >= 1, "campaign.thread_budget must be >= 1");
-  FELIS_CHECK_MSG(c.ranks >= 1, "campaign.ranks must be >= 1");
-  FELIS_CHECK_MSG(c.steps >= 1, "campaign.steps must be >= 1");
-  FELIS_CHECK_MSG(c.max_retries >= 0, "campaign.retries must be >= 0");
+  c.name = kCampaignName.get(params, c.name);
+  c.dir = kCampaignDir.get(params, c.dir);
+  c.workers = kWorkers.get(params, c.workers);
+  c.thread_budget = kThreadBudget.get(params, c.thread_budget);
+  c.ranks = kRanks.get(params, c.ranks);
+  c.steps = kSteps.get(params, static_cast<int>(c.steps));
+  c.max_retries = kRetries.get(params, c.max_retries);
+  c.retry_backoff_ms = kBackoffMs.get(params, c.retry_backoff_ms);
+  c.watchdog_seconds = kWatchdogSeconds.get(params, c.watchdog_seconds);
 
   spec.cases = expand_campaign_cases(params);
   for (CaseSpec& cs : spec.cases) {
-    cs.threads = cs.params.get_int("case.ranks", c.ranks);
-    FELIS_CHECK_MSG(cs.threads >= 1,
-                    "case '" << cs.id << "': ranks must be >= 1");
-    FELIS_CHECK_MSG(
-        cs.threads <= c.thread_budget,
-        "case '" << cs.id << "' needs " << cs.threads
-                 << " threads but campaign.thread_budget is " << c.thread_budget);
-    cs.steps = cs.params.get_int("case.steps", static_cast<int>(c.steps));
-    FELIS_CHECK_MSG(cs.steps >= 1, "case '" << cs.id << "': steps must be >= 1");
-    // Build every case's geometry and read its telemetry keys once before
-    // anything runs: a case.type the case table does not know, a mesh its
-    // factory rejects or a negative telemetry count is a config error that
+    // Check every swept value and build every case's geometry once before
+    // anything runs: a value outside its range, a case.type the case table
+    // does not know or a mesh its factory rejects is a config error that
     // would otherwise fail every attempt.
     try {
+      for (const auto& [key, value] : cs.overrides)
+        find_param(key, decls).check(value);
       cases::resolve_case(cs.params).make_geometry(cs.params);
-      telemetry::config_from_params(cs.params);
     } catch (const Error& e) {
       throw Error("case '" + cs.id + "': " + e.what());
     }
+    cs.threads = kCaseRanks.get(cs.params, c.ranks);
+    FELIS_CHECK_MSG(
+        cs.threads <= c.thread_budget,
+        "case '" << cs.id << "' needs " << cs.threads
+                 << " threads but " << kThreadBudget.name << " is "
+                 << c.thread_budget);
+    cs.steps = kCaseSteps.get(cs.params, static_cast<int>(c.steps));
     cs.cost_seconds = estimate_case_seconds(cs.params, cs.threads, cs.steps);
   }
 

@@ -69,7 +69,7 @@ void run_rank(const CaseSpec& cs, RunContext& ctx, comm::Communicator& comm,
       {{"program", "felis_campaign"},
        {"case", cs.id},
        {"attempt", std::to_string(ctx.attempt())},
-       {"Ra", params.get_string("case.Ra", "default")}}};
+       {"Ra", params.get_string(cases::kRa.name, "default")}}};
   const std::unique_ptr<cases::CaseSetup> setup =
       cases::build_case(info, params, comm, &backend, &channel);
   cases::Case& sim = *setup->sim;

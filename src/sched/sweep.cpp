@@ -18,21 +18,6 @@ std::string trim(const std::string& s) {
   return s.substr(begin, end - begin + 1);
 }
 
-double parse_number(const std::string& key, const std::string& text) {
-  try {
-    usize pos = 0;
-    const double v = std::stod(text, &pos);
-    FELIS_CHECK_MSG(pos == text.size(), "sweep key '"
-                                            << key << "': trailing junk in '"
-                                            << text << "'");
-    return v;
-  } catch (const std::invalid_argument&) {
-    throw Error("sweep key '" + key + "': '" + text + "' is not a number");
-  } catch (const std::out_of_range&) {
-    throw Error("sweep key '" + key + "': '" + text + "' is out of range");
-  }
-}
-
 /// Shortest %g form — sweep values land in directory names and summary
 /// tables, where 17 significant digits would be noise.
 std::string format_value(double v) {
@@ -85,30 +70,15 @@ std::vector<std::string> expand_sweep_values(const std::string& key,
                                            << "'first:last:logN' or "
                                            << "'first:last:linN', got '" << text
                                            << "'");
-    const double a = parse_number(key, parts[0]);
-    const double b = parse_number(key, parts[1]);
+    const double a = parse_value<real_t>(key, parts[0]);
+    const double b = parse_value<real_t>(key, parts[1]);
     const std::string& mode = parts[2];
     const bool log_spaced = mode.rfind("log", 0) == 0;
     const bool lin_spaced = mode.rfind("lin", 0) == 0;
     FELIS_CHECK_MSG(log_spaced || lin_spaced,
                     "sweep key '" << key << "': spacing must be logN or linN, "
                                   << "got '" << mode << "'");
-    const std::string count_text = mode.substr(3);
-    FELIS_CHECK_MSG(!count_text.empty(), "sweep key '"
-                                             << key
-                                             << "': missing point count in '"
-                                             << mode << "'");
-    int n = 0;
-    try {
-      usize pos = 0;
-      n = std::stoi(count_text, &pos);
-      FELIS_CHECK_MSG(pos == count_text.size(),
-                      "sweep key '" << key << "': malformed point count '"
-                                    << count_text << "'");
-    } catch (const std::logic_error&) {
-      throw Error("sweep key '" + key + "': malformed point count '" +
-                  count_text + "'");
-    }
+    const int n = parse_value<int>(key, mode.substr(3));
     FELIS_CHECK_MSG(n >= 2 && n <= 10000,
                     "sweep key '" << key << "': point count " << n
                                   << " outside [2, 10000]");

@@ -12,35 +12,18 @@
 
 namespace felis::telemetry {
 
-namespace {
-
-/// A `telemetry.*` count. A negative value would wrap to 2^64 - 1 (no trace
-/// cap, a stagnation run that never trips), so it is an error naming the key.
-usize count_param(const ParamMap& params, const std::string& key,
-                  usize fallback) {
-  const int v = params.get_int(key, static_cast<int>(fallback));
-  if (v < 0)
-    throw Error("parameter '" + key + "' must be >= 0, got " +
-                std::to_string(v));
-  return static_cast<usize>(v);
-}
-
-}  // namespace
-
 TelemetryConfig config_from_params(const ParamMap& params) {
   TelemetryConfig cfg;
-  cfg.dir = params.get_string("telemetry.dir", cfg.dir);
-  cfg.basename = params.get_string("telemetry.basename", cfg.basename);
-  cfg.interval = params.get_int("telemetry.interval",
-                                static_cast<int>(cfg.interval));
-  if (cfg.interval < 1) cfg.interval = 1;
-  cfg.trace = params.get_bool("telemetry.trace", cfg.trace);
-  cfg.max_trace_events =
-      count_param(params, "telemetry.max_trace_events", cfg.max_trace_events);
+  cfg.dir = kDir.get(params, cfg.dir);
+  cfg.basename = kBasename.get(params, cfg.basename);
+  cfg.interval = kInterval.get(params, static_cast<int>(cfg.interval));
+  cfg.trace = kTrace.get(params, cfg.trace);
+  cfg.max_trace_events = static_cast<usize>(
+      kMaxTraceEvents.get(params, static_cast<int>(cfg.max_trace_events)));
   cfg.health.heartbeat =
-      params.get_int("telemetry.heartbeat", static_cast<int>(cfg.health.heartbeat));
-  cfg.health.stagnation_run =
-      count_param(params, "telemetry.stagnation_run", cfg.health.stagnation_run);
+      kHeartbeat.get(params, static_cast<int>(cfg.health.heartbeat));
+  cfg.health.stagnation_run = static_cast<usize>(
+      kStagnationRun.get(params, static_cast<int>(cfg.health.stagnation_run)));
   return cfg;
 }
 

@@ -43,10 +43,20 @@ struct TelemetryConfig {
   HealthConfig health;
 };
 
-/// Read the `telemetry.*` keys that shape an open channel (dir, basename,
-/// interval, heartbeat, trace, max_trace_events, stagnation_run) with the
-/// defaults above. A negative max_trace_events or stagnation_run throws a
-/// felis::Error naming the key.
+/// The telemetry.* keys that shape an open channel (`telemetry.enabled`, which
+/// opens one, is build_case's).
+inline constexpr Param<std::string> kDir{"telemetry.dir", "output directory"};
+inline constexpr Param<std::string> kBasename{"telemetry.basename", "file stem"};
+inline constexpr Param<int> kInterval{"telemetry.interval", 1, "record interval"};
+inline constexpr Param<bool> kTrace{"telemetry.trace", "export the Chrome trace"};
+inline constexpr Param<int> kMaxTraceEvents{"telemetry.max_trace_events", 0, "trace cap"};
+inline constexpr Param<int> kHeartbeat{"telemetry.heartbeat", 0, "period (0 = off)"};
+inline constexpr Param<int> kStagnationRun{"telemetry.stagnation_run", 0, "stall length"};
+inline constexpr const ParamDecl* kTelemetryParams[] = {
+    &kDir, &kBasename, &kInterval, &kTrace, &kMaxTraceEvents, &kHeartbeat,
+    &kStagnationRun};
+
+/// The keys above over the TelemetryConfig defaults.
 TelemetryConfig config_from_params(const ParamMap& params);
 
 class Telemetry {

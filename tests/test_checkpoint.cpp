@@ -467,11 +467,24 @@ TEST(FaultInjectorConfig, ParsesParamsAndEnvironment) {
   EXPECT_EQ(env->at, 2);
   EXPECT_EQ(env->count, 4);
   EXPECT_EQ(env->offset, 64u);
+  // The environment spells the fault.* keys bare; any other key is an error
+  // naming it and the nearest declared one.
+  ASSERT_EQ(::setenv("FELIS_FAULT_INJECT", "mdoe=crash", 1), 0);
+  try {
+    io::FaultInjector::config_from_env();
+    ADD_FAILURE() << "an undeclared key was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'fault.mdoe' (did you mean 'fault.mode'?)"),
+              std::string::npos)
+        << e.what();
+  }
   ASSERT_EQ(::unsetenv("FELIS_FAULT_INJECT"), 0);
   EXPECT_FALSE(io::FaultInjector::config_from_env().has_value());
 
   EXPECT_THROW(io::FaultInjector::config_from_params(
                    ParamMap::parse("fault.mode = explode")),
+               Error);
+  EXPECT_THROW(io::FaultInjector::config_from_params(ParamMap::parse("fault.at = 0")),
                Error);
 }
 

@@ -8,6 +8,7 @@
 // state bitwise identical to an uninterrupted campaign.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
@@ -19,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "case/registry.hpp"
 #include "device/backend.hpp"
 #include "fluid/checkpoint.hpp"
 #include "io/atomic_file.hpp"
@@ -105,7 +107,7 @@ TEST(Sweep, CartesianProductIsRowMajorOverSortedAxes) {
   EXPECT_EQ(cases[3].params.get_string("mesh.degree", ""), "5");
   // Non-swept keys are inherited; ids are unique and name the overrides.
   for (const auto& c : cases) {
-    EXPECT_EQ(c.params.get_real("case.Pr", 0), 1.0);
+    EXPECT_EQ(cases::kPr.get(c.params, 0.0), 1.0);
     EXPECT_EQ(c.overrides.size(), 2u);
   }
   EXPECT_NE(cases[0].id, cases[1].id);
@@ -129,8 +131,8 @@ TEST(Campaign, FromParamsOrdersQueueByEstimatedCost) {
   // (higher Ra => more Krylov iterations in the estimate).
   for (usize i = 1; i < spec.cases.size(); ++i) {
     EXPECT_GE(spec.cases[i - 1].cost_seconds, spec.cases[i].cost_seconds);
-    EXPECT_GT(spec.cases[i - 1].params.get_real("case.Ra", 0),
-              spec.cases[i].params.get_real("case.Ra", 0));
+    EXPECT_GT(cases::kRa.get(spec.cases[i - 1].params, 0.0),
+              cases::kRa.get(spec.cases[i].params, 0.0));
   }
   EXPECT_GT(spec.cases[0].cost_seconds, 0.0);
 }
@@ -170,6 +172,59 @@ TEST(Campaign, ValidatesConfigAndPerCaseBudgets) {
     EXPECT_NE(std::string(e.what()).find("thread_budget"), std::string::npos)
         << e.what();
   }
+}
+
+TEST(Campaign, ChecksEveryKeyAgainstTheDeclarations) {
+  const auto message = [](const char* text) {
+    try {
+      CampaignSpec::from_params(ParamMap::parse(text));
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("(accepted)");
+  };
+  // A misspelt key or sweep axis names its nearest declared key; the keys
+  // that every caller overwrote or nobody set are gone.
+  EXPECT_NE(message("campaign.wokers = 3").find("did you mean 'campaign.workers'"),
+            std::string::npos);
+  const std::string axis = message("sweep.Raa = 1e4,1e5");
+  EXPECT_NE(axis.find("sweep axis 'sweep.Raa'"), std::string::npos) << axis;
+  EXPECT_NE(axis.find("did you mean 'case.Ra'"), std::string::npos) << axis;
+  for (const char* gone : {"checkpoint.dir = x", "checkpoint.compress = true"})
+    EXPECT_NE(message(gone).find("undeclared key"), std::string::npos) << gone;
+  // A swept value is checked against its key's range, naming the case.
+  const std::string swept = message("sweep.Ra = 1e4,0");
+  EXPECT_NE(swept.find("case 'case0001-Ra0'"), std::string::npos) << swept;
+  EXPECT_NE(swept.find("'case.Ra' = 0 is outside"), std::string::npos) << swept;
+  EXPECT_EQ(message("validation.nu.rbc = 1\nsweep.fluid.max_order = 2,3"),
+            "(accepted)");
+}
+
+TEST(Campaign, EveryRepoInputPassesTheDeclaredKeyCheck) {
+  // The case and campaign files the examples and the benchmark run: a
+  // declaration one of them needs cannot be dropped without failing here.
+  int files = 0;
+  for (const char* dir : {"examples", "felis_bench/workloads"}) {
+    for (const auto& entry :
+         fs::directory_iterator(fs::path(FELIS_SOURCE_DIR) / dir)) {
+      if (entry.path().extension() != ".txt" ||
+          entry.path().filename() == "CMakeLists.txt")
+        continue;
+      std::ifstream in(entry.path());
+      std::stringstream text;
+      text << in.rdbuf();
+      const ParamMap params = ParamMap::parse(text.str());
+      const bool campaign = std::any_of(
+          params.entries().begin(), params.entries().end(),
+          [](const auto& kv) { return kv.first.rfind("campaign.", 0) == 0; });
+      if (campaign)
+        EXPECT_NO_THROW(CampaignSpec::from_params(params)) << entry.path();
+      else
+        EXPECT_NO_THROW(check_params(params, cases::kCaseParams)) << entry.path();
+      ++files;
+    }
+  }
+  EXPECT_GE(files, 7);
 }
 
 // ---- manifest ------------------------------------------------------------
@@ -319,7 +374,7 @@ TEST_F(ManifestTest, RetriesWithBackoffThenSucceeds) {
       [&](const CaseSpec& cs, RunContext& ctx) {
         attempts_seen.fetch_add(1);
         // The most expensive case fails twice, then succeeds on attempt 3.
-        const bool is_flaky = cs.params.get_real("case.Ra", 0) > 1e6;
+        const bool is_flaky = cases::kRa.get(cs.params, 0.0) > 1e6;
         return RunResult{!is_flaky || ctx.attempt() >= 3, "synthetic", {}};
       });
   const CampaignReport report = scheduler.run();
@@ -337,7 +392,7 @@ TEST_F(ManifestTest, RetryExhaustionFailsTheCaseOnly) {
   Scheduler scheduler(tiny_spec(dir_, 3, 2, 2, /*retries=*/1),
                       [&](const CaseSpec& cs, RunContext&) {
                         const bool broken =
-                            cs.params.get_real("case.Ra", 0) > 1e6;
+                            cases::kRa.get(cs.params, 0.0) > 1e6;
                         return RunResult{!broken, "synthetic breakage", {}};
                       });
   const CampaignReport report = scheduler.run();
@@ -433,7 +488,7 @@ TEST_F(ManifestTest, ResumeSkipsCompletedCases) {
                   [&](const CaseSpec& cs, RunContext&) {
                     first_runs.fetch_add(1);
                     // Half the campaign fails terminally (no retries).
-                    const bool ok = cs.params.get_real("case.Ra", 0) < 2e5;
+                    const bool ok = cases::kRa.get(cs.params, 0.0) < 2e5;
                     return RunResult{ok, "synthetic", {{"Ra", 1.0}}};
                   });
   const CampaignReport r1 = first.run();
@@ -784,7 +839,7 @@ TEST_F(ManifestTest, EachCaseRunsOnItsOwnBackend) {
     std::ifstream in(fs::path(dir_) / cs.id / "telemetry" / "run.ndjson");
     std::getline(in, header);
     EXPECT_EQ(metadata_of(header, "backend"),
-              cs.params.get_string("device.backend"))
+              cs.params.get_string("device.backend", ""))
         << cs.id << ": " << header;
     EXPECT_EQ(metadata_of(header, "threads"), "1") << cs.id << ": " << header;
   }

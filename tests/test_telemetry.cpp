@@ -114,7 +114,7 @@ TEST(Telemetry, ConfigFromParamsReadsTelemetryKeys) {
   const ParamMap params = ParamMap::parse(R"(
     telemetry.dir = out
     telemetry.basename = probe
-    telemetry.interval = 0   # clamped to 1
+    telemetry.interval = 3
     telemetry.trace = false
     telemetry.heartbeat = 25
     telemetry.stagnation_run = 9
@@ -123,10 +123,21 @@ TEST(Telemetry, ConfigFromParamsReadsTelemetryKeys) {
       telemetry::config_from_params(params);
   EXPECT_EQ(config.dir, "out");
   EXPECT_EQ(config.basename, "probe");
-  EXPECT_EQ(config.interval, 1);
+  EXPECT_EQ(config.interval, 3);
   EXPECT_FALSE(config.trace);
   EXPECT_EQ(config.health.heartbeat, 25);
   EXPECT_EQ(config.health.stagnation_run, 9u);
+  // Out of range is an error naming the key, never a silent clamp.
+  for (const char* bad : {"telemetry.interval = 0", "telemetry.heartbeat = -1",
+                          "telemetry.max_trace_events = -1"}) {
+    try {
+      telemetry::config_from_params(ParamMap::parse(bad));
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const Error& e) {
+      const std::string key(bad, std::string(bad).find(' '));
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+    }
+  }
 }
 
 // ---- end-to-end over a real RBC run -----------------------------------------

@@ -1,34 +1,52 @@
 // felis_check — exhaustive explicit-state model checking of the crash-safety
-// protocols (see src/verify/ and DESIGN.md §11).
-//
-//   felis_check --all                    check every protocol model at the
-//                                        documented bounds (CI gate)
-//   felis_check --model manifest [opts]  manifest state machine + crash /
-//                                        torn-tail / duplicate faults
-//   felis_check --model checkpoint [opts]
-//                                        checkpoint rotation/retry/recovery
-//                                        + fail-write/truncate/corrupt/crash
-//   --expect-violation                   succeed only if a counterexample is
-//                                        found (and print it) — used to
-//                                        demonstrate e.g. the fault_budget >=
-//                                        keep rotation hazard
+// protocols (see src/verify/ and DESIGN.md §11): `--all` checks every model at
+// the documented bounds (the CI gate), `--model manifest|checkpoint` one model
+// at the bounds its options set; `--expect-violation` succeeds only on a
+// counterexample (the fault budget >= keep rotation hazard). The options are
+// declared below; the usage text lists them.
 //
 // Exit codes: 0 = invariants hold (or expected violation found), 1 =
 // counterexample found (trace printed) or expected violation absent, 2 =
-// usage error, 3 = state space not exhausted within --max-states.
-#include <cstdlib>
+// usage error (an argument that is not declared, does not parse or lies
+// outside its range), 3 = state space not exhausted within --max-states.
 #include <iostream>
 #include <sstream>
 #include <string>
 
+#include "common/params.hpp"
 #include "verify/checker.hpp"
 #include "verify/checkpoint_model.hpp"
 #include "verify/manifest_model.hpp"
 
 namespace {
 
+using felis::Param;
 using felis::usize;
 using felis::verify::CheckResult;
+
+const Param<bool> kAll{"--all", "check every model at the documented bounds"};
+const Param<std::string> kModel{"--model", "manifest | checkpoint"};
+const Param<bool> kExpectViolation{"--expect-violation", "pass only on a counterexample"};
+const Param<int> kMaxStates{"--max-states", 0, "state cap (exit 3 when hit)"};
+const Param<int> kCases{"--cases", 0, "manifest: cases"};
+const Param<int> kWorkers{"--workers", 0, "manifest: workers"};
+const Param<int> kBudget{"--budget", 0, "manifest: thread budget"};
+const Param<int> kRetries{"--retries", 0, "manifest: retries per case"};
+const Param<int> kFailures{"--failures", 0, "manifest: injected failures"};
+const Param<int> kSessions{"--sessions", 0, "manifest: crash/resume sessions"};
+const Param<bool> kNoTorn{"--no-torn", "manifest: no torn journal tails"};
+const Param<bool> kNoDuplicates{"--no-duplicates", "manifest: no duplicate terminals"};
+const Param<int> kSteps{"--steps", 0, "checkpoint: checkpoint steps"};
+const Param<int> kKeep{"--keep", 0, "checkpoint: rotation depth"};
+const Param<int> kCkptRetries{"--ckpt-retries", 0, "checkpoint: retries per write"};
+const Param<int> kFaults{"--faults", 0, "checkpoint: fault budget"};
+const Param<bool> kNoMonotonic{"--no-monotonic", "checkpoint: skip the monotonic check"};
+const felis::CommandLine kCli{
+    "felis_check",
+    {&kAll, &kModel, &kExpectViolation, &kMaxStates, &kCases, &kWorkers, &kBudget,
+     &kRetries, &kFailures, &kSessions, &kNoTorn, &kNoDuplicates, &kSteps, &kKeep,
+     &kCkptRetries, &kFaults, &kNoMonotonic},
+    {}};
 
 void print_trace(const CheckResult& result) {
   std::cout << "counterexample (" << result.trace.size() - 1
@@ -71,17 +89,9 @@ int report(const std::string& name, const std::string& bounds,
   return 0;
 }
 
-struct Cli {
-  std::string model;  // "", "manifest", "checkpoint"
-  bool all = false;
-  bool expect_violation = false;
-  usize max_states = 4000000;
-  felis::verify::ManifestModelOptions manifest;
-  felis::verify::CheckpointModelOptions checkpoint;
-};
-
-int check_manifest(const Cli& cli) {
-  const felis::verify::ManifestModel model(cli.manifest);
+int check_manifest(const felis::verify::ManifestModelOptions& options, usize max_states,
+                   bool expect_violation) {
+  const felis::verify::ManifestModel model(options);
   const auto& o = model.options();
   std::ostringstream bounds;
   bounds << o.cases << " cases, " << o.workers << " workers, budget "
@@ -89,110 +99,64 @@ int check_manifest(const Cli& cli) {
          << o.max_total_failures << ", sessions " << o.max_sessions
          << ", torn tails " << (o.torn_tails ? "on" : "off")
          << ", duplicate faults " << (o.duplicate_faults ? "on" : "off");
-  return report("manifest", bounds.str(),
-                felis::verify::check(model, cli.max_states),
-                cli.expect_violation);
+  return report("manifest", bounds.str(), felis::verify::check(model, max_states),
+                expect_violation);
 }
 
-int check_checkpoint(const Cli& cli) {
-  const felis::verify::CheckpointModel model(cli.checkpoint);
+int check_checkpoint(const felis::verify::CheckpointModelOptions& options,
+                     usize max_states, bool expect_violation) {
+  const felis::verify::CheckpointModel model(options);
   const auto& o = model.options();
   std::ostringstream bounds;
   bounds << o.steps << " steps, keep " << o.keep << ", retries "
          << o.max_retries << ", fault budget " << o.fault_budget;
-  return report("checkpoint", bounds.str(),
-                felis::verify::check(model, cli.max_states),
-                cli.expect_violation);
-}
-
-int run_all(const Cli& cli) {
-  // The documented bounds (DESIGN.md §11): >= 3 cases on >= 2 workers with a
-  // binding thread budget, a crash at every journalled point with the full
-  // torn-tail menu, duplicate stale-terminal faults; >= 2 retained
-  // checkpoints with every fault the injector knows. Plus the demonstrated
-  // rotation hazard at fault_budget == keep.
-  int rc = 0;
-  Cli manifest = cli;
-  manifest.expect_violation = false;
-  rc |= check_manifest(manifest);
-
-  Cli checkpoint = cli;
-  checkpoint.expect_violation = false;
-  rc |= check_checkpoint(checkpoint);
-
-  Cli hazard = cli;
-  hazard.checkpoint.fault_budget = hazard.checkpoint.keep;
-  hazard.expect_violation = true;
-  std::cout << "\n(the next run demonstrates the documented rotation hazard "
-               "at fault budget == keep)\n";
-  rc |= check_checkpoint(hazard);
-  return rc;
-}
-
-int usage() {
-  std::cout
-      << "usage: felis_check --all | --model manifest|checkpoint [options]\n"
-         "  common:   --max-states N   --expect-violation\n"
-         "  manifest: --cases N --workers N --budget N --retries N\n"
-         "            --failures N --sessions N --no-torn --no-duplicates\n"
-         "  checkpoint: --steps N --keep N --ckpt-retries N --faults N\n"
-         "              --no-monotonic\n";
-  return 2;
+  return report("checkpoint", bounds.str(), felis::verify::check(model, max_states),
+                expect_violation);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Cli cli;
-  const auto int_arg = [&](int& i, const char* what) {
-    if (i + 1 >= argc) {
-      std::cout << "missing value for " << what << "\n";
-      std::exit(2);
-    }
-    return std::stoi(argv[++i]);
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--all") cli.all = true;
-    else if (arg == "--model") {
-      if (i + 1 >= argc) return usage();
-      cli.model = argv[++i];
-    } else if (arg == "--expect-violation") cli.expect_violation = true;
-    else if (arg == "--max-states")
-      cli.max_states = static_cast<usize>(int_arg(i, "--max-states"));
-    else if (arg == "--cases") cli.manifest.cases = int_arg(i, arg.c_str());
-    else if (arg == "--workers") cli.manifest.workers = int_arg(i, arg.c_str());
-    else if (arg == "--budget")
-      cli.manifest.thread_budget = int_arg(i, arg.c_str());
-    else if (arg == "--retries")
-      cli.manifest.max_retries = int_arg(i, arg.c_str());
-    else if (arg == "--failures")
-      cli.manifest.max_total_failures = int_arg(i, arg.c_str());
-    else if (arg == "--sessions")
-      cli.manifest.max_sessions = int_arg(i, arg.c_str());
-    else if (arg == "--no-torn") cli.manifest.torn_tails = false;
-    else if (arg == "--no-duplicates") cli.manifest.duplicate_faults = false;
-    else if (arg == "--steps") cli.checkpoint.steps = int_arg(i, arg.c_str());
-    else if (arg == "--keep") cli.checkpoint.keep = int_arg(i, arg.c_str());
-    else if (arg == "--ckpt-retries")
-      cli.checkpoint.max_retries = int_arg(i, arg.c_str());
-    else if (arg == "--faults")
-      cli.checkpoint.fault_budget = int_arg(i, arg.c_str());
-    else if (arg == "--no-monotonic") cli.checkpoint.check_monotonic = false;
-    else if (arg == "--help" || arg == "-h") return usage();
-    else {
-      std::cout << "unknown argument: " << arg << "\n";
-      return usage();
-    }
-  }
-
   try {
-    if (cli.all) return run_all(cli);
-    if (cli.model == "manifest") return check_manifest(cli);
-    if (cli.model == "checkpoint") return check_checkpoint(cli);
-    return usage();
+    const felis::ParamMap args = kCli.parse(argc, argv);
+    const bool expect_violation = kExpectViolation.get(args, false);
+    const auto max_states = static_cast<usize>(kMaxStates.get(args, 4000000));
+    felis::verify::ManifestModelOptions m;
+    m.cases = kCases.get(args, m.cases);
+    m.workers = kWorkers.get(args, m.workers);
+    m.thread_budget = kBudget.get(args, m.thread_budget);
+    m.max_retries = kRetries.get(args, m.max_retries);
+    m.max_total_failures = kFailures.get(args, m.max_total_failures);
+    m.max_sessions = kSessions.get(args, m.max_sessions);
+    m.torn_tails = !kNoTorn.get(args, false);
+    m.duplicate_faults = !kNoDuplicates.get(args, false);
+    felis::verify::CheckpointModelOptions c;
+    c.steps = kSteps.get(args, c.steps);
+    c.keep = kKeep.get(args, c.keep);
+    c.max_retries = kCkptRetries.get(args, c.max_retries);
+    c.fault_budget = kFaults.get(args, c.fault_budget);
+    c.check_monotonic = !kNoMonotonic.get(args, false);
+    const std::string model = kModel.get(args, "");
+    if (kAll.get(args, false)) {
+      // The documented bounds (DESIGN.md §11): >= 3 cases on >= 2 workers with
+      // a binding thread budget, a crash at every journalled point with the
+      // full torn-tail menu, duplicate stale-terminal faults; >= 2 retained
+      // checkpoints with every fault the injector knows. Plus the demonstrated
+      // rotation hazard at fault_budget == keep.
+      int rc = check_manifest(m, max_states, false);
+      rc |= check_checkpoint(c, max_states, false);
+      std::cout << "\n(the next run demonstrates the documented rotation hazard "
+                   "at fault budget == keep)\n";
+      c.fault_budget = c.keep;
+      return rc | check_checkpoint(c, max_states, true);
+    }
+    if (model == "manifest") return check_manifest(m, max_states, expect_violation);
+    if (model == "checkpoint") return check_checkpoint(c, max_states, expect_violation);
+    std::cout << kCli.usage();
+  } catch (const felis::UsageError& err) {
+    std::cout << err.what() << "\n" << kCli.usage();
   } catch (const std::exception& err) {
     std::cout << "felis_check: " << err.what() << "\n";
-    return 2;
   }
+  return 2;
 }

@@ -79,6 +79,14 @@ Rules
                       (ctx.kern().axis0(...) etc.) or a field::TensorKernels
                       member. tests/ and bench/ are exempt by design: they
                       exercise and time the raw variants.
+  raw-param-read      Host and library code (src/, examples/) must not read a
+                      parameter by a literal key (get_string/get_real/get_int/
+                      get_bool/has("case.Ra")): every key is declared once, as
+                      a felis::Param beside its reader, and read through it
+                      (kRa.get(params, def)), so its type, range and doc live
+                      in one place and check_params can name an undeclared
+                      key. tests/ and felis_bench/ are exempt: they build maps
+                      with any key.
 
 Usage
 -----
@@ -156,6 +164,8 @@ NDJSON_READ_EXEMPT = {
 # apply_axis* / grad_ref / interp3 directly (definitions, variants, and the
 # TensorKernels defaults live there).
 TENSOR_CALL_EXEMPT_PREFIX = "src/field/"
+# Where a parameter is read by its declaration only.
+PARAM_READ_DIRS = ("src", "examples")
 
 RAW_ABORT_RE = re.compile(r"(?<![\w.])(assert|abort|exit)\s*\(")
 STDOUT_RE = re.compile(r"std::cout|std::cerr|(?<![\w.])(printf|fprintf|puts)\s*\(")
@@ -202,6 +212,11 @@ RAW_NDJSON_READ_RE = re.compile(
 RAW_TENSOR_CALL_RE = re.compile(
     r"(?<!&)\b(?:field\s*::\s*)?(apply_axis[012]|grad_ref|interp3)\s*\(")
 
+# A ParamMap read whose key is a string literal (matched on code with the
+# comments stripped and the string literals kept).
+RAW_PARAM_READ_RE = re.compile(
+    r"\b(get_string|get_real|get_int|get_bool|has)\s*\(\s*\"")
+
 TRACKED_ARTIFACT_RES = [
     re.compile(r"(^|/)build[^/]*/"),
     re.compile(r"\.(o|obj|a|so|dylib|gch|pch|exe|bin|out)$"),
@@ -222,10 +237,11 @@ class Violation:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
 
-def strip_comments_and_strings(text):
-    """Blank out comments and string/char literals, preserving line structure
-    so reported line numbers stay correct. A lexer-grade pass is overkill for
-    lint purposes; this handles //, /* */, "..." and '...' including escapes.
+def strip_comments_and_strings(text, keep_strings=False):
+    """Blank out comments and string/char literals (only comments with
+    `keep_strings`), preserving line structure so reported line numbers stay
+    correct. A lexer-grade pass is overkill for lint purposes; this handles
+    //, /* */, "..." and '...' including escapes.
     """
     out = []
     i, n = 0, len(text)
@@ -244,14 +260,9 @@ def strip_comments_and_strings(text):
                 out.append("  ")
                 i += 2
                 continue
-            if ch == '"':
-                state = "string"
-                out.append(" ")
-                i += 1
-                continue
-            if ch == "'":
-                state = "char"
-                out.append(" ")
+            if ch in "\"'":
+                state = "string" if ch == '"' else "char"
+                out.append(ch if keep_strings else " ")
                 i += 1
                 continue
             out.append(ch)
@@ -271,12 +282,12 @@ def strip_comments_and_strings(text):
         elif state in ("string", "char"):
             quote = '"' if state == "string" else "'"
             if ch == "\\":
-                out.append("  ")
+                out.append(text[i:i + 2] if keep_strings else "  ")
                 i += 2
                 continue
             if ch == quote:
                 state = "code"
-            out.append(" " if ch != "\n" else "\n")
+            out.append(ch if keep_strings or ch == "\n" else " ")
         i += 1
     return "".join(out)
 
@@ -576,6 +587,22 @@ def check_raw_tensor_call(root):
     return out
 
 
+def check_raw_param_read(root):
+    out = []
+    for path in iter_files(root, PARAM_READ_DIRS, {".hpp", ".cpp"}):
+        text = open(path, encoding="utf-8").read()
+        code = strip_comments_and_strings(text, keep_strings=True)
+        # The key may sit on the line after the call's parenthesis.
+        for m in RAW_PARAM_READ_RE.finditer(code):
+            lineno = code.count("\n", 0, m.start()) + 1
+            out.append(Violation(
+                rel(root, path), lineno, "raw-param-read",
+                f"{m.group(1)}() with a literal key; declare the key once "
+                "as a felis::Param beside its reader and read it through "
+                "that declaration"))
+    return out
+
+
 ALL_CHECKS = [
     check_raw_abort,
     check_stray_stdout,
@@ -590,6 +617,7 @@ ALL_CHECKS = [
     check_case_registry,
     check_raw_ndjson_read,
     check_raw_tensor_call,
+    check_raw_param_read,
 ]
 
 
@@ -748,6 +776,22 @@ SEEDED = {
         "  kern.axis0(op, u, o, n, n);\n"
         "  field::apply_axis_order<0, 8>(op, u, o, n, n);\n"
         "  auto* fn = &field::apply_axis0;\n  (void)fn;\n}\n"),
+    "src/bad/raw_param.cpp": (
+        "raw-param-read",
+        "double f(const ParamMap& p) {\n"
+        '  return p.get_real("case.Ra", 1e4) + p.get_int(\n      "mesh.nx", 3);\n}\n'),
+    "examples/raw_param_host.cpp": (
+        "raw-param-read",
+        'bool g(const ParamMap& p) { return p.has ("case.dt"); }\n'),
+    "src/good/declared_param.cpp": (
+        None,  # reads through a declaration; literals in comments are inert
+        'constexpr Param<real_t> kRa{"case.Ra", 0, 1, "Ra"};\n'
+        "// p.get_real(\"case.Ra\", 1e4) was the old spelling\n"
+        "double h(const ParamMap& p) {\n"
+        "  return p.has(kRa.name) ? kRa.get(p, 1e4) : 0;\n}\n"),
+    "tests/raw_param_test.cpp": (
+        None,  # tests build maps with any key
+        'double t(const ParamMap& p) { return p.get_real("x", 1); }\n'),
     "src/field/tensor_site.cpp": (
         None,  # src/field/ owns the kernels and may call them raw
         "void h(const double* u, double* o, int n) {\n"

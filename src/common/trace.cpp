@@ -1,8 +1,12 @@
 #include "common/trace.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <iomanip>
 #include <sstream>
+
+#include "common/json.hpp"
 
 // Locking discipline
 // ------------------
@@ -90,6 +94,57 @@ std::string TraceRecorder::render(int width) const {
     os << "stream " << s << " |" << row << "|\n";
   }
   return os.str();
+}
+
+namespace {
+
+/// Microseconds on the trace's clock, clamped non-negative.
+std::int64_t usec(double seconds) {
+  const double us = seconds * 1e6;
+  return us > 0 ? static_cast<std::int64_t>(std::llround(us)) : 0;
+}
+
+}  // namespace
+
+void ChromeTraceWriter::add(std::string_view event) {
+  if (!events_.empty()) events_ += ",\n";
+  events_ += event;
+}
+
+void ChromeTraceWriter::metadata(int pid, int tid, std::string_view name) {
+  JsonWriter e;
+  e.field("name", tid < 0 ? "process_name" : "thread_name").field("ph", "M");
+  e.field("pid", pid);
+  if (tid >= 0) e.field("tid", tid);
+  add(e.raw("args", JsonWriter().field("name", name).done()).done());
+}
+
+void ChromeTraceWriter::complete(int pid, int tid, std::string_view name,
+                                 std::string_view cat, double t0, double t1,
+                                 std::string_view args) {
+  const std::int64_t ts = usec(t0);
+  JsonWriter e;
+  e.field("name", name).field("cat", cat).field("ph", "X");
+  e.fields({{"ts", ts}, {"dur", std::max<std::int64_t>(usec(t1) - ts, 0)},
+            {"pid", pid}, {"tid", tid}});
+  if (!args.empty()) e.raw("args", args);
+  add(e.done());
+}
+
+void ChromeTraceWriter::instant(int pid, int tid, std::string_view name,
+                                std::string_view cat, double t,
+                                std::string_view scope) {
+  JsonWriter e;
+  e.field("name", name).field("cat", cat).field("ph", "i").field("s", scope);
+  add(e.fields({{"ts", usec(t)}, {"pid", pid}, {"tid", tid}}).done());
+}
+
+std::string ChromeTraceWriter::done(std::string_view other_data) const {
+  return JsonWriter({"{", ",\n", ":", "}\n"})
+      .raw("traceEvents", "[\n" + events_ + "\n]")
+      .field("displayTimeUnit", "ms")
+      .raw("otherData", other_data)
+      .done();
 }
 
 }  // namespace felis

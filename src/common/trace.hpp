@@ -1,6 +1,7 @@
 /// \file trace.hpp
 /// \brief One run's interval recorder, the data behind Fig. 2's timeline,
-/// and the stopwatch for durations outside any run's trace.
+/// the stopwatch for durations outside any run's trace, and the one Chrome
+/// trace-event writer.
 ///
 /// Every interval of a run lands here, on one clock and under one cap:
 /// stream intervals from the preconditioners (tracks 0 = fine, 1 = coarse;
@@ -13,6 +14,7 @@
 #include <limits>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
@@ -78,6 +80,29 @@ class Stopwatch {
 
  private:
   TraceRecorder::Clock::time_point start_ = TraceRecorder::Clock::now();
+};
+
+/// A Chrome `trace_event` document (JSON object format, which Perfetto and
+/// chrome://tracing load): the run trace and the merged campaign trace are
+/// both written here. Times are seconds, written as whole microseconds >= 0.
+class ChromeTraceWriter {
+ public:
+  void process_name(int pid, std::string_view name) { metadata(pid, -1, name); }
+  void thread_name(int pid, int tid, std::string_view name) { metadata(pid, tid, name); }
+  /// A complete event ("ph":"X") from t0 to t1; `args` is a JSON object or "".
+  void complete(int pid, int tid, std::string_view name, std::string_view cat,
+                double t0, double t1, std::string_view args = {});
+  /// An instant event ("ph":"i") scoped to its thread ("t") or global ("g").
+  void instant(int pid, int tid, std::string_view name, std::string_view cat,
+               double t, std::string_view scope = "t");
+  /// The document, with the JSON object `other_data` as its otherData.
+  std::string done(std::string_view other_data) const;
+
+ private:
+  void metadata(int pid, int tid, std::string_view name);  ///< tid < 0: process
+  void add(std::string_view event);
+
+  std::string events_;
 };
 
 }  // namespace felis

@@ -7,6 +7,7 @@
 #include <optional>
 #include <utility>
 
+#include "common/json.hpp"
 #include "sched/manifest.hpp"
 
 namespace felis::obs {
@@ -43,7 +44,7 @@ struct ManifestView {
     return it->second;
   }
 
-  void apply(const sched::JsonRecord& rec) {
+  void apply(const JsonRecord& rec) {
     const std::string* type = rec.string("type");
     if (type == nullptr) return;
     if (*type == "header") {
@@ -105,13 +106,13 @@ bool stale_stream(const std::string& path, int attempts) {
   std::ifstream in(path, std::ios::binary);
   std::string line;
   std::getline(in, line);
-  const std::optional<sched::JsonRecord> header = sched::parse_json_record(line);
+  const std::optional<JsonRecord> header = parse_json_record(line);
   const std::string* attempt =
       header ? header->object("metadata").string("attempt") : nullptr;
   return attempt != nullptr && std::atoi(attempt->c_str()) < attempts;
 }
 
-bool is_step_record(const sched::JsonRecord& rec) {
+bool is_step_record(const JsonRecord& rec) {
   const std::string* type = rec.string("type");
   return type != nullptr && *type == "step" && rec.numbers.count("step") > 0;
 }
@@ -120,7 +121,7 @@ bool is_step_record(const sched::JsonRecord& rec) {
 /// end in growing windows. Only newline-terminated lines count (an
 /// unterminated tail is torn or still being appended), and a line that does
 /// not parse (a torn line the writer self-healed) is passed over.
-std::optional<sched::JsonRecord> newest_step_record(const std::string& path) {
+std::optional<JsonRecord> newest_step_record(const std::string& path) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return std::nullopt;
   const auto size = static_cast<usize>(std::max<std::streamoff>(in.tellg(), 0));
@@ -137,10 +138,10 @@ std::optional<sched::JsonRecord> newest_step_record(const std::string& path) {
       if (begin == std::string::npos) continue;  // no whole line yet
       ++begin;
     }
-    std::optional<sched::JsonRecord> newest;
+    std::optional<JsonRecord> newest;
     for (usize end; (end = tail.find('\n', begin)) != std::string::npos;
          begin = end + 1) {
-      std::optional<sched::JsonRecord> rec = sched::parse_json_record(
+      std::optional<JsonRecord> rec = parse_json_record(
           std::string_view(tail).substr(begin, end - begin));
       if (rec && is_step_record(*rec)) newest = std::move(rec);
     }
@@ -155,7 +156,7 @@ std::vector<StepMark> read_step_marks(const std::string& path) {
   std::string line;
   while (marks.size() < kMaxStepMarks && std::getline(in, line)) {
     if (in.eof()) break;  // no '\n': torn, or racing its append
-    const std::optional<sched::JsonRecord> rec = sched::parse_json_record(line);
+    const std::optional<JsonRecord> rec = parse_json_record(line);
     if (rec && is_step_record(*rec))
       marks.push_back({static_cast<std::int64_t>(rec->number("step")),
                        rec->number("wall_seconds")});
@@ -164,8 +165,8 @@ std::vector<StepMark> read_step_marks(const std::string& path) {
 }
 
 /// The live fields of case `v` from its newest step record.
-void apply_step_record(CaseView& v, const sched::JsonRecord& rec) {
-  const sched::JsonFields& metrics = rec.object("metrics");
+void apply_step_record(CaseView& v, const JsonRecord& rec) {
+  const JsonFields& metrics = rec.object("metrics");
   v.telemetry_found = true;
   v.step = static_cast<std::int64_t>(rec.number("step"));
   v.sim_time = rec.number("time");
@@ -199,7 +200,7 @@ CampaignFold read_campaign(const std::string& dir, bool step_marks) {
   ManifestView view;
   const sched::ManifestState manifest = sched::read_manifest(
       (fs::path(dir) / "manifest.ndjson").string(),
-      [&view](const sched::JsonRecord& rec) { view.apply(rec); });
+      [&view](const JsonRecord& rec) { view.apply(rec); });
 
   CampaignFold fold;
   CampaignSnapshot& snap = fold.snapshot;

@@ -16,8 +16,8 @@
 ///
 /// The coarse grid charges the fine context's Profiler (the rank's): its
 /// transfers, CG kernels, reductions and messages land in whatever region
-/// the caller has open (step/pressure/coarse, or step/pressure/overlapped in
-/// the task-parallel preconditioner).
+/// the caller has open (step/pressure in the serial preconditioner, or
+/// step/pressure/overlapped in the task-parallel one).
 #pragma once
 
 #include <memory>

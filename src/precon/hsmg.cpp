@@ -45,20 +45,18 @@ void HsmgPrecon::apply(const RealVec& r, RealVec& z) {
   // coarse term on its own stream (track 1) while the caller's thread runs
   // the fine smoother — both include their own communication (coarse: CG
   // reductions; fine: gather-scatter), which is where the overlap pays off.
+  // Each term is timed once, as its stream interval; the task-parallel
+  // apply also opens the `overlapped` region that spans both.
   const bool overlap = mode_ == OverlapMode::kTaskParallel;
   const auto coarse = [this, &r](int track) {
     timed(track, "coarse", [&] { coarse_solver_.solve(r, z_coarse_); });
   };
-  Profiler* prof = fine_.prof;
-  if (prof) prof->push(overlap ? "overlapped" : "coarse");
+  Profiler* prof = overlap ? fine_.prof : nullptr;
+  if (prof) prof->push("overlapped");
   if (overlap) {
     coarse_stream_.submit([&coarse] { coarse(1); });
   } else {
     coarse(0);
-    if (prof) {
-      prof->pop();
-      prof->push("schwarz");
-    }
   }
   try {
     timed(0, "schwarz", [&] { apply_fine(r, z_fine_); });

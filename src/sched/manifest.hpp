@@ -24,19 +24,18 @@
 /// folds one journal line into a replay state — so the production writer and
 /// reader share one implementation with the explicit-state model checker
 /// (src/verify/manifest_model.*), which explores crash/torn-tail/duplicate
-/// faults over exactly this code. parse_json_record() is the one reader of
-/// a journal line, for the manifest and the per-case telemetry streams alike.
+/// faults over exactly this code. Both sides go through the JSON codec
+/// (common/json.hpp).
 #pragma once
 
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
-#include <string_view>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "sched/sweep.hpp"
 
 namespace felis::io {
@@ -90,6 +89,8 @@ class ManifestWriter {
                         const std::map<std::string, double>& metrics = {});
 
  private:
+  void append(const std::string& line);
+
   std::mutex mutex_;
   std::unique_ptr<io::DurableAppendWriter> out_;
 };
@@ -109,35 +110,6 @@ struct ManifestState {
   std::map<std::string, CaseStatus> cases;
   bool found = false;  ///< manifest file existed
 };
-
-/// The members of one JSON object: strings and numbers by key. Literals
-/// (true, false, null) and arrays are checked but not kept.
-struct JsonFields {
-  std::map<std::string, std::string> strings;
-  std::map<std::string, double> numbers;
-
-  /// The string member `key`, or nullptr when there is none.
-  const std::string* string(const std::string& key) const;
-  /// The number member `key`, or 0 when there is none.
-  double number(const std::string& key) const;
-};
-
-/// One journal record: the top-level members plus, for each object member
-/// (`metrics`, `metadata`, `overrides`), that object's own members. Objects
-/// nested deeper (a telemetry histogram inside `metrics`) are checked but
-/// not kept.
-struct JsonRecord : JsonFields {
-  std::map<std::string, JsonFields> objects;
-
-  /// The object member `key` (empty when there is none).
-  const JsonFields& object(const std::string& key) const;
-};
-
-/// The one reader of a journal line: the record when the whole line is one
-/// JSON object, else nullopt — a line torn anywhere short of its final `}`
-/// never parses. Decodes every escape telemetry::json_escape writes and the
-/// rest of JSON's (`\/`, `\b`, `\f`, any `\uXXXX`, kept as UTF-8).
-std::optional<JsonRecord> parse_json_record(std::string_view line);
 
 /// Pure replay transition: fold one journal line into `state`. Lines that do
 /// not parse (torn by a kill, or blank) and header, case and resume records

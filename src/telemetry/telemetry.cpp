@@ -1,11 +1,10 @@
 #include "telemetry/telemetry.hpp"
 
-#include <cmath>
-#include <cstdio>
+#include <algorithm>
 #include <filesystem>
-#include <sstream>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/logger.hpp"
 #include "io/atomic_file.hpp"
 #include "io/durable_append.hpp"
@@ -26,24 +25,6 @@ TelemetryConfig config_from_params(const ParamMap& params) {
       kStagnationRun.get(params, static_cast<int>(cfg.health.stagnation_run)));
   return cfg;
 }
-
-namespace {
-
-/// Shortest representation that round-trips a double; JSON has no Inf/NaN,
-/// so non-finite values serialize as 0.
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  // Prefer the short form when it survives the round trip.
-  char short_buf[32];
-  std::snprintf(short_buf, sizeof(short_buf), "%.15g", v);
-  double back = 0;
-  std::sscanf(short_buf, "%lf", &back);
-  return back == v ? short_buf : buf;
-}
-
-}  // namespace
 
 Telemetry::Telemetry(TelemetryConfig config,
                      std::map<std::string, std::string> metadata)
@@ -93,78 +74,83 @@ void Telemetry::end_step(std::int64_t step, double sim_time) {
 }
 
 void Telemetry::write_header_record() {
-  std::ostringstream os;
-  os << R"({"type":"header","schema":1,"interval":)" << config_.interval
-     << R"(,"metadata":{)";
-  bool first = true;
-  for (const auto& [key, value] : metadata_) {
-    if (!first) os << ',';
-    first = false;
-    os << '"' << json_escape(key) << R"(":")" << json_escape(value) << '"';
-  }
-  os << "}}";
-  ndjson_->append(os.str());
+  JsonWriter header;
+  header.field("type", "header").fields({{"schema", 1}, {"interval", config_.interval}});
+  ndjson_->append(header.object("metadata", metadata_).done());
 }
 
 std::string Telemetry::step_record(double sim_time) const {
   const StepRecord& r = record_;
-  std::ostringstream os;
-  os << R"({"type":"step","step":)" << r.step << R"(,"time":)"
-     << json_number(sim_time) << R"(,"wall_seconds":)"
-     << json_number(r.wall_seconds) << R"(,"step_seconds":)"
-     << json_number(r.step_seconds.last) << R"(,"metrics":{)";
-  bool first = true;
-  const auto key = [&os, &first](const std::string& name) -> std::ostream& {
-    if (!first) os << ',';
-    first = false;
-    return os << '"' << json_escape(name) << R"(":)";
-  };
-  const auto number = [&key](const std::string& name, double v) {
-    key(name) << json_number(v);
-  };
-  const auto summary = [&key](const std::string& name, const RunningSummary& s) {
-    key(name) << R"({"last":)" << json_number(s.last) << R"(,"count":)"
-              << json_number(static_cast<double>(s.count)) << R"(,"sum":)"
-              << json_number(s.sum) << R"(,"min":)" << json_number(s.min)
-              << R"(,"max":)" << json_number(s.max) << '}';
+  const auto summary = [](const RunningSummary& s) {
+    return JsonWriter()
+        .fields({{"last", s.last}, {"count", s.count}, {"sum", s.sum}, {"min", s.min},
+                 {"max", s.max}})
+        .done();
   };
   // Sorted by name, so readers and diffs see one stable order.
-  for (const auto& [name, value] : r.observables) number("case." + name, value);
-  number("checkpoint.bytes", r.checkpoint_bytes);
-  number("checkpoint.retries", r.checkpoint_retries);
-  summary("checkpoint.write_seconds", r.checkpoint_write_seconds);
-  number("checkpoint.writes", r.checkpoint_writes);
-  number("device.arena_bytes", r.arena_bytes);
-  number("device.arena_high_water", r.arena_high_water);
-  number("health.anomalies", r.anomalies);
-  number("health.flags.checkpoint_retry", r.checkpoint_retry_flags);
-  number("health.flags.iteration_spike", r.iteration_spikes);
-  number("health.flags.residual_stagnation", r.residual_stagnations);
-  number("profile.bytes", r.profile.bytes);
-  number("profile.flops", r.profile.flops);
-  number("profile.message_bytes", r.profile.msg_bytes);
-  number("profile.messages", r.profile.messages);
-  number("profile.reductions", r.profile.reductions);
-  number("solver.cfl", r.cfl);
-  number("solver.divergence", r.divergence);
-  number("solver.dt", r.dt);
-  number("solver.pressure_iterations", r.pressure_iterations);
-  number("solver.pressure_residual", r.pressure_residual);
-  number("solver.projection_basis", r.projection_basis);
-  number("solver.scalar_iterations", r.scalar_iterations);
-  number("solver.time", r.time);
-  number("solver.velocity_iterations", r.velocity_iterations);
-  summary("telemetry.step_seconds", r.step_seconds);
-  os << "}}";
-  return os.str();
+  JsonWriter m;
+  for (const auto& [name, value] : r.observables) m.field("case." + name, value);
+  m.fields({{"checkpoint.bytes", r.checkpoint_bytes},
+            {"checkpoint.retries", r.checkpoint_retries}});
+  m.raw("checkpoint.write_seconds", summary(r.checkpoint_write_seconds));
+  m.fields({{"checkpoint.writes", r.checkpoint_writes},
+            {"device.arena_bytes", r.arena_bytes},
+            {"device.arena_high_water", r.arena_high_water},
+            {"health.anomalies", r.anomalies},
+            {"health.flags.checkpoint_retry", r.checkpoint_retry_flags},
+            {"health.flags.iteration_spike", r.iteration_spikes},
+            {"health.flags.residual_stagnation", r.residual_stagnations},
+            {"profile.bytes", r.profile.bytes}, {"profile.flops", r.profile.flops},
+            {"profile.message_bytes", r.profile.msg_bytes},
+            {"profile.messages", r.profile.messages},
+            {"profile.reductions", r.profile.reductions}, {"solver.cfl", r.cfl},
+            {"solver.divergence", r.divergence}, {"solver.dt", r.dt},
+            {"solver.pressure_iterations", r.pressure_iterations},
+            {"solver.pressure_residual", r.pressure_residual},
+            {"solver.projection_basis", r.projection_basis},
+            {"solver.scalar_iterations", r.scalar_iterations}, {"solver.time", r.time},
+            {"solver.velocity_iterations", r.velocity_iterations}});
+  m.raw("telemetry.step_seconds", summary(r.step_seconds));
+  return JsonWriter()
+      .field("type", "step")
+      .fields({{"step", r.step}, {"time", sim_time}, {"wall_seconds", r.wall_seconds},
+               {"step_seconds", r.step_seconds.last}})
+      .raw("metrics", m.done())
+      .done();
 }
 
 void Telemetry::write_chrome_trace() const {
-  std::map<std::string, std::string> meta = metadata_;
-  meta["trace_events_dropped"] = std::to_string(trace_.dropped());
-  const std::string json = chrome_trace_json(trace_.events(), meta);
+  // Regions on tid 1, named by their path's last element (npos + 1 == 0
+  // keeps a top-level name whole) with the path in args; each stream on tid
+  // 100 + stream; step boundaries as global instants.
+  constexpr int kRegionTid = 1;
+  constexpr int kStreamTidBase = 100;
+  ChromeTraceWriter trace;
+  trace.process_name(1, "felis");
+  trace.thread_name(1, kRegionTid, "solver (profiler regions)");
+  int max_stream = -1;
+  for (const TraceEvent& e : trace_.events()) {
+    if (e.stream == kStepTrack) {
+      trace.instant(1, kRegionTid, e.name, "step", e.t_begin, "g");
+    } else if (e.stream == kRegionTrack) {
+      trace.complete(1, kRegionTid, e.name.substr(e.name.rfind('/') + 1), "profiler",
+                     e.t_begin, e.t_end, JsonWriter().field("path", e.name).done());
+    } else {
+      trace.complete(1, kStreamTidBase + e.stream, e.name, "stream", e.t_begin,
+                     e.t_end);
+      max_stream = std::max(max_stream, e.stream);
+    }
+  }
+  for (int s = 0; s <= max_stream; ++s) {
+    trace.thread_name(1, kStreamTidBase + s,
+                      s == 0 ? "stream 0 (fine)"
+                             : "stream " + std::to_string(s) + " (coarse)");
+  }
+  // The metadata map lands in otherData, with the cap's drop count.
+  std::map<std::string, std::string> other = metadata_;
+  other["trace_events_dropped"] = std::to_string(trace_.dropped());
   io::AtomicFileWriter writer(trace_path_);
-  writer.stream() << json;
+  writer.stream() << trace.done(JsonWriter().fields(other).done());
   writer.commit();
 }
 

@@ -24,7 +24,6 @@
 #include "common/params.hpp"
 #include "common/trace.hpp"
 #include "common/types.hpp"
-#include "telemetry/chrome_trace.hpp"
 #include "telemetry/run_health.hpp"
 #include "telemetry/step_record.hpp"
 

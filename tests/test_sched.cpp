@@ -10,9 +10,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -253,7 +256,7 @@ TEST_F(ManifestTest, JournalRoundTripsStatesAttemptsAndMetrics) {
     writer.write_transition("a", "queued", 2, 0.2, 0.0);
     writer.write_transition("a", "running", 2, 0.3, 0.0);
     writer.write_transition("a", "done", 2, 0.5, 0.2, "",
-                            {{"Ra", 1e5}, {"nu_volume", 1.25}});
+                            {{"Ra", 1e5}, {"nu_volume", 1.25}, {"third", 1.0 / 3}});
     writer.write_transition("b", "running", 1, 0.1, 0.0);
   }
   const ManifestState state = read_manifest(path);
@@ -263,6 +266,7 @@ TEST_F(ManifestTest, JournalRoundTripsStatesAttemptsAndMetrics) {
   EXPECT_EQ(state.cases.at("a").attempts, 2);
   EXPECT_EQ(state.cases.at("a").metrics.at("Ra"), 1e5);
   EXPECT_EQ(state.cases.at("a").metrics.at("nu_volume"), 1.25);
+  EXPECT_EQ(state.cases.at("a").metrics.at("third"), 1.0 / 3);  // every bit
   EXPECT_FALSE(state.cases.at("b").completed());
   EXPECT_EQ(state.cases.at("b").state, "running");
 }
@@ -285,11 +289,29 @@ TEST_F(ManifestTest, TornFinalLineIsIgnoredNotFatal) {
 }
 
 TEST(ManifestRecord, DetailRoundTripsEveryEscape) {
-  // Every escape telemetry::json_escape writes: quote, backslash, newline,
-  // tab, carriage return, and \u00XX for any other control character.
-  const std::string detail = "line1\nline2\t\"q\" back\\slash\r bell\x01\x1f end";
+  // Every escape json_escape writes: quote, backslash, newline, tab,
+  // carriage return, and \u00XX for any other control character. UTF-8
+  // passes through as its own bytes.
+  const std::string utf8 = "Ra \xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80";
+  const std::string detail =
+      "line1\nline2\t\"q\" back\\slash\r bell\x01\x1f end " + utf8;
+  // Every number the codec writes parses back to the same bits; JSON has
+  // no Inf or NaN, so a non-finite value writes 0.
+  const std::map<std::string, double> exact = {
+      {"zero", 0.0},           {"minus_zero", -0.0},
+      {"third", 1.0 / 3},      {"sum", 0.1 + 0.2},
+      {"denorm_min", 5e-324},  {"max", std::numeric_limits<double>::max()},
+      {"two_53", 0x1p53},      {"int", 1e5},
+      {"int7", 1353552}};
+  std::map<std::string, double> metrics = exact;
+  metrics["inf"] = std::numeric_limits<double>::infinity();
+  metrics["nan"] = std::numeric_limits<double>::quiet_NaN();
   const std::string line =
-      format_run_record("case \"x\"", "failed", 2, 1.5, 0.25, detail);
+      format_run_record("case \"x\"", "failed", 2, 1.5, 0.25, detail, metrics);
+  EXPECT_NE(line.find(utf8), std::string::npos) << line;
+  for (const char* text : {R"("int":100000,)", R"("int7":1353552,)",
+                           R"("minus_zero":-0,)", R"("inf":0,)", R"("nan":0,)"})
+    EXPECT_NE(line.find(text), std::string::npos) << text << " in " << line;
   const std::optional<JsonRecord> rec = parse_json_record(line);
   ASSERT_TRUE(rec.has_value()) << line;
   ASSERT_NE(rec->string("detail"), nullptr) << line;
@@ -298,6 +320,12 @@ TEST(ManifestRecord, DetailRoundTripsEveryEscape) {
   EXPECT_EQ(*rec->string("case"), "case \"x\"") << line;
   EXPECT_EQ(rec->number("attempt"), 2.0);
   EXPECT_EQ(rec->number("t"), 1.5);
+  const JsonFields& back = rec->object("metrics");
+  for (const auto& [name, v] : exact)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back.number(name)),
+              std::bit_cast<std::uint64_t>(v))
+        << name << " in " << line;
+  EXPECT_EQ(back.numbers.count("inf") + back.numbers.count("nan"), 2u);
 }
 
 TEST(ManifestRecord, OnlyAWholeObjectParses) {
@@ -489,7 +517,7 @@ TEST_F(ManifestTest, ResumeSkipsCompletedCases) {
                     first_runs.fetch_add(1);
                     // Half the campaign fails terminally (no retries).
                     const bool ok = cases::kRa.get(cs.params, 0.0) < 2e5;
-                    return RunResult{ok, "synthetic", {{"Ra", 1.0}}};
+                    return RunResult{ok, "synthetic", {{"Ra", 1.0}, {"third", 1.0 / 3}}};
                   });
   const CampaignReport r1 = first.run();
   EXPECT_EQ(r1.completed, 2);
@@ -513,6 +541,7 @@ TEST_F(ManifestTest, ResumeSkipsCompletedCases) {
   for (const CaseOutcome& out : r2.outcomes) {
     if (out.skipped) {
       EXPECT_EQ(out.result.metrics.at("Ra"), 1.0);
+      EXPECT_EQ(out.result.metrics.at("third"), 1.0 / 3);  // every bit
     }
   }
 

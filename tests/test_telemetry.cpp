@@ -8,10 +8,12 @@
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "case/rbc.hpp"
+#include "common/json.hpp"
 #include "device/backend.hpp"
 #include "operators/setup.hpp"
 #include "precon/coarse.hpp"
@@ -293,9 +295,10 @@ TEST_F(TelemetryRbc, TraceCapKeepsTheFirstEventsAndCountsTheRest) {
     for (const char* ph : {R"("ph":"X")", R"("ph":"i")"})
       for (usize at = json.find(ph); at != std::string::npos; at = json.find(ph, at + 1))
         ++recorded;
-    const std::string key = R"("trace_events_dropped": ")";
-    const int dropped = std::stoi(json.substr(json.find(key) + key.size()));
-    return std::pair<int, int>{recorded, dropped};
+    const std::optional<JsonRecord> trace = parse_json_record(json);
+    const std::string* dropped =
+        trace ? trace->object("otherData").string("trace_events_dropped") : nullptr;
+    return std::pair<int, int>{recorded, dropped ? std::stoi(*dropped) : -1};
   };
   const auto [total, none] = trace_of(usize{1} << 18);
   EXPECT_EQ(none, 0);

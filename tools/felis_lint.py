@@ -64,13 +64,14 @@ Rules
                       src/sched/).
   raw-ndjson-read     Library code must not parse manifest/telemetry NDJSON
                       by hand: calls to sched::apply_manifest_line or the
-                      sched::parse_json_record parser are confined to the
-                      protocol owner (src/sched/manifest.*), the campaign
-                      status fold (src/obs/) and the model checker
-                      (src/verify/, which drives the production fold by
-                      design). Ad-hoc folds elsewhere drift from the
-                      torn-tail and duplicate-terminal semantics the
-                      checker verifies.
+                      parse_json_record parser (felis's JSON codec,
+                      src/common/json.*, which defines it and is exempt for
+                      that alone) are confined to the protocol owner
+                      (src/sched/manifest.*), the campaign status fold
+                      (src/obs/) and the model checker (src/verify/, which
+                      drives the production fold by design). Ad-hoc folds
+                      elsewhere drift from the torn-tail and
+                      duplicate-terminal semantics the checker verifies.
   raw-tensor-call     Library code outside src/field/ must not call the
                       tensor-product kernels (apply_axis0/1/2, grad_ref,
                       interp3) directly: direct calls pin the scalar reference
@@ -159,6 +160,9 @@ NDJSON_READ_EXEMPT_PREFIXES = ("src/obs/", "src/verify/")
 NDJSON_READ_EXEMPT = {
     os.path.join("src", "sched", "manifest.hpp"),
     os.path.join("src", "sched", "manifest.cpp"),
+    # The codec defines the parser; it calls no fold.
+    os.path.join("src", "common", "json.hpp"),
+    os.path.join("src", "common", "json.cpp"),
 }
 # The tensor kernels' home: the only library directory allowed to call
 # apply_axis* / grad_ref / interp3 directly (definitions, variants, and the
@@ -751,17 +755,26 @@ SEEDED = {
     "src/bad/raw_ndjson.cpp": (
         "raw-ndjson-read",
         "#include <string>\nvoid f(const std::string& line) {\n"
-        "  auto rec = sched::parse_json_record(line);\n"
+        "  auto rec = felis::parse_json_record(line);\n"
         "  (void)rec;\n}\n"),
+    "src/common/raw_ndjson.cpp": (
+        "raw-ndjson-read",  # only the codec's own files define the parser
+        "#include <string>\nvoid f(const std::string& line) {\n"
+        "  auto rec = parse_json_record(line);\n  (void)rec;\n}\n"),
     "src/obs/status_site.cpp": (
         None,  # the campaign status fold is a sanctioned fold site
         "#include <string>\nvoid g(const std::string& line) {\n"
         "  sched::apply_manifest_line(state, line);\n"
-        "  auto rec = sched::parse_json_record(line);\n  (void)rec;\n}\n"),
+        "  auto rec = parse_json_record(line);\n  (void)rec;\n}\n"),
     "src/sched/manifest.cpp": (
-        None,  # the protocol owner defines and uses the parser
+        None,  # the protocol owner folds through the parser
         "#include <string>\nvoid h(const std::string& line) {\n"
         "  auto rec = parse_json_record(line);\n  (void)rec;\n}\n"),
+    "src/common/json.cpp": (
+        None,  # the codec defines the parser
+        "#include <string_view>\n"
+        "std::optional<JsonRecord> parse_json_record(std::string_view line) {\n"
+        "  return LineParser(line).record();\n}\n"),
     "src/good/manifest_consumer.cpp": (
         None,  # whole-file folds go through read_manifest
         "#include <string>\nvoid r(const std::string& path) {\n"

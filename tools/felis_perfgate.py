@@ -27,7 +27,7 @@ Records are keyed by (kernel, degree, backend, threads). Keys present in only
 one dataset are reported but not fatal (sweeps evolve); zero overlapping keys
 is a structural error. The committed baseline is serial-focused (CI containers
 often expose one core), so --only-backend serial is the normal CI invocation;
-multi-thread scaling is gated separately, by the bench-smoke job's
+multi-thread scaling is gated separately, by the kernel-bench job's
 --mode scaling run.
 
 --require-speedup TUNED:REF:DEGREE:MINRATIO asserts, WITHIN the fresh sweep,
